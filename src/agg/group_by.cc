@@ -43,7 +43,7 @@ void GroupByAggregator::Clear() {
 uint32_t GroupByAggregator::FindOrClaim(uint32_t key) {
   for (;;) {
     const uint32_t nb = static_cast<uint32_t>(n_buckets_);
-    uint32_t h = MultHash32(key, factor_, nb);
+    uint32_t h = scalar::MultHash(key, factor_, nb);
     for (;;) {
       if (gkeys_[h] == key) return h;
       if (gkeys_[h] == kEmptyKey) {
@@ -81,7 +81,7 @@ void GroupByAggregator::Grow() {
   const uint32_t nb = static_cast<uint32_t>(n_buckets_);
   for (size_t i = 0; i < old_nb; ++i) {
     if (old_keys[i] == kEmptyKey) continue;
-    uint32_t h = MultHash32(old_keys[i], factor_, nb);
+    uint32_t h = scalar::MultHash(old_keys[i], factor_, nb);
     while (gkeys_[h] != kEmptyKey) {
       if (++h == nb) h = 0;
     }

@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "core/isa.h"
+#include "core/scalar_ops.h"
 #include "util/aligned_buffer.h"
 
 namespace simddb {
@@ -72,8 +73,7 @@ class BloomFilter {
 
   /// Bit index of hash function fi for key (fi in [0, k)).
   uint32_t BitFor(uint32_t key, int fi) const {
-    return static_cast<uint32_t>(
-        (static_cast<uint64_t>(key * factors_[fi]) * n_bits_) >> 32);
+    return scalar::MultHash(key, factors_[fi], static_cast<uint32_t>(n_bits_));
   }
 
  private:

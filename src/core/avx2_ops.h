@@ -17,6 +17,8 @@
 #include <array>
 #include <cstdint>
 
+#include "core/scalar_ops.h"
+
 namespace simddb::avx2 {
 
 /// Number of 32-bit lanes per 256-bit vector.
@@ -135,9 +137,14 @@ inline __m256i MulHi(__m256i a, __m256i b) {
   return _mm256_blend_epi32(even, odd, 0xAA);
 }
 
-/// Multiplicative hashing: h = mulhi(k * factor, buckets).
+/// Multiplicative hashing behind the mix of scalar::MultHash:
+/// x = k * factor; x ^= x >> 16; x *= kHashMixMul; h = mulhi(x, buckets).
 inline __m256i MultHash(__m256i keys, __m256i factor, __m256i buckets) {
-  return MulHi(_mm256_mullo_epi32(keys, factor), buckets);
+  __m256i x = _mm256_mullo_epi32(keys, factor);
+  x = _mm256_xor_si256(x, _mm256_srli_epi32(x, 16));
+  x = _mm256_mullo_epi32(
+      x, _mm256_set1_epi32(static_cast<int>(scalar::kHashMixMul)));
+  return MulHi(x, buckets);
 }
 
 }  // namespace simddb::avx2

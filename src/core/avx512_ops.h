@@ -16,6 +16,8 @@
 
 #include <cstdint>
 
+#include "core/scalar_ops.h"
+
 namespace simddb::avx512 {
 
 /// Number of 32-bit lanes per 512-bit vector (the paper's W).
@@ -84,9 +86,15 @@ inline __m512i MulHi(__m512i a, __m512i b) {
   return _mm512_mask_blend_epi32(0xAAAA, even, odd);
 }
 
-/// Multiplicative hashing (§5): h = mulhi(k * factor, buckets) ∈ [0, buckets).
+/// Multiplicative hashing (§5) behind the mix of scalar::MultHash:
+/// x = k * factor; x ^= x >> 16; x *= kHashMixMul;
+/// h = mulhi(x, buckets) ∈ [0, buckets).
 inline __m512i MultHash(__m512i keys, __m512i factor, __m512i buckets) {
-  return MulHi(_mm512_mullo_epi32(keys, factor), buckets);
+  __m512i x = _mm512_mullo_epi32(keys, factor);
+  x = _mm512_xor_si512(x, _mm512_srli_epi32(x, 16));
+  x = _mm512_mullo_epi32(
+      x, _mm512_set1_epi32(static_cast<int>(scalar::kHashMixMul)));
+  return MulHi(x, buckets);
 }
 
 // ---------------------------------------------------------------------------

@@ -50,7 +50,8 @@ void SerializeConflictsIterative16(Isa isa, uint32_t out[16],
 /// Returns the mask of lanes with no higher-indexed duplicate index.
 uint32_t ScatterWinners16(Isa isa, const uint32_t idx[16]);
 
-/// Batch multiplicative hash: out[i] = mulhi(keys[i]*factor, buckets).
+/// Batch multiplicative hash: out[i] = scalar::MultHash(keys[i], factor,
+/// buckets).
 void MultHashBatch(Isa isa, uint32_t* out, const uint32_t* keys, size_t n,
                    uint32_t factor, uint32_t buckets);
 

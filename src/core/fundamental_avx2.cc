@@ -64,10 +64,7 @@ void MultHashBatchAvx2(uint32_t* out, const uint32_t* keys, size_t n,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
                         v::MultHash(k, vf, vb));
   }
-  for (; i < n; ++i) {
-    out[i] = static_cast<uint32_t>(
-        (static_cast<uint64_t>(keys[i] * factor) * buckets) >> 32);
-  }
+  for (; i < n; ++i) out[i] = scalar::MultHash(keys[i], factor, buckets);
 }
 
 }  // namespace simddb::fundamental::detail

@@ -77,10 +77,21 @@ uint32_t ScatterWinners(int w, const I* idx) {
   return m;
 }
 
-/// Multiplicative hashing (§5): mulhi(k * factor, buckets) ∈ [0, buckets).
+/// Fixed odd multiplier of the hash mix (MurmurHash3's fmix32 constant).
+inline constexpr uint32_t kHashMixMul = 0x85EBCA6Bu;
+
+/// Multiplicative hashing (§5) behind a mix: x = k * factor; x ^= x >> 16;
+/// x *= kHashMixMul; h = mulhi(x, buckets) ∈ [0, buckets). The paper's
+/// single multiply maps arithmetic key progressions (dense ranges, strides)
+/// onto long runs of adjacent buckets for many factors; the xorshift folds
+/// the high bits into the low ones before the second multiply spreads them.
+/// This is the one scalar definition: every table, filter and partitioner
+/// hashes through it, and the AVX2/AVX-512 MultHash mirror it lane for lane.
 inline uint32_t MultHash(uint32_t key, uint32_t factor, uint32_t buckets) {
-  return static_cast<uint32_t>(
-      (static_cast<uint64_t>(key * factor) * buckets) >> 32);
+  uint32_t x = key * factor;
+  x ^= x >> 16;
+  x *= kHashMixMul;
+  return static_cast<uint32_t>((static_cast<uint64_t>(x) * buckets) >> 32);
 }
 
 }  // namespace simddb::scalar

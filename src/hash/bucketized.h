@@ -51,14 +51,12 @@ class BucketizedTable {
 
  private:
   uint32_t BucketFor(uint32_t k) const {
-    return MultHash32(k, factor1_, static_cast<uint32_t>(n_buckets_));
+    return scalar::MultHash(k, factor1_, static_cast<uint32_t>(n_buckets_));
   }
   uint32_t StepFor(uint32_t k) const {
-    return scheme_ == BucketScheme::kLinear
-               ? 1u
-               : ((1u + MultHash32(k, factor2_,
-                                   static_cast<uint32_t>(n_buckets_ - 1))) |
-                  1u);
+    if (scheme_ == BucketScheme::kLinear) return 1u;
+    const uint32_t nb1 = static_cast<uint32_t>(n_buckets_ - 1);
+    return (1u + scalar::MultHash(k, factor2_, nb1)) | 1u;
   }
 
   AlignedBuffer<uint32_t> keys_;
@@ -93,10 +91,10 @@ class BucketizedCuckooTable {
 
  private:
   uint32_t Bucket1(uint32_t k) const {
-    return MultHash32(k, factor1_, static_cast<uint32_t>(n_buckets_));
+    return scalar::MultHash(k, factor1_, static_cast<uint32_t>(n_buckets_));
   }
   uint32_t Bucket2(uint32_t k) const {
-    return MultHash32(k, factor2_, static_cast<uint32_t>(n_buckets_));
+    return scalar::MultHash(k, factor2_, static_cast<uint32_t>(n_buckets_));
   }
   bool Insert(uint32_t k, uint32_t v, uint32_t* rng_state);
   void Reseed();

@@ -70,10 +70,10 @@ class CuckooTable {
   const uint32_t* bucket_keys() const { return keys_.data(); }
   const uint32_t* bucket_pays() const { return pays_.data(); }
   uint32_t Hash1(uint32_t k) const {
-    return MultHash32(k, factor1_, static_cast<uint32_t>(n_buckets_));
+    return scalar::MultHash(k, factor1_, static_cast<uint32_t>(n_buckets_));
   }
   uint32_t Hash2(uint32_t k) const {
-    return MultHash32(k, factor2_, static_cast<uint32_t>(n_buckets_));
+    return scalar::MultHash(k, factor2_, static_cast<uint32_t>(n_buckets_));
   }
 
  private:

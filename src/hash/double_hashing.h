@@ -5,8 +5,8 @@
 // itself a hash of the key, so duplicate keys do not cluster in one region
 // the way they do under linear probing (Alg. 8).
 //
-// Probe sequence: h0 = mulhi(k*f1, |T|), step = (1 + mulhi(k*f2, |T|-1)) | 1,
-// h_{i+1} = (h_i + step) mod |T|.
+// Probe sequence: h0 = MultHash(k, f1, |T|),
+// step = (1 + MultHash(k, f2, |T|-1)) | 1, h_{i+1} = (h_i + step) mod |T|.
 //
 // Deviation from the paper, documented: the paper guarantees full-cycle
 // probing by making |T| prime; we instead round |T| up to a power of two and
@@ -55,13 +55,13 @@ class DoubleHashingTable {
 
   /// Probe step for key k (odd, in [1, num_buckets)).
   uint32_t StepFor(uint32_t k) const {
-    return (1u + MultHash32(k, factor2_,
-                            static_cast<uint32_t>(n_buckets_ - 1))) |
+    return (1u + scalar::MultHash(k, factor2_,
+                                  static_cast<uint32_t>(n_buckets_ - 1))) |
            1u;
   }
   /// First bucket probed for key k.
   uint32_t HashFor(uint32_t k) const {
-    return MultHash32(k, factor1_, static_cast<uint32_t>(n_buckets_));
+    return scalar::MultHash(k, factor1_, static_cast<uint32_t>(n_buckets_));
   }
 
  private:

@@ -13,7 +13,7 @@ namespace {
 
 namespace v = simddb::avx512;
 
-// step = (1 + mulhi(k*f2, nb-1)) | 1.
+// step = (1 + MultHash(k, f2, nb-1)) | 1.
 inline __m512i StepVec(__m512i key, __m512i factor2, __m512i nb_minus_1,
                        __m512i one) {
   __m512i s = _mm512_add_epi32(v::MultHash(key, factor2, nb_minus_1), one);

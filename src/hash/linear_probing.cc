@@ -42,7 +42,7 @@ void LinearProbingTable::BuildScalar(const uint32_t* keys,
   const uint32_t nb = static_cast<uint32_t>(n_buckets_);
   for (size_t i = 0; i < n; ++i) {
     uint32_t k = keys[i];
-    uint32_t h = MultHash32(k, factor_, nb);
+    uint32_t h = scalar::MultHash(k, factor_, nb);
     while (keys_[h] != kEmptyKey) {
       if (++h == nb) h = 0;
     }
@@ -63,7 +63,7 @@ size_t LinearProbingTable::ProbeScalar(const uint32_t* keys,
   for (size_t i = 0; i < n; ++i) {
     uint32_t k = keys[i];
     uint32_t v = pays[i];
-    uint32_t h = MultHash32(k, factor_, nb);
+    uint32_t h = scalar::MultHash(k, factor_, nb);
     while (keys_[h] != kEmptyKey) {
       if (keys_[h] == k) {
         out_rpays[j] = pays_[h];

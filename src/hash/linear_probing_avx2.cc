@@ -54,7 +54,7 @@ size_t LinearProbingTable::ProbeAvx2(const uint32_t* keys,
   for (int lane = 0; lane < 8; ++lane) {
     if (need & (1u << lane)) continue;
     uint32_t k = lk[lane];
-    uint32_t h = MultHash32(k, factor_, nb_s) + lo[lane];
+    uint32_t h = scalar::MultHash(k, factor_, nb_s) + lo[lane];
     if (h >= nb_s) h -= nb_s;
     while (keys_[h] != kEmptyKey) {
       if (keys_[h] == k) {

@@ -65,7 +65,7 @@ size_t LinearProbingTable::ProbeAvx512(const uint32_t* keys,
   for (int lane = 0; lane < 16; ++lane) {
     if (need & (1u << lane)) continue;
     uint32_t k = lk[lane];
-    uint32_t h = MultHash32(k, factor_, nb_s) + lo[lane];
+    uint32_t h = scalar::MultHash(k, factor_, nb_s) + lo[lane];
     if (h >= nb_s) h -= nb_s;
     while (keys_[h] != kEmptyKey) {
       if (keys_[h] == k) {
@@ -140,7 +140,7 @@ void LinearProbingTable::BuildAvx512(const uint32_t* keys,
   const uint32_t nb_s = static_cast<uint32_t>(n_buckets_);
   for (int lane = 0; lane < 16; ++lane) {
     if (need & (1u << lane)) continue;
-    uint32_t h = MultHash32(lk[lane], factor_, nb_s);
+    uint32_t h = scalar::MultHash(lk[lane], factor_, nb_s);
     while (keys_[h] != kEmptyKey) {
       if (++h == nb_s) h = 0;
     }
@@ -162,7 +162,7 @@ size_t LinearProbingTable::ProbeHorizontalAvx512(
     uint32_t k = keys[i];
     uint32_t s_pay = pays[i];
     const __m512i kv = _mm512_set1_epi32(static_cast<int>(k));
-    uint32_t h = MultHash32(k, factor_, nb);
+    uint32_t h = scalar::MultHash(k, factor_, nb);
     for (;;) {
       // The wrap pad mirrors buckets [0,16) past the end, so an unaligned
       // window read at any h < nb stays in bounds.

@@ -31,7 +31,7 @@ void BuildFlatScalar(uint32_t* table_keys, uint32_t* table_pays, uint32_t nb,
                      const uint32_t* pays, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     uint32_t k = keys[i];
-    uint32_t h = MultHash32(k, hash_factor, nb);
+    uint32_t h = scalar::MultHash(k, hash_factor, nb);
     while (table_keys[h] != kEmptyKey) {
       if (++h == nb) h = 0;
     }
@@ -51,10 +51,10 @@ size_t ProbeTableBankScalar(const uint32_t* table_keys,
   for (size_t i = 0; i < n; ++i) {
     uint32_t k = keys[i];
     uint32_t part =
-        part_count == 1 ? 0 : MultHash32(k, part_factor, part_count);
+        part_count == 1 ? 0 : scalar::MultHash(k, part_factor, part_count);
     uint32_t nb = size[part];
     uint32_t b = base[part];
-    uint32_t h = MultHash32(k, hash_factor, nb);
+    uint32_t h = scalar::MultHash(k, hash_factor, nb);
     while (table_keys[b + h] != kEmptyKey) {
       if (table_keys[b + h] == k) {
         out_rpays[j] = table_pays[b + h];
@@ -156,7 +156,7 @@ size_t HashJoinNoPartition(const JoinRelation& r, const JoinRelation& s,
           const size_t e = r_grid.end(m);
           for (size_t i = r_grid.begin(m); i < e; ++i) {
             uint32_t k = r.keys[i];
-            uint32_t h = MultHash32(k, factor, nb);
+            uint32_t h = scalar::MultHash(k, factor, nb);
             for (;;) {
               uint32_t expected = kEmptyKey;
               std::atomic_ref<uint32_t> slot(tk[h]);

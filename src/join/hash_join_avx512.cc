@@ -78,10 +78,10 @@ size_t ProbeTableBankAvx512(const uint32_t* table_keys,
   for (int lane = 0; lane < 16; ++lane) {
     if (need & (1u << lane)) continue;
     uint32_t k = lk[lane];
-    uint32_t part = single ? 0 : MultHash32(k, part_factor, part_count);
+    uint32_t part = single ? 0 : scalar::MultHash(k, part_factor, part_count);
     uint32_t nb = size[part];
     uint32_t b = base[part];
-    uint32_t h = MultHash32(k, hash_factor, nb) + lo[lane];
+    uint32_t h = scalar::MultHash(k, hash_factor, nb) + lo[lane];
     if (h >= nb) h -= nb;
     while (table_keys[b + h] != kEmptyKey) {
       if (table_keys[b + h] == k) {
@@ -134,7 +134,7 @@ void BuildFlatAvx512(uint32_t* table_keys, uint32_t* table_pays, uint32_t nb,
   _mm512_store_si512(lv, pay);
   for (int lane = 0; lane < 16; ++lane) {
     if (need & (1u << lane)) continue;
-    uint32_t h = MultHash32(lk[lane], hash_factor, nb);
+    uint32_t h = scalar::MultHash(lk[lane], hash_factor, nb);
     while (table_keys[h] != kEmptyKey) {
       if (++h == nb) h = 0;
     }
@@ -142,7 +142,7 @@ void BuildFlatAvx512(uint32_t* table_keys, uint32_t* table_pays, uint32_t nb,
     table_pays[h] = lv[lane];
   }
   for (; i < n; ++i) {
-    uint32_t h = MultHash32(keys[i], hash_factor, nb);
+    uint32_t h = scalar::MultHash(keys[i], hash_factor, nb);
     while (table_keys[h] != kEmptyKey) {
       if (++h == nb) h = 0;
     }

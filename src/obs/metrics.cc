@@ -28,15 +28,27 @@ uint32_t ThisThreadShard() {
   return shard;
 }
 
+namespace {
+// Every access stays in this file. An extern thread_local read through the
+// header would go through GCC's TLS wrapper, whose UBSan null check the
+// linker's TLS relaxation turns into a test of stale flags (a false
+// "store to null pointer" in -fsanitize=undefined builds).
 thread_local QueryMetricSink* g_tls_sink = nullptr;
+}  // namespace
 
 void SinkAdd(uint32_t id, uint64_t delta) {
-  // Callers re-check g_tls_sink inline; this out-of-line body keeps the
-  // QueryMetricSink definition out of the hot-path headers.
-  g_tls_sink->Add(id, delta);
+  if (g_tls_sink != nullptr) g_tls_sink->Add(id, delta);
+}
+
+QueryMetricSink* ExchangeMetricSink(QueryMetricSink* sink) {
+  QueryMetricSink* prev = g_tls_sink;
+  g_tls_sink = sink;
+  return prev;
 }
 
 }  // namespace detail
+
+QueryMetricSink* CurrentMetricSink() { return detail::g_tls_sink; }
 
 void EnableMetrics(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);

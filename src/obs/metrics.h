@@ -50,12 +50,15 @@ namespace detail {
 extern std::atomic<bool> g_enabled;  // initialized from SIMDDB_METRICS env
 uint32_t ThisThreadShard();          // stable per-thread shard index
 
-/// Attribution sink of the current thread (see QueryMetricSink). Plain
-/// thread_local pointer: one load + predictable branch on the metrics-on
-/// path, nothing when metrics are off.
-extern thread_local QueryMetricSink* g_tls_sink;
+/// Credits delta to slot id of the calling thread's attribution sink (see
+/// QueryMetricSink), if one is scoped. The thread-local sink pointer is
+/// defined and touched only in metrics.cc: the call costs nothing when
+/// metrics are off and one call per morsel-granularity event when they
+/// are on.
+void SinkAdd(uint32_t id, uint64_t delta);
 
-void SinkAdd(uint32_t id, uint64_t delta);  // adds to g_tls_sink if set
+/// Makes sink the calling thread's attribution sink; returns the previous.
+QueryMetricSink* ExchangeMetricSink(QueryMetricSink* sink);
 }  // namespace detail
 
 /// One relaxed load + branch: the gate every instrument checks first.
@@ -104,7 +107,7 @@ class Counter {
   void AddAlways(uint64_t delta) {
     shards_[detail::ThisThreadShard() & (kShards - 1)].v.fetch_add(
         delta, std::memory_order_relaxed);
-    if (detail::g_tls_sink != nullptr) detail::SinkAdd(id_, delta);
+    detail::SinkAdd(id_, delta);
   }
 
   /// Sum over all shards (racy-consistent snapshot, fine for reporting).
@@ -142,7 +145,7 @@ class PhaseTimer {
   void RecordAlways(uint64_t ns) {
     total_ns_.fetch_add(ns, std::memory_order_relaxed);
     calls_.fetch_add(1, std::memory_order_relaxed);
-    if (detail::g_tls_sink != nullptr) detail::SinkAdd(id_, ns);
+    detail::SinkAdd(id_, ns);
   }
 
   uint64_t TotalNs() const {
@@ -257,7 +260,7 @@ class QueryMetricSink {
 };
 
 /// The calling thread's current attribution sink (nullptr when unscoped).
-inline QueryMetricSink* CurrentMetricSink() { return detail::g_tls_sink; }
+QueryMetricSink* CurrentMetricSink();
 
 /// RAII: routes this thread's instrument updates into `sink` (in addition
 /// to the global shards) for the scope's lifetime; restores the previous
@@ -265,10 +268,9 @@ inline QueryMetricSink* CurrentMetricSink() { return detail::g_tls_sink; }
 /// participating worker lanes.
 class ScopedMetricSink {
  public:
-  explicit ScopedMetricSink(QueryMetricSink* sink) : prev_(detail::g_tls_sink) {
-    detail::g_tls_sink = sink;
-  }
-  ~ScopedMetricSink() { detail::g_tls_sink = prev_; }
+  explicit ScopedMetricSink(QueryMetricSink* sink)
+      : prev_(detail::ExchangeMetricSink(sink)) {}
+  ~ScopedMetricSink() { detail::ExchangeMetricSink(prev_); }
 
   ScopedMetricSink(const ScopedMetricSink&) = delete;
   ScopedMetricSink& operator=(const ScopedMetricSink&) = delete;

@@ -16,7 +16,7 @@ void HistogramScalar(const PartitionFn& fn, const uint32_t* keys, size_t n,
     const uint32_t factor = fn.factor;
     const uint32_t fanout = fn.fanout;
     for (size_t i = 0; i < n; ++i) {
-      ++hist[MultHash32(keys[i], factor, fanout)];
+      ++hist[scalar::MultHash(keys[i], factor, fanout)];
     }
   } else {
     // General hash-radix form (multi-pass hash partitioning).

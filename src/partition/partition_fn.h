@@ -14,7 +14,7 @@ namespace simddb {
 /// A radix or hash partition function over 32-bit keys.
 ///
 /// kRadix:  partition = (key >> shift) & (fanout - 1)
-/// kHash:   partition = (mulhi(key * factor, total) >> shift) & (fanout - 1)
+/// kHash:   partition = (MultHash(key, factor, total) >> shift) & (fanout - 1)
 ///          with total == fanout and shift == 0 this is plain multiplicative
 ///          hashing (fanout need not be a power of two); the general form
 ///          lets multi-pass hash partitioning (max-partition join, §9) take
@@ -62,7 +62,7 @@ struct PartitionFn {
 
   uint32_t operator()(uint32_t key) const {
     if (kind == Kind::kRadix) return (key >> shift) & (fanout - 1);
-    uint32_t h = MultHash32(key, factor, total);
+    uint32_t h = scalar::MultHash(key, factor, total);
     // Plain multiplicative hashing already lands in [0, fanout); masking
     // would corrupt non-power-of-two fanouts.
     if (shift == 0 && total == fanout) return h;

@@ -457,7 +457,8 @@ class FusedBloomProbe {
 };
 
 /// Fused hash-join probe: (fk, val) batches become (key, s_val, r_attr)
-/// batches, one row per match (build keys unique — key/FK join).
+/// batches, one row per match (build keys unique — key/FK join, enforced
+/// by HashBuildOp::Finish — so a batch never outgrows its input).
 template <Isa kIsa>
 class FusedJoinProbe {
  public:
@@ -476,6 +477,7 @@ class FusedJoinProbe {
   template <typename Next>
   void Process(const FusedBatch& in, int lane, Next&& next) {
     assert(table_ != nullptr && "fused probe ran before the build broke");
+    assert(table_->unique_keys());
     Lane& l = lanes_[static_cast<size_t>(lane)];
     const size_t cnt =
         table_->Probe(kIsa, in.col[0], in.col[1], in.n, l.key.data(),

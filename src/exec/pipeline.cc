@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
 
 #include "exec/adaptive.h"
 #include "obs/metrics.h"
@@ -59,6 +60,17 @@ void ResetLaneChunks(std::vector<std::unique_ptr<Chunk>>& out, int lanes,
     if (!c) c = std::make_unique<Chunk>();
     c->Reset(capacity, n_cols);
   }
+}
+
+// The client-facing reason for a build side that repeats a join key, naming
+// the smallest repeated key. Runs only on the failing path.
+std::string RepeatedBuildKeyError(const uint32_t* keys, size_t n) {
+  std::vector<uint32_t> sorted(keys, keys + n);
+  std::sort(sorted.begin(), sorted.end());
+  const auto it = std::adjacent_find(sorted.begin(), sorted.end());
+  std::string msg = "duplicate build keys";
+  if (it != sorted.end()) msg += " (key " + std::to_string(*it) + " repeats)";
+  return msg + ": the join needs unique keys on the build side";
 }
 
 }  // namespace
@@ -421,6 +433,9 @@ void HashBuildOp::Finish() {
                     n);
     }
   }
+  if (!table_->unique_keys()) {
+    throw QueryError(RepeatedBuildKeyError(mat_keys_.data(), n_build_));
+  }
   if (bloom_bits_per_key_ > 0 && n_build_ > 0) {
     bloom_ = std::make_unique<BloomFilter>(BloomFilter::ForItems(
         n_build_, bloom_bits_per_key_, bloom_k_, cfg_.seed));
@@ -482,6 +497,9 @@ void HashJoinProbeOp::Push(Chunk& c, int lane) {
     a.set_tuples(c.size());
     const LinearProbingTable* table = build_->table();
     assert(table != nullptr && "probe pipeline ran before the build broke");
+    // At most one match per row fits the output chunk; HashBuildOp::Finish
+    // refuses tables with repeated keys.
+    assert(table->unique_keys());
     const size_t cnt = table->Probe(a.isa(), c.col(0), c.col(1), c.size(),
                                     out.col(0), out.col(1), out.col(2));
     assert(cnt <= ChunkCapacity(out.capacity()));

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
@@ -41,6 +42,15 @@
 #include "util/aligned_buffer.h"
 
 namespace simddb::exec {
+
+/// A query the executor refuses to finish. Thrown on the thread that runs
+/// the plan (RunScanJoinAggregate, RunSharedProbe) before any probe runs;
+/// what() is the reason, worded for the client. The serving layer turns
+/// it into a failed ResultSet (server/scheduler.h).
+class QueryError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Which executor drives a query's streaming pipelines. kAuto picks the
 /// template-fused instantiation (exec/fused.h) whenever the plan shape has
@@ -272,6 +282,9 @@ class MaterializeOp final : public Operator {
 /// then in Finish builds the linear-probing join table (2x buckets,
 /// interleaved placement — every probe lane reads it) and optionally a
 /// Bloom filter over the build keys for the probe pipeline's semi-join.
+/// The join is key/FK: Finish throws QueryError when the table's build
+/// found a repeated key, since every probe stage sizes its output for at
+/// most one match per probe row.
 class HashBuildOp final : public Operator {
  public:
   /// bloom_bits_per_key == 0 disables the filter.
@@ -315,7 +328,8 @@ class BloomProbeOp final : public Operator {
 
 /// Join probe adapter over the breaker's table: (key, val) chunks become
 /// (key, s_val, r_pay) chunks, one row per match. Build keys are unique
-/// (key/FK join), so matches never exceed the chunk's tuple count.
+/// (key/FK join, enforced by HashBuildOp::Finish), so matches never exceed
+/// the chunk's tuple count.
 class HashJoinProbeOp final : public Operator {
  public:
   explicit HashJoinProbeOp(const HashBuildOp* build) : build_(build) {}

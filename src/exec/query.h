@@ -60,7 +60,10 @@ class Query {
 /// joined on S.fk = R.pk (R keys unique), grouped by R.attr with
 /// SUM/COUNT/MIN/MAX over S.val.
 struct ScanJoinAggregatePlan {
-  const uint32_t* r_keys = nullptr;   ///< R primary keys (unique)
+  /// R primary keys. They must be unique within [r_lo, r_hi]: a repeat
+  /// there fails the query with QueryError before any probe runs; repeats
+  /// outside the window are filtered out by the scan and do no harm.
+  const uint32_t* r_keys = nullptr;
   const uint32_t* r_attrs = nullptr;  ///< R group attribute column
   size_t n_r = 0;
   uint32_t r_lo = 0, r_hi = 0xFFFFFFFFu;
@@ -130,7 +133,8 @@ bool FusedPlanSupported(const ScanJoinAggregatePlan& plan);
 /// the template-fused pipeline (build side and unsupported shapes use the
 /// dynamic executor); kDynamic forces the dynamic chain everywhere. The
 /// whole-query wall time is recorded into the `exec_fused_ns` or
-/// `exec_dynamic_ns` phase timer according to the path taken.
+/// `exec_dynamic_ns` phase timer according to the path taken. Throws
+/// QueryError when R repeats a key within [r_lo, r_hi].
 QueryResult RunScanJoinAggregate(const ScanJoinAggregatePlan& plan,
                                  const ExecConfig& cfg);
 

@@ -38,7 +38,8 @@ bool SharedProbeSupported(const std::vector<ScanJoinAggregatePlan>& plans);
 /// member by member; then a single TaskPool dispatch walks the common chunk
 /// grid, producing each chunk into every member's chain. Results are
 /// returned in plan order and are byte-identical to per-plan
-/// RunScanJoinAggregate with PipelineMode::kDynamic.
+/// RunScanJoinAggregate with PipelineMode::kDynamic. Throws QueryError,
+/// failing the whole group, when any member's build side repeats a key.
 std::vector<QueryResult> RunSharedProbe(
     const std::vector<ScanJoinAggregatePlan>& plans, const ExecConfig& cfg);
 

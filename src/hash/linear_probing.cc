@@ -18,6 +18,7 @@ void LinearProbingTable::Clear() {
   std::memset(keys_.data(), 0xFF, keys_.size() * sizeof(uint32_t));
   std::memset(pays_.data(), 0, pays_.size() * sizeof(uint32_t));
   count_ = 0;
+  unique_keys_ = true;
 }
 
 void LinearProbingTable::SyncWrapPad() {
@@ -36,24 +37,30 @@ void LinearProbingTable::Build(Isa isa, const uint32_t* keys,
 }
 
 // Alg. 6: traverse linearly from the hash bucket to the first empty bucket.
+// Any earlier copy of the key lies on that walk, so comparing each bucket
+// passed is the uniqueness check.
 void LinearProbingTable::BuildScalar(const uint32_t* keys,
                                      const uint32_t* pays, size_t n) {
   assert(count_ + n < n_buckets_);
   const uint32_t nb = static_cast<uint32_t>(n_buckets_);
+  bool unique = true;
   for (size_t i = 0; i < n; ++i) {
     uint32_t k = keys[i];
     uint32_t h = scalar::MultHash(k, factor_, nb);
     while (keys_[h] != kEmptyKey) {
+      unique &= keys_[h] != k;
       if (++h == nb) h = 0;
     }
     keys_[h] = k;
     pays_[h] = pays[i];
   }
   count_ += n;
+  unique_keys_ = unique_keys_ && unique;
   SyncWrapPad();
 }
 
-// Alg. 4: probe every input key, emitting all matches.
+// Alg. 4: probe every input key, emitting all matches (the only one when
+// the table's keys are unique).
 size_t LinearProbingTable::ProbeScalar(const uint32_t* keys,
                                        const uint32_t* pays, size_t n,
                                        uint32_t* out_keys, uint32_t* out_spays,
@@ -61,18 +68,8 @@ size_t LinearProbingTable::ProbeScalar(const uint32_t* keys,
   const uint32_t nb = static_cast<uint32_t>(n_buckets_);
   size_t j = 0;
   for (size_t i = 0; i < n; ++i) {
-    uint32_t k = keys[i];
-    uint32_t v = pays[i];
-    uint32_t h = scalar::MultHash(k, factor_, nb);
-    while (keys_[h] != kEmptyKey) {
-      if (keys_[h] == k) {
-        out_rpays[j] = pays_[h];
-        out_spays[j] = v;
-        out_keys[j] = k;
-        ++j;
-      }
-      if (++h == nb) h = 0;
-    }
+    j = ProbeFrom(keys[i], pays[i], scalar::MultHash(keys[i], factor_, nb),
+                  out_keys, out_spays, out_rpays, j);
   }
   return j;
 }

@@ -12,9 +12,13 @@
 //                one vector comparison (the prior state of the art [30];
 //                see also bucketized.h for the bucket-aligned variant).
 //
-// Duplicate keys are allowed; Probe* returns every match. The table must
-// keep at least one empty bucket (load factor < 1) or probing of an absent
-// key would not terminate.
+// Duplicate keys are allowed; Probe* returns every match. Every build
+// checks whether the key it inserts is already present (unique_keys()).
+// While no build since the last Clear() found a repeat, each probe key
+// stops at its match instead of walking on to the first empty bucket; a
+// table with repeats keeps the full-chain probe. The table must keep at
+// least one empty bucket (load factor < 1) or probing of an absent key
+// would not terminate.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,25 +39,36 @@ class LinearProbingTable {
   void Clear();
 
   /// Inserts n (key, payload) tuples. Keys must differ from kEmptyKey and
-  /// total occupancy must stay below num_buckets().
+  /// total occupancy must stay below num_buckets(). A key equal to one
+  /// already in the table (from this call or an earlier one) is inserted
+  /// too, and clears unique_keys().
   void Build(Isa isa, const uint32_t* keys, const uint32_t* pays, size_t n);
   void BuildScalar(const uint32_t* keys, const uint32_t* pays, size_t n);
   /// Alg. 7. If assume_unique_keys is true, uses the paper's optimization of
-  /// scattering the keys themselves to detect conflicts (saves one scatter).
+  /// scattering the keys themselves to detect conflicts (saves one scatter)
+  /// and trusts the caller: the vector loop does not check for repeats.
   void BuildAvx512(const uint32_t* keys, const uint32_t* pays, size_t n,
                    bool assume_unique_keys = false);
 
+  /// True while no key was inserted twice since construction or Clear().
+  /// Probes then stop each key at its (only) match.
+  bool unique_keys() const { return unique_keys_; }
+
   /// Probes n (key, payload) tuples; writes one output tuple
   /// (key, probe payload, table payload) per match and returns the match
-  /// count. Output buffers must have room for all matches. Vertical
-  /// variants emit matches out of input order (the paper's "unstable"
-  /// probing); the scalar and horizontal variants are stable.
+  /// count. Output buffers must have room for all matches (at most n when
+  /// unique_keys()). Vertical variants emit matches out of input order (the
+  /// paper's "unstable" probing); the scalar and horizontal variants are
+  /// stable.
   size_t Probe(Isa isa, const uint32_t* keys, const uint32_t* pays, size_t n,
                uint32_t* out_keys, uint32_t* out_spays,
                uint32_t* out_rpays) const;
   size_t ProbeScalar(const uint32_t* keys, const uint32_t* pays, size_t n,
                      uint32_t* out_keys, uint32_t* out_spays,
                      uint32_t* out_rpays) const;
+  /// Alg. 5 with two independent 16-lane vectors per loop iteration, so
+  /// one vector's gathers overlap the other's refill and hashing; a 16-31
+  /// key remainder runs on one vector.
   size_t ProbeAvx512(const uint32_t* keys, const uint32_t* pays, size_t n,
                      uint32_t* out_keys, uint32_t* out_spays,
                      uint32_t* out_rpays) const;
@@ -78,11 +93,32 @@ class LinearProbingTable {
   // probing can read a full window at any starting bucket.
   void SyncWrapPad();
 
+  // Walks key k's chain from bucket h, appending one output tuple per match
+  // at index j; stops at the first match when unique_keys_. Returns the new
+  // output count. The scalar probe and the vector probes' in-flight lanes
+  // share it.
+  size_t ProbeFrom(uint32_t k, uint32_t spay, uint32_t h, uint32_t* out_keys,
+                   uint32_t* out_spays, uint32_t* out_rpays, size_t j) const {
+    const uint32_t nb = static_cast<uint32_t>(n_buckets_);
+    while (keys_[h] != kEmptyKey) {
+      if (keys_[h] == k) {
+        out_rpays[j] = pays_[h];
+        out_spays[j] = spay;
+        out_keys[j] = k;
+        ++j;
+        if (unique_keys_) break;
+      }
+      if (++h == nb) h = 0;
+    }
+    return j;
+  }
+
   AlignedBuffer<uint32_t> keys_;
   AlignedBuffer<uint32_t> pays_;
   size_t n_buckets_;
   size_t count_ = 0;
   uint32_t factor_;
+  bool unique_keys_ = true;
 };
 
 }  // namespace simddb

@@ -18,11 +18,27 @@ inline __m512i WrapBucket(__m512i h, __m512i nb) {
   return _mm512_mask_sub_epi32(h, over, h, nb);
 }
 
+// One vector of in-flight probe lanes (Alg. 5 state).
+struct ProbeLanes {
+  __m512i key = _mm512_setzero_si512();
+  __m512i pay = _mm512_setzero_si512();
+  __m512i off = _mm512_setzero_si512();  // buckets walked past the hash
+  __mmask16 need = 0xFFFF;  // lanes whose key is finished (need a reload)
+};
+
+// The buckets one probe step reads and the keys it found there.
+struct ProbeStep {
+  __m512i h;
+  __m512i table_key;
+};
+
 }  // namespace
 
 // Alg. 5: one probe key per lane; finished lanes are refilled from the
 // input with selective loads, so every lane stays busy regardless of how
-// long each key's probe chain is.
+// long each key's probe chain is. Each step's refill waits on the previous
+// step's gather, so two independent vectors advance per iteration: the
+// gathers of one overlap the refill and hashing of the other.
 size_t LinearProbingTable::ProbeAvx512(const uint32_t* keys,
                                        const uint32_t* pays, size_t n,
                                        uint32_t* out_keys, uint32_t* out_spays,
@@ -31,50 +47,55 @@ size_t LinearProbingTable::ProbeAvx512(const uint32_t* keys,
   const __m512i nb = _mm512_set1_epi32(static_cast<int>(n_buckets_));
   const __m512i empty = _mm512_set1_epi32(static_cast<int>(kEmptyKey));
   const __m512i one = _mm512_set1_epi32(1);
-  __m512i key = _mm512_setzero_si512();
-  __m512i pay = _mm512_setzero_si512();
-  __m512i off = _mm512_setzero_si512();
-  __mmask16 need = 0xFFFF;  // lanes whose key is finished (need a reload)
+  // With verified-unique keys a lane also finishes at its match.
+  const __mmask16 stop_at_match = unique_keys_ ? 0xFFFF : 0;
   size_t i = 0;
   size_t j = 0;
-  while (i + 16 <= n) {
-    key = v::SelectiveLoad(key, need, keys + i);
-    pay = v::SelectiveLoad(pay, need, pays + i);
-    i += __builtin_popcount(need);
-    __m512i h = v::MultHash(key, factor, nb);
-    h = WrapBucket(_mm512_add_epi32(h, off), nb);
-    __m512i table_key = v::Gather(keys_.data(), h);
-    __mmask16 match = _mm512_cmpeq_epi32_mask(table_key, key);
+  // Refill finished lanes, hash, and gather the next bucket of every lane.
+  auto fetch = [&](ProbeLanes& l) {
+    l.key = v::SelectiveLoad(l.key, l.need, keys + i);
+    l.pay = v::SelectiveLoad(l.pay, l.need, pays + i);
+    i += __builtin_popcount(l.need);
+    __m512i h = v::MultHash(l.key, factor, nb);
+    h = WrapBucket(_mm512_add_epi32(h, l.off), nb);
+    return ProbeStep{h, v::Gather(keys_.data(), h)};
+  };
+  // Emit the matches and decide which lanes are finished.
+  auto retire = [&](ProbeLanes& l, const ProbeStep& s) {
+    __mmask16 match = _mm512_cmpeq_epi32_mask(s.table_key, l.key);
     if (match != 0) {
-      __m512i table_pay = v::MaskGather(table_key, match, pays_.data(), h);
-      v::SelectiveStore(out_keys + j, match, key);
-      v::SelectiveStore(out_spays + j, match, pay);
+      __m512i table_pay = v::MaskGather(s.table_key, match, pays_.data(), s.h);
+      v::SelectiveStore(out_keys + j, match, l.key);
+      v::SelectiveStore(out_spays + j, match, l.pay);
       v::SelectiveStore(out_rpays + j, match, table_pay);
       j += __builtin_popcount(match);
     }
-    need = _mm512_cmpeq_epi32_mask(table_key, empty);
+    l.need =
+        _mm512_cmpeq_epi32_mask(s.table_key, empty) | (match & stop_at_match);
     // off = need ? 0 : off + 1 (reloaded lanes restart at their hash bucket).
-    off = _mm512_maskz_add_epi32(static_cast<__mmask16>(~need), off, one);
+    l.off =
+        _mm512_maskz_add_epi32(static_cast<__mmask16>(~l.need), l.off, one);
+  };
+  ProbeLanes a, b;
+  while (i + 32 <= n) {
+    const ProbeStep sa = fetch(a);
+    const ProbeStep sb = fetch(b);
+    retire(a, sa);
+    retire(b, sb);
   }
-  // Finish the up-to-16 in-flight lanes with scalar code (§5.1).
-  alignas(64) uint32_t lk[16], lv[16], lo[16];
-  _mm512_store_si512(lk, key);
-  _mm512_store_si512(lv, pay);
-  _mm512_store_si512(lo, off);
+  while (i + 16 <= n) retire(a, fetch(a));
+  // Finish the in-flight lanes with scalar code (§5.1).
   const uint32_t nb_s = static_cast<uint32_t>(n_buckets_);
-  for (int lane = 0; lane < 16; ++lane) {
-    if (need & (1u << lane)) continue;
-    uint32_t k = lk[lane];
-    uint32_t h = scalar::MultHash(k, factor_, nb_s) + lo[lane];
-    if (h >= nb_s) h -= nb_s;
-    while (keys_[h] != kEmptyKey) {
-      if (keys_[h] == k) {
-        out_rpays[j] = pays_[h];
-        out_spays[j] = lv[lane];
-        out_keys[j] = k;
-        ++j;
-      }
-      if (++h == nb_s) h = 0;
+  for (const ProbeLanes* l : {&a, &b}) {
+    alignas(64) uint32_t lk[16], lv[16], lo[16];
+    _mm512_store_si512(lk, l->key);
+    _mm512_store_si512(lv, l->pay);
+    _mm512_store_si512(lo, l->off);
+    for (int lane = 0; lane < 16; ++lane) {
+      if (l->need & (1u << lane)) continue;
+      uint32_t h = scalar::MultHash(lk[lane], factor_, nb_s) + lo[lane];
+      if (h >= nb_s) h -= nb_s;
+      j = ProbeFrom(lk[lane], lv[lane], h, out_keys, out_spays, out_rpays, j);
     }
   }
   // Scalar tail of the input.
@@ -87,6 +108,11 @@ size_t LinearProbingTable::ProbeAvx512(const uint32_t* keys,
 // empty bucket must agree on a single writer per bucket, detected by
 // scattering unique lane ids and gathering them back (or, with unique keys,
 // scattering the keys themselves — the paper's §5.1 optimization).
+//
+// Uniqueness check: a lane compares every bucket it gathers against its
+// key. A lane that loses a claim retries the same bucket, which now holds
+// the winner's key, rather than stepping past it — so two equal keys
+// in flight at once meet each other as well as any earlier copy.
 void LinearProbingTable::BuildAvx512(const uint32_t* keys,
                                      const uint32_t* pays, size_t n,
                                      bool assume_unique_keys) {
@@ -101,6 +127,7 @@ void LinearProbingTable::BuildAvx512(const uint32_t* keys,
   __m512i pay = _mm512_setzero_si512();
   __m512i off = _mm512_setzero_si512();
   __mmask16 need = 0xFFFF;  // lanes whose tuple has been inserted
+  __mmask16 repeat = 0;     // lanes that met their own key in the table
   size_t i = 0;
   while (i + 16 <= n) {
     key = v::SelectiveLoad(key, need, keys + i);
@@ -111,6 +138,7 @@ void LinearProbingTable::BuildAvx512(const uint32_t* keys,
     __m512i table_key = v::Gather(keys_.data(), h);
     __mmask16 at_empty = _mm512_cmpeq_epi32_mask(table_key, empty);
     __mmask16 win;
+    __mmask16 advance;  // lanes that move on to the next bucket
     if (assume_unique_keys) {
       // Scatter the keys themselves and gather back: the surviving lane of
       // each bucket reads its own (unique) key.
@@ -118,7 +146,9 @@ void LinearProbingTable::BuildAvx512(const uint32_t* keys,
       __m512i back = v::MaskGather(key, at_empty, keys_.data(), h);
       win = _mm512_mask_cmpeq_epi32_mask(at_empty, back, key);
       v::MaskScatter(pays_.data(), win, h, pay);
+      advance = static_cast<__mmask16>(~win);
     } else {
+      repeat |= _mm512_cmpeq_epi32_mask(table_key, key);
       // Scatter unique lane ids into the key array, gather back, and let the
       // surviving lane write the real tuple.
       v::MaskScatter(keys_.data(), at_empty, h, lane_ids);
@@ -128,30 +158,29 @@ void LinearProbingTable::BuildAvx512(const uint32_t* keys,
       v::MaskScatter(pays_.data(), win, h, pay);
       // Losing lanes left lane ids behind only in buckets that a winner is
       // about to overwrite, so the table is consistent again here.
+      advance = static_cast<__mmask16>(~at_empty);
     }
     need = win;
-    off = _mm512_maskz_add_epi32(static_cast<__mmask16>(~need), off, one);
+    // off = win ? 0 : (advance ? off + 1 : off).
+    off = _mm512_maskz_mov_epi32(static_cast<__mmask16>(~win),
+                                 _mm512_mask_add_epi32(off, advance, off, one));
   }
-  count_ += i;
-  // Insert the in-flight lanes and the input tail with scalar code.
+  if (repeat != 0) unique_keys_ = false;
+  // Insert the in-flight lanes, then the input tail, with scalar code (which
+  // also checks them for repeats and refreshes the wrap pad).
+  const __mmask16 pending = static_cast<__mmask16>(~need);
+  const size_t n_pending = static_cast<size_t>(__builtin_popcount(pending));
   alignas(64) uint32_t lk[16], lv[16];
-  _mm512_store_si512(lk, key);
-  _mm512_store_si512(lv, pay);
-  const uint32_t nb_s = static_cast<uint32_t>(n_buckets_);
-  for (int lane = 0; lane < 16; ++lane) {
-    if (need & (1u << lane)) continue;
-    uint32_t h = scalar::MultHash(lk[lane], factor_, nb_s);
-    while (keys_[h] != kEmptyKey) {
-      if (++h == nb_s) h = 0;
-    }
-    keys_[h] = lk[lane];
-    pays_[h] = lv[lane];
-  }
-  BuildScalar(keys + i, pays + i, n - i);  // also refreshes the wrap pad
+  v::SelectiveStore(lk, pending, key);
+  v::SelectiveStore(lv, pending, pay);
+  count_ += i - n_pending;
+  BuildScalar(lk, lv, n_pending);
+  BuildScalar(keys + i, pays + i, n - i);
 }
 
 // Horizontal probing: broadcast one key, compare against a 16-bucket window,
-// and advance window by window until an empty bucket appears.
+// and advance window by window until an empty bucket appears (or, in a
+// unique-key table, the match).
 size_t LinearProbingTable::ProbeHorizontalAvx512(
     const uint32_t* keys, const uint32_t* pays, size_t n, uint32_t* out_keys,
     uint32_t* out_spays, uint32_t* out_rpays) const {
@@ -173,6 +202,7 @@ size_t LinearProbingTable::ProbeHorizontalAvx512(
         // Matches past the first empty bucket are stale cluster remnants.
         match &= (1u << __builtin_ctz(at_empty)) - 1;
       }
+      const bool found = match != 0;
       while (match != 0) {
         uint32_t t = static_cast<uint32_t>(__builtin_ctz(match));
         out_rpays[j] = pays_[h + t];
@@ -181,7 +211,8 @@ size_t LinearProbingTable::ProbeHorizontalAvx512(
         ++j;
         match &= match - 1;
       }
-      if (at_empty != 0) break;
+      // A verified-unique table holds the key once: its match ends the probe.
+      if (at_empty != 0 || (found && unique_keys_)) break;
       h += 16;
       if (h >= nb) h -= nb;
     }

@@ -35,6 +35,14 @@ std::string GatherKey(const QuerySpec& spec, const exec::ExecConfig& cfg) {
          std::to_string(static_cast<int>(cfg.isa));
 }
 
+// How a failed gather surfaces in every member's Run: an executor refusal
+// as the same QueryError (so each client gets the reason), an abort as
+// QueryAborted.
+[[noreturn]] void ThrowGatherFailure(const std::string& error, uint64_t tag) {
+  if (!error.empty()) throw exec::QueryError(error);
+  throw QueryAborted{tag};
+}
+
 }  // namespace
 
 bool BindQuery(const Catalog& catalog, const QuerySpec& spec,
@@ -94,7 +102,8 @@ struct QueryScheduler::Gather {
   uint64_t group_morsels = 0;
   bool closed = false;  // no longer accepting members
   bool done = false;    // results published
-  bool failed = false;  // the closer's sweep aborted
+  bool failed = false;  // the closer's sweep aborted or was refused
+  std::string error;    // the executor's refusal (QueryError), if any
 };
 
 QueryScheduler::QueryScheduler(const Catalog* catalog,
@@ -182,6 +191,8 @@ ResultSet QueryScheduler::Run(const QuerySpec& spec,
     rs.stats.aborted = true;
     rs.error = "query aborted";
     g_queries_aborted.Add(1);
+  } catch (const exec::QueryError& e) {
+    rs.error = e.what();
   }
   rs.stats.exec_ns = obs::NowNs() - e0;
   if (!rs.stats.shared_scan) {
@@ -269,6 +280,7 @@ exec::QueryResult QueryScheduler::RunShared(
     const uint64_t m0 = pool.QueryTagMorsels(tag);
     std::vector<exec::QueryResult> results;
     bool failed = false;
+    std::string error;
     try {
       // Runs under the closer's QueryTagScope/metric sink (set in Run), so
       // the whole group's sweep is fair-scheduled and attributed as one
@@ -276,20 +288,24 @@ exec::QueryResult QueryScheduler::RunShared(
       results = exec::RunSharedProbe(plans, cfg);
     } catch (const QueryAborted&) {
       failed = true;
+    } catch (const exec::QueryError& e) {
+      failed = true;
+      error = e.what();
     }
     const uint64_t drained = pool.QueryTagMorsels(tag) - m0;
     gl.lock();
     g->results = std::move(results);
     g->group_morsels = drained;
     g->failed = failed;
+    g->error = error;
     g->done = !failed;
     gl.unlock();
     g->cv.notify_all();
-    if (failed) throw QueryAborted{tag};
+    if (failed) ThrowGatherFailure(error, tag);
     gl.lock();
   }
 
-  if (g->failed) throw QueryAborted{tag};
+  if (g->failed) ThrowGatherFailure(g->error, tag);
   stats->morsels_drained = g->group_morsels;
   return g->results[my_idx];
 }

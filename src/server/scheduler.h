@@ -30,7 +30,10 @@
 // Aborted queries (AbortQueryTag, pool teardown) unwind with
 // TaskPool::QueryAborted at the next quantum boundary; Run converts that
 // into ResultSet{ok = false, stats.aborted = true} and always releases the
-// admission slot and tag — an aborted query drains cleanly.
+// admission slot and tag — an aborted query drains cleanly. A plan the
+// executor refuses (exec::QueryError, e.g. a build table repeating a key
+// in the r= window) becomes ResultSet{ok = false, error = its reason}; in a
+// shared-scan gather every member receives that error.
 
 #include <condition_variable>
 #include <cstdint>
@@ -87,7 +90,7 @@ struct QueryStats {
 /// What a session gets back: canonical result rows plus accounting.
 struct ResultSet {
   bool ok = false;
-  std::string error;  ///< bind / admission / abort reason when !ok
+  std::string error;  ///< bind / admission / abort / executor reason if !ok
   exec::QueryResult result;
   QueryStats stats;
 };

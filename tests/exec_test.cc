@@ -43,6 +43,7 @@ using exec::Chunk;
 using exec::ChunkCapacity;
 using exec::ChunkBitmapWords;
 using exec::ExecConfig;
+using exec::IsaMode;
 using exec::PipelineMode;
 using exec::QueryResult;
 using exec::ScanJoinAggregatePlan;
@@ -639,6 +640,100 @@ TEST(ExecFusedTest, UnsupportedShapeFallsBackToDynamic) {
     EXPECT_EQ(Metric("pipelines_fused"), 0u);
     EXPECT_EQ(Metric("pipelines_dynamic"), 2u);  // build + probe
     EXPECT_GT(Metric("exec_dynamic_ns"), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Duplicate build keys
+// ---------------------------------------------------------------------------
+
+// R has 4,096 rows whose first `d` keys are all 1 (the rest are 2..4096
+// minus the overwritten ones); half of S probes key 1. Each probe batch
+// would produce up to d matches per row, more than its output holds.
+struct RepeatedKeyData : QueryData {
+  explicit RepeatedKeyData(size_t d) : QueryData(4096, 4096) {
+    std::fill(r_keys.data(), r_keys.data() + d, 1u);
+    std::fill(s_fks.data(), s_fks.data() + n_s / 2, 1u);
+  }
+};
+
+TEST(ExecQueryTest, DuplicateBuildKeysInWindowFailQuery) {
+  for (size_t d : {size_t{2}, size_t{64}}) {
+    RepeatedKeyData data(d);
+    const auto r_keys_c =
+        compress::CompressColumn(data.r_keys.data(), data.n_r);
+    const auto r_attrs_c =
+        compress::CompressColumn(data.r_attrs.data(), data.n_r);
+    const auto s_fks_c = compress::CompressColumn(data.s_fks.data(), data.n_s);
+    const auto s_vals_c =
+        compress::CompressColumn(data.s_vals.data(), data.n_s);
+    for (bool packed : {false, true}) {
+      ScanJoinAggregatePlan plan = data.Plan();
+      plan.r_lo = 1;
+      plan.r_hi = 4096;
+      plan.s_hi = 999'999;
+      if (packed) {
+        plan.r_keys_c = &r_keys_c;
+        plan.r_attrs_c = &r_attrs_c;
+        plan.s_fks_c = &s_fks_c;
+        plan.s_vals_c = &s_vals_c;
+      }
+      for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+        for (Isa isa : SupportedIsas()) {
+          for (int threads : {1, 8}) {
+            // Adaptive mode builds the table in chunk-sized calls on
+            // changing ISAs; the check must span the calls.
+            for (IsaMode im : {IsaMode::kStatic, IsaMode::kAdaptive}) {
+              ExecConfig cfg;
+              cfg.isa = isa;
+              cfg.threads = threads;
+              cfg.pipeline_mode = pm;
+              cfg.isa_mode = im;
+              cfg.chunk_tuples = 1000;
+              const std::string label =
+                  "d=" + std::to_string(d) + (packed ? " packed " : " raw ") +
+                  (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
+                  IsaName(isa) + " t=" + std::to_string(threads) +
+                  (im == IsaMode::kAdaptive ? " adaptive" : "");
+              try {
+                exec::RunScanJoinAggregate(plan, cfg);
+                ADD_FAILURE() << label << ": query ran";
+              } catch (const exec::QueryError& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("duplicate build keys (key 1 repeats)"),
+                          std::string::npos)
+                    << label << ": " << what;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecQueryTest, DuplicateBuildKeysOutsideWindowStillRun) {
+  // The repeats of key 1 are filtered out by the R scan (window starts at
+  // 2), so the build side is unique and the query runs normally.
+  RepeatedKeyData data(64);
+  ScanJoinAggregatePlan plan = data.Plan();
+  plan.r_lo = 2;
+  plan.r_hi = 4096;
+  plan.s_hi = 999'999;
+  const auto want = MapReference(data, plan);
+  ASSERT_FALSE(want.empty());
+  for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+    for (Isa isa : SupportedIsas()) {
+      for (int threads : {1, 8}) {
+        ExecConfig cfg;
+        cfg.isa = isa;
+        cfg.threads = threads;
+        cfg.pipeline_mode = pm;
+        ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want,
+                               std::string(IsaName(isa)) +
+                                   " t=" + std::to_string(threads));
+      }
+    }
   }
 }
 

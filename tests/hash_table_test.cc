@@ -113,62 +113,81 @@ const char* LpProbeName(LpProbe p) {
   return "?";
 }
 
+bool LpBuildSupported(LpBuild b) {
+  return b == LpBuild::kScalar || IsaSupported(Isa::kAvx512);
+}
+bool LpProbeSupported(LpProbe p) {
+  switch (p) {
+    case LpProbe::kScalar: return true;
+    case LpProbe::kAvx2: return IsaSupported(Isa::kAvx2);
+    case LpProbe::kVector:
+    case LpProbe::kHorizontal: return IsaSupported(Isa::kAvx512);
+  }
+  return false;
+}
 
+void LpBuildInto(LinearProbingTable& t, LpBuild b, const uint32_t* keys,
+                 const uint32_t* pays, size_t n) {
+  switch (b) {
+    case LpBuild::kScalar: t.BuildScalar(keys, pays, n); break;
+    case LpBuild::kVector: t.BuildAvx512(keys, pays, n, false); break;
+    case LpBuild::kVectorUnique: t.BuildAvx512(keys, pays, n, true); break;
+  }
+}
 
-class LinearProbingTest
-    : public ::testing::TestWithParam<std::tuple<LpBuild, LpProbe, int>> {};
+size_t LpProbeInto(const LinearProbingTable& t, LpProbe p,
+                   const uint32_t* keys, const uint32_t* pays, size_t n,
+                   AlignedBuffer<uint32_t>& ok, AlignedBuffer<uint32_t>& os,
+                   AlignedBuffer<uint32_t>& orp) {
+  switch (p) {
+    case LpProbe::kScalar:
+      return t.ProbeScalar(keys, pays, n, ok.data(), os.data(), orp.data());
+    case LpProbe::kVector:
+      return t.ProbeAvx512(keys, pays, n, ok.data(), os.data(), orp.data());
+    case LpProbe::kAvx2:
+      return t.ProbeAvx2(keys, pays, n, ok.data(), os.data(), orp.data());
+    case LpProbe::kHorizontal:
+      return t.ProbeHorizontalAvx512(keys, pays, n, ok.data(), os.data(),
+                                     orp.data());
+  }
+  return 0;
+}
+
+// (build, probe, fill %, unique keys). kVectorUnique always builds unique
+// keys (assume_unique_keys requires them); the other builds run on keys
+// with repeats in Sweep and on unique keys in SweepUniqueKeys, so both the
+// full-chain probe and the stop-at-match probe are covered behind them.
+using LpCase = std::tuple<LpBuild, LpProbe, int, bool>;
+
+class LinearProbingTest : public ::testing::TestWithParam<LpCase> {};
 
 TEST_P(LinearProbingTest, JoinMatchesReference) {
-  auto [build, probe, pct_fill] = GetParam();
-  bool need512 = build != LpBuild::kScalar || probe == LpProbe::kVector ||
-                 probe == LpProbe::kHorizontal;
-  if (need512 && !IsaSupported(Isa::kAvx512)) GTEST_SKIP();
-  if (probe == LpProbe::kAvx2 && !IsaSupported(Isa::kAvx2)) GTEST_SKIP();
+  auto [build, probe, pct_fill, unique_keys] = GetParam();
+  if (!LpBuildSupported(build) || !LpProbeSupported(probe)) GTEST_SKIP();
 
   const size_t n_build = 3000;
   const size_t n_probe = 10'000;
   const size_t buckets = n_build * 100 / pct_fill + 16;
-  const bool unique = build == LpBuild::kVectorUnique;
+  const bool unique = unique_keys || build == LpBuild::kVectorUnique;
   Workload w = MakeWorkload(n_build, n_probe, unique, 0.8, 7);
 
   LinearProbingTable table(buckets);
-  switch (build) {
-    case LpBuild::kScalar:
-      table.BuildScalar(w.b_keys.data(), w.b_pays.data(), n_build);
-      break;
-    case LpBuild::kVector:
-      table.BuildAvx512(w.b_keys.data(), w.b_pays.data(), n_build, false);
-      break;
-    case LpBuild::kVectorUnique:
-      table.BuildAvx512(w.b_keys.data(), w.b_pays.data(), n_build, true);
-      break;
-  }
+  LpBuildInto(table, build, w.b_keys.data(), w.b_pays.data(), n_build);
   EXPECT_EQ(table.size(), n_build);
+  EXPECT_EQ(table.unique_keys(), unique);
 
   AlignedBuffer<uint32_t> ok(w.max_matches + 16), os(w.max_matches + 16),
       orp(w.max_matches + 16);
-  size_t got = 0;
-  switch (probe) {
-    case LpProbe::kScalar:
-      got = table.ProbeScalar(w.p_keys.data(), w.p_pays.data(), n_probe,
-                              ok.data(), os.data(), orp.data());
-      break;
-    case LpProbe::kVector:
-      got = table.ProbeAvx512(w.p_keys.data(), w.p_pays.data(), n_probe,
-                              ok.data(), os.data(), orp.data());
-      break;
-    case LpProbe::kAvx2:
-      got = table.ProbeAvx2(w.p_keys.data(), w.p_pays.data(), n_probe,
-                            ok.data(), os.data(), orp.data());
-      break;
-    case LpProbe::kHorizontal:
-      got = table.ProbeHorizontalAvx512(w.p_keys.data(), w.p_pays.data(),
-                                        n_probe, ok.data(), os.data(),
-                                        orp.data());
-      break;
-  }
+  const size_t got = LpProbeInto(table, probe, w.p_keys.data(),
+                                 w.p_pays.data(), n_probe, ok, os, orp);
   ASSERT_EQ(got, w.expected.size());
   EXPECT_EQ(Collect(ok, os, orp, got), w.expected);
+}
+
+std::string LpCaseName(const ::testing::TestParamInfo<LpCase>& info) {
+  return std::string(LpBuildName(std::get<0>(info.param))) + "_" +
+         LpProbeName(std::get<1>(info.param)) + "_fill" +
+         std::to_string(std::get<2>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -178,12 +197,19 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(LpProbe::kScalar, LpProbe::kVector,
                                          LpProbe::kAvx2,
                                          LpProbe::kHorizontal),
-                       ::testing::Values(25, 50, 80)),
-    [](const auto& info) {
-      return std::string(LpBuildName(std::get<0>(info.param))) + "_" +
-             LpProbeName(std::get<1>(info.param)) + "_fill" +
-             std::to_string(std::get<2>(info.param));
-    });
+                       ::testing::Values(25, 50, 80),
+                       ::testing::Values(false)),
+    LpCaseName);
+
+INSTANTIATE_TEST_SUITE_P(
+    SweepUniqueKeys, LinearProbingTest,
+    ::testing::Combine(::testing::Values(LpBuild::kScalar, LpBuild::kVector),
+                       ::testing::Values(LpProbe::kScalar, LpProbe::kVector,
+                                         LpProbe::kAvx2,
+                                         LpProbe::kHorizontal),
+                       ::testing::Values(25, 50, 80),
+                       ::testing::Values(true)),
+    LpCaseName);
 
 TEST(LinearProbing, DuplicateKeysReturnAllMatches) {
   std::vector<uint32_t> bk = {5, 5, 5, 9, 9, 2};
@@ -225,6 +251,143 @@ TEST(LinearProbing, ClearResets) {
 }
 
 // ---------------------------------------------------------------------------
+// Unique-key check and the stop-at-match probe
+// ---------------------------------------------------------------------------
+
+// Builds keys with `calls` roughly equal Build calls of kind b, payload =
+// row index.
+void BuildKeys(LinearProbingTable& t, LpBuild b,
+               const std::vector<uint32_t>& keys, size_t calls = 1) {
+  std::vector<uint32_t> pays(keys.size());
+  for (size_t i = 0; i < pays.size(); ++i) pays[i] = static_cast<uint32_t>(i);
+  const size_t step = (keys.size() + calls - 1) / calls;
+  for (size_t off = 0; off < keys.size(); off += step) {
+    LpBuildInto(t, b, keys.data() + off, pays.data() + off,
+                std::min(step, keys.size() - off));
+  }
+}
+
+std::vector<uint32_t> DistinctKeys(size_t n, uint64_t seed) {
+  std::vector<uint32_t> keys(n);
+  FillUniqueShuffled(keys.data(), n, seed, 1);
+  return keys;
+}
+
+TEST(LinearProbingUnique, DistinctKeysStayUnique) {
+  for (LpBuild b : {LpBuild::kScalar, LpBuild::kVector}) {
+    if (!LpBuildSupported(b)) continue;
+    for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                     size_t{31}, size_t{1000}, size_t{100'003}}) {
+      LinearProbingTable t(2 * n + 16);
+      BuildKeys(t, b, DistinctKeys(n, n + 3));
+      EXPECT_TRUE(t.unique_keys()) << LpBuildName(b) << " n=" << n;
+      EXPECT_EQ(t.size(), n);
+    }
+  }
+}
+
+TEST(LinearProbingUnique, ChunkedBuildsWithMixedIsasStayUnique) {
+  // HashBuildOp's adaptive mode: chunk-sized Build calls, each on whatever
+  // ISA the dispatcher picked for that chunk.
+  const std::vector<uint32_t> keys = DistinctKeys(50'000, 11);
+  const std::vector<uint32_t> pays(keys.size(), 0);
+  const Isa isas[] = {Isa::kAvx512, Isa::kScalar, Isa::kAvx2};
+  LinearProbingTable t(131'072);
+  size_t call = 0;
+  for (size_t off = 0; off < keys.size(); off += 1023, ++call) {
+    const size_t n = std::min<size_t>(1023, keys.size() - off);
+    t.Build(isas[call % 3], keys.data() + off, pays.data() + off, n);
+  }
+  EXPECT_TRUE(t.unique_keys());
+  EXPECT_EQ(t.size(), keys.size());
+}
+
+TEST(LinearProbingUnique, AnyRepeatClearsIt) {
+  // One repeated key, placed where each build path meets it.
+  struct Case {
+    const char* where;
+    size_t n;       // keys
+    size_t first;   // index of the original
+    size_t second;  // index overwritten with a copy of keys[first]
+    size_t calls;   // Build calls the keys are split into
+  };
+  const Case cases[] = {
+      // first == second: keys 0..15, the first vector, all become keys[0].
+      {"16 copies in one vector", 1000, 0, 0, 1},
+      {"two different vectors", 1000, 3, 500, 1},
+      {"across two Build calls", 1000, 100, 700, 2},
+      // 31 keys: one vector step takes keys 0..15, keys 16..30 are the
+      // scalar tail of BuildAvx512.
+      {"in the scalar tail", 31, 20, 30, 1},
+      {"tail repeats a vector key", 31, 0, 30, 1},
+  };
+  for (LpBuild b : {LpBuild::kScalar, LpBuild::kVector}) {
+    if (!LpBuildSupported(b)) continue;
+    for (const Case& c : cases) {
+      std::vector<uint32_t> keys = DistinctKeys(c.n, 5);
+      if (c.first == c.second) {
+        std::fill(keys.begin(), keys.begin() + 16, keys[0]);
+      } else {
+        keys[c.second] = keys[c.first];
+      }
+      LinearProbingTable t(4096);
+      BuildKeys(t, b, keys, c.calls);
+      EXPECT_FALSE(t.unique_keys()) << c.where << ", " << LpBuildName(b);
+      EXPECT_EQ(t.size(), c.n) << c.where;  // repeats are still inserted
+    }
+  }
+}
+
+TEST(LinearProbingUnique, ClearResetsIt) {
+  LinearProbingTable t(64);
+  BuildKeys(t, LpBuild::kScalar, {4, 9, 4});
+  EXPECT_FALSE(t.unique_keys());
+  t.Clear();
+  EXPECT_TRUE(t.unique_keys());
+  BuildKeys(t, LpBuild::kScalar, {4, 9});
+  EXPECT_TRUE(t.unique_keys());
+}
+
+TEST(LinearProbingUnique, EveryProbeMatchesReferenceAtBoundarySizes) {
+  // Sizes around the two-vector loop (32 keys per step), the one-vector
+  // remainder (16) and the scalar tails, on a unique table (probes stop
+  // at the match) and on one with repeats (probes walk the whole chain).
+  const size_t n_build = 5000;
+  for (bool unique : {true, false}) {
+    for (LpBuild b : {LpBuild::kScalar, LpBuild::kVector}) {
+      if (!LpBuildSupported(b)) continue;
+      Workload w = MakeWorkload(n_build, 0, unique, 0.8, 21);
+      LinearProbingTable t(4 * n_build);
+      LpBuildInto(t, b, w.b_keys.data(), w.b_pays.data(), n_build);
+      ASSERT_EQ(t.unique_keys(), unique);
+      for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                       size_t{31}, size_t{32}, size_t{33}, size_t{1000},
+                       size_t{100'003}}) {
+        std::vector<uint32_t> pk(n), pp(n);
+        FillProbeKeys(pk.data(), n, w.b_keys.data(), n_build, 0.8, n + 1);
+        FillSequential(pp.data(), n, 50'000);
+        const std::vector<Tuple3> want =
+            ReferenceJoin(w.b_keys, w.b_pays, pk, pp);
+        AlignedBuffer<uint32_t> ok(want.size() + 16), os(want.size() + 16),
+            orp(want.size() + 16);
+        for (LpProbe p : {LpProbe::kScalar, LpProbe::kAvx2, LpProbe::kVector,
+                          LpProbe::kHorizontal}) {
+          if (!LpProbeSupported(p)) continue;
+          const size_t got =
+              LpProbeInto(t, p, pk.data(), pp.data(), n, ok, os, orp);
+          const std::string label = std::string(LpProbeName(p)) + " " +
+                                    LpBuildName(b) +
+                                    (unique ? " unique" : " repeats") +
+                                    " n=" + std::to_string(n);
+          ASSERT_EQ(got, want.size()) << label;
+          EXPECT_EQ(Collect(ok, os, orp, got), want) << label;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Hash spread: structured key sets must not cluster in the join table
 // ---------------------------------------------------------------------------
 
@@ -251,10 +414,11 @@ size_t JoinTableBuckets(size_t n) {
 }
 
 // Builds keys (all distinct) into t, then walks each key's probe sequence
-// the way a join probe does: from the key's home bucket, computed with the
-// scalar hash, to the first empty bucket (duplicates are allowed, so a probe
-// cannot stop at its first match). Returns the mean number of occupied
-// buckets visited per probe.
+// from the key's home bucket, computed with the scalar hash, to the first
+// empty bucket, and returns the mean number of occupied buckets visited per
+// probe. This measures the table's layout (cluster length), not probe
+// length: a probe into this unique-key table stops at its match, which is
+// never past the first empty bucket.
 double MeanBucketsPerProbe(LinearProbingTable& t,
                            const std::vector<uint32_t>& keys) {
   t.Clear();

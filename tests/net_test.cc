@@ -699,6 +699,52 @@ TEST(NetServer, MalformedBytesOnTheWireNeverKillTheServer) {
   server.Stop();
 }
 
+TEST(NetServer, DuplicateBuildKeysAnswerErrAndTheServerKeepsServing) {
+  // "Rdup" is R with key 1 written over its first 64 keys: a join probe
+  // into it would emit up to 64 rows per probe row.
+  NetData data(2000, 30000, /*compress=*/true);
+  AlignedBuffer<uint32_t> dup_keys(data.n_r + 16);
+  std::copy(data.r_keys.data(), data.r_keys.data() + data.n_r,
+            dup_keys.data());
+  std::fill(dup_keys.data(), dup_keys.data() + 64, 1u);
+  server::TableOptions topts;
+  topts.compress = true;
+  ASSERT_NE(data.catalog.RegisterTable("Rdup", dup_keys.data(),
+                                       data.r_attrs.data(), data.n_r, topts),
+            nullptr);
+  for (int threads : {1, 8}) {
+    ServerOptions opts;
+    opts.unix_path = UniqueSocketPath();
+    opts.exec.threads = threads;
+    Server server(&data.catalog, opts);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    Client client;
+    ASSERT_TRUE(client.ConnectUnix(opts.unix_path, &error)) << error;
+    for (const char* line :
+         {"QUERY build=Rdup probe=S",
+          "QUERY build=Rdup probe=S r=[1,500] storage=packed",
+          "QUERY build=Rdup probe=S isa=scalar scan=bitmap"}) {
+      const WireResult bad = client.Query(line);
+      EXPECT_FALSE(bad.ok) << line;
+      EXPECT_EQ(bad.error.rfind("exec duplicate build keys", 0), 0u)
+          << line << ": " << bad.error;
+      // The same connection answers a valid query afterwards.
+      const WireResult good =
+          client.Query("QUERY build=Rdup probe=S r=[65,2000]");
+      ASSERT_TRUE(good.ok) << good.error;
+      EXPECT_FALSE(good.rows.empty());
+    }
+    // And the server still accepts new connections.
+    Client other;
+    ASSERT_TRUE(other.ConnectUnix(opts.unix_path, &error)) << error;
+    EXPECT_TRUE(other.Ping());
+    other.Quit();
+    client.Quit();
+    server.Stop();
+  }
+}
+
 TEST(NetServer, ConcurrentClientsByteIdenticalAcrossThreads) {
   NetData data(1000, 40000);
   for (int threads : {1, 8}) {

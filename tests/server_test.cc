@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -446,6 +447,95 @@ TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
   // chunk band, so the group pushes a fraction of N solo all-chunk scans.
   EXPECT_LT(shared_pushed, solo_pushed / 2)
       << "shared=" << shared_pushed << " solo=" << solo_pushed;
+}
+
+// ---------------------------------------------------------------------------
+// Build tables that repeat a key
+// ---------------------------------------------------------------------------
+
+/// ServerData plus "Rdup": R's rows with key 1 written over the first 8
+/// keys, registered as a second build table.
+struct RepeatedKeyServerData : ServerData {
+  AlignedBuffer<uint32_t> dup_keys;
+  RepeatedKeyServerData() : ServerData(4096, 32768) {
+    dup_keys.Reset(n_r + 16);
+    std::copy(r_keys.data(), r_keys.data() + n_r, dup_keys.data());
+    std::fill(dup_keys.data(), dup_keys.data() + 8, 1u);
+    EXPECT_NE(catalog.RegisterTable("Rdup", dup_keys.data(), r_attrs.data(),
+                                    n_r),
+              nullptr);
+  }
+};
+
+QuerySpec DupSpec(uint32_t r_lo) {
+  QuerySpec spec;
+  spec.build_table = "Rdup";
+  spec.probe_table = "S";
+  spec.r_lo = r_lo;
+  spec.max_groups_hint = 128;
+  return spec;
+}
+
+TEST(ServerSchedulerTest, DuplicateBuildKeysFailQueryAndKeepServing) {
+  RepeatedKeyServerData d;
+  QueryScheduler sched(&d.catalog);
+  QuerySession session(&d.catalog, &sched);
+  for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+    ExecConfig cfg;
+    cfg.threads = 4;
+    cfg.pipeline_mode = pm;
+    const ResultSet bad = session.Execute(DupSpec(1), cfg);
+    EXPECT_FALSE(bad.ok);
+    EXPECT_FALSE(bad.stats.aborted);
+    EXPECT_NE(bad.error.find("duplicate build keys"), std::string::npos)
+        << bad.error;
+    // The repeats lie outside r=[9, ...]: that query runs.
+    const ResultSet good = session.Execute(DupSpec(9), cfg);
+    ASSERT_TRUE(good.ok) << good.error;
+    EXPECT_FALSE(good.result.group_keys.empty());
+  }
+  EXPECT_EQ(sched.queries_completed(), 4u);  // every slot was released
+}
+
+TEST(ServerSharedScanTest, DuplicateBuildKeysFailEveryGatherMember) {
+  constexpr int kClients = 4;
+  RepeatedKeyServerData d;
+  SchedulerOptions opts;
+  opts.shared_scans = true;
+  opts.shared_gather_hint = kClients;
+  opts.shared_gather_timeout_ns = 1'000'000'000;  // hint closes the group
+  QueryScheduler sched(&d.catalog, opts);
+  ExecConfig cfg;
+  cfg.threads = 2;
+  cfg.pipeline_mode = PipelineMode::kDynamic;
+  // Runs one gather of kClients members; member i's r= window starts at
+  // r_lo(i).
+  auto run_gather = [&](auto r_lo) {
+    std::vector<ResultSet> got(kClients);
+    std::vector<std::thread> workers;
+    for (int i = 0; i < kClients; ++i) {
+      workers.emplace_back([&, i] {
+        QuerySession session(&d.catalog, &sched);
+        got[i] = session.Execute(DupSpec(r_lo(i)), cfg);
+      });
+    }
+    for (auto& w : workers) w.join();
+    return got;
+  };
+  // Only member 0's window holds the repeats; the whole group fails, and
+  // no member is left waiting.
+  const std::vector<ResultSet> bad =
+      run_gather([](int i) { return i == 0 ? 1u : 9u; });
+  for (int i = 0; i < kClients; ++i) {
+    EXPECT_FALSE(bad[i].ok) << "member " << i;
+    EXPECT_NE(bad[i].error.find("duplicate build keys"), std::string::npos)
+        << "member " << i << ": " << bad[i].error;
+  }
+  // The scheduler keeps serving gathers.
+  for (const ResultSet& rs : run_gather([](int) { return 9u; })) {
+    EXPECT_TRUE(rs.ok) << rs.error;
+    EXPECT_TRUE(rs.stats.shared_scan);
+  }
 }
 
 // ---------------------------------------------------------------------------

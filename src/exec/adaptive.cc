@@ -34,9 +34,6 @@ obs::Counter g_fused_avx2_compact("chosen_fused_avx2_compact");
 obs::Counter g_fused_avx2_bitmap("chosen_fused_avx2_bitmap");
 obs::Counter g_fused_avx512_compact("chosen_fused_avx512_compact");
 obs::Counter g_fused_avx512_bitmap("chosen_fused_avx512_bitmap");
-obs::Counter g_build_scalar("chosen_build_scalar");
-obs::Counter g_build_avx2("chosen_build_avx2");
-obs::Counter g_build_avx512("chosen_build_avx512");
 
 obs::Counter* ChosenCounter(OpKind kind, const AdaptiveVariant& v) {
   const int i = static_cast<int>(v.isa);
@@ -70,11 +67,6 @@ obs::Counter* ChosenCounter(OpKind kind, const AdaptiveVariant& v) {
           {&g_fused_avx2_compact, &g_fused_avx2_bitmap},
           {&g_fused_avx512_compact, &g_fused_avx512_bitmap}};
       return t[i][bm];
-    }
-    case OpKind::kBuild: {
-      static obs::Counter* const t[3] = {&g_build_scalar, &g_build_avx2,
-                                         &g_build_avx512};
-      return t[i];
     }
   }
   return &g_scan_scalar_compact;

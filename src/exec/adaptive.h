@@ -12,7 +12,8 @@
 // re-times its variants on live chunks and switches mid-query.
 //
 // The AdaptiveDispatcher keeps one schedule per operator kind (scan, bloom
-// probe, join probe, group-by, fused window, build). Each schedule cycles
+// probe, join probe, group-by, fused window); the table build has one
+// kernel on every ISA (HashBuildOp), so it has none. Each schedule cycles
 // through rounds of
 //
 //   explore:  K chunks per variant, timed (obs::ThreadCpuNs around the
@@ -38,14 +39,11 @@
 // the variant's historical per-tuple cost — on a shared host one preemption
 // inside a timed chunk would otherwise poison a whole round's decision.
 //
-// Two attribution rules keep the greedy per-op decisions honest. (1) A
+// One attribution rule keeps the greedy per-op decisions honest: a
 // bitmap-mode scan defers its compaction cost to whichever downstream
 // operator first Compacts the chunk, so in adaptive mode the scan compacts
 // inside its own timed scope — the representation axis is judged on its
 // end-to-end per-chunk cost, not on the cheap half it would externalize.
-// (2) The build-side table/bloom inserts (historically the slowest phase on
-// AVX-512) are re-timed per block in HashBuildOp::Finish rather than pinned
-// to the anchor ISA.
 //
 // Correctness is free: every variant of every operator produces the same
 // canonical result by construction (the exec_test.cc / exec_adaptive_test.cc
@@ -82,12 +80,8 @@ enum class OpKind : int {
   kJoinProbe = 2,
   kGroupBy = 3,
   kFusedWindow = 4,
-  /// Build-side table insert + bloom add, re-timed in chunk-sized blocks
-  /// inside HashBuildOp::Finish. The blocks run sequentially in seq order,
-  /// so switching the ISA per block never reorders insertions.
-  kBuild = 5,
 };
-inline constexpr int kNumOpKinds = 6;
+inline constexpr int kNumOpKinds = 5;
 
 /// One selectable implementation of an operator kind. scan_mode is
 /// meaningful for kScan only (the representation axis); the other kinds —

@@ -415,24 +415,13 @@ void HashBuildOp::Finish() {
   numa::PlaceBuffer(const_cast<uint32_t*>(table_->bucket_pays()),
                     buckets * sizeof(uint32_t), cfg_.threads,
                     numa::Placement::kInterleaved);
-  if (cfg_.dispatcher == nullptr) {
-    table_->Build(cfg_.isa, mat_keys_.data(), mat_pays_.data(), n_build_);
-  } else {
-    // Adaptive: the insert loop runs in chunk-sized blocks, each through the
-    // kBuild schedule, so the historically slowest phase of the AVX-512
-    // anchor (scatter-heavy table build) is re-timed instead of pinned.
-    // Blocks stay in sequential order, so the insertion sequence — and
-    // therefore every probe result — is unchanged by ISA switches.
-    const size_t blk = cfg_.chunk_tuples;
-    for (size_t off = 0; off < n_build_; off += blk) {
-      const size_t n = std::min(blk, n_build_ - off);
-      AdaptiveOpScope a(cfg_.dispatcher, OpKind::kBuild, cfg_.isa,
-                        ScanMode::kCompact);
-      a.set_tuples(n);
-      table_->Build(a.isa(), mat_keys_.data() + off, mat_pays_.data() + off,
-                    n);
-    }
-  }
+  // The scalar walk on every ISA (Alg. 7's vector build is slower at both
+  // executor table sizes), split into home-bucket ranges when more than one
+  // lane can work on it.
+  const int lanes = TaskPool::LaneCount(n_build_, cfg_.threads);
+  table_->BuildPartitioned(cfg_.isa, mat_keys_.data(), mat_pays_.data(),
+                           n_build_, cfg_.threads,
+                           LinearProbingTable::BuildPartitions(buckets, lanes));
   if (!table_->unique_keys()) {
     throw QueryError(RepeatedBuildKeyError(mat_keys_.data(), n_build_));
   }

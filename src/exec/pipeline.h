@@ -282,9 +282,13 @@ class MaterializeOp final : public Operator {
 /// then in Finish builds the linear-probing join table (2x buckets,
 /// interleaved placement — every probe lane reads it) and optionally a
 /// Bloom filter over the build keys for the probe pipeline's semi-join.
-/// The join is key/FK: Finish throws QueryError when the table's build
-/// found a repeated key, since every probe stage sizes its output for at
-/// most one match per probe row.
+/// The table is built with LinearProbingTable::BuildPartitioned, the
+/// scalar walk on every ISA and isa mode, split into
+/// LinearProbingTable::BuildPartitions(buckets, lanes) home-bucket ranges
+/// that the TaskPool lanes insert in parallel (one range, no partition
+/// pass, on one lane). The join is key/FK: Finish throws QueryError when
+/// the table's build found a repeated key, since every probe stage sizes
+/// its output for at most one match per probe row.
 class HashBuildOp final : public Operator {
  public:
   /// bloom_bits_per_key == 0 disables the filter.

@@ -2,6 +2,13 @@
 
 #include <cassert>
 #include <cstring>
+#include <vector>
+
+#include "numa/placement.h"
+#include "partition/parallel_partition.h"
+#include "partition/partition_fn.h"
+#include "partition/shuffle.h"
+#include "util/task_pool.h"
 
 namespace simddb {
 
@@ -9,6 +16,7 @@ LinearProbingTable::LinearProbingTable(size_t num_buckets, uint64_t seed)
     : keys_(num_buckets + 16),
       pays_(num_buckets + 16),
       n_buckets_(num_buckets),
+      seed_(seed),
       factor_(HashFactor(seed, 0)) {
   assert(num_buckets >= 16);
   Clear();
@@ -57,6 +65,92 @@ void LinearProbingTable::BuildScalar(const uint32_t* keys,
   count_ += n;
   unique_keys_ = unique_keys_ && unique;
   SyncWrapPad();
+}
+
+size_t LinearProbingTable::BuildPartitioned(Isa isa, const uint32_t* keys,
+                                            const uint32_t* pays, size_t n,
+                                            int threads, uint32_t partitions) {
+  assert(partitions >= 1 && (partitions & (partitions - 1)) == 0);
+  if (partitions == 1) {
+    BuildScalar(keys, pays, n);
+    return 0;
+  }
+  assert((n_buckets_ & (n_buckets_ - 1)) == 0 && partitions <= n_buckets_);
+  assert(count_ + n < n_buckets_);
+  // With P and nb powers of two, MultHash(k, f, P) is the top log2(P) bits
+  // of the home bucket MultHash(k, f, nb): partition j is home range j.
+  const PartitionFn fn = PartitionFn::Hash(partitions, seed_);
+  assert(fn.factor == factor_);
+  AlignedBuffer<uint32_t> part_keys(ShuffleCapacity(n)),
+      part_pays(ShuffleCapacity(n));
+  numa::PlaceBuffer(part_keys.data(), part_keys.size() * sizeof(uint32_t),
+                    threads, numa::Placement::kInterleaved);
+  numa::PlaceBuffer(part_pays.data(), part_pays.size() * sizeof(uint32_t),
+                    threads, numa::Placement::kInterleaved);
+  std::vector<uint32_t> starts(partitions + 1);
+  ParallelPartitionResources res;
+  ParallelPartitionPass(fn, keys, pays, n, part_keys.data(), part_pays.data(),
+                        isa, threads, &res, starts.data());
+
+  // Task j reads and writes only buckets of range j, so the tasks share no
+  // bucket. A walk that reaches the range end would continue into range
+  // j + 1; its key is set aside instead, by position in the partition.
+  struct Range {
+    std::vector<uint32_t> set_aside;
+    bool unique = true;
+  };
+  std::vector<Range> ranges(partitions);
+  const uint32_t nb = static_cast<uint32_t>(n_buckets_);
+  const uint32_t width = nb / partitions;
+  TaskPool::Get().ParallelFor(partitions, threads, [&](int, size_t j) {
+    const uint32_t end = static_cast<uint32_t>((j + 1) * width);
+    bool unique = true;
+    for (uint32_t i = starts[j]; i < starts[j + 1]; ++i) {
+      const uint32_t k = part_keys[i];
+      uint32_t h = scalar::MultHash(k, factor_, nb);
+      assert(h < end && h >= end - width);
+      while (h != end && keys_[h] != kEmptyKey) {
+        unique &= keys_[h] != k;
+        ++h;
+      }
+      if (h == end) {
+        ranges[j].set_aside.push_back(i);
+        continue;
+      }
+      keys_[h] = k;
+      pays_[h] = part_pays[i];
+    }
+    ranges[j].unique = unique;
+  });
+
+  // Serial pass, in partition order: the ordinary wrap-around walk, which
+  // also compares every bucket it passes and commits the wrap pad.
+  std::vector<uint32_t> spill_keys, spill_pays;
+  for (const Range& r : ranges) {
+    unique_keys_ = unique_keys_ && r.unique;
+    for (uint32_t i : r.set_aside) {
+      spill_keys.push_back(part_keys[i]);
+      spill_pays.push_back(part_pays[i]);
+    }
+  }
+  const size_t spilled = spill_keys.size();
+  count_ += n - spilled;
+  BuildScalar(spill_keys.data(), spill_pays.data(), spilled);
+  return spilled;
+}
+
+uint32_t LinearProbingTable::BuildPartitions(size_t num_buckets, int lanes) {
+  if (lanes <= 1) return 1;
+  // A bucket is 8 bytes (key + payload), so a range of 32K buckets is
+  // 256 KB: each task's inserts stay L2-resident.
+  constexpr size_t kMaxRangeBuckets = size_t{32} << 10;
+  size_t p = 1;
+  while (p < 2 * static_cast<size_t>(lanes) ||
+         num_buckets / p > kMaxRangeBuckets) {
+    p <<= 1;
+  }
+  while (p > 1 && num_buckets / p < 16) p >>= 1;
+  return static_cast<uint32_t>(p);
 }
 
 // Alg. 4: probe every input key, emitting all matches (the only one when

@@ -12,6 +12,12 @@
 //                one vector comparison (the prior state of the art [30];
 //                see also bucketized.h for the bucket-aligned variant).
 //
+// BuildPartitioned is the multi-core build the executor uses (§7's
+// partitioning feeding the per-thread builds of §9's partitioned joins):
+// hash-partitioning the input with the table's own hash factor into P
+// ranges of home buckets lets P tasks insert with the scalar walk, each
+// into a bucket range no other task touches, so no atomics are needed.
+//
 // Duplicate keys are allowed; Probe* returns every match. Every build
 // checks whether the key it inserts is already present (unique_keys()).
 // While no build since the last Clear() found a repeat, each probe key
@@ -49,6 +55,27 @@ class LinearProbingTable {
   /// and trusts the caller: the vector loop does not check for repeats.
   void BuildAvx512(const uint32_t* keys, const uint32_t* pays, size_t n,
                    bool assume_unique_keys = false);
+
+  /// Inserts n tuples like BuildScalar, on up to `threads` TaskPool lanes,
+  /// split into `partitions` (P, a power of two) home-bucket ranges. P == 1
+  /// is exactly BuildScalar. For P > 1, num_buckets() must be a power of
+  /// two >= P: the input is hash-partitioned (ParallelPartitionPass; `isa`
+  /// picks its kernels) so that partition j holds the keys whose home
+  /// bucket lies in [j*nb/P, (j+1)*nb/P), and one task per partition
+  /// inserts them with the scalar walk, confined to that range. A key whose
+  /// walk reaches the end of its range is set aside; afterwards BuildScalar
+  /// inserts the set-aside keys with the wrap-around walk. Equal keys share
+  /// a home bucket, hence a task, so a repeat still meets its earlier copy
+  /// in some walk and clears unique_keys(). The layout depends on the input
+  /// and P, never on `threads`. Returns the number of set-aside keys.
+  size_t BuildPartitioned(Isa isa, const uint32_t* keys, const uint32_t* pays,
+                          size_t n, int threads, uint32_t partitions);
+
+  /// The executor's P for BuildPartitioned on `lanes` lanes: 1 on one lane;
+  /// otherwise the smallest power of two giving at least two partitions per
+  /// lane and at most 256 KB of buckets per range, capped so that a range
+  /// keeps at least 16 buckets.
+  static uint32_t BuildPartitions(size_t num_buckets, int lanes);
 
   /// True while no key was inserted twice since construction or Clear().
   /// Probes then stop each key at its (only) match.
@@ -117,6 +144,7 @@ class LinearProbingTable {
   AlignedBuffer<uint32_t> pays_;
   size_t n_buckets_;
   size_t count_ = 0;
+  uint64_t seed_;
   uint32_t factor_;
   bool unique_keys_ = true;
 };

@@ -427,7 +427,6 @@ TEST(ExecAdaptiveIsaDegradeTest, AdaptiveVariantListHonorsCaps) {
   // enter the schedule on a host without them.
   EXPECT_EQ(d.num_variants(OpKind::kScan), 2);
   EXPECT_EQ(d.num_variants(OpKind::kBloomProbe), 1);
-  EXPECT_EQ(d.num_variants(OpKind::kBuild), 1);
   for (int v = 0; v < d.num_variants(OpKind::kScan); ++v) {
     EXPECT_EQ(d.variant(OpKind::kScan, v).isa, Isa::kScalar);
   }

@@ -644,22 +644,88 @@ TEST(ExecFusedTest, UnsupportedShapeFallsBackToDynamic) {
 }
 
 // ---------------------------------------------------------------------------
+// Partitioned build
+// ---------------------------------------------------------------------------
+
+TEST(ExecQueryTest, PartitionedBuildMatchesThreadsOneAcrossMatrix) {
+  // The 30,720-key build side (75% of 40,960 rows) spans two 16K-tuple
+  // partition-pass morsels: threads 2 and 8 build its table in 4 and 16
+  // home-bucket ranges, threads 1 with the serial walk.
+  QueryData d(40'960, 60'000);
+  const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
+  const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
+  const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
+  const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
+  const auto want = MapReference(d, d.Plan());
+  for (bool packed : {false, true}) {
+    ScanJoinAggregatePlan plan = d.Plan();
+    plan.bloom_bits_per_key = 10;
+    if (packed) {
+      plan.r_keys_c = &r_keys_c;
+      plan.r_attrs_c = &r_attrs_c;
+      plan.s_fks_c = &s_fks_c;
+      plan.s_vals_c = &s_vals_c;
+    }
+    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+      for (Isa isa : SupportedIsas()) {
+        for (IsaMode im : {IsaMode::kStatic, IsaMode::kAdaptive}) {
+          QueryResult serial;
+          for (int threads : {1, 2, 8}) {
+            ExecConfig cfg;
+            cfg.isa = isa;
+            cfg.threads = threads;
+            cfg.pipeline_mode = pm;
+            cfg.isa_mode = im;
+            const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+            const std::string label =
+                std::string(packed ? "packed " : "raw ") +
+                (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
+                IsaName(isa) + (im == IsaMode::kAdaptive ? " adaptive" : "") +
+                " t=" + std::to_string(threads);
+            EXPECT_EQ(got.rows_build, 30'720u) << label;
+            if (threads == 1) {
+              ExpectMatchesReference(got, want, label);
+              serial = got;
+              continue;
+            }
+            ExpectIdentical(got, serial, label + " vs t=1");
+            EXPECT_EQ(got.rows_scanned, serial.rows_scanned) << label;
+            EXPECT_EQ(got.rows_bloomed, serial.rows_bloomed) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Duplicate build keys
 // ---------------------------------------------------------------------------
 
-// R has 4,096 rows whose first `d` keys are all 1 (the rest are 2..4096
-// minus the overwritten ones); half of S probes key 1. Each probe batch
-// would produce up to d matches per row, more than its output holds.
+// R has n_r rows whose first `d` keys are all 1, and key 1 again on row
+// `far` when far != 0 (the other keys are 2..n_r minus the overwritten
+// ones); half of S probes key 1. Each probe batch would produce up to d
+// matches per row, more than its output holds.
 struct RepeatedKeyData : QueryData {
-  explicit RepeatedKeyData(size_t d) : QueryData(4096, 4096) {
+  explicit RepeatedKeyData(size_t d, size_t n_r = 4096, size_t far = 0)
+      : QueryData(n_r, 4096) {
     std::fill(r_keys.data(), r_keys.data() + d, 1u);
+    if (far != 0) r_keys[far] = 1u;
     std::fill(s_fks.data(), s_fks.data() + n_s / 2, 1u);
   }
 };
 
 TEST(ExecQueryTest, DuplicateBuildKeysInWindowFailQuery) {
-  for (size_t d : {size_t{2}, size_t{64}}) {
-    RepeatedKeyData data(d);
+  struct Case {
+    size_t d, n_r, far;
+  };
+  // The third case puts the two copies 30,000 rows apart: in chunks that
+  // start on different lanes, and in different morsels of the partitioned
+  // build at threads 2 and 8.
+  for (const Case& c : {Case{2, 4096, 0}, Case{64, 4096, 0},
+                        Case{1, 40'960, 30'000}}) {
+    const size_t d = c.d;
+    RepeatedKeyData data(d, c.n_r, c.far);
     const auto r_keys_c =
         compress::CompressColumn(data.r_keys.data(), data.n_r);
     const auto r_attrs_c =
@@ -670,7 +736,7 @@ TEST(ExecQueryTest, DuplicateBuildKeysInWindowFailQuery) {
     for (bool packed : {false, true}) {
       ScanJoinAggregatePlan plan = data.Plan();
       plan.r_lo = 1;
-      plan.r_hi = 4096;
+      plan.r_hi = static_cast<uint32_t>(c.n_r);
       plan.s_hi = 999'999;
       if (packed) {
         plan.r_keys_c = &r_keys_c;
@@ -680,9 +746,7 @@ TEST(ExecQueryTest, DuplicateBuildKeysInWindowFailQuery) {
       }
       for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
         for (Isa isa : SupportedIsas()) {
-          for (int threads : {1, 8}) {
-            // Adaptive mode builds the table in chunk-sized calls on
-            // changing ISAs; the check must span the calls.
+          for (int threads : {1, 2, 8}) {
             for (IsaMode im : {IsaMode::kStatic, IsaMode::kAdaptive}) {
               ExecConfig cfg;
               cfg.isa = isa;
@@ -691,7 +755,8 @@ TEST(ExecQueryTest, DuplicateBuildKeysInWindowFailQuery) {
               cfg.isa_mode = im;
               cfg.chunk_tuples = 1000;
               const std::string label =
-                  "d=" + std::to_string(d) + (packed ? " packed " : " raw ") +
+                  "d=" + std::to_string(d) + " far=" + std::to_string(c.far) +
+                  (packed ? " packed " : " raw ") +
                   (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
                   IsaName(isa) + " t=" + std::to_string(threads) +
                   (im == IsaMode::kAdaptive ? " adaptive" : "");

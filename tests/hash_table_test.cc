@@ -287,8 +287,8 @@ TEST(LinearProbingUnique, DistinctKeysStayUnique) {
 }
 
 TEST(LinearProbingUnique, ChunkedBuildsWithMixedIsasStayUnique) {
-  // HashBuildOp's adaptive mode: chunk-sized Build calls, each on whatever
-  // ISA the dispatcher picked for that chunk.
+  // Chunk-sized Build calls, each on another ISA: the check spans calls
+  // and kernels.
   const std::vector<uint32_t> keys = DistinctKeys(50'000, 11);
   const std::vector<uint32_t> pays(keys.size(), 0);
   const Isa isas[] = {Isa::kAvx512, Isa::kScalar, Isa::kAvx2};
@@ -479,6 +479,238 @@ TEST(HashSpread, RandomKeys) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   ExpectSpread(keys, "random");
+}
+
+// ---------------------------------------------------------------------------
+// Partitioned build: one task per home-bucket range, set-aside keys last
+// ---------------------------------------------------------------------------
+
+std::vector<Isa> SupportedIsas() {
+  std::vector<Isa> isas{Isa::kScalar};
+  if (IsaSupported(Isa::kAvx2)) isas.push_back(Isa::kAvx2);
+  if (IsaSupported(Isa::kAvx512)) isas.push_back(Isa::kAvx512);
+  return isas;
+}
+
+std::vector<uint32_t> RowIds(size_t n) {
+  std::vector<uint32_t> ids(n);
+  FillSequential(ids.data(), n, 0);
+  return ids;
+}
+
+// `count` keys whose home bucket is `home` in a table of nb buckets with
+// hash factor `factor`, found by search from key 1.
+std::vector<uint32_t> KeysWithHome(uint32_t factor, size_t nb, uint32_t home,
+                                   size_t count) {
+  std::vector<uint32_t> keys;
+  for (uint32_t k = 1; keys.size() < count; ++k) {
+    if (scalar::MultHash(k, factor, static_cast<uint32_t>(nb)) == home) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
+// Every build key and one likely miss per build key as probes, with the
+// unordered_multimap reference join of the build side.
+struct ReferenceProbes {
+  std::vector<uint32_t> keys, pays;
+  std::vector<Tuple3> want;
+
+  ReferenceProbes(const std::vector<uint32_t>& b_keys,
+                  const std::vector<uint32_t>& b_pays) {
+    for (uint32_t k : b_keys) {
+      keys.push_back(k);
+      keys.push_back(k ^ 0x40000000u);
+    }
+    pays = RowIds(keys.size());
+    want = ReferenceJoin(b_keys, b_pays, keys, pays);
+  }
+};
+
+// Runs the probes through every supported LP probe (the horizontal one
+// reads the wrap pad) and compares the matches with the reference.
+void ExpectJoinsLikeReference(const LinearProbingTable& t,
+                              const ReferenceProbes& ref,
+                              const std::string& label) {
+  const size_t cap = ref.want.size() + 16;
+  AlignedBuffer<uint32_t> ok(cap), os(cap), orp(cap);
+  for (LpProbe p : {LpProbe::kScalar, LpProbe::kAvx2, LpProbe::kVector,
+                    LpProbe::kHorizontal}) {
+    if (!LpProbeSupported(p)) continue;
+    const size_t got = LpProbeInto(t, p, ref.keys.data(), ref.pays.data(),
+                                   ref.keys.size(), ok, os, orp);
+    ASSERT_EQ(got, ref.want.size()) << label << " " << LpProbeName(p);
+    EXPECT_EQ(Collect(ok, os, orp, got), ref.want)
+        << label << " " << LpProbeName(p);
+  }
+}
+
+// Buckets and wrap pad, keys then payloads.
+std::vector<uint32_t> Layout(const LinearProbingTable& t) {
+  const size_t len = t.num_buckets() + 16;
+  std::vector<uint32_t> out(t.bucket_keys(), t.bucket_keys() + len);
+  out.insert(out.end(), t.bucket_pays(), t.bucket_pays() + len);
+  return out;
+}
+
+TEST(LinearProbingPartitioned, MatchesReferenceAcrossPartitionsSizesThreads) {
+  for (bool distinct : {true, false}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                     size_t{1000}, size_t{100'003}}) {
+      std::vector<uint32_t> keys(n);
+      if (distinct) {
+        FillUniqueShuffled(keys.data(), n, n + 7, 1);
+      } else {
+        FillWithRepeats(keys.data(), n, std::max<size_t>(n / 3, 1), n + 7, 1);
+      }
+      const std::vector<uint32_t> pays = RowIds(n);
+      std::vector<uint32_t> sorted(keys);
+      std::sort(sorted.begin(), sorted.end());
+      const bool unique =
+          std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+      const ReferenceProbes ref(keys, pays);
+      const size_t nb = JoinTableBuckets(n);
+      LinearProbingTable serial(nb);
+      serial.BuildScalar(keys.data(), pays.data(), n);
+      for (uint32_t p : {1u, 2u, 64u, static_cast<uint32_t>(nb / 16)}) {
+        if (p > nb) continue;
+        std::vector<uint32_t> first_layout;
+        for (int threads : {1, 2, 8}) {
+          for (Isa isa : SupportedIsas()) {
+            const std::string label =
+                std::string(distinct ? "distinct" : "repeats") +
+                " n=" + std::to_string(n) + " P=" + std::to_string(p) +
+                " t=" + std::to_string(threads) + " " + IsaName(isa);
+            LinearProbingTable t(nb);
+            const size_t spilled = t.BuildPartitioned(
+                isa, keys.data(), pays.data(), n, threads, p);
+            EXPECT_EQ(t.size(), n) << label;
+            EXPECT_EQ(t.unique_keys(), unique) << label;
+            EXPECT_LE(spilled, p == 1 ? 0 : n) << label;
+            // The layout is a function of the input and P alone (P = 1 is
+            // the serial scalar build), so one reference check per P covers
+            // every thread count and partition-pass ISA.
+            if (first_layout.empty()) {
+              ExpectJoinsLikeReference(t, ref, label);
+              first_layout = Layout(p == 1 ? serial : t);
+            }
+            EXPECT_EQ(Layout(t), first_layout) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LinearProbingPartitioned, SpillsAtARangeEndAndWrapsPastTheLastBucket) {
+  // 64 buckets in 4 ranges of 16. In each trio the first key takes its
+  // home bucket and the other two reach the end of the range and are set
+  // aside: bucket 15 ends range 0, and bucket 63 ends the last range and
+  // the table. The serial pass moves the first trio's spills on into range
+  // 1 (buckets 16, 17) and wraps the last trio's to buckets 0 and 1.
+  constexpr size_t kBuckets = 64;
+  for (int threads : {1, 2, 8}) {
+    LinearProbingTable t(kBuckets);
+    const std::vector<uint32_t> end0 = KeysWithHome(t.factor(), kBuckets, 15, 3);
+    const std::vector<uint32_t> last = KeysWithHome(t.factor(), kBuckets, 63, 3);
+    const std::vector<uint32_t> keys = {end0[0], last[0], end0[1],
+                                        last[1], end0[2], last[2]};
+    const std::vector<uint32_t> pays = RowIds(keys.size());
+    const std::string label = "t=" + std::to_string(threads);
+    EXPECT_EQ(t.BuildPartitioned(Isa::kScalar, keys.data(), pays.data(),
+                                 keys.size(), threads, 4),
+              4u)
+        << label;
+    EXPECT_EQ(t.size(), keys.size()) << label;
+    EXPECT_TRUE(t.unique_keys()) << label;
+    const uint32_t* b = t.bucket_keys();
+    EXPECT_EQ(b[15], end0[0]) << label;
+    EXPECT_EQ(b[16], end0[1]) << label;
+    EXPECT_EQ(b[17], end0[2]) << label;
+    EXPECT_EQ(b[63], last[0]) << label;
+    EXPECT_EQ(b[0], last[1]) << label;
+    EXPECT_EQ(b[1], last[2]) << label;
+    EXPECT_EQ(b[kBuckets + 0], last[1]) << label << ": wrap pad";
+    EXPECT_EQ(b[kBuckets + 1], last[2]) << label << ": wrap pad";
+    ExpectJoinsLikeReference(t, ReferenceProbes(keys, pays), label);
+  }
+}
+
+TEST(LinearProbingPartitioned, RepeatsMeetTheirCopyInAnyWalk) {
+  struct Case {
+    const char* where;
+    std::vector<uint32_t> keys;
+    size_t buckets;
+    uint32_t partitions;
+  };
+  std::vector<Case> cases;
+  {
+    // Both copies in one range, inserted by the range walk.
+    std::vector<uint32_t> keys = DistinctKeys(1000, 3);
+    keys[700] = keys[100];
+    cases.push_back({"both copies in one range", keys, 2048, 64});
+  }
+  {
+    // Key a takes bucket 15, the last of range 0; both copies of k start
+    // there, reach the range end and are set aside, so they meet only in
+    // the serial pass.
+    const LinearProbingTable probe(64);
+    const std::vector<uint32_t> h15 = KeysWithHome(probe.factor(), 64, 15, 2);
+    cases.push_back({"the first copy set aside", {h15[0], h15[1], h15[1]},
+                     64, 4});
+  }
+  {
+    // 40,000 keys make three 16K-tuple morsels in the partition pass.
+    std::vector<uint32_t> keys = DistinctKeys(40'000, 4);
+    keys[30'000] = keys[5];
+    cases.push_back(
+        {"copies in different morsels", keys, JoinTableBuckets(40'000), 64});
+  }
+  for (const Case& c : cases) {
+    const std::vector<uint32_t> pays = RowIds(c.keys.size());
+    const ReferenceProbes ref(c.keys, pays);
+    for (int threads : {1, 2, 8}) {
+      const std::string label =
+          std::string(c.where) + " t=" + std::to_string(threads);
+      LinearProbingTable t(c.buckets);
+      t.BuildPartitioned(SupportedIsas().back(), c.keys.data(), pays.data(),
+                         c.keys.size(), threads, c.partitions);
+      EXPECT_FALSE(t.unique_keys()) << label;
+      EXPECT_EQ(t.size(), c.keys.size()) << label;  // repeats are inserted
+      ExpectJoinsLikeReference(t, ref, label);
+    }
+  }
+}
+
+TEST(LinearProbingPartitioned, ClearResetsUniqueKeys) {
+  std::vector<uint32_t> keys = DistinctKeys(1000, 9);
+  const std::vector<uint32_t> pays = RowIds(keys.size());
+  keys[999] = keys[0];
+  LinearProbingTable t(JoinTableBuckets(keys.size()));
+  t.BuildPartitioned(Isa::kScalar, keys.data(), pays.data(), keys.size(), 2,
+                     64);
+  EXPECT_FALSE(t.unique_keys());
+  t.Clear();
+  EXPECT_TRUE(t.unique_keys());
+  EXPECT_EQ(t.size(), 0u);
+  t.BuildPartitioned(Isa::kScalar, keys.data(), pays.data(), 999, 2, 64);
+  EXPECT_TRUE(t.unique_keys());
+  EXPECT_EQ(t.size(), 999u);
+}
+
+TEST(LinearProbingPartitioned, PartitionCountFollowsLanesAndTableSize) {
+  // One lane: the serial walk, no partition pass.
+  EXPECT_EQ(LinearProbingTable::BuildPartitions(size_t{1} << 21, 1), 1u);
+  // wirebench scan_large's table (786,432 keys, 2^21 buckets) on two
+  // lanes: 64 ranges of 256 KB.
+  EXPECT_EQ(LinearProbingTable::BuildPartitions(size_t{1} << 21, 2), 64u);
+  // Smaller tables: two ranges per lane.
+  EXPECT_EQ(LinearProbingTable::BuildPartitions(size_t{1} << 17, 2), 4u);
+  EXPECT_EQ(LinearProbingTable::BuildPartitions(size_t{1} << 17, 8), 16u);
+  // At least 16 buckets per range.
+  EXPECT_EQ(LinearProbingTable::BuildPartitions(64, 8), 4u);
+  EXPECT_EQ(LinearProbingTable::BuildPartitions(16, 2), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -727,7 +727,9 @@ TEST(NetServer, DuplicateBuildKeysAnswerErrAndTheServerKeepsServing) {
           "QUERY build=Rdup probe=S isa=scalar scan=bitmap"}) {
       const WireResult bad = client.Query(line);
       EXPECT_FALSE(bad.ok) << line;
-      EXPECT_EQ(bad.error.rfind("exec duplicate build keys", 0), 0u)
+      EXPECT_EQ(bad.error.rfind("exec duplicate build keys (key 1 repeats)",
+                                0),
+                0u)
           << line << ": " << bad.error;
       // The same connection answers a valid query afterwards.
       const WireResult good =

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/isa.h"
 #include "exec/query.h"
 #include "exec/shared_scan.h"
 #include "obs/metrics.h"
@@ -275,6 +276,52 @@ TEST(ServerSchedulerTest, ConcurrentSessionsByteIdenticalVsSerial) {
   }
 }
 
+TEST(ServerSchedulerTest, PartitionedBuildsUnderConcurrencyMatchThreadsOne) {
+  // 24,576 R rows: each query's 18,432-key build side spans two
+  // partition-pass morsels, so at threads 2 and 8 every query builds its
+  // table in home-bucket ranges on the shared pool while the others run.
+  // The reference is serial, scalar and threads 1; the concurrent runs use
+  // the widest ISA and alternate raw and packed storage.
+  ServerData d(24'576, 65'536, /*sequential_vals=*/false, /*compress=*/true);
+  constexpr int kClients = 8;
+  std::vector<QueryResult> want;
+  for (int i = 0; i < kClients; ++i) {
+    ScanJoinAggregatePlan plan;
+    std::string error;
+    ASSERT_TRUE(
+        server::BindQuery(d.catalog, SpecFor(i, d.n_r), &plan, &error));
+    want.push_back(exec::RunScanJoinAggregate(plan, ExecConfig{}));
+  }
+  Isa widest = Isa::kScalar;
+  for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
+    if (IsaSupported(isa)) widest = isa;
+  }
+  for (int threads : {2, 8}) {
+    ExecConfig cfg;
+    cfg.isa = widest;
+    cfg.threads = threads;
+    QueryScheduler sched(&d.catalog);
+    std::vector<ResultSet> got(kClients);
+    std::vector<std::thread> workers;
+    for (int i = 0; i < kClients; ++i) {
+      workers.emplace_back([&, i] {
+        QuerySession session(&d.catalog, &sched);
+        QuerySpec spec = SpecFor(i, d.n_r);
+        spec.prefer_compressed = i % 2 == 1;
+        got[i] = session.Execute(spec, cfg);
+      });
+    }
+    for (auto& w : workers) w.join();
+    for (int i = 0; i < kClients; ++i) {
+      const std::string ctx =
+          "threads=" + std::to_string(threads) + " q=" + std::to_string(i);
+      ASSERT_TRUE(got[i].ok) << ctx << ": " << got[i].error;
+      EXPECT_EQ(got[i].result.rows_build, 18'432u) << ctx;
+      ExpectSameResult(got[i].result, want[i], ctx);
+    }
+  }
+}
+
 TEST(ServerSchedulerTest, AdmissionBlocksAtMaxInflight) {
   ServerData d(2048, 32768);
   SchedulerOptions opts;
@@ -454,13 +501,16 @@ TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
 // ---------------------------------------------------------------------------
 
 /// ServerData plus "Rdup": R's rows with key 1 written over the first 8
-/// keys, registered as a second build table.
+/// keys and over row 30,000, registered as a second build table. The far
+/// copy sits in a chunk that starts on another lane and, at two or more
+/// threads, in another morsel of the partitioned build.
 struct RepeatedKeyServerData : ServerData {
   AlignedBuffer<uint32_t> dup_keys;
-  RepeatedKeyServerData() : ServerData(4096, 32768) {
+  RepeatedKeyServerData() : ServerData(40'960, 32768) {
     dup_keys.Reset(n_r + 16);
     std::copy(r_keys.data(), r_keys.data() + n_r, dup_keys.data());
     std::fill(dup_keys.data(), dup_keys.data() + 8, 1u);
+    dup_keys[30'000] = 1u;
     EXPECT_NE(catalog.RegisterTable("Rdup", dup_keys.data(), r_attrs.data(),
                                     n_r),
               nullptr);
@@ -481,20 +531,24 @@ TEST(ServerSchedulerTest, DuplicateBuildKeysFailQueryAndKeepServing) {
   QueryScheduler sched(&d.catalog);
   QuerySession session(&d.catalog, &sched);
   for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-    ExecConfig cfg;
-    cfg.threads = 4;
-    cfg.pipeline_mode = pm;
-    const ResultSet bad = session.Execute(DupSpec(1), cfg);
-    EXPECT_FALSE(bad.ok);
-    EXPECT_FALSE(bad.stats.aborted);
-    EXPECT_NE(bad.error.find("duplicate build keys"), std::string::npos)
-        << bad.error;
-    // The repeats lie outside r=[9, ...]: that query runs.
-    const ResultSet good = session.Execute(DupSpec(9), cfg);
-    ASSERT_TRUE(good.ok) << good.error;
-    EXPECT_FALSE(good.result.group_keys.empty());
+    for (int threads : {1, 2, 8}) {
+      ExecConfig cfg;
+      cfg.threads = threads;
+      cfg.pipeline_mode = pm;
+      const std::string ctx = "threads=" + std::to_string(threads);
+      const ResultSet bad = session.Execute(DupSpec(1), cfg);
+      EXPECT_FALSE(bad.ok) << ctx;
+      EXPECT_FALSE(bad.stats.aborted) << ctx;
+      EXPECT_NE(bad.error.find("duplicate build keys (key 1 repeats)"),
+                std::string::npos)
+          << ctx << ": " << bad.error;
+      // The repeats lie outside r=[9, ...]: that query runs.
+      const ResultSet good = session.Execute(DupSpec(9), cfg);
+      ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
+      EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
+    }
   }
-  EXPECT_EQ(sched.queries_completed(), 4u);  // every slot was released
+  EXPECT_EQ(sched.queries_completed(), 12u);  // every slot was released
 }
 
 TEST(ServerSharedScanTest, DuplicateBuildKeysFailEveryGatherMember) {
@@ -528,7 +582,8 @@ TEST(ServerSharedScanTest, DuplicateBuildKeysFailEveryGatherMember) {
       run_gather([](int i) { return i == 0 ? 1u : 9u; });
   for (int i = 0; i < kClients; ++i) {
     EXPECT_FALSE(bad[i].ok) << "member " << i;
-    EXPECT_NE(bad[i].error.find("duplicate build keys"), std::string::npos)
+    EXPECT_NE(bad[i].error.find("duplicate build keys (key 1 repeats)"),
+              std::string::npos)
         << "member " << i << ": " << bad[i].error;
   }
   // The scheduler keeps serving gathers.

@@ -12,38 +12,28 @@
 //   0  dynamic   the virtual-Push Operator chain (PipelineMode::kDynamic);
 //   1  fused     the template-fused pipeline (exec/fused.h). Each timed
 //                fused iteration is paired with an untimed dynamic run of
-//                the same plan (inside PauseTiming). The paired run's
-//                registry deltas are excluded from the row's gated counters
-//                (AccumulateExcludedSince) and its whole-query timer is
-//                re-exported as `paired_dynamic_ns`, so the fused/dynamic
-//                ratio gate needs no cross-row lookup and fused rows report
-//                fused-only counters (exec_dynamic_ns stays 0);
+//                the same plan (inside PauseTiming), after it in even
+//                iterations and before it in odd ones. The paired run's
+//                registry deltas are excluded from the row's gated
+//                counters (AccumulateExcludedSince) and its whole-query
+//                timer is re-exported as `paired_dynamic_ns`, so the
+//                fused/dynamic ratio gate needs no cross-row lookup and
+//                fused rows report fused-only counters (exec_dynamic_ns
+//                stays 0);
 //   2  hand      the serial hand-composed kernel sequence — no executor at
 //                all, the lower bound the fused path chases. Registered at
-//                threads = 1 only (the sequence has no parallel driver);
-//   3  adaptive        the dynamic chain under IsaMode::kAdaptive — the
-//                      dispatcher re-times {scalar, AVX2, AVX-512} x
-//                      {compact, bitmap} on live chunks and switches
-//                      mid-query (isa=adaptive in the label);
-//   4  adaptive_fused  the fused path under IsaMode::kAdaptive — explore/
-//                      exploit windows routed across the per-ISA
-//                      FusedPipeline instantiations.
+//                threads = 1 only (the sequence runs on one thread).
 //
 // Selectivity 0 is the phase-changing input: S values ramp linearly with
 // row position, so under the fixed predicate the per-chunk qualifier
-// density slides from 100% down to 0% across the table — the input no
-// static ISA choice is right for, and the one the adaptive gate requires
-// `adaptive_switches >= 1` on.
+// density slides from 100% down to 0% across the table.
 //
 // Under --metrics (or the metrics-forced CI build) each row carries the
 // executor's observability instruments — chunks_pushed, pipelines_fused /
-// pipelines_dynamic, the phase timers (exec_scan_ns, exec_bloom_ns,
-// exec_build_ns, exec_probe_ns, exec_partition_ns, exec_groupby_ns,
-// exec_fused_ns, exec_dynamic_ns), and the adaptive instruments
-// (adaptive_switches, explore_chunks, chosen_* histogram) — which
-// check_bench_ranges.py gates structurally (dynamic rows), as the
-// fused/paired-dynamic ratio (fused rows), and as the adaptive-vs-static
-// cross-row comparison (adaptive rows).
+// pipelines_dynamic and the phase timers (exec_scan_ns, exec_bloom_ns,
+// exec_build_ns, exec_probe_ns, exec_groupby_ns, exec_fused_ns,
+// exec_dynamic_ns) — which check_bench_ranges.py gates structurally
+// (dynamic rows) and as the fused/paired-dynamic ratio (fused rows).
 
 #include <algorithm>
 #include <numeric>
@@ -71,8 +61,6 @@ enum ExecMode : int {
   kModeDynamic = 0,
   kModeFused = 1,
   kModeHand = 2,
-  kModeAdaptive = 3,       // dynamic chain, IsaMode::kAdaptive
-  kModeAdaptiveFused = 4,  // fused windows, IsaMode::kAdaptive
 };
 
 /// Selectivity axis sentinel: 0 selects the phase-changing ramp input.
@@ -167,44 +155,47 @@ void BM_ExecQuery(benchmark::State& state) {
   plan.bloom_bits_per_key = 10;
   plan.max_groups_hint = 2048;
 
-  const bool adaptive = mode == kModeAdaptive || mode == kModeAdaptiveFused;
   exec::ExecConfig cfg;
-  // Adaptive rows anchor cfg.isa at the widest supported backend (variant 0
-  // of every schedule = the static choice); the dispatcher re-times the
-  // rest on live chunks.
-  cfg.isa = adaptive ? BestIsa() : isa;
+  cfg.isa = isa;
   cfg.threads = threads;
-  cfg.pipeline_mode = mode == kModeFused || mode == kModeAdaptiveFused
-                          ? exec::PipelineMode::kFused
-                          : exec::PipelineMode::kDynamic;
-  cfg.isa_mode = adaptive ? exec::IsaMode::kAdaptive : exec::IsaMode::kStatic;
+  cfg.pipeline_mode = mode == kModeFused ? exec::PipelineMode::kFused
+                                         : exec::PipelineMode::kDynamic;
 
   size_t groups = 0;
   uint64_t paired_dynamic_ns = 0;
+  // Paired untimed dynamic run of the same plan. Its registry deltas are
+  // excluded from this row's gated counters (fused rows must report
+  // fused-only counters); the whole-query timer it produces is re-exported
+  // under `paired_dynamic_ns` for the ratio gate.
+  const auto run_paired_dynamic = [&] {
+    state.PauseTiming();
+    const auto before = MetricsSnapshotNow();
+    exec::ExecConfig dyn_cfg = cfg;
+    dyn_cfg.pipeline_mode = exec::PipelineMode::kDynamic;
+    exec::QueryResult dyn = exec::RunScanJoinAggregate(plan, dyn_cfg);
+    benchmark::DoNotOptimize(dyn.sums.data());
+    const auto excluded = AccumulateExcludedSince(before);
+    const auto it = excluded.find("exec_dynamic_ns");
+    if (it != excluded.end()) paired_dynamic_ns += it->second;
+    state.ResumeTiming();
+  };
+  // The pair's order alternates, so each mode follows a fused query in
+  // half of the iterations and a dynamic one in the other half. Each query
+  // allocates its table and staging buffers afresh, and whether those pages
+  // fault depends on what glibc did with the previous query's frees; a
+  // fixed order would hand one mode the other's heap every time.
+  bool paired_first = false;
   for (auto _ : state) {
     if (mode == kModeHand) {
       groups = HandComposedQ3(plan, isa);
       continue;
     }
+    if (mode == kModeFused && paired_first) run_paired_dynamic();
     exec::QueryResult res = exec::RunScanJoinAggregate(plan, cfg);
     groups = res.group_keys.size();
     benchmark::DoNotOptimize(res.sums.data());
-    if (mode == kModeFused) {
-      // Paired untimed dynamic run of the same plan. Its registry deltas
-      // are excluded from this row's gated counters (fused rows must
-      // report fused-only counters); the whole-query timer it produces is
-      // re-exported under `paired_dynamic_ns` for the ratio gate.
-      state.PauseTiming();
-      const auto before = MetricsSnapshotNow();
-      exec::ExecConfig dyn_cfg = cfg;
-      dyn_cfg.pipeline_mode = exec::PipelineMode::kDynamic;
-      exec::QueryResult dyn = exec::RunScanJoinAggregate(plan, dyn_cfg);
-      benchmark::DoNotOptimize(dyn.sums.data());
-      const auto excluded = AccumulateExcludedSince(before);
-      const auto it = excluded.find("exec_dynamic_ns");
-      if (it != excluded.end()) paired_dynamic_ns += it->second;
-      state.ResumeTiming();
-    }
+    if (mode == kModeFused && !paired_first) run_paired_dynamic();
+    paired_first = !paired_first;
   }
   // Throughput over the fact table: the fact scan dominates the input.
   SetTuplesPerSecond(state, static_cast<double>(kSTuples));
@@ -212,13 +203,10 @@ void BM_ExecQuery(benchmark::State& state) {
     state.counters["paired_dynamic_ns"] =
         benchmark::Counter(static_cast<double>(paired_dynamic_ns));
   }
-  const char* variant = mode == kModeHand            ? "query_q3_hand"
-                        : mode == kModeFused         ? "query_q3_fused"
-                        : mode == kModeAdaptive      ? "query_q3_adaptive"
-                        : mode == kModeAdaptiveFused ? "query_q3_adaptive_fused"
-                                                     : "query_q3_dynamic";
-  state.SetLabel(std::string(variant) +
-                 " isa=" + (adaptive ? "adaptive" : IsaName(isa)) +
+  const char* variant = mode == kModeHand    ? "query_q3_hand"
+                        : mode == kModeFused ? "query_q3_fused"
+                                             : "query_q3_dynamic";
+  state.SetLabel(std::string(variant) + " isa=" + IsaName(isa) +
                  " sel=" + std::to_string(sel_pct) +
                  " threads=" + std::to_string(threads) +
                  " groups=" + std::to_string(groups));
@@ -227,32 +215,16 @@ void BM_ExecQuery(benchmark::State& state) {
 // {isa, S selectivity % (0 = ramp), threads, mode}. Fixed iterations so the
 // counter totals are comparable across variants; wall-clock since the work
 // spans lanes. The hand-composed mode is serial by construction, so it
-// registers at threads = 1 only; the adaptive modes pick their own ISA, so
-// they register once (isa arg 0, overridden to BestIsa inside).
-//
-// Registration order groups each (sel, threads) cell's static rows with the
-// adaptive rows the baseline gate compares them against, so the pair is
-// measured seconds — not minutes — apart. On a shared host the ambient load
-// drifts by tens of percent across a full sweep, which used to dominate the
-// adaptive-vs-best-static ratios; run order is the controllable half of
-// that noise.
+// registers at threads = 1 only.
 BENCHMARK(BM_ExecQuery)
     ->ArgsProduct({{0, 1, 2}, {0}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {0}, {1}, {kModeAdaptive, kModeAdaptiveFused}})
     ->ArgsProduct({{0, 1, 2}, {0}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {0}, {8}, {kModeAdaptive, kModeAdaptiveFused}})
     ->ArgsProduct({{0, 1, 2}, {1}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {1}, {1}, {kModeAdaptive, kModeAdaptiveFused}})
     ->ArgsProduct({{0, 1, 2}, {1}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {1}, {8}, {kModeAdaptive, kModeAdaptiveFused}})
     ->ArgsProduct({{0, 1, 2}, {10}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {10}, {1}, {kModeAdaptive, kModeAdaptiveFused}})
     ->ArgsProduct({{0, 1, 2}, {10}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {10}, {8}, {kModeAdaptive, kModeAdaptiveFused}})
     ->ArgsProduct({{0, 1, 2}, {50}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {50}, {1}, {kModeAdaptive, kModeAdaptiveFused}})
     ->ArgsProduct({{0, 1, 2}, {50}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {50}, {8}, {kModeAdaptive, kModeAdaptiveFused}})
     ->ArgsProduct({{0, 1, 2}, {1, 10, 50}, {1}, {kModeHand}})
     // 40 fixed iterations: on this shared host the ambient load arrives in
     // bursts comparable to a 10-iteration window, so the cross-row ratio
@@ -416,8 +388,8 @@ void BM_ExecQueryCompressed(benchmark::State& state) {
 
 // {isa, sel code (0 = ramp, 1 = 1% uniform, 77 = clustered), threads,
 // storage}. Raw/packed pairs register adjacently per cell so the
-// compressed-vs-raw compare gates measure them seconds apart (same
-// rationale as the adaptive pairing above).
+// compressed-vs-raw compare gates measure them seconds apart: on a shared
+// host the ambient load drifts by tens of percent across a full sweep.
 BENCHMARK(BM_ExecQueryCompressed)
     ->ArgsProduct({{0, 2}, {0}, {1}, {0, 1}})
     ->ArgsProduct({{0, 2}, {0}, {8}, {0, 1}})

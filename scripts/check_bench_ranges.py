@@ -32,13 +32,15 @@ rows).
 An entry may instead hold a cross-row comparison:
 
     {
-      "name": "adaptive-beats-static",
+      "name": "packed-not-slower-than-raw",
       "compare": {
-        "target_name_re": "/[34]/", "target_variant_re": "_adaptive",
-        "baseline_name_re": "/[01]/", "baseline_variant_re": "_dynamic$",
-        "group_by": ["sel", "threads"],
+        "target_name_re": "^BM_ExecQueryCompressed/[02]/77/[18]/1/",
+        "target_variant_re": "_compressed$",
+        "baseline_name_re": "^BM_ExecQueryCompressed/[02]/77/[18]/0/",
+        "baseline_variant_re": "_raw$",
+        "group_by": ["isa", "sel", "threads"],
         "metric": "real_time",
-        "max_ratio": 1.05
+        "max_ratio": 1.0
       },
       "require": true
     }

@@ -7,8 +7,7 @@
 // baseline's unaligned 64-bit read). vpsrlvq aligns each lane's value to
 // bit 0, vpmovqd narrows the windows back to 32-bit lanes, and one
 // mask+add applies the width mask and the FOR reference. No per-width
-// shuffle tables: the same loop body serves every width 1..32, so the
-// adaptive dispatcher times exactly one AVX-512 unpack variant.
+// shuffle tables: the same loop body serves every width 1..32.
 //
 // Stores are full 16-lane vectors (out has PackedCapacity(n) elements)
 // and the overshooting lanes of the last iteration gather at most

@@ -14,9 +14,9 @@
 // a variadic FusedPipeline<Source, Stages...> whose stages hand each other
 // a FusedBatch (dense column pointers + count, register-resident state, no
 // ownership, no visibility machinery) through fully-inlined continuations.
-// One instantiation exists per (ISA x scan mode); RunScanJoinAggregate
-// selects it at plan-build time and falls back to the dynamic pipeline for
-// every other plan shape (see query.cc).
+// One instantiation exists per (ISA x source); RunScanJoinAggregate selects
+// it at plan-build time unless PipelineMode::kDynamic asks for the dynamic
+// chain (see query.cc).
 //
 // What fusion buys per chunk:
 //   - no virtual dispatch: stage hand-off is an inlined template call;
@@ -504,57 +504,38 @@ class FusedJoinProbe {
 };
 
 /// Terminal fused stage: per-lane GroupByAggregator partials (the same
-/// representation GroupBySink keeps), canonicalized after the run. With a
-/// non-null `shared` vector the stage accumulates into externally owned
-/// partials instead — the adaptive driver hands the same vector to every
-/// per-ISA runner so explore/exploit windows of one query aggregate into one
-/// state (windows run sequentially; lanes within a window are distinct).
+/// representation GroupBySink keeps), canonicalized after the run.
 template <Isa kIsa>
 class FusedGroupBy {
  public:
-  FusedGroupBy(size_t max_groups_hint, int key_col, int val_col,
-               std::vector<std::unique_ptr<GroupByAggregator>>* shared =
-                   nullptr)
+  FusedGroupBy(size_t max_groups_hint, int key_col, int val_col)
       : max_groups_hint_(max_groups_hint),
         key_col_(key_col),
-        val_col_(val_col),
-        shared_(shared) {}
+        val_col_(val_col) {}
 
   void Open(const ExecConfig& cfg, int lanes) {
-    auto& p = partials();
-    if (p.size() < static_cast<size_t>(lanes)) {
-      p.resize(static_cast<size_t>(lanes));
-    }
-    // Only fill null slots: when partials are shared, the first runner's
-    // Open allocates and the rest adopt the same aggregators.
-    for (auto& q : p) {
-      if (q == nullptr) {
-        q = std::make_unique<GroupByAggregator>(max_groups_hint_, cfg.seed);
-      }
+    partials_.resize(static_cast<size_t>(lanes));
+    for (auto& p : partials_) {
+      p = std::make_unique<GroupByAggregator>(max_groups_hint_, cfg.seed);
     }
   }
 
   void Consume(const FusedBatch& in, int lane) {
-    partials()[static_cast<size_t>(lane)]->Accumulate(
+    partials_[static_cast<size_t>(lane)]->Accumulate(
         kIsa, in.col[key_col_], in.col[val_col_], in.n);
   }
 
   /// Merges the lane partials and extracts the canonical ascending-key
   /// result rows (exactly GroupBySink::Finish's representation).
   void Finalize(FusedProbeResult* res) {
-    CanonicalizeGroups(kIsa, partials(), &res->group_keys, &res->sums,
+    CanonicalizeGroups(kIsa, partials_, &res->group_keys, &res->sums,
                        &res->counts, &res->mins, &res->maxs);
   }
 
  private:
-  std::vector<std::unique_ptr<GroupByAggregator>>& partials() {
-    return shared_ != nullptr ? *shared_ : owned_;
-  }
-
   size_t max_groups_hint_;
   int key_col_, val_col_;
-  std::vector<std::unique_ptr<GroupByAggregator>>* shared_;
-  std::vector<std::unique_ptr<GroupByAggregator>> owned_;
+  std::vector<std::unique_ptr<GroupByAggregator>> partials_;
 };
 
 // ---------------------------------------------------------------------------
@@ -573,58 +554,26 @@ class FusedPipeline {
   FusedPipeline(Source source, Stages... stages)
       : source_(std::move(source)), stages_(std::move(stages)...) {}
 
+  /// Opens every stage for the grid's lane count, then runs the whole grid
+  /// morsel-parallel. The fan-out is capped at that lane count so worker
+  /// ids stay within the per-lane state Open allocated.
   void Run(const ExecConfig& cfg) {
-    Prepare(cfg);
-    RunWindow(cfg, 0, n_chunks_);
-  }
-
-  /// Sizes the per-lane state for the full grid without running anything.
-  /// The adaptive driver Prepares every per-ISA runner once, then routes
-  /// windows of the shared grid to them via RunWindow.
-  void Prepare(const ExecConfig& cfg) {
-    n_chunks_ = source_.Chunks(cfg);
-    lanes_ = TaskPool::LaneCount(n_chunks_, cfg.threads);
-    if (lanes_ < 1) lanes_ = 1;
-    source_.Open(cfg, lanes_);
-    std::apply([&](auto&... s) { (s.Open(cfg, lanes_), ...); }, stages_);
-  }
-
-  /// Runs chunks [begin, end) of the deterministic grid, morsel-parallel.
-  /// The fan-out is capped at the Prepare-time lane count so worker ids stay
-  /// within the per-lane state Open allocated.
-  void RunWindow(const ExecConfig& cfg, size_t begin, size_t end) {
-    (void)cfg;
-    end = std::min(end, n_chunks_);
-    if (begin >= end) return;
-    TaskPool::Get().ParallelFor(
-        end - begin, lanes_, [this, begin](int lane, size_t i) {
-          RunChunk(begin + i, lane);
-        });
-  }
-
-  /// Runs one chunk on an explicit lane, from inside a caller-owned
-  /// ParallelFor. The adaptive driver batches the explore windows of every
-  /// variant into one dispatch, so it needs a per-chunk entry that does NOT
-  /// spawn a nested (inlined, lane-0) dispatch — the lane must come from the
-  /// outer job or concurrent lanes would share per-lane state.
-  void RunChunk(size_t chunk, int lane) {
-    source_.Produce(chunk, lane, [this, lane](const FusedBatch& b) {
-      Apply<0>(b, lane);
+    const size_t n_chunks = source_.Chunks(cfg);
+    int lanes = TaskPool::LaneCount(n_chunks, cfg.threads);
+    if (lanes < 1) lanes = 1;
+    source_.Open(cfg, lanes);
+    std::apply([&](auto&... s) { (s.Open(cfg, lanes), ...); }, stages_);
+    if (n_chunks == 0) return;
+    TaskPool::Get().ParallelFor(n_chunks, lanes, [this](int lane, size_t c) {
+      source_.Produce(c, lane, [this, lane](const FusedBatch& b) {
+        Apply<0>(b, lane);
+      });
     });
   }
 
-  int lanes() const { return lanes_; }
-
-  size_t n_chunks() const { return n_chunks_; }
-
   Source& source() { return source_; }
-  const Source& source() const { return source_; }
   template <size_t I>
   auto& stage() {
-    return std::get<I>(stages_);
-  }
-  template <size_t I>
-  const auto& stage() const {
     return std::get<I>(stages_);
   }
 
@@ -642,16 +591,14 @@ class FusedPipeline {
 
   Source source_;
   std::tuple<Stages...> stages_;
-  size_t n_chunks_ = 0;
-  int lanes_ = 1;
 };
 
 // ---------------------------------------------------------------------------
 // Instantiation surface
 // ---------------------------------------------------------------------------
 
-/// Runs the fused Q3 probe pipeline for one ISA (compile-time) and one scan
-/// mode (selected inside). Instantiated once per ISA in fused.cc /
+/// Runs the fused Q3 probe pipeline for one ISA (compile-time) and the
+/// spec's source (selected inside). Instantiated once per ISA in fused.cc /
 /// fused_avx2.cc / fused_avx512.cc so each backend's inner loops compile
 /// under its own ISA flags.
 template <Isa kIsa>
@@ -666,50 +613,9 @@ extern template FusedProbeResult RunFusedProbe<Isa::kAvx512>(
     const FusedProbeSpec& spec, const ExecConfig& cfg);
 
 /// Runtime entry: dispatches cfg.isa to its instantiation (one switch per
-/// pipeline, not per chunk) and counts `pipelines_fused`. With
-/// cfg.dispatcher set (IsaMode::kAdaptive), routes explore/exploit windows
-/// of the shared chunk grid across the per-ISA instantiations instead.
+/// pipeline, not per chunk) and counts `pipelines_fused`.
 FusedProbeResult RunFusedProbePipeline(const FusedProbeSpec& spec,
                                        const ExecConfig& cfg);
-
-/// Type-erased handle to one (ISA, scan-mode) fused pipeline instantiation.
-/// The adaptive driver keeps one runner per variant, Prepares them all over
-/// the same grid and shared group-by partials, and pays one virtual call
-/// per *window* (not per chunk) to route between them.
-class FusedProbeRunner {
- public:
-  virtual ~FusedProbeRunner() = default;
-  virtual void Prepare(const ExecConfig& cfg) = 0;
-  virtual void RunWindow(const ExecConfig& cfg, size_t begin, size_t end) = 0;
-  /// One chunk on an explicit lane of a caller-owned dispatch (see
-  /// FusedPipeline::RunChunk).
-  virtual void RunChunk(size_t chunk, int lane) = 0;
-  virtual int lanes() const = 0;
-  virtual uint64_t rows_scanned() const = 0;
-  virtual uint64_t rows_bloomed() const = 0;
-  virtual uint64_t rows_joined() const = 0;
-};
-
-/// Builds the runner for one compile-time ISA with the given scan
-/// representation (overrides spec.scan_mode — the adaptive variant list
-/// crosses both axes). Instantiated in the per-ISA TUs like RunFusedProbe.
-template <Isa kIsa>
-std::unique_ptr<FusedProbeRunner> MakeFusedProbeRunner(
-    const FusedProbeSpec& spec, ScanMode scan_mode,
-    std::vector<std::unique_ptr<GroupByAggregator>>* shared_partials);
-
-extern template std::unique_ptr<FusedProbeRunner>
-MakeFusedProbeRunner<Isa::kScalar>(
-    const FusedProbeSpec&, ScanMode,
-    std::vector<std::unique_ptr<GroupByAggregator>>*);
-extern template std::unique_ptr<FusedProbeRunner>
-MakeFusedProbeRunner<Isa::kAvx2>(
-    const FusedProbeSpec&, ScanMode,
-    std::vector<std::unique_ptr<GroupByAggregator>>*);
-extern template std::unique_ptr<FusedProbeRunner>
-MakeFusedProbeRunner<Isa::kAvx512>(
-    const FusedProbeSpec&, ScanMode,
-    std::vector<std::unique_ptr<GroupByAggregator>>*);
 
 namespace detail {
 
@@ -732,63 +638,6 @@ FusedProbeResult RunFusedProbeShape(Source source, const FusedProbeSpec& spec,
   return res;
 }
 
-/// FusedProbeRunner over one concrete pipeline instantiation. The virtual
-/// hop costs once per window; everything inside stays fully inlined.
-template <Isa kIsa, typename Source>
-class FusedProbeRunnerImpl final : public FusedProbeRunner {
- public:
-  FusedProbeRunnerImpl(
-      Source source, const FusedProbeSpec& spec,
-      std::vector<std::unique_ptr<GroupByAggregator>>* shared_partials)
-      : pipeline_(std::move(source), FusedBloomProbe<kIsa>(spec.bloom),
-                  FusedJoinProbe<kIsa>(spec.table),
-                  FusedGroupBy<kIsa>(spec.max_groups_hint, /*key_col=*/2,
-                                     /*val_col=*/1, shared_partials)) {}
-
-  void Prepare(const ExecConfig& cfg) override { pipeline_.Prepare(cfg); }
-  void RunWindow(const ExecConfig& cfg, size_t begin, size_t end) override {
-    pipeline_.RunWindow(cfg, begin, end);
-  }
-  void RunChunk(size_t chunk, int lane) override {
-    pipeline_.RunChunk(chunk, lane);
-  }
-  int lanes() const override { return pipeline_.lanes(); }
-  uint64_t rows_scanned() const override {
-    return pipeline_.source().rows_out();
-  }
-  uint64_t rows_bloomed() const override {
-    return pipeline_.template stage<0>().rows_out();
-  }
-  uint64_t rows_joined() const override {
-    return pipeline_.template stage<1>().rows_out();
-  }
-
- private:
-  FusedPipeline<Source, FusedBloomProbe<kIsa>, FusedJoinProbe<kIsa>,
-                FusedGroupBy<kIsa>>
-      pipeline_;
-};
-
-template <Isa kIsa>
-FusedProbeResult RunFusedProbeImpl(const FusedProbeSpec& spec,
-                                   const ExecConfig& cfg) {
-  if (spec.fks_c != nullptr) {
-    // Compressed source: one shape serves both scan modes (see
-    // FusedProbeSpec::fks_c).
-    return RunFusedProbeShape<kIsa>(
-        FusedScanCompressed<kIsa>(spec.fks_c, spec.vals_c, spec.lo, spec.hi),
-        spec, cfg);
-  }
-  if (spec.scan_mode == ScanMode::kBitmap) {
-    return RunFusedProbeShape<kIsa>(
-        FusedScanBitmap<kIsa>(spec.fks, spec.vals, spec.n, spec.lo, spec.hi),
-        spec, cfg);
-  }
-  return RunFusedProbeShape<kIsa>(
-      FusedScanCompact<kIsa>(spec.fks, spec.vals, spec.n, spec.lo, spec.hi),
-      spec, cfg);
-}
-
 }  // namespace detail
 
 // Defined here so each backend TU can anchor its explicit instantiation
@@ -796,32 +645,21 @@ FusedProbeResult RunFusedProbeImpl(const FusedProbeSpec& spec,
 template <Isa kIsa>
 FusedProbeResult RunFusedProbe(const FusedProbeSpec& spec,
                                const ExecConfig& cfg) {
-  return detail::RunFusedProbeImpl<kIsa>(spec, cfg);
-}
-
-template <Isa kIsa>
-std::unique_ptr<FusedProbeRunner> MakeFusedProbeRunner(
-    const FusedProbeSpec& spec, ScanMode scan_mode,
-    std::vector<std::unique_ptr<GroupByAggregator>>* shared_partials) {
   if (spec.fks_c != nullptr) {
-    // Compressed source: the scan-mode axis degenerates (see
-    // FusedProbeSpec::fks_c), so every adaptive mode variant routes to the
-    // same per-ISA compressed pipeline.
-    return std::make_unique<
-        detail::FusedProbeRunnerImpl<kIsa, FusedScanCompressed<kIsa>>>(
+    // Compressed source: one shape serves both scan modes (see
+    // FusedProbeSpec::fks_c).
+    return detail::RunFusedProbeShape<kIsa>(
         FusedScanCompressed<kIsa>(spec.fks_c, spec.vals_c, spec.lo, spec.hi),
-        spec, shared_partials);
+        spec, cfg);
   }
-  if (scan_mode == ScanMode::kBitmap) {
-    return std::make_unique<
-        detail::FusedProbeRunnerImpl<kIsa, FusedScanBitmap<kIsa>>>(
+  if (spec.scan_mode == ScanMode::kBitmap) {
+    return detail::RunFusedProbeShape<kIsa>(
         FusedScanBitmap<kIsa>(spec.fks, spec.vals, spec.n, spec.lo, spec.hi),
-        spec, shared_partials);
+        spec, cfg);
   }
-  return std::make_unique<
-      detail::FusedProbeRunnerImpl<kIsa, FusedScanCompact<kIsa>>>(
+  return detail::RunFusedProbeShape<kIsa>(
       FusedScanCompact<kIsa>(spec.fks, spec.vals, spec.n, spec.lo, spec.hi),
-      spec, shared_partials);
+      spec, cfg);
 }
 
 }  // namespace simddb::exec

@@ -39,8 +39,5 @@ void GatherPairAvx2(const uint32_t* a, const uint32_t* b, const uint32_t* sel,
 
 template FusedProbeResult RunFusedProbe<Isa::kAvx2>(const FusedProbeSpec&,
                                                     const ExecConfig&);
-template std::unique_ptr<FusedProbeRunner> MakeFusedProbeRunner<Isa::kAvx2>(
-    const FusedProbeSpec&, ScanMode,
-    std::vector<std::unique_ptr<GroupByAggregator>>*);
 
 }  // namespace simddb::exec

@@ -38,8 +38,5 @@ void GatherPairAvx512(const uint32_t* a, const uint32_t* b,
 
 template FusedProbeResult RunFusedProbe<Isa::kAvx512>(const FusedProbeSpec&,
                                                       const ExecConfig&);
-template std::unique_ptr<FusedProbeRunner> MakeFusedProbeRunner<Isa::kAvx512>(
-    const FusedProbeSpec&, ScanMode,
-    std::vector<std::unique_ptr<GroupByAggregator>>*);
 
 }  // namespace simddb::exec

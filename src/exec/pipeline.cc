@@ -5,7 +5,6 @@
 #include <numeric>
 #include <string>
 
-#include "exec/adaptive.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/task_pool.h"
@@ -21,7 +20,6 @@ obs::PhaseTimer g_materialize_ns("exec_materialize_ns");
 obs::PhaseTimer g_bloom_ns("exec_bloom_ns");
 obs::PhaseTimer g_build_ns("exec_build_ns");
 obs::PhaseTimer g_probe_ns("exec_probe_ns");
-obs::PhaseTimer g_partition_ns("exec_partition_ns");
 obs::PhaseTimer g_groupby_ns("exec_groupby_ns");
 
 /// obs::ScopedPhase with the MetricsEnabled() check hoisted to the caller:
@@ -141,15 +139,10 @@ void ScanOp::Produce(size_t chunk, int lane) {
   Chunk& out = *out_[static_cast<size_t>(lane)];
   {
     PhaseScope t(g_scan_ns, timed_);
-    // Adaptive dispatch switches both the ISA and the chunk representation
-    // (compact vs bitmap) per chunk; downstream operators Compact whatever
-    // arrives, so mixing representations inside one grid is safe.
-    AdaptiveOpScope a(cfg_.dispatcher, OpKind::kScan, cfg_.isa, mode_);
     const size_t b = chunk * cfg_.chunk_tuples;
     const size_t sz = std::min(cfg_.chunk_tuples, n_ - b);
-    a.set_tuples(sz);
-    if (a.scan_mode() == ScanMode::kCompact) {
-      const ScanVariant v = ScanVariantForIsa(a.isa());
+    if (mode_ == ScanMode::kCompact) {
+      const ScanVariant v = ScanVariantForIsa(cfg_.isa);
       const size_t cap = ChunkCapacity(out.capacity());
       size_t cnt;
       if (filter_on_vals_) {
@@ -165,13 +158,8 @@ void ScanOp::Produce(size_t chunk, int lane) {
       std::memcpy(out.col(1), vals_ + b, sz * sizeof(uint32_t));
       const uint32_t* pred = filter_on_vals_ ? out.col(1) : out.col(0);
       const size_t cnt =
-          RangePredicateBitmap(a.isa(), pred, sz, lo_, hi_, out.bitmap());
+          RangePredicateBitmap(cfg_.isa, pred, sz, lo_, hi_, out.bitmap());
       out.SetBitmap(sz, cnt);
-      // Adaptive dispatch judges the representation axis on its end-to-end
-      // per-chunk cost: a bitmap scan defers compaction to the first
-      // downstream Compact, so do it here, inside the timed scope, or the
-      // bitmap variant looks locally cheap while exporting its cost.
-      if (cfg_.dispatcher != nullptr) out.Compact(a.isa());
     }
     out.set_seq(chunk);
   }
@@ -236,10 +224,9 @@ void CompressedScanOp::Produce(size_t chunk, int lane) {
   Chunk& out = *l.out;
   {
     PhaseScope t(g_scan_ns, timed_);
-    AdaptiveOpScope a(cfg_.dispatcher, OpKind::kScan, cfg_.isa, mode_);
+    const Isa isa = cfg_.isa;
     const size_t begin = chunk * cfg_.chunk_tuples;
     const size_t sz = std::min(cfg_.chunk_tuples, n_ - begin);
-    a.set_tuples(sz);
     const compress::CompressedColumn* pred_col =
         filter_on_vals_ ? vals_ : keys_;
     const int pc = filter_on_vals_ ? 1 : 0;  // predicate chunk column
@@ -256,7 +243,7 @@ void CompressedScanOp::Produce(size_t chunk, int lane) {
       const bool whole_block = take == block_rows;
       const compress::BlockMeta& m = pred_col->block_meta(b);
       const compress::BlockClass cls = compress::ClassifyBlock(m, lo_, hi_);
-      if (a.scan_mode() == ScanMode::kCompact) {
+      if (mode_ == ScanMode::kCompact) {
         if (cls == compress::BlockClass::kSkip) {
           compress::BlocksSkipped().Add(1);
         } else if (cls == compress::BlockClass::kAllPass) {
@@ -266,14 +253,14 @@ void CompressedScanOp::Produce(size_t chunk, int lane) {
           // into the output columns (the PackedCapacity overshoot lands in
           // the chunk slack); partial overlaps go through the block cache.
           if (whole_block) {
-            keys_->DecodeBlock(a.isa(), b, out.col(0) + cnt,
+            keys_->DecodeBlock(isa, b, out.col(0) + cnt,
                                ChunkCapacity(out.capacity()) - cnt);
-            vals_->DecodeBlock(a.isa(), b, out.col(1) + cnt,
+            vals_->DecodeBlock(isa, b, out.col(1) + cnt,
                                ChunkCapacity(out.capacity()) - cnt);
           } else {
-            std::memcpy(out.col(0) + cnt, Decoded(l, 0, b, a.isa()) + off,
+            std::memcpy(out.col(0) + cnt, Decoded(l, 0, b, isa) + off,
                         take * sizeof(uint32_t));
-            std::memcpy(out.col(1) + cnt, Decoded(l, 1, b, a.isa()) + off,
+            std::memcpy(out.col(1) + cnt, Decoded(l, 1, b, isa) + off,
                         take * sizeof(uint32_t));
           }
           cnt += take;
@@ -281,9 +268,9 @@ void CompressedScanOp::Produce(size_t chunk, int lane) {
           // Mixed block: range-scan the just-unpacked slice with the same
           // kernel ScanOp uses, appending at the output cursor (input
           // order is preserved, so the chunk matches the raw scan's).
-          const uint32_t* p = Decoded(l, pred_which, b, a.isa()) + off;
-          const uint32_t* o = Decoded(l, 1 - pred_which, b, a.isa()) + off;
-          cnt += SelectionScan(ScanVariantForIsa(a.isa()), p, o, take, lo_,
+          const uint32_t* p = Decoded(l, pred_which, b, isa) + off;
+          const uint32_t* o = Decoded(l, 1 - pred_which, b, isa) + off;
+          cnt += SelectionScan(ScanVariantForIsa(isa), p, o, take, lo_,
                                hi_, out.col(pc) + cnt, out.col(oc) + cnt,
                                ChunkCapacity(out.capacity()) - cnt);
         }
@@ -309,29 +296,25 @@ void CompressedScanOp::Produce(size_t chunk, int lane) {
           compress::BlocksAllPass().Add(1);
         }
         if (whole_block) {
-          keys_->DecodeBlock(a.isa(), b, out.col(0) + dst,
+          keys_->DecodeBlock(isa, b, out.col(0) + dst,
                              ChunkCapacity(out.capacity()) - dst);
-          vals_->DecodeBlock(a.isa(), b, out.col(1) + dst,
+          vals_->DecodeBlock(isa, b, out.col(1) + dst,
                              ChunkCapacity(out.capacity()) - dst);
         } else {
-          std::memcpy(out.col(0) + dst, Decoded(l, 0, b, a.isa()) + off,
+          std::memcpy(out.col(0) + dst, Decoded(l, 0, b, isa) + off,
                       take * sizeof(uint32_t));
-          std::memcpy(out.col(1) + dst, Decoded(l, 1, b, a.isa()) + off,
+          std::memcpy(out.col(1) + dst, Decoded(l, 1, b, isa) + off,
                       take * sizeof(uint32_t));
         }
       }
       pos += take;
     }
-    if (a.scan_mode() == ScanMode::kCompact) {
+    if (mode_ == ScanMode::kCompact) {
       out.SetDense(cnt);
     } else {
       const size_t set =
-          RangePredicateBitmap(a.isa(), out.col(pc), sz, lo_, hi_,
-                               out.bitmap());
+          RangePredicateBitmap(isa, out.col(pc), sz, lo_, hi_, out.bitmap());
       out.SetBitmap(sz, set);
-      // Same attribution rule as ScanOp: in adaptive mode the bitmap
-      // variant pays its own compaction inside the timed scope.
-      if (cfg_.dispatcher != nullptr) out.Compact(a.isa());
     }
     out.set_seq(chunk);
   }
@@ -454,11 +437,8 @@ void BloomProbeOp::Push(Chunk& c, int lane) {
   Chunk& out = *out_[static_cast<size_t>(lane)];
   {
     PhaseScope t(g_bloom_ns, timed_);
-    AdaptiveOpScope a(cfg_.dispatcher, OpKind::kBloomProbe, cfg_.isa,
-                      ScanMode::kCompact);
-    c.Compact(a.isa());
-    a.set_tuples(c.size());
-    const size_t cnt = f->Probe(a.isa(), c.col(0), c.col(1), c.size(),
+    c.Compact(cfg_.isa);
+    const size_t cnt = f->Probe(cfg_.isa, c.col(0), c.col(1), c.size(),
                                 out.col(0), out.col(1));
     out.SetDense(cnt);
     out.set_seq(c.seq());
@@ -480,112 +460,17 @@ void HashJoinProbeOp::Push(Chunk& c, int lane) {
   Chunk& out = *out_[static_cast<size_t>(lane)];
   {
     PhaseScope t(g_probe_ns, timed_);
-    AdaptiveOpScope a(cfg_.dispatcher, OpKind::kJoinProbe, cfg_.isa,
-                      ScanMode::kCompact);
-    c.Compact(a.isa());
-    a.set_tuples(c.size());
+    c.Compact(cfg_.isa);
     const LinearProbingTable* table = build_->table();
     assert(table != nullptr && "probe pipeline ran before the build broke");
     // At most one match per row fits the output chunk; HashBuildOp::Finish
     // refuses tables with repeated keys.
     assert(table->unique_keys());
-    const size_t cnt = table->Probe(a.isa(), c.col(0), c.col(1), c.size(),
+    const size_t cnt = table->Probe(cfg_.isa, c.col(0), c.col(1), c.size(),
                                     out.col(0), out.col(1), out.col(2));
     assert(cnt <= ChunkCapacity(out.capacity()));
     out.SetDense(cnt);
     out.set_seq(c.seq());
-  }
-  PushNext(out, lane);
-}
-
-// ---------------------------------------------------------------------------
-// PartitionOp
-// ---------------------------------------------------------------------------
-
-PartitionOp::PartitionOp(uint32_t fanout) : fanout_(fanout) {
-  assert(fanout_ >= 1);
-}
-
-void PartitionOp::Open(const ExecConfig& cfg, int lanes,
-                       size_t n_source_chunks) {
-  Operator::Open(cfg, lanes, n_source_chunks);
-  slot_cap_ = cfg.chunk_tuples;
-  const size_t total = ChunkCapacity(n_source_chunks * slot_cap_);
-  mat_keys_.Reset(total);
-  mat_pays_.Reset(total);
-  numa::PlaceBuffer(mat_keys_.data(), total * sizeof(uint32_t), cfg.threads,
-                    cfg.placement);
-  numa::PlaceBuffer(mat_pays_.data(), total * sizeof(uint32_t), cfg.threads,
-                    cfg.placement);
-  counts_.assign(n_source_chunks, 0);
-  n_rows_ = 0;
-}
-
-void PartitionOp::OpenSource(const ExecConfig& cfg, int lanes) {
-  // Source role for the pipeline after the barrier: keep the partitioned
-  // output, only refresh the lane chunks.
-  Operator::OpenSource(cfg, lanes);
-  ResetLaneChunks(out_, lanes, cfg.chunk_tuples, 2);
-}
-
-void PartitionOp::Push(Chunk& c, int lane) {
-  (void)lane;
-  PhaseScope t(g_partition_ns, timed_);
-  c.Compact(cfg_.isa);
-  const size_t cnt = c.size();
-  assert(c.seq() < counts_.size() && cnt <= slot_cap_);
-  std::memcpy(mat_keys_.data() + c.seq() * slot_cap_, c.col(0),
-              cnt * sizeof(uint32_t));
-  std::memcpy(mat_pays_.data() + c.seq() * slot_cap_, c.col(1),
-              cnt * sizeof(uint32_t));
-  counts_[c.seq()] = cnt;
-}
-
-void PartitionOp::Finish() {
-  PhaseScope t(g_partition_ns, timed_);
-  size_t out = 0;
-  for (size_t m = 0; m < counts_.size(); ++m) {
-    const size_t cnt = counts_[m];
-    const size_t src = m * slot_cap_;
-    if (cnt != 0 && out != src) {
-      std::memmove(mat_keys_.data() + out, mat_keys_.data() + src,
-                   cnt * sizeof(uint32_t));
-      std::memmove(mat_pays_.data() + out, mat_pays_.data() + src,
-                   cnt * sizeof(uint32_t));
-    }
-    out += cnt;
-  }
-  n_rows_ = out;
-  CountRows(n_rows_);
-  const size_t cap = ShuffleCapacity(n_rows_);
-  out_keys_.Reset(cap);
-  out_pays_.Reset(cap);
-  numa::PlaceBuffer(out_keys_.data(), cap * sizeof(uint32_t), cfg_.threads,
-                    cfg_.placement);
-  numa::PlaceBuffer(out_pays_.data(), cap * sizeof(uint32_t), cfg_.threads,
-                    cfg_.placement);
-  starts_.assign(fanout_ + 1, 0);
-  const PartitionFn fn = PartitionFn::Hash(fanout_, cfg_.seed);
-  ParallelPartitionPass(fn, mat_keys_.data(), mat_pays_.data(), n_rows_,
-                        out_keys_.data(), out_pays_.data(), cfg_.isa,
-                        cfg_.threads, &res_, starts_.data(),
-                        ShuffleVariant::kAuto, cap);
-}
-
-size_t PartitionOp::SourceChunks(const ExecConfig& cfg) const {
-  return ChunksFor(n_rows_, cfg);
-}
-
-void PartitionOp::Produce(size_t chunk, int lane) {
-  Chunk& out = *out_[static_cast<size_t>(lane)];
-  {
-    PhaseScope t(g_partition_ns, timed_);
-    const size_t b = chunk * cfg_.chunk_tuples;
-    const size_t sz = std::min(cfg_.chunk_tuples, n_rows_ - b);
-    std::memcpy(out.col(0), out_keys_.data() + b, sz * sizeof(uint32_t));
-    std::memcpy(out.col(1), out_pays_.data() + b, sz * sizeof(uint32_t));
-    out.SetDense(sz);
-    out.set_seq(chunk);
   }
   PushNext(out, lane);
 }
@@ -613,13 +498,10 @@ void GroupBySink::Open(const ExecConfig& cfg, int lanes,
 
 void GroupBySink::Push(Chunk& c, int lane) {
   PhaseScope t(g_groupby_ns, timed_);
-  AdaptiveOpScope a(cfg_.dispatcher, OpKind::kGroupBy, cfg_.isa,
-                    ScanMode::kCompact);
   assert(key_col_ < c.n_cols() && val_col_ < c.n_cols());
-  c.Compact(a.isa());
-  a.set_tuples(c.size());
+  c.Compact(cfg_.isa);
   partials_[static_cast<size_t>(lane)]->Accumulate(
-      a.isa(), c.col(key_col_), c.col(val_col_), c.size());
+      cfg_.isa, c.col(key_col_), c.col(val_col_), c.size());
   CountRows(c.size());
 }
 
@@ -682,8 +564,7 @@ void Pipeline::Run(const ExecConfig& cfg) {
         n_chunks, cfg.threads,
         [&](int worker, size_t chunk) { src->Produce(chunk, worker); });
   }
-  // The source's Finish is skipped: a breaker sourcing this pipeline already
-  // finished (ran its barrier phase) in the pipeline where it was the sink.
+  // Sources buffer nothing, so only the operators after the source finish.
   for (size_t i = 1; i < ops_.size(); ++i) ops_[i]->Finish();
 }
 

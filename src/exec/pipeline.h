@@ -8,19 +8,18 @@
 // (util/task_pool.h) and each worker lane drives its chunks down the chain
 // with Push — operators transform into per-lane scratch chunks, so a whole
 // pipeline runs morsel-parallel with zero cross-lane synchronization until
-// a breaker. Pipeline breakers (hash build, partition barrier) absorb
-// chunks into seq-slotted staging (the SelectionScanParallel compaction
-// idiom: results land by chunk ordinal, not by lane, so materialized state
-// is byte-identical for every thread count and steal schedule) and run
-// their parallel phase in Finish, backed by the TaskPool and its
-// PhaseBarrier-based operators; intermediates are placed via
-// numa/placement.h.
+// a breaker. The pipeline breaker (the hash build) absorbs chunks into
+// seq-slotted staging (the SelectionScanParallel compaction idiom: results
+// land by chunk ordinal, not by lane, so materialized state is
+// byte-identical for every thread count and steal schedule) and runs its
+// parallel phase in Finish, backed by the TaskPool; intermediates are
+// placed via numa/placement.h.
 //
 // Adapters wrap the existing kernels unchanged: SelectionScan (source),
-// BloomFilter::Probe, LinearProbingTable::Probe, ParallelPartitionPass,
-// GroupByAggregator. Every Push is timed into a per-operator obs phase
-// timer (exec_*_ns) and counted into `chunks_pushed`; the converters count
-// `bitmap_to_sel` / `sel_to_bitmap` (see chunk.cc).
+// BloomFilter::Probe, LinearProbingTable::Probe, GroupByAggregator. Every
+// Push is timed into a per-operator obs phase timer (exec_*_ns) and counted
+// into `chunks_pushed`; the converters count `bitmap_to_sel` /
+// `sel_to_bitmap` (see chunk.cc).
 
 #include <atomic>
 #include <cstddef>
@@ -36,8 +35,6 @@
 #include "exec/chunk.h"
 #include "hash/linear_probing.h"
 #include "numa/placement.h"
-#include "partition/parallel_partition.h"
-#include "partition/partition_fn.h"
 #include "scan/selection_scan.h"
 #include "util/aligned_buffer.h"
 
@@ -52,43 +49,12 @@ class QueryError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Which executor drives a query's streaming pipelines. kAuto picks the
-/// template-fused instantiation (exec/fused.h) whenever the plan shape has
-/// one and falls back to the dynamic Operator chain otherwise; kDynamic
-/// forces the dynamic chain (the byte-identity reference); kFused asks for
-/// fusion explicitly but still falls back on unsupported shapes — the
-/// fused layer never changes which plans are runnable, only how fast the
-/// supported ones run. Which path actually ran is observable via the
+/// Which executor drives a query's probe pipeline. kFused runs it as the
+/// template-fused instantiation (exec/fused.h); kDynamic runs the dynamic
+/// Operator chain, the byte-identity reference. The build side runs the
+/// dynamic chain either way. Which path ran is observable via the
 /// `pipelines_fused` / `pipelines_dynamic` counters.
-enum class PipelineMode { kAuto, kDynamic, kFused };
-
-/// How operator variants are chosen. kStatic runs cfg.isa and the plan's
-/// scan mode everywhere (the historical behavior); kAdaptive lets an
-/// AdaptiveDispatcher (exec/adaptive.h) re-time the supported
-/// {scalar, AVX2, AVX-512} x {compact, bitmap} variants on live chunks and
-/// switch each operator to the current winner mid-query. Results are
-/// byte-identical either way — variants only differ in speed.
-enum class IsaMode { kStatic, kAdaptive };
-
-/// Explore/exploit pacing for IsaMode::kAdaptive.
-struct AdaptiveParams {
-  /// K: timed chunks per variant per explore round. At low selectivity the
-  /// post-scan chunks shrink to a few tuples, so a round's fresh sample
-  /// must span several chunks or timing jitter drowns the real ranking and
-  /// near-tie variants flip-flop.
-  uint32_t explore_chunks = 4;
-  /// M: chunks run on the round's winner before re-exploring. Small enough
-  /// to re-explore a few times within one 2K-chunk grid (tracking phase
-  /// changes like the selectivity ramp), large enough that the explore tax
-  /// — (V-1)*K non-winner chunks per round — stays ~2% of the schedule.
-  uint32_t exploit_chunks = 1020;
-  /// Test hook: force the exploit winner to rotate deterministically every
-  /// round (round % n_variants) instead of following the timings, so tests
-  /// can prove byte-identity across guaranteed mid-query switches.
-  bool rotate_for_testing = false;
-};
-
-class AdaptiveDispatcher;
+enum class PipelineMode { kFused, kDynamic };
 
 /// Per-run execution parameters, shared by every operator of a query.
 struct ExecConfig {
@@ -96,18 +62,11 @@ struct ExecConfig {
   int threads = 1;
   /// Tuples per chunk (any value >= 1; tests sweep odd sizes).
   size_t chunk_tuples = kDefaultChunkTuples;
-  /// Placement policy for breaker intermediates (materialized build sides,
-  /// partition outputs). Probe-shared structures (table bank, bloom words)
-  /// are always interleaved.
+  /// Placement policy for the materialized build side. Probe-shared
+  /// structures (table bank, bloom words) are always interleaved.
   numa::Placement placement = numa::Placement::kNodeLocal;
   uint64_t seed = 42;
-  PipelineMode pipeline_mode = PipelineMode::kAuto;
-  IsaMode isa_mode = IsaMode::kStatic;
-  AdaptiveParams adaptive;
-  /// Set by RunScanJoinAggregate while isa_mode == kAdaptive; operators
-  /// consult it per chunk when non-null. Borrowed — owned by the query
-  /// runner for the duration of the run.
-  AdaptiveDispatcher* dispatcher = nullptr;
+  PipelineMode pipeline_mode = PipelineMode::kFused;
 };
 
 /// The scan variant an ISA maps to in the executor (store-direct family:
@@ -131,10 +90,8 @@ class Operator {
   /// chunk).
   virtual void Open(const ExecConfig& cfg, int lanes, size_t n_source_chunks);
 
-  /// Source-role open, called on a pipeline's first operator only. Kept
-  /// separate from Open so a breaker re-opened as the source of the next
-  /// pipeline does not clobber the results it materialized as a sink.
-  /// Samples `timed_` like Open.
+  /// Source-role open, called on a pipeline's first operator in place of
+  /// Open. Samples `timed_` like Open.
   virtual void OpenSource(const ExecConfig& cfg, int lanes);
 
   /// Consumes one chunk on `lane`. The chunk belongs to the caller and may
@@ -146,8 +103,7 @@ class Operator {
   /// from the submitting thread, so the full TaskPool is available).
   virtual void Finish() {}
 
-  // Source role (first operator of a pipeline; breakers expose it for the
-  // pipeline after their barrier).
+  // Source role (first operator of a pipeline).
   virtual size_t SourceChunks(const ExecConfig& cfg) const {
     (void)cfg;
     return 0;
@@ -283,7 +239,7 @@ class MaterializeOp final : public Operator {
 /// interleaved placement — every probe lane reads it) and optionally a
 /// Bloom filter over the build keys for the probe pipeline's semi-join.
 /// The table is built with LinearProbingTable::BuildPartitioned, the
-/// scalar walk on every ISA and isa mode, split into
+/// scalar walk on every ISA, split into
 /// LinearProbingTable::BuildPartitions(buckets, lanes) home-bucket ranges
 /// that the TaskPool lanes insert in parallel (one range, no partition
 /// pass, on one lane). The join is key/FK: Finish throws QueryError when
@@ -347,40 +303,6 @@ class HashJoinProbeOp final : public Operator {
   std::vector<std::unique_ptr<Chunk>> out_;
 };
 
-/// Breaker: materializes its input, runs one morsel-parallel buffered
-/// partition pass (ParallelPartitionPass — histogram, interleaved prefix
-/// sum, shuffle behind a PhaseBarrier) in Finish, and re-streams the
-/// partitioned rows as the source of the next pipeline. Output buffers are
-/// placed per cfg.placement.
-class PartitionOp final : public Operator {
- public:
-  /// Hash-partitions on col 0 into `fanout` partitions.
-  explicit PartitionOp(uint32_t fanout);
-
-  const char* name() const override { return "partition"; }
-  void Open(const ExecConfig& cfg, int lanes, size_t n_source_chunks) override;
-  void OpenSource(const ExecConfig& cfg, int lanes) override;
-  void Push(Chunk& c, int lane) override;
-  void Finish() override;
-  size_t SourceChunks(const ExecConfig& cfg) const override;
-  void Produce(size_t chunk, int lane) override;
-
-  /// Partition start offsets (fanout + 1 entries) after Finish.
-  const uint32_t* starts() const { return starts_.data(); }
-  uint32_t fanout() const { return fanout_; }
-
- private:
-  uint32_t fanout_;
-  size_t slot_cap_ = 0;
-  AlignedBuffer<uint32_t> mat_keys_, mat_pays_;
-  std::vector<size_t> counts_;
-  size_t n_rows_ = 0;
-  AlignedBuffer<uint32_t> out_keys_, out_pays_;
-  std::vector<uint32_t> starts_;
-  ParallelPartitionResources res_;
-  std::vector<std::unique_ptr<Chunk>> out_;  // source-role lane chunks
-};
-
 /// Aggregation sink: per-lane GroupByAggregator partials (key = col
 /// `key_col`, value = col `val_col`), merged in Finish and extracted in
 /// ascending key order — the canonical result representation, identical
@@ -423,8 +345,8 @@ void CanonicalizeGroups(Isa isa,
 
 /// One operator chain. ops[0] must be a source (SourceChunks > 0 or an
 /// empty input); the Pipeline chains, Opens, drives and Finishes them.
-/// Operators are borrowed — the query owns them (breakers outlive the
-/// pipeline that fills them and source the next one).
+/// Operators are borrowed — the query owns them (a breaker outlives the
+/// pipeline that fills it, and later pipelines read its state).
 class Pipeline {
  public:
   explicit Pipeline(std::vector<Operator*> ops) : ops_(std::move(ops)) {}

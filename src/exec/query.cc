@@ -1,6 +1,5 @@
 #include "exec/query.h"
 
-#include "exec/adaptive.h"
 #include "exec/fused.h"
 #include "obs/metrics.h"
 
@@ -46,10 +45,10 @@ QueryResult RunDynamic(const ScanJoinAggregatePlan& plan,
   Query q;
   HashBuildOp* build = AddBuildPipeline(q, plan);
 
-  // Probe side: S scan -> [materialize] -> [bloom] -> [partition barrier]
-  // -> join probe -> group-by sink. The scan filters on S.val, emitting
-  // chunks with col 0 = fk, col 1 = val; the join probe appends col 2 =
-  // R.attr; the sink groups col 2 aggregating col 1.
+  // Probe side: S scan -> [materialize] -> [bloom] -> join probe ->
+  // group-by sink. The scan filters on S.val, emitting chunks with col 0 =
+  // fk, col 1 = val; the join probe appends col 2 = R.attr; the sink groups
+  // col 2 aggregating col 1.
   Operator* s_scan =
       plan.s_fks_c != nullptr
           ? static_cast<Operator*>(q.Add<CompressedScanOp>(
@@ -60,25 +59,15 @@ QueryResult RunDynamic(const ScanJoinAggregatePlan& plan,
                           /*filter_on_vals=*/true, plan.scan_mode);
   BloomProbeOp* bloom =
       plan.bloom_bits_per_key > 0 ? q.Add<BloomProbeOp>(build) : nullptr;
-  PartitionOp* part = plan.partition_fanout > 0
-                          ? q.Add<PartitionOp>(plan.partition_fanout)
-                          : nullptr;
   HashJoinProbeOp* probe = q.Add<HashJoinProbeOp>(build);
   GroupBySink* sink = q.Add<GroupBySink>(plan.max_groups_hint, /*key_col=*/2,
                                          /*val_col=*/1);
-  {
-    std::vector<Operator*> ops{s_scan};
-    if (plan.scan_mode == ScanMode::kBitmap) ops.push_back(q.Add<MaterializeOp>());
-    if (bloom != nullptr) ops.push_back(bloom);
-    if (part != nullptr) {
-      ops.push_back(part);
-      q.AddPipeline(std::move(ops));
-      ops = {part};
-    }
-    ops.push_back(probe);
-    ops.push_back(sink);
-    q.AddPipeline(std::move(ops));
-  }
+  std::vector<Operator*> ops{s_scan};
+  if (plan.scan_mode == ScanMode::kBitmap) ops.push_back(q.Add<MaterializeOp>());
+  if (bloom != nullptr) ops.push_back(bloom);
+  ops.push_back(probe);
+  ops.push_back(sink);
+  q.AddPipeline(std::move(ops));
 
   q.Run(cfg);
 
@@ -137,14 +126,6 @@ QueryResult RunFused(const ScanJoinAggregatePlan& plan, const ExecConfig& cfg) {
 
 }  // namespace
 
-bool FusedPlanSupported(const ScanJoinAggregatePlan& plan) {
-  // Fused instantiations cover the streaming Q3 probe shapes — scan ->
-  // [bloom] -> join probe -> group-by, compact or bitmap scan, any ISA. A
-  // partition barrier materializes mid-stream, so partitioned plans fall
-  // back to the dynamic executor.
-  return plan.partition_fanout == 0;
-}
-
 QueryResult RunScanJoinAggregate(const ScanJoinAggregatePlan& plan,
                                  const ExecConfig& cfg) {
   // Plan-build sanitization: never trust the requested ISA — an unsupported
@@ -152,14 +133,9 @@ QueryResult RunScanJoinAggregate(const ScanJoinAggregatePlan& plan,
   // the first kernel (see EffectiveIsa).
   ExecConfig run_cfg = cfg;
   run_cfg.isa = EffectiveIsa(cfg.isa);
-  AdaptiveDispatcher dispatcher(run_cfg, plan.scan_mode);
-  run_cfg.dispatcher =
-      run_cfg.isa_mode == IsaMode::kAdaptive ? &dispatcher : nullptr;
-  if (run_cfg.pipeline_mode != PipelineMode::kDynamic &&
-      FusedPlanSupported(plan)) {
-    return RunFused(plan, run_cfg);
-  }
-  return RunDynamic(plan, run_cfg);
+  return run_cfg.pipeline_mode == PipelineMode::kFused
+             ? RunFused(plan, run_cfg)
+             : RunDynamic(plan, run_cfg);
 }
 
 }  // namespace simddb::exec

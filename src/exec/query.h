@@ -2,10 +2,10 @@
 #define SIMDDB_EXEC_QUERY_H_
 
 // Query assembly over exec/pipeline.h: a Query owns a set of operators and
-// an ordered list of pipelines (each ending at a sink or breaker; a breaker
-// sources the next pipeline), and RunScanJoinAggregate composes the
-// canonical scan -> bloom -> join -> group-by plan — the TPC-H-Q3-shaped
-// workload the end-to-end bench and tests run across scalar/AVX2/AVX-512.
+// an ordered list of pipelines (each ending at a sink or breaker), and
+// RunScanJoinAggregate composes the canonical scan -> bloom -> join ->
+// group-by plan — the TPC-H-Q3-shaped workload the end-to-end bench and
+// tests run across scalar/AVX2/AVX-512.
 //
 // The result representation is canonical (group rows in ascending key
 // order with exact commutative aggregates), so a plan's QueryResult is
@@ -37,8 +37,8 @@ class Query {
   }
 
   /// Appends a pipeline (first operator is its source). Pipelines run in
-  /// insertion order; a breaker must be the sink of an earlier pipeline
-  /// than the one it sources.
+  /// insertion order, so a breaker's pipeline must precede the pipelines
+  /// that read its state.
   void AddPipeline(std::vector<Operator*> ops) {
     pipelines_.emplace_back(std::move(ops));
   }
@@ -90,9 +90,6 @@ struct ScanJoinAggregatePlan {
   /// 0 disables the Bloom semi-join before the probe.
   int bloom_bits_per_key = 0;
   int bloom_k = 4;
-  /// Nonzero inserts a hash-partition barrier on the probe side before the
-  /// join probe (exercises the partition breaker; results are unchanged).
-  uint32_t partition_fanout = 0;
   size_t max_groups_hint = 1024;
 };
 
@@ -122,19 +119,12 @@ struct QueryResult {
 /// (exec/shared_scan.h).
 HashBuildOp* AddBuildPipeline(Query& q, const ScanJoinAggregatePlan& plan);
 
-/// True when a fused instantiation exists for the plan's probe-side shape:
-/// scan -> [bloom] -> join probe -> group-by, in either scan mode, on any
-/// ISA. A partition barrier breaks the stream mid-pipeline, so partitioned
-/// plans route to the dynamic executor.
-bool FusedPlanSupported(const ScanJoinAggregatePlan& plan);
-
 /// Assembles and runs the plan end to end on the shared TaskPool. Under
-/// PipelineMode kAuto/kFused a supported plan runs its probe side through
-/// the template-fused pipeline (build side and unsupported shapes use the
-/// dynamic executor); kDynamic forces the dynamic chain everywhere. The
-/// whole-query wall time is recorded into the `exec_fused_ns` or
-/// `exec_dynamic_ns` phase timer according to the path taken. Throws
-/// QueryError when R repeats a key within [r_lo, r_hi].
+/// PipelineMode::kFused the probe side runs through the template-fused
+/// pipeline and the build side through the dynamic executor; kDynamic runs
+/// the dynamic chain everywhere. The whole-query wall time is recorded into
+/// the `exec_fused_ns` or `exec_dynamic_ns` phase timer according to the
+/// path taken. Throws QueryError when R repeats a key within [r_lo, r_hi].
 QueryResult RunScanJoinAggregate(const ScanJoinAggregatePlan& plan,
                                  const ExecConfig& cfg);
 

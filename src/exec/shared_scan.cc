@@ -36,7 +36,6 @@ bool SharedProbeSupported(const std::vector<ScanJoinAggregatePlan>& plans) {
       return false;
     }
     if (p.s_fks_c != nullptr || p.s_vals_c != nullptr) return false;
-    if (p.partition_fanout != 0) return false;
   }
   return true;
 }
@@ -46,11 +45,6 @@ std::vector<QueryResult> RunSharedProbe(
   assert(SharedProbeSupported(plans));
   ExecConfig run_cfg = cfg;
   run_cfg.isa = EffectiveIsa(cfg.isa);
-  // The sweep interleaves chunks of every member through one dispatch;
-  // per-chunk adaptive re-timing assumes one operator per timing stream,
-  // so shared members always run the statically-selected variants.
-  run_cfg.isa_mode = IsaMode::kStatic;
-  run_cfg.dispatcher = nullptr;
 
   const size_t n_members = plans.size();
   std::vector<std::unique_ptr<Member>> members;

@@ -29,8 +29,7 @@ namespace simddb::exec {
 
 /// True when every plan can join a shared sweep: identical raw probe-side
 /// base columns (same pointers and row count — catalog tables guarantee
-/// this), uncompressed, and no probe-side partition barrier. Build sides
-/// and predicates may differ freely.
+/// this) and uncompressed. Build sides and predicates may differ freely.
 bool SharedProbeSupported(const std::vector<ScanJoinAggregatePlan>& plans);
 
 /// Runs all plans with one probe-relation sweep (see file comment).

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <ctime>
-
 #include <cstdlib>
 #include <cstring>
 
@@ -52,13 +50,6 @@ QueryMetricSink* CurrentMetricSink() { return detail::g_tls_sink; }
 
 void EnableMetrics(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-uint64_t ThreadCpuNs() {
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return NowNs();
-  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<uint64_t>(ts.tv_nsec);
 }
 
 Counter::Counter(const char* name) : name_(name) {

@@ -79,15 +79,6 @@ inline uint64_t NowNs() {
           .count());
 }
 
-/// Per-thread CPU time in ns. Unlike NowNs, a sample is not inflated when
-/// the thread is preempted mid-measurement — by a co-tenant on a shared
-/// host, or by sibling lanes when the pool oversubscribes the cores. The
-/// adaptive dispatcher times variants with this clock so scheduling noise
-/// cannot invert a variant ranking; wall-clock phase timers keep NowNs.
-/// Costs a syscall (~hundreds of ns) on most kernels, so reserve it for
-/// low-frequency measurement points, not per-tuple instrumentation.
-uint64_t ThreadCpuNs();
-
 /// Per-worker sharded counter. Add() is wait-free: each thread increments
 /// its own cacheline-padded shard; Value() sums the shards. Instances must
 /// have static storage duration (the registry keeps raw pointers).

@@ -85,7 +85,6 @@ bool BindQuery(const Catalog& catalog, const QuerySpec& spec,
   plan->scan_mode = spec.scan_mode;
   plan->bloom_bits_per_key = spec.bloom_bits_per_key;
   plan->bloom_k = spec.bloom_k;
-  plan->partition_fanout = spec.partition_fanout;
   plan->max_groups_hint = spec.max_groups_hint;
   return true;
 }
@@ -174,8 +173,7 @@ ResultSet QueryScheduler::Run(const QuerySpec& spec,
   std::unique_ptr<obs::QueryMetricSink> sink;
   if (obs::MetricsEnabled()) sink = std::make_unique<obs::QueryMetricSink>();
 
-  const bool share = opts_.shared_scans && plan.s_fks != nullptr &&
-                     plan.partition_fanout == 0;
+  const bool share = opts_.shared_scans && plan.s_fks != nullptr;
   const uint64_t e0 = obs::NowNs();
   try {
     TaskPool::QueryTagScope tag_scope(tag);

@@ -62,7 +62,6 @@ struct QuerySpec {
   exec::ScanMode scan_mode = exec::ScanMode::kCompact;
   int bloom_bits_per_key = 0;
   int bloom_k = 4;
-  uint32_t partition_fanout = 0;
   size_t max_groups_hint = 1024;
   /// Bind the compressed representation when the table has one.
   bool prefer_compressed = false;
@@ -104,8 +103,7 @@ struct SchedulerOptions {
   int max_inflight = 0;
   AdmissionPolicy policy = AdmissionPolicy::kBlock;
 
-  /// Enable shared-scan gathers for eligible plans (raw probe table, no
-  /// partition barrier).
+  /// Enable shared-scan gathers for eligible plans (raw probe table).
   bool shared_scans = false;
   /// Close a gather as soon as this many members joined (0: timeout only).
   /// Deterministic tests set it to the known concurrent-client count.

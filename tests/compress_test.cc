@@ -371,28 +371,5 @@ TEST(CompressScanTest, ZoneMapSkipsBlocksOnClusteredInput) {
   }
 }
 
-TEST(CompressScanTest, AdaptiveModeRoutesCompressedScans) {
-  CompressedQueryData d(2048, 50'000, /*clustered_vals=*/false);
-  ScanJoinAggregatePlan raw = d.RawPlan();
-  ScanJoinAggregatePlan comp = d.CompressedPlan();
-  for (auto pm : {exec::PipelineMode::kDynamic, exec::PipelineMode::kFused}) {
-    ExecConfig cfg;
-    cfg.isa = SupportedIsas().back();
-    cfg.threads = 8;
-    cfg.isa_mode = exec::IsaMode::kAdaptive;
-    cfg.pipeline_mode = pm;
-    // Force guaranteed winner rotation: every scan variant (ISA x mode)
-    // runs mid-query, so identity here proves the compressed scan is
-    // switch-safe on any chunk boundary like every other operator.
-    cfg.adaptive.rotate_for_testing = true;
-    cfg.adaptive.exploit_chunks = 8;
-    const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
-    const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
-    ExpectIdentical(got, want,
-                    pm == exec::PipelineMode::kFused ? "adaptive fused"
-                                                     : "adaptive dynamic");
-  }
-}
-
 }  // namespace
 }  // namespace simddb

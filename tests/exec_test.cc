@@ -4,13 +4,15 @@
 // the scan -> bloom -> join -> group-by plan produces byte-identical
 // canonical results across ISAs, thread counts {1, 8}, chunk sizes
 // (including non-chunk-multiple and degenerate inputs n in {0, 1, 1023}),
-// scan modes (compact vs bitmap), and breaker configurations, and matches
-// a hand-composed serial operator sequence over the same kernels. The
+// scan modes (compact vs bitmap) and Bloom settings, and matches a
+// hand-composed serial operator sequence over the same kernels. The
 // template-fused executor (exec/fused.h) is held to the same bar: the
 // ExecFusedTest matrix proves the fused path byte-identical to the forced
-// dynamic path across ISA x threads x chunk size x scan mode x edge input
-// sizes, and the fallback test proves unsupported shapes route to the
-// dynamic pipeline (observed via pipelines_fused / pipelines_dynamic).
+// dynamic path across ISA x threads x chunk size x scan mode x seed x edge
+// input sizes, and the mode test proves each PipelineMode runs the
+// pipelines it names (observed via pipelines_fused / pipelines_dynamic).
+// ExecIsaDegradeTest covers the ISA sanitization every plan goes through:
+// an unsupported request degrades to the best supported backend.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +35,7 @@
 #include "obs/metrics.h"
 #include "scan/selection_scan.h"
 #include "util/aligned_buffer.h"
+#include "util/cpu_info.h"
 #include "util/data_gen.h"
 #include "util/rng.h"
 
@@ -43,7 +46,6 @@ using exec::Chunk;
 using exec::ChunkCapacity;
 using exec::ChunkBitmapWords;
 using exec::ExecConfig;
-using exec::IsaMode;
 using exec::PipelineMode;
 using exec::QueryResult;
 using exec::ScanJoinAggregatePlan;
@@ -367,9 +369,8 @@ TEST(ExecQueryTest, MatchesHandComposedAndReferenceAcrossMatrix) {
   const auto want = MapReference(d, plan);
 
   for (int bloom : {0, 10}) {
-    for (uint32_t fanout : {0u, 16u}) {
+    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
       plan.bloom_bits_per_key = bloom;
-      plan.partition_fanout = fanout;
       QueryResult first;
       bool have_first = false;
       for (Isa isa : SupportedIsas()) {
@@ -382,13 +383,14 @@ TEST(ExecQueryTest, MatchesHandComposedAndReferenceAcrossMatrix) {
               cfg.isa = isa;
               cfg.threads = threads;
               cfg.chunk_tuples = chunk;
+              cfg.pipeline_mode = pm;
               const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
               const std::string label =
                   std::string(IsaName(isa)) + " t=" +
                   std::to_string(threads) + " c=" + std::to_string(chunk) +
                   " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
                   " b=" + std::to_string(bloom) +
-                  " f=" + std::to_string(fanout);
+                  " p=" + (pm == PipelineMode::kFused ? "fused" : "dynamic");
               ExpectMatchesReference(got, want, label);
               ExpectIdentical(got, hand, label + " vs hand-composed");
               if (!have_first) {
@@ -434,25 +436,11 @@ TEST(ExecQueryTest, EdgeInputSizes) {
   }
 }
 
-TEST(ExecQueryTest, PartitionBreakerPreservesResults) {
-  QueryData d(2048, 30'000);
-  ScanJoinAggregatePlan plan = d.Plan();
-  const auto want = MapReference(d, plan);
-  for (uint32_t fanout : {1u, 7u, 64u}) {
-    plan.partition_fanout = fanout;
-    ExecConfig cfg;
-    cfg.isa = SupportedIsas().back();
-    cfg.threads = 8;
-    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-    ExpectMatchesReference(got, want, "fanout=" + std::to_string(fanout));
-  }
-}
-
 TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
   // Scan-over-compressed acceptance: the same plan over CompressColumn'd
   // base tables is byte-identical to the raw-column plan everywhere the
   // raw matrix runs — ISA x threads x chunk size x scan mode x bloom x
-  // partition breaker — plus edge sizes below/at/above one block.
+  // pipeline mode — plus edge sizes below/at/above one block.
   QueryData d(4096, 60'000);
   const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
   const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
@@ -465,9 +453,8 @@ TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
   comp.s_fks_c = &s_fks_c;
   comp.s_vals_c = &s_vals_c;
   for (int bloom : {0, 10}) {
-    for (uint32_t fanout : {0u, 16u}) {
+    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
       raw.bloom_bits_per_key = comp.bloom_bits_per_key = bloom;
-      raw.partition_fanout = comp.partition_fanout = fanout;
       for (Isa isa : SupportedIsas()) {
         for (int threads : {1, 8}) {
           for (size_t chunk : {size_t{257}, size_t{1024}}) {
@@ -477,6 +464,7 @@ TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
               cfg.isa = isa;
               cfg.threads = threads;
               cfg.chunk_tuples = chunk;
+              cfg.pipeline_mode = pm;
               const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
               const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
               const std::string label =
@@ -484,7 +472,7 @@ TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
                   std::to_string(threads) + " c=" + std::to_string(chunk) +
                   " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
                   " b=" + std::to_string(bloom) +
-                  " f=" + std::to_string(fanout);
+                  " p=" + (pm == PipelineMode::kFused ? "fused" : "dynamic");
               ExpectIdentical(got, want, label);
               EXPECT_EQ(got.rows_scanned, want.rows_scanned) << label;
             }
@@ -555,10 +543,11 @@ TEST(ExecPipelineTest, ChunksPushedAndConversionCounters) {
 // ---------------------------------------------------------------------------
 
 TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
-  // ISA x threads {1, 8} x chunk {257, 1024} x scan mode x edge input
-  // sizes n_s in {0, 1, 1023, 4097} plus one bulk shape. The forced
-  // dynamic run is the reference; the fused run must be byte-identical in
-  // every result row and every reported cardinality.
+  // ISA x threads {1, 8} x chunk {257, 1024} x scan mode x seed {1, 42} x
+  // edge input sizes n_s in {0, 1, 1023, 4097} plus one bulk shape. The
+  // seed feeds the join table's, the Bloom filter's and the group-by's
+  // hashes. The forced dynamic run is the reference; the fused run must be
+  // byte-identical in every result row and every reported cardinality.
   const std::pair<size_t, size_t> shapes[] = {
       {256, 0}, {256, 1}, {256, 1023}, {1024, 4097}, {4096, 60'000}};
   for (auto [nr, ns] : shapes) {
@@ -570,27 +559,32 @@ TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
       for (int threads : {1, 8}) {
         for (size_t chunk : {size_t{257}, size_t{1024}}) {
           for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-            plan.scan_mode = mode;
-            ExecConfig cfg;
-            cfg.isa = isa;
-            cfg.threads = threads;
-            cfg.chunk_tuples = chunk;
-            cfg.pipeline_mode = PipelineMode::kDynamic;
-            const QueryResult dyn = exec::RunScanJoinAggregate(plan, cfg);
-            cfg.pipeline_mode = PipelineMode::kFused;
-            const QueryResult fus = exec::RunScanJoinAggregate(plan, cfg);
-            const std::string label =
-                "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
-                " " + IsaName(isa) + " t=" + std::to_string(threads) +
-                " c=" + std::to_string(chunk) +
-                " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact");
-            EXPECT_FALSE(dyn.used_fused) << label;
-            EXPECT_TRUE(fus.used_fused) << label;
-            ExpectIdentical(fus, dyn, label + " fused vs dynamic");
-            EXPECT_EQ(fus.rows_build, dyn.rows_build) << label;
-            EXPECT_EQ(fus.rows_scanned, dyn.rows_scanned) << label;
-            EXPECT_EQ(fus.rows_bloomed, dyn.rows_bloomed) << label;
-            ExpectMatchesReference(fus, want, label + " fused vs reference");
+            for (uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
+              plan.scan_mode = mode;
+              ExecConfig cfg;
+              cfg.isa = isa;
+              cfg.threads = threads;
+              cfg.chunk_tuples = chunk;
+              cfg.seed = seed;
+              cfg.pipeline_mode = PipelineMode::kDynamic;
+              const QueryResult dyn = exec::RunScanJoinAggregate(plan, cfg);
+              cfg.pipeline_mode = PipelineMode::kFused;
+              const QueryResult fus = exec::RunScanJoinAggregate(plan, cfg);
+              const std::string label =
+                  "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
+                  " " + IsaName(isa) + " t=" + std::to_string(threads) +
+                  " c=" + std::to_string(chunk) +
+                  " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
+                  " seed=" + std::to_string(seed);
+              EXPECT_FALSE(dyn.used_fused) << label;
+              EXPECT_TRUE(fus.used_fused) << label;
+              ExpectIdentical(fus, dyn, label + " fused vs dynamic");
+              EXPECT_EQ(fus.rows_build, dyn.rows_build) << label;
+              EXPECT_EQ(fus.rows_scanned, dyn.rows_scanned) << label;
+              EXPECT_EQ(fus.rows_bloomed, dyn.rows_bloomed) << label;
+              ExpectMatchesReference(fus, want,
+                                     label + " fused vs reference");
+            }
           }
         }
       }
@@ -598,30 +592,14 @@ TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
   }
 }
 
-TEST(ExecFusedTest, UnsupportedShapeFallsBackToDynamic) {
+TEST(ExecFusedTest, PipelineModesRunTheirPipelines) {
   QueryData d(1024, 10'000);
   ScanJoinAggregatePlan plan = d.Plan();
   plan.bloom_bits_per_key = 10;
 
-  plan.partition_fanout = 16;  // mid-stream breaker: no fused instantiation
-  EXPECT_FALSE(exec::FusedPlanSupported(plan));
   {
     ScopedMetrics metrics;
-    ExecConfig cfg;  // kAuto
-    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-    EXPECT_FALSE(got.used_fused);
-    EXPECT_EQ(Metric("pipelines_fused"), 0u);
-    // build + scan..partition + partition..sink.
-    EXPECT_EQ(Metric("pipelines_dynamic"), 3u);
-    EXPECT_EQ(Metric("exec_fused_ns"), 0u);
-    EXPECT_GT(Metric("exec_dynamic_ns"), 0u);
-  }
-
-  plan.partition_fanout = 0;  // supported shape under kAuto runs fused
-  EXPECT_TRUE(exec::FusedPlanSupported(plan));
-  {
-    ScopedMetrics metrics;
-    ExecConfig cfg;  // kAuto
+    ExecConfig cfg;  // kFused by default
     const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
     EXPECT_TRUE(got.used_fused);
     EXPECT_EQ(Metric("pipelines_fused"), 1u);
@@ -634,11 +612,12 @@ TEST(ExecFusedTest, UnsupportedShapeFallsBackToDynamic) {
   {
     ScopedMetrics metrics;
     ExecConfig cfg;
-    cfg.pipeline_mode = PipelineMode::kDynamic;  // forced dynamic
+    cfg.pipeline_mode = PipelineMode::kDynamic;
     const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
     EXPECT_FALSE(got.used_fused);
     EXPECT_EQ(Metric("pipelines_fused"), 0u);
     EXPECT_EQ(Metric("pipelines_dynamic"), 2u);  // build + probe
+    EXPECT_EQ(Metric("exec_fused_ns"), 0u);
     EXPECT_GT(Metric("exec_dynamic_ns"), 0u);
   }
 }
@@ -668,30 +647,26 @@ TEST(ExecQueryTest, PartitionedBuildMatchesThreadsOneAcrossMatrix) {
     }
     for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
       for (Isa isa : SupportedIsas()) {
-        for (IsaMode im : {IsaMode::kStatic, IsaMode::kAdaptive}) {
-          QueryResult serial;
-          for (int threads : {1, 2, 8}) {
-            ExecConfig cfg;
-            cfg.isa = isa;
-            cfg.threads = threads;
-            cfg.pipeline_mode = pm;
-            cfg.isa_mode = im;
-            const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-            const std::string label =
-                std::string(packed ? "packed " : "raw ") +
-                (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
-                IsaName(isa) + (im == IsaMode::kAdaptive ? " adaptive" : "") +
-                " t=" + std::to_string(threads);
-            EXPECT_EQ(got.rows_build, 30'720u) << label;
-            if (threads == 1) {
-              ExpectMatchesReference(got, want, label);
-              serial = got;
-              continue;
-            }
-            ExpectIdentical(got, serial, label + " vs t=1");
-            EXPECT_EQ(got.rows_scanned, serial.rows_scanned) << label;
-            EXPECT_EQ(got.rows_bloomed, serial.rows_bloomed) << label;
+        QueryResult serial;
+        for (int threads : {1, 2, 8}) {
+          ExecConfig cfg;
+          cfg.isa = isa;
+          cfg.threads = threads;
+          cfg.pipeline_mode = pm;
+          const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+          const std::string label =
+              std::string(packed ? "packed " : "raw ") +
+              (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
+              IsaName(isa) + " t=" + std::to_string(threads);
+          EXPECT_EQ(got.rows_build, 30'720u) << label;
+          if (threads == 1) {
+            ExpectMatchesReference(got, want, label);
+            serial = got;
+            continue;
           }
+          ExpectIdentical(got, serial, label + " vs t=1");
+          EXPECT_EQ(got.rows_scanned, serial.rows_scanned) << label;
+          EXPECT_EQ(got.rows_bloomed, serial.rows_bloomed) << label;
         }
       }
     }
@@ -747,28 +722,24 @@ TEST(ExecQueryTest, DuplicateBuildKeysInWindowFailQuery) {
       for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
         for (Isa isa : SupportedIsas()) {
           for (int threads : {1, 2, 8}) {
-            for (IsaMode im : {IsaMode::kStatic, IsaMode::kAdaptive}) {
-              ExecConfig cfg;
-              cfg.isa = isa;
-              cfg.threads = threads;
-              cfg.pipeline_mode = pm;
-              cfg.isa_mode = im;
-              cfg.chunk_tuples = 1000;
-              const std::string label =
-                  "d=" + std::to_string(d) + " far=" + std::to_string(c.far) +
-                  (packed ? " packed " : " raw ") +
-                  (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
-                  IsaName(isa) + " t=" + std::to_string(threads) +
-                  (im == IsaMode::kAdaptive ? " adaptive" : "");
-              try {
-                exec::RunScanJoinAggregate(plan, cfg);
-                ADD_FAILURE() << label << ": query ran";
-              } catch (const exec::QueryError& e) {
-                const std::string what = e.what();
-                EXPECT_NE(what.find("duplicate build keys (key 1 repeats)"),
-                          std::string::npos)
-                    << label << ": " << what;
-              }
+            ExecConfig cfg;
+            cfg.isa = isa;
+            cfg.threads = threads;
+            cfg.pipeline_mode = pm;
+            cfg.chunk_tuples = 1000;
+            const std::string label =
+                "d=" + std::to_string(d) + " far=" + std::to_string(c.far) +
+                (packed ? " packed " : " raw ") +
+                (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
+                IsaName(isa) + " t=" + std::to_string(threads);
+            try {
+              exec::RunScanJoinAggregate(plan, cfg);
+              ADD_FAILURE() << label << ": query ran";
+            } catch (const exec::QueryError& e) {
+              const std::string what = e.what();
+              EXPECT_NE(what.find("duplicate build keys (key 1 repeats)"),
+                        std::string::npos)
+                  << label << ": " << what;
             }
           }
         }
@@ -814,6 +785,70 @@ TEST(ExecPipelineTest, RowsOutCardinalitiesAreConsistent) {
   const uint64_t total_count = std::accumulate(got.counts.begin(),
                                                got.counts.end(), uint64_t{0});
   EXPECT_EQ(total_count, got.rows_joined);
+}
+
+// ---------------------------------------------------------------------------
+// ISA capability degrade (util/cpu_info SetCpuCapsForTesting)
+// ---------------------------------------------------------------------------
+
+struct ScopedCpuCaps {
+  explicit ScopedCpuCaps(const CpuInfo* caps) { SetCpuCapsForTesting(caps); }
+  ~ScopedCpuCaps() { SetCpuCapsForTesting(nullptr); }
+};
+
+TEST(ExecIsaDegradeTest, SupportedRequestIsNotDegraded) {
+  QueryData d(1024, 10'000);
+  ScanJoinAggregatePlan plan = d.Plan();
+  for (PipelineMode pmode : {PipelineMode::kDynamic, PipelineMode::kFused}) {
+    ScopedMetrics metrics;
+    ExecConfig cfg;
+    cfg.isa = SupportedIsas().back();
+    cfg.pipeline_mode = pmode;
+    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+    ASSERT_FALSE(got.group_keys.empty());
+    EXPECT_EQ(Metric("isa_degraded"), 0u);
+  }
+}
+
+TEST(ExecIsaDegradeTest, UnsupportedRequestDegradesInsteadOfSigill) {
+  // A host with no vector extensions at all: every vector request must
+  // degrade to scalar, and scalar must pass through untouched.
+  static const CpuInfo kNoVector{};  // all capability bits false
+  ScopedCpuCaps caps(&kNoVector);
+  EXPECT_FALSE(IsaSupported(Isa::kAvx2));
+  EXPECT_FALSE(IsaSupported(Isa::kAvx512));
+  EXPECT_EQ(BestIsa(), Isa::kScalar);
+  EXPECT_EQ(EffectiveIsa(Isa::kScalar), Isa::kScalar);
+  EXPECT_EQ(EffectiveIsa(Isa::kAvx2), Isa::kScalar);
+  EXPECT_EQ(EffectiveIsa(Isa::kAvx512), Isa::kScalar);
+
+  ScopedMetrics metrics;
+  QueryData d(512, 5000);
+  ScanJoinAggregatePlan plan = d.Plan();
+  plan.bloom_bits_per_key = 10;
+  const auto want = MapReference(d, plan);
+  ExecConfig cfg;
+  cfg.isa = Isa::kAvx512;  // would SIGILL if trusted on this "host"
+  for (PipelineMode pmode : {PipelineMode::kDynamic, PipelineMode::kFused}) {
+    cfg.pipeline_mode = pmode;
+    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+    ExpectMatchesReference(got, want,
+                           pmode == PipelineMode::kFused ? "fused" : "dynamic");
+  }
+  EXPECT_GE(Metric("isa_degraded"), 2u);
+}
+
+TEST(ExecIsaDegradeTest, Avx512DegradesToAvx2WhenAvailable) {
+  CpuInfo avx2_only{};
+  avx2_only.avx2 = true;
+  ScopedCpuCaps caps(&avx2_only);
+  EXPECT_TRUE(IsaSupported(Isa::kAvx2));
+  EXPECT_FALSE(IsaSupported(Isa::kAvx512));
+  // Degrades to the widest *supported* backend, not all the way to scalar.
+  // The test only checks the planner's answer, so it is safe on a host
+  // without AVX2 too.
+  EXPECT_EQ(EffectiveIsa(Isa::kAvx512), Isa::kAvx2);
+  EXPECT_EQ(EffectiveIsa(Isa::kAvx2), Isa::kAvx2);
 }
 
 }  // namespace

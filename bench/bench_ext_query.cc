@@ -93,7 +93,7 @@ size_t HandComposedQ3(const exec::ScanJoinAggregatePlan& p, Isa isa) {
   AlignedBuffer<uint32_t> jk(n_sel + 16), jsp(n_sel + 16), jrp(n_sel + 16);
   const size_t n_join = table.Probe(isa, bf.data(), bv.data(), n_sel,
                                     jk.data(), jsp.data(), jrp.data());
-  GroupByAggregator agg(p.max_groups_hint);
+  GroupByAggregator agg(2048);
   agg.Accumulate(isa, jrp.data(), jsp.data(), n_join);
   return agg.num_groups();
 }
@@ -153,7 +153,6 @@ void BM_ExecQuery(benchmark::State& state) {
                   : static_cast<uint32_t>(
                         (uint64_t{kValMax} + 1) * sel_pct / 100 - 1);
   plan.bloom_bits_per_key = 10;
-  plan.max_groups_hint = 2048;
 
   exec::ExecConfig cfg;
   cfg.isa = isa;
@@ -351,7 +350,6 @@ void BM_ExecQueryCompressed(benchmark::State& state) {
                                               100 -
                                           1);
   plan.bloom_bits_per_key = 10;
-  plan.max_groups_hint = 2048;
   if (compressed) {
     plan.s_fks_c = &s.fks_c;
     plan.s_vals_c = &s.vals_c;

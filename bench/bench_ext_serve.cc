@@ -83,7 +83,6 @@ server::QuerySpec ClientSpec(int i, int clients) {
   const uint32_t w = static_cast<uint32_t>(kSTuples / clients);
   spec.s_lo = static_cast<uint32_t>(i) * w;
   spec.s_hi = spec.s_lo + w - 1;
-  spec.max_groups_hint = 2048;
   return spec;
 }
 

@@ -1,5 +1,7 @@
 #include "agg/group_by.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -183,6 +185,68 @@ size_t GroupByAggregator::Extract(Isa isa, uint32_t* out_keys,
     return ExtractAvx512(out_keys, out_sums, out_counts, out_mins, out_maxs);
   }
   return ExtractScalar(out_keys, out_sums, out_counts, out_mins, out_maxs);
+}
+
+DirectGroupBy::DirectGroupBy(uint32_t lo, size_t width)
+    : lo_(lo),
+      width_(width),
+      sums_(width),
+      counts_(width),
+      mins_(width),
+      maxs_(width) {
+  sums_.Clear();
+  counts_.Clear();
+  std::fill(mins_.begin(), mins_.end(), 0xFFFFFFFFu);
+  maxs_.Clear();
+}
+
+void DirectGroupBy::Accumulate(const uint32_t* keys, const uint32_t* vals,
+                               size_t n) {
+  const uint32_t lo = lo_;
+  uint64_t* sums = sums_.data();
+  uint32_t* counts = counts_.data();
+  uint32_t* mins = mins_.data();
+  uint32_t* maxs = maxs_.data();
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t g = keys[i] - lo;
+    const uint32_t v = vals[i];
+    sums[g] += v;
+    counts[g] += 1;
+    mins[g] = std::min(mins[g], v);
+    maxs[g] = std::max(maxs[g], v);
+  }
+}
+
+void DirectGroupBy::MergeFrom(const DirectGroupBy& other) {
+  assert(other.lo_ == lo_ && other.width_ == width_);
+  for (size_t g = 0; g < width_; ++g) {
+    sums_[g] += other.sums_[g];
+    counts_[g] += other.counts_[g];
+    mins_[g] = std::min(mins_[g], other.mins_[g]);
+    maxs_[g] = std::max(maxs_[g], other.maxs_[g]);
+  }
+}
+
+size_t DirectGroupBy::num_groups() const {
+  size_t n = 0;
+  for (size_t g = 0; g < width_; ++g) n += counts_[g] != 0;
+  return n;
+}
+
+size_t DirectGroupBy::Extract(uint32_t* out_keys, uint64_t* out_sums,
+                              uint32_t* out_counts, uint32_t* out_mins,
+                              uint32_t* out_maxs) const {
+  size_t j = 0;
+  for (size_t g = 0; g < width_; ++g) {
+    if (counts_[g] == 0) continue;
+    if (out_keys != nullptr) out_keys[j] = lo_ + static_cast<uint32_t>(g);
+    if (out_sums != nullptr) out_sums[j] = sums_[g];
+    if (out_counts != nullptr) out_counts[j] = counts_[g];
+    if (out_mins != nullptr) out_mins[j] = mins_[g];
+    if (out_maxs != nullptr) out_maxs[j] = maxs_[g];
+    ++j;
+  }
+  return j;
 }
 
 }  // namespace simddb

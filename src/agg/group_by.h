@@ -4,7 +4,9 @@
 // Hash-based group-by aggregation — the second use of hash tables the paper
 // names (§5: "map tuples to unique group ids or insert and update partial
 // aggregates"; cf. [25]). Maintains COUNT, SUM (64-bit), MIN and MAX per
-// 32-bit group key in an open-addressing (linear probing) table.
+// 32-bit group key in an open-addressing (linear probing) table. When the
+// keys span a narrow known domain, DirectGroupBy (below) keeps the same
+// aggregates in arrays indexed by key instead.
 //
 // The vectorized accumulate processes one input tuple per lane, gathers the
 // group buckets, and resolves the two conflict kinds the paper's designs
@@ -106,6 +108,41 @@ class GroupByAggregator {
   uint32_t factor_;
   size_t max_groups_;  // constructor args, kept so AccumulateParallel can
   uint64_t seed_;      // build identically-shaped partial tables
+};
+
+/// Direct-indexed group-by over a narrow key domain [lo, lo + width): the
+/// aggregates of key k live at index k - lo of four arrays (COUNT, SUM,
+/// MIN, MAX; 20 bytes per domain value), so folding a tuple is one indexed
+/// update with no hashing, probing or claim conflicts, and groups come out
+/// in ascending key order. The fold does not check its keys: every key
+/// must lie in the domain (the executor takes the domain from the build
+/// side that supplies the keys, exec::GroupByState).
+class DirectGroupBy {
+ public:
+  DirectGroupBy(uint32_t lo, size_t width);
+
+  /// Folds n (group key, value) pairs into the aggregates. Scalar on every
+  /// ISA.
+  void Accumulate(const uint32_t* keys, const uint32_t* vals, size_t n);
+
+  /// Folds every group of `other`, which must cover the same domain.
+  void MergeFrom(const DirectGroupBy& other);
+
+  /// Number of domain values that received at least one tuple.
+  size_t num_groups() const;
+
+  /// Extracts the groups in ascending key order into caller buffers sized
+  /// num_groups(); any output pointer may be null. Returns the group count.
+  size_t Extract(uint32_t* out_keys, uint64_t* out_sums, uint32_t* out_counts,
+                 uint32_t* out_mins, uint32_t* out_maxs) const;
+
+ private:
+  uint32_t lo_;
+  size_t width_;
+  AlignedBuffer<uint64_t> sums_;
+  AlignedBuffer<uint32_t> counts_;
+  AlignedBuffer<uint32_t> mins_;
+  AlignedBuffer<uint32_t> maxs_;
 };
 
 }  // namespace simddb

@@ -1,5 +1,6 @@
 #include "exec/chunk.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -43,7 +44,26 @@ size_t RangePredicateBitmap(Isa isa, const uint32_t* keys, size_t n,
   return detail::RangePredicateBitmapScalar(keys, n, lo, hi, bitmap);
 }
 
+ColumnRange ColumnMinMax(Isa isa, const uint32_t* vals, size_t n) {
+  if (isa == Isa::kAvx512 && IsaSupported(Isa::kAvx512)) {
+    return detail::ColumnMinMaxAvx512(vals, n);
+  }
+  if (isa == Isa::kAvx2 && IsaSupported(Isa::kAvx2)) {
+    return detail::ColumnMinMaxAvx2(vals, n);
+  }
+  return detail::ColumnMinMaxScalar(vals, n);
+}
+
 namespace detail {
+
+ColumnRange ColumnMinMaxScalar(const uint32_t* vals, size_t n) {
+  ColumnRange r;
+  for (size_t i = 0; i < n; ++i) {
+    r.min = std::min(r.min, vals[i]);
+    r.max = std::max(r.max, vals[i]);
+  }
+  return r;
+}
 
 size_t BitmapToSelectionScalar(const uint64_t* bitmap, size_t n,
                                uint32_t* sel) {

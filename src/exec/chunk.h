@@ -65,7 +65,7 @@ inline constexpr size_t ChunkBitmapWords(size_t n) { return (n + 63) / 64; }
 enum class SelKind { kDense, kSelection, kBitmap };
 
 // ---------------------------------------------------------------------------
-// Free converter kernels (ISA-dispatched; also the test/bench surface)
+// Free column kernels (ISA-dispatched; also the test/bench surface)
 // ---------------------------------------------------------------------------
 
 /// Materializes the set bits of bitmap[0 .. ChunkBitmapWords(n)) as an
@@ -85,19 +85,31 @@ void SelectionToBitmap(const uint32_t* sel, size_t count, size_t n,
 size_t RangePredicateBitmap(Isa isa, const uint32_t* keys, size_t n,
                             uint32_t lo, uint32_t hi, uint64_t* bitmap);
 
+/// Smallest and largest value of a column; min > max when it is empty.
+struct ColumnRange {
+  uint32_t min = 0xFFFFFFFFu;
+  uint32_t max = 0;
+};
+
+/// The unsigned range of vals[0 .. n).
+ColumnRange ColumnMinMax(Isa isa, const uint32_t* vals, size_t n);
+
 namespace detail {
 size_t BitmapToSelectionScalar(const uint64_t* bitmap, size_t n,
                                uint32_t* sel);
 size_t RangePredicateBitmapScalar(const uint32_t* keys, size_t n, uint32_t lo,
                                   uint32_t hi, uint64_t* bitmap);
+ColumnRange ColumnMinMaxScalar(const uint32_t* vals, size_t n);
 // Backend TUs (chunk_avx2.cc / chunk_avx512.cc).
 size_t BitmapToSelectionAvx2(const uint64_t* bitmap, size_t n, uint32_t* sel);
 size_t RangePredicateBitmapAvx2(const uint32_t* keys, size_t n, uint32_t lo,
                                 uint32_t hi, uint64_t* bitmap);
+ColumnRange ColumnMinMaxAvx2(const uint32_t* vals, size_t n);
 size_t BitmapToSelectionAvx512(const uint64_t* bitmap, size_t n,
                                uint32_t* sel);
 size_t RangePredicateBitmapAvx512(const uint32_t* keys, size_t n, uint32_t lo,
                                   uint32_t hi, uint64_t* bitmap);
+ColumnRange ColumnMinMaxAvx512(const uint32_t* vals, size_t n);
 }  // namespace detail
 
 // ---------------------------------------------------------------------------

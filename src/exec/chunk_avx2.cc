@@ -5,7 +5,7 @@
 // the output cursor advances by the byte's popcount (the overshoot is
 // covered by the ChunkCapacity slack). The range predicate uses the
 // sign-bias trick for unsigned compares, packing 8-bit movemasks into
-// bitmap words.
+// bitmap words. ColumnMinMax keeps vpminud/vpmaxud accumulators.
 
 #include "exec/chunk.h"
 
@@ -92,6 +92,27 @@ size_t RangePredicateBitmapAvx2(const uint32_t* keys, size_t n, uint32_t lo,
     bitmap[w] = word;
   }
   return cnt;
+}
+
+ColumnRange ColumnMinMaxAvx2(const uint32_t* vals, size_t n) {
+  __m256i lo = _mm256_set1_epi32(-1);
+  __m256i hi = _mm256_setzero_si256();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
+    lo = _mm256_min_epu32(lo, x);
+    hi = _mm256_max_epu32(hi, x);
+  }
+  alignas(32) uint32_t los[8], his[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(los), lo);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(his), hi);
+  ColumnRange r = ColumnMinMaxScalar(vals + i, n - i);
+  for (int l = 0; l < 8; ++l) {
+    r.min = los[l] < r.min ? los[l] : r.min;
+    r.max = his[l] > r.max ? his[l] : r.max;
+  }
+  return r;
 }
 
 }  // namespace simddb::exec::detail

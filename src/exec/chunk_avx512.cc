@@ -6,6 +6,7 @@
 // word, each 16-bit group compress-stores a lane-index vector with the
 // group bits as the write mask, which is exactly the selection scan's
 // bit-extract-indirect idiom pointed at indexes instead of values.
+// ColumnMinMax keeps vpminud/vpmaxud accumulators with a masked tail.
 
 #include "exec/chunk.h"
 
@@ -97,6 +98,27 @@ size_t RangePredicateBitmapAvx512(const uint32_t* keys, size_t n, uint32_t lo,
     bitmap[w] = word;
   }
   return cnt;
+}
+
+ColumnRange ColumnMinMaxAvx512(const uint32_t* vals, size_t n) {
+  __m512i lo = _mm512_set1_epi32(-1);
+  __m512i hi = _mm512_setzero_si512();
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i x = _mm512_loadu_si512(vals + i);
+    lo = _mm512_min_epu32(lo, x);
+    hi = _mm512_max_epu32(hi, x);
+  }
+  if (i < n) {
+    const __mmask16 m = static_cast<__mmask16>((1u << (n - i)) - 1);
+    const __m512i x = _mm512_maskz_loadu_epi32(m, vals + i);
+    lo = _mm512_mask_min_epu32(lo, m, lo, x);
+    hi = _mm512_mask_max_epu32(hi, m, hi, x);
+  }
+  ColumnRange r;
+  r.min = _mm512_reduce_min_epu32(lo);
+  r.max = _mm512_reduce_max_epu32(hi);
+  return r;
 }
 
 }  // namespace simddb::exec::detail

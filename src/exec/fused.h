@@ -29,24 +29,22 @@
 //     (exec_fused_ns, see query.cc) instead of once per operator per chunk.
 //
 // Determinism contract: the fused path reuses the dynamic path's chunk
-// grid (ceil(n / chunk_tuples) chunks, ParallelFor over chunk ordinals),
-// its per-lane GroupByAggregator partials, and the canonical ascending-key
-// result extraction (CanonicalizeGroups), so a fused QueryResult is
-// byte-identical to the dynamic pipeline's for every ISA, thread count,
-// chunk size, and steal schedule. Pipeline breakers (the hash build that
-// feeds this pipeline) still run through the dynamic Chunk machinery —
-// only streaming stages are fused.
+// grid (ceil(n / chunk_tuples) chunks, ParallelFor over chunk ordinals)
+// and its group-by state (GroupByState: the same per-lane partials over
+// the same build-side key domain, and the canonical ascending-key result
+// extraction), so a fused QueryResult is byte-identical to the dynamic
+// pipeline's for every ISA, thread count, chunk size, and steal schedule.
+// Pipeline breakers (the hash build that feeds this pipeline) still run
+// through the dynamic Chunk machinery — only streaming stages are fused.
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
 
-#include "agg/group_by.h"
 #include "bloom/bloom_filter.h"
 #include "compress/column.h"
 #include "core/isa.h"
@@ -69,8 +67,8 @@ struct FusedBatch {
 };
 
 /// Inputs of the fused Q3 probe pipeline (the post-breaker half of the
-/// plan): the S base columns and predicate, plus the build side's
-/// materialized table and optional Bloom filter.
+/// plan): the S base columns and predicate, plus the finished build
+/// breaker.
 struct FusedProbeSpec {
   const uint32_t* fks = nullptr;   ///< S foreign keys (batch col 0)
   const uint32_t* vals = nullptr;  ///< S values: filter + aggregate (col 1)
@@ -84,9 +82,10 @@ struct FusedProbeSpec {
   size_t n = 0;
   uint32_t lo = 0, hi = 0;         ///< inclusive range predicate on vals
   ScanMode scan_mode = ScanMode::kCompact;
-  const LinearProbingTable* table = nullptr;  ///< required
-  const BloomFilter* bloom = nullptr;         ///< null disables the semi-join
-  size_t max_groups_hint = 1024;
+  /// The finished build breaker (required): its table, its Bloom filter
+  /// (null disables the semi-join) and its payload domain, which is the
+  /// group-key domain.
+  const HashBuildOp* build = nullptr;
 };
 
 /// Canonical fused result: group rows in ascending key order (identical to
@@ -503,39 +502,32 @@ class FusedJoinProbe {
   detail::LaneRows rows_;
 };
 
-/// Terminal fused stage: per-lane GroupByAggregator partials (the same
-/// representation GroupBySink keeps), canonicalized after the run.
-template <Isa kIsa>
+/// Terminal fused stage: a GroupByState over the build side's key domain,
+/// as GroupBySink keeps, finalized after the run.
 class FusedGroupBy {
  public:
-  FusedGroupBy(size_t max_groups_hint, int key_col, int val_col)
-      : max_groups_hint_(max_groups_hint),
-        key_col_(key_col),
-        val_col_(val_col) {}
+  FusedGroupBy(const HashBuildOp* build, int key_col, int val_col)
+      : build_(build), key_col_(key_col), val_col_(val_col) {}
 
   void Open(const ExecConfig& cfg, int lanes) {
-    partials_.resize(static_cast<size_t>(lanes));
-    for (auto& p : partials_) {
-      p = std::make_unique<GroupByAggregator>(max_groups_hint_, cfg.seed);
-    }
+    state_.Open(cfg, lanes, build_->pay_min(), build_->pay_max());
   }
 
   void Consume(const FusedBatch& in, int lane) {
-    partials_[static_cast<size_t>(lane)]->Accumulate(
-        kIsa, in.col[key_col_], in.col[val_col_], in.n);
+    state_.Fold(lane, in.col[key_col_], in.col[val_col_], in.n);
   }
 
   /// Merges the lane partials and extracts the canonical ascending-key
   /// result rows (exactly GroupBySink::Finish's representation).
   void Finalize(FusedProbeResult* res) {
-    CanonicalizeGroups(kIsa, partials_, &res->group_keys, &res->sums,
-                       &res->counts, &res->mins, &res->maxs);
+    state_.Finish(&res->group_keys, &res->sums, &res->counts, &res->mins,
+                  &res->maxs);
   }
 
  private:
-  size_t max_groups_hint_;
+  const HashBuildOp* build_;
   int key_col_, val_col_;
-  std::vector<std::unique_ptr<GroupByAggregator>> partials_;
+  GroupByState state_;
 };
 
 // ---------------------------------------------------------------------------
@@ -624,11 +616,10 @@ template <Isa kIsa, typename Source>
 FusedProbeResult RunFusedProbeShape(Source source, const FusedProbeSpec& spec,
                                     const ExecConfig& cfg) {
   FusedPipeline<Source, FusedBloomProbe<kIsa>, FusedJoinProbe<kIsa>,
-                FusedGroupBy<kIsa>>
-      pipeline(std::move(source), FusedBloomProbe<kIsa>(spec.bloom),
-               FusedJoinProbe<kIsa>(spec.table),
-               FusedGroupBy<kIsa>(spec.max_groups_hint, /*key_col=*/2,
-                                  /*val_col=*/1));
+                FusedGroupBy>
+      pipeline(std::move(source), FusedBloomProbe<kIsa>(spec.build->bloom()),
+               FusedJoinProbe<kIsa>(spec.build->table()),
+               FusedGroupBy(spec.build, /*key_col=*/2, /*val_col=*/1));
   pipeline.Run(cfg);
   FusedProbeResult res;
   res.rows_scanned = pipeline.source().rows_out();

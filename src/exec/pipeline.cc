@@ -71,6 +71,14 @@ std::string RepeatedBuildKeyError(const uint32_t* keys, size_t n) {
   return msg + ": the join needs unique keys on the build side";
 }
 
+// The client-facing reason for a build side holding the reserved value
+// kEmptyKey in `column`.
+std::string ReservedValueError(const char* column) {
+  return "reserved value " + std::to_string(kEmptyKey) + " in the build " +
+         column + ": build keys and group attributes must be below " +
+         std::to_string(kEmptyKey);
+}
+
 }  // namespace
 
 ScanVariant ScanVariantForIsa(Isa isa) {
@@ -351,8 +359,10 @@ void HashBuildOp::Open(const ExecConfig& cfg, int lanes,
                     cfg.placement);
   numa::PlaceBuffer(mat_pays_.data(), total * sizeof(uint32_t), cfg.threads,
                     cfg.placement);
-  counts_.assign(n_source_chunks, 0);
+  slots_.assign(n_source_chunks, Slot{});
   n_build_ = 0;
+  pay_min_ = 0xFFFFFFFFu;
+  pay_max_ = 0;
   table_.reset();
   bloom_.reset();
 }
@@ -362,22 +372,27 @@ void HashBuildOp::Push(Chunk& c, int lane) {
   PhaseScope t(g_build_ns, timed_);
   c.Compact(cfg_.isa);
   const size_t cnt = c.size();
-  assert(c.seq() < counts_.size() && cnt <= slot_cap_);
+  assert(c.seq() < slots_.size() && cnt <= slot_cap_);
   // Chunks slot by seq, not by lane: disjoint ranges, no synchronization,
   // and a materialization order that never depends on stealing.
   std::memcpy(mat_keys_.data() + c.seq() * slot_cap_, c.col(0),
               cnt * sizeof(uint32_t));
   std::memcpy(mat_pays_.data() + c.seq() * slot_cap_, c.col(1),
               cnt * sizeof(uint32_t));
-  counts_[c.seq()] = cnt;
+  Slot& slot = slots_[c.seq()];
+  slot.rows = cnt;
+  slot.keys = ColumnMinMax(cfg_.isa, c.col(0), cnt);
+  slot.pays = ColumnMinMax(cfg_.isa, c.col(1), cnt);
   CountRows(cnt);
 }
 
 void HashBuildOp::Finish() {
   PhaseScope t(g_build_ns, timed_);
   size_t out = 0;
-  for (size_t m = 0; m < counts_.size(); ++m) {
-    const size_t cnt = counts_[m];
+  uint32_t key_max = 0;
+  for (size_t m = 0; m < slots_.size(); ++m) {
+    const Slot& slot = slots_[m];
+    const size_t cnt = slot.rows;
     const size_t src = m * slot_cap_;
     if (cnt != 0 && out != src) {
       std::memmove(mat_keys_.data() + out, mat_keys_.data() + src,
@@ -386,8 +401,15 @@ void HashBuildOp::Finish() {
                    cnt * sizeof(uint32_t));
     }
     out += cnt;
+    key_max = std::max(key_max, slot.keys.max);
+    pay_min_ = std::min(pay_min_, slot.pays.min);
+    pay_max_ = std::max(pay_max_, slot.pays.max);
   }
   n_build_ = out;
+  if (key_max == kEmptyKey) throw QueryError(ReservedValueError("keys"));
+  if (pay_max_ == kEmptyKey) {
+    throw QueryError(ReservedValueError("group attributes"));
+  }
   // Load factor <= 50%, and at least one empty bucket even when empty.
   size_t buckets = 16;
   while (buckets < 2 * (n_build_ + 1)) buckets <<= 1;
@@ -479,16 +501,13 @@ void HashJoinProbeOp::Push(Chunk& c, int lane) {
 // GroupBySink
 // ---------------------------------------------------------------------------
 
-GroupBySink::GroupBySink(size_t max_groups_hint, int key_col, int val_col)
-    : max_groups_hint_(max_groups_hint), key_col_(key_col), val_col_(val_col) {}
+GroupBySink::GroupBySink(const HashBuildOp* build, int key_col, int val_col)
+    : build_(build), key_col_(key_col), val_col_(val_col) {}
 
 void GroupBySink::Open(const ExecConfig& cfg, int lanes,
                        size_t n_source_chunks) {
   Operator::Open(cfg, lanes, n_source_chunks);
-  partials_.resize(static_cast<size_t>(lanes));
-  for (auto& p : partials_) {
-    p = std::make_unique<GroupByAggregator>(max_groups_hint_, cfg.seed);
-  }
+  state_.Open(cfg, lanes, build_->pay_min(), build_->pay_max());
   keys_.clear();
   sums_.clear();
   counts_.clear();
@@ -500,29 +519,76 @@ void GroupBySink::Push(Chunk& c, int lane) {
   PhaseScope t(g_groupby_ns, timed_);
   assert(key_col_ < c.n_cols() && val_col_ < c.n_cols());
   c.Compact(cfg_.isa);
-  partials_[static_cast<size_t>(lane)]->Accumulate(
-      cfg_.isa, c.col(key_col_), c.col(val_col_), c.size());
+  state_.Fold(lane, c.col(key_col_), c.col(val_col_), c.size());
   CountRows(c.size());
 }
 
 void GroupBySink::Finish() {
   PhaseScope t(g_groupby_ns, timed_);
-  CanonicalizeGroups(cfg_.isa, partials_, &keys_, &sums_, &counts_, &mins_,
-                     &maxs_);
+  state_.Finish(&keys_, &sums_, &counts_, &mins_, &maxs_);
 }
 
-void CanonicalizeGroups(Isa isa,
-                        std::vector<std::unique_ptr<GroupByAggregator>>& partials,
-                        std::vector<uint32_t>* keys, std::vector<uint64_t>* sums,
-                        std::vector<uint32_t>* counts,
-                        std::vector<uint32_t>* mins, std::vector<uint32_t>* maxs) {
-  assert(!partials.empty());
-  GroupByAggregator& total = *partials[0];
-  for (size_t l = 1; l < partials.size(); ++l) total.MergeFrom(*partials[l]);
+// ---------------------------------------------------------------------------
+// GroupByState
+// ---------------------------------------------------------------------------
+
+void GroupByState::Open(const ExecConfig& cfg, int lanes, uint32_t key_min,
+                        uint32_t key_max) {
+  isa_ = cfg.isa;
+  direct_.clear();
+  hashed_.clear();
+  // In 64 bits: [0, 0xFFFFFFFF] has 2^32 values.
+  const uint64_t width =
+      key_min > key_max ? 0 : uint64_t{key_max} - key_min + 1;
+  if (width <= kMaxDirectKeys) {
+    direct_.reserve(static_cast<size_t>(lanes));
+    for (int l = 0; l < lanes; ++l) {
+      direct_.emplace_back(key_min, static_cast<size_t>(width));
+    }
+    return;
+  }
+  hashed_.resize(static_cast<size_t>(lanes));
+  for (auto& p : hashed_) {
+    p = std::make_unique<GroupByAggregator>(kInitialHashGroups, cfg.seed);
+  }
+}
+
+void GroupByState::Fold(int lane, const uint32_t* keys, const uint32_t* vals,
+                        size_t n) {
+  if (direct()) {
+    direct_[static_cast<size_t>(lane)].Accumulate(keys, vals, n);
+  } else {
+    hashed_[static_cast<size_t>(lane)]->Accumulate(isa_, keys, vals, n);
+  }
+}
+
+void GroupByState::Finish(std::vector<uint32_t>* keys,
+                          std::vector<uint64_t>* sums,
+                          std::vector<uint32_t>* counts,
+                          std::vector<uint32_t>* mins,
+                          std::vector<uint32_t>* maxs) {
+  if (direct()) {
+    // Direct partials merge lane by lane and extract in ascending key
+    // order: nothing to sort.
+    DirectGroupBy& total = direct_[0];
+    for (size_t l = 1; l < direct_.size(); ++l) total.MergeFrom(direct_[l]);
+    const size_t g = total.num_groups();
+    keys->resize(g);
+    sums->resize(g);
+    counts->resize(g);
+    mins->resize(g);
+    maxs->resize(g);
+    total.Extract(keys->data(), sums->data(), counts->data(), mins->data(),
+                  maxs->data());
+    return;
+  }
+  assert(!hashed_.empty());
+  GroupByAggregator& total = *hashed_[0];
+  for (size_t l = 1; l < hashed_.size(); ++l) total.MergeFrom(*hashed_[l]);
   const size_t g = total.num_groups();
   std::vector<uint32_t> k(g), cnt(g), mn(g), mx(g);
   std::vector<uint64_t> sm(g);
-  total.Extract(isa, k.data(), sm.data(), cnt.data(), mn.data(), mx.data());
+  total.Extract(isa_, k.data(), sm.data(), cnt.data(), mn.data(), mx.data());
   // Canonical result order: ascending key. Extract order follows table
   // insertion order, which varies across thread counts and ISAs; the sort
   // restores byte-identity (keys are unique).

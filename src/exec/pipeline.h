@@ -16,10 +16,11 @@
 // placed via numa/placement.h.
 //
 // Adapters wrap the existing kernels unchanged: SelectionScan (source),
-// BloomFilter::Probe, LinearProbingTable::Probe, GroupByAggregator. Every
-// Push is timed into a per-operator obs phase timer (exec_*_ns) and counted
-// into `chunks_pushed`; the converters count `bitmap_to_sel` /
-// `sel_to_bitmap` (see chunk.cc).
+// BloomFilter::Probe, LinearProbingTable::Probe, and DirectGroupBy or
+// GroupByAggregator behind GroupByState. Every Push is timed into a
+// per-operator obs phase timer (exec_*_ns) and counted into
+// `chunks_pushed`; the converters count `bitmap_to_sel` / `sel_to_bitmap`
+// (see chunk.cc).
 
 #include <atomic>
 #include <cstddef>
@@ -245,6 +246,13 @@ class MaterializeOp final : public Operator {
 /// pass, on one lane). The join is key/FK: Finish throws QueryError when
 /// the table's build found a repeated key, since every probe stage sizes
 /// its output for at most one match per probe row.
+///
+/// Push also records each chunk's key and payload ranges (ColumnMinMax).
+/// Finish reduces them into the payload domain [pay_min(), pay_max()] —
+/// the group-key domain of every plan, since the payload is R.attr — and
+/// throws QueryError when a key or payload equals the reserved value
+/// kEmptyKey (0xFFFFFFFF), which marks empty buckets in the join table
+/// and the hash group-by.
 class HashBuildOp final : public Operator {
  public:
   /// bloom_bits_per_key == 0 disables the filter.
@@ -258,14 +266,26 @@ class HashBuildOp final : public Operator {
   const LinearProbingTable* table() const { return table_.get(); }
   const BloomFilter* bloom() const { return bloom_.get(); }
   size_t build_rows() const { return n_build_; }
+  /// Smallest and largest payload in the table; pay_min() > pay_max() when
+  /// the build side is empty.
+  uint32_t pay_min() const { return pay_min_; }
+  uint32_t pay_max() const { return pay_max_; }
 
  private:
+  /// What Push staged for one source chunk, slotted by its seq.
+  struct Slot {
+    size_t rows = 0;
+    ColumnRange keys, pays;
+  };
+
   int bloom_bits_per_key_;
   int bloom_k_;
   size_t slot_cap_ = 0;
   AlignedBuffer<uint32_t> mat_keys_, mat_pays_;
-  std::vector<size_t> counts_;
+  std::vector<Slot> slots_;
   size_t n_build_ = 0;
+  uint32_t pay_min_ = 0xFFFFFFFFu;
+  uint32_t pay_max_ = 0;
   std::unique_ptr<LinearProbingTable> table_;
   std::unique_ptr<BloomFilter> bloom_;
 };
@@ -303,13 +323,55 @@ class HashJoinProbeOp final : public Operator {
   std::vector<std::unique_ptr<Chunk>> out_;
 };
 
-/// Aggregation sink: per-lane GroupByAggregator partials (key = col
-/// `key_col`, value = col `val_col`), merged in Finish and extracted in
-/// ascending key order — the canonical result representation, identical
-/// across ISAs, thread counts, and chunk sizes.
+/// The group-by both executors end in (GroupBySink and the fused
+/// pipeline's FusedGroupBy): one partial per worker lane, merged and
+/// extracted as the canonical result rows — ascending group key, exact
+/// commutative aggregates — which is what makes a fused QueryResult
+/// byte-identical to the dynamic one by construction.
+///
+/// The key domain chooses the partials. A domain of at most
+/// kMaxDirectKeys values aggregates into DirectGroupBy arrays; a wider one
+/// into GroupByAggregator hash tables using the query ISA's accumulate.
+class GroupByState {
+ public:
+  /// Widest domain (max - min + 1) that gets direct-indexed partials: the
+  /// bucket count of a fresh hash partial, so a direct partial (80 KB)
+  /// never holds more memory than the hash partial (96 KB) it replaces.
+  static constexpr uint64_t kMaxDirectKeys = 4096;
+
+  /// Prepares `lanes` empty partials for group keys in [key_min, key_max]
+  /// (no key at all when key_min > key_max).
+  void Open(const ExecConfig& cfg, int lanes, uint32_t key_min,
+            uint32_t key_max);
+
+  /// Folds n (key, value) pairs into `lane`'s partial. Every key must lie
+  /// in the Open domain.
+  void Fold(int lane, const uint32_t* keys, const uint32_t* vals, size_t n);
+
+  /// Merges the lane partials and writes the result rows; the output
+  /// vectors are resized to the group count.
+  void Finish(std::vector<uint32_t>* keys, std::vector<uint64_t>* sums,
+              std::vector<uint32_t>* counts, std::vector<uint32_t>* mins,
+              std::vector<uint32_t>* maxs);
+
+  /// True when Open chose direct-indexed partials.
+  bool direct() const { return !direct_.empty(); }
+
+ private:
+  /// Groups a fresh hash partial is sized for; it grows past them.
+  static constexpr size_t kInitialHashGroups = 1024;
+
+  Isa isa_ = Isa::kScalar;
+  std::vector<DirectGroupBy> direct_;
+  std::vector<std::unique_ptr<GroupByAggregator>> hashed_;
+};
+
+/// Aggregation sink over a GroupByState (key = col `key_col`, value = col
+/// `val_col`). The key column is the join payload, so the group-key
+/// domain is the build side's payload domain.
 class GroupBySink final : public Operator {
  public:
-  GroupBySink(size_t max_groups_hint, int key_col, int val_col);
+  GroupBySink(const HashBuildOp* build, int key_col, int val_col);
 
   const char* name() const override { return "group_by"; }
   void Open(const ExecConfig& cfg, int lanes, size_t n_source_chunks) override;
@@ -324,24 +386,12 @@ class GroupBySink final : public Operator {
   const std::vector<uint32_t>& maxs() const { return maxs_; }
 
  private:
-  size_t max_groups_hint_;
+  const HashBuildOp* build_;
   int key_col_, val_col_;
-  std::vector<std::unique_ptr<GroupByAggregator>> partials_;
+  GroupByState state_;
   std::vector<uint32_t> keys_, counts_, mins_, maxs_;
   std::vector<uint64_t> sums_;
 };
-
-/// Merges per-lane group-by partials (into partials[0]) and extracts the
-/// canonical result rows: ascending group key, exact commutative
-/// aggregates. Both executors end their group-by here — GroupBySink::Finish
-/// and the fused pipeline's FusedGroupBy::Finalize — which is what makes a
-/// fused QueryResult byte-identical to the dynamic one by construction.
-/// Output vectors are resized to the group count.
-void CanonicalizeGroups(Isa isa,
-                        std::vector<std::unique_ptr<GroupByAggregator>>& partials,
-                        std::vector<uint32_t>* keys, std::vector<uint64_t>* sums,
-                        std::vector<uint32_t>* counts,
-                        std::vector<uint32_t>* mins, std::vector<uint32_t>* maxs);
 
 /// One operator chain. ops[0] must be a source (SourceChunks > 0 or an
 /// empty input); the Pipeline chains, Opens, drives and Finishes them.

@@ -60,8 +60,7 @@ QueryResult RunDynamic(const ScanJoinAggregatePlan& plan,
   BloomProbeOp* bloom =
       plan.bloom_bits_per_key > 0 ? q.Add<BloomProbeOp>(build) : nullptr;
   HashJoinProbeOp* probe = q.Add<HashJoinProbeOp>(build);
-  GroupBySink* sink = q.Add<GroupBySink>(plan.max_groups_hint, /*key_col=*/2,
-                                         /*val_col=*/1);
+  GroupBySink* sink = q.Add<GroupBySink>(build, /*key_col=*/2, /*val_col=*/1);
   std::vector<Operator*> ops{s_scan};
   if (plan.scan_mode == ScanMode::kBitmap) ops.push_back(q.Add<MaterializeOp>());
   if (bloom != nullptr) ops.push_back(bloom);
@@ -102,12 +101,10 @@ QueryResult RunFused(const ScanJoinAggregatePlan& plan, const ExecConfig& cfg) {
   spec.lo = plan.s_lo;
   spec.hi = plan.s_hi;
   spec.scan_mode = plan.scan_mode;
-  spec.table = build->table();
-  // bloom() is null when the filter is disabled or the build side is empty;
-  // the fused bloom stage forwards batches untouched in that case, exactly
-  // like the dynamic BloomProbeOp.
-  spec.bloom = plan.bloom_bits_per_key > 0 ? build->bloom() : nullptr;
-  spec.max_groups_hint = plan.max_groups_hint;
+  // build->bloom() is null when the filter is disabled or the build side
+  // is empty; the fused bloom stage forwards batches untouched in that
+  // case, exactly like the dynamic BloomProbeOp.
+  spec.build = build;
   FusedProbeResult fr = RunFusedProbePipeline(spec, cfg);
 
   QueryResult res;

@@ -90,7 +90,6 @@ struct ScanJoinAggregatePlan {
   /// 0 disables the Bloom semi-join before the probe.
   int bloom_bits_per_key = 0;
   int bloom_k = 4;
-  size_t max_groups_hint = 1024;
 };
 
 /// Canonical query result: one row per group, ascending group key.

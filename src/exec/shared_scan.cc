@@ -71,8 +71,7 @@ std::vector<QueryResult> RunSharedProbe(
     }
     m->probe = m->q.Add<HashJoinProbeOp>(m->build);
     m->chain.push_back(m->probe);
-    m->sink = m->q.Add<GroupBySink>(plan.max_groups_hint, /*key_col=*/2,
-                                    /*val_col=*/1);
+    m->sink = m->q.Add<GroupBySink>(m->build, /*key_col=*/2, /*val_col=*/1);
     m->chain.push_back(m->sink);
     members.push_back(std::move(m));
   }

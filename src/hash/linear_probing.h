@@ -86,7 +86,7 @@ class LinearProbingTable {
   /// count. Output buffers must have room for all matches (at most n when
   /// unique_keys()). Vertical variants emit matches out of input order (the
   /// paper's "unstable" probing); the scalar and horizontal variants are
-  /// stable.
+  /// stable. A probe key equal to kEmptyKey matches nothing in any variant.
   size_t Probe(Isa isa, const uint32_t* keys, const uint32_t* pays, size_t n,
                uint32_t* out_keys, uint32_t* out_spays,
                uint32_t* out_rpays) const;

@@ -35,7 +35,11 @@ size_t LinearProbingTable::ProbeAvx2(const uint32_t* keys,
     __m256i over = _mm256_cmpgt_epi32(nb, h);
     h = _mm256_sub_epi32(h, _mm256_andnot_si256(over, nb));
     __m256i table_key = v::Gather(keys_.data(), h);
-    __m256i match_v = _mm256_cmpeq_epi32(table_key, key);
+    // An empty bucket never matches, not even a probe key equal to the
+    // empty marker.
+    const __m256i at_empty = _mm256_cmpeq_epi32(table_key, empty);
+    __m256i match_v =
+        _mm256_andnot_si256(at_empty, _mm256_cmpeq_epi32(table_key, key));
     uint32_t match = v::MoveMask(match_v);
     if (match != 0) {
       __m256i table_pay = v::MaskGather(table_key, match, pays_.data(), h);
@@ -44,7 +48,7 @@ size_t LinearProbingTable::ProbeAvx2(const uint32_t* keys,
       v::SelectiveStore(out_rpays + j, match, table_pay);
       j += __builtin_popcount(match);
     }
-    __m256i done = _mm256_or_si256(_mm256_cmpeq_epi32(table_key, empty),
+    __m256i done = _mm256_or_si256(at_empty,
                                    _mm256_and_si256(match_v, stop_at_match));
     need = v::MoveMask(done);
     // off = need ? 0 : off + 1.

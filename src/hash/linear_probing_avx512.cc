@@ -60,9 +60,12 @@ size_t LinearProbingTable::ProbeAvx512(const uint32_t* keys,
     h = WrapBucket(_mm512_add_epi32(h, l.off), nb);
     return ProbeStep{h, v::Gather(keys_.data(), h)};
   };
-  // Emit the matches and decide which lanes are finished.
+  // Emit the matches and decide which lanes are finished. An empty bucket
+  // never matches, not even a probe key equal to the empty marker.
   auto retire = [&](ProbeLanes& l, const ProbeStep& s) {
-    __mmask16 match = _mm512_cmpeq_epi32_mask(s.table_key, l.key);
+    const __mmask16 at_empty = _mm512_cmpeq_epi32_mask(s.table_key, empty);
+    const __mmask16 match = _mm512_mask_cmpeq_epi32_mask(
+        static_cast<__mmask16>(~at_empty), s.table_key, l.key);
     if (match != 0) {
       __m512i table_pay = v::MaskGather(s.table_key, match, pays_.data(), s.h);
       v::SelectiveStore(out_keys + j, match, l.key);
@@ -70,8 +73,7 @@ size_t LinearProbingTable::ProbeAvx512(const uint32_t* keys,
       v::SelectiveStore(out_rpays + j, match, table_pay);
       j += __builtin_popcount(match);
     }
-    l.need =
-        _mm512_cmpeq_epi32_mask(s.table_key, empty) | (match & stop_at_match);
+    l.need = at_empty | (match & stop_at_match);
     // off = need ? 0 : off + 1 (reloaded lanes restart at their hash bucket).
     l.off =
         _mm512_maskz_add_epi32(static_cast<__mmask16>(~l.need), l.off, one);

@@ -85,7 +85,6 @@ bool BindQuery(const Catalog& catalog, const QuerySpec& spec,
   plan->scan_mode = spec.scan_mode;
   plan->bloom_bits_per_key = spec.bloom_bits_per_key;
   plan->bloom_k = spec.bloom_k;
-  plan->max_groups_hint = spec.max_groups_hint;
   return true;
 }
 

@@ -62,7 +62,6 @@ struct QuerySpec {
   exec::ScanMode scan_mode = exec::ScanMode::kCompact;
   int bloom_bits_per_key = 0;
   int bloom_k = 4;
-  size_t max_groups_hint = 1024;
   /// Bind the compressed representation when the table has one.
   bool prefer_compressed = false;
 };

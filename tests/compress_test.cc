@@ -289,7 +289,6 @@ struct CompressedQueryData {
     p.n_s = n_s;
     p.s_lo = 0;
     p.s_hi = 99'999;  // ~10% of S
-    p.max_groups_hint = 128;
     return p;
   }
 

@@ -155,6 +155,40 @@ TEST_P(ExecChunkIsaTest, RangePredicateBitmapMatchesScalar) {
   }
 }
 
+TEST_P(ExecChunkIsaTest, ColumnMinMaxMatchesScalar) {
+  const Isa isa = GetParam();
+  if (!IsaSupported(isa)) GTEST_SKIP();
+  Pcg32 rng(91);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{15},
+                   size_t{16}, size_t{17}, size_t{1023}, size_t{1024},
+                   size_t{4097}}) {
+    AlignedBuffer<uint32_t> vals(ChunkCapacity(n));
+    for (size_t i = 0; i < n; ++i) vals[i] = rng.NextBounded(1000) + 5000;
+    // The extremes of the unsigned range, at the tail and in the body.
+    for (size_t pos : {n - 1, n / 3}) {
+      if (n == 0) break;
+      const uint32_t saved = vals[pos];
+      for (uint32_t extreme : {0u, 0xFFFFFFFFu}) {
+        vals[pos] = extreme;
+        const exec::ColumnRange want =
+            exec::detail::ColumnMinMaxScalar(vals.data(), n);
+        const exec::ColumnRange got =
+            exec::ColumnMinMax(isa, vals.data(), n);
+        EXPECT_EQ(got.min, want.min) << "n=" << n << " @" << pos;
+        EXPECT_EQ(got.max, want.max) << "n=" << n << " @" << pos;
+        EXPECT_EQ(extreme == 0 ? got.min : got.max, extreme) << "n=" << n;
+      }
+      vals[pos] = saved;
+    }
+    const exec::ColumnRange got = exec::ColumnMinMax(isa, vals.data(), n);
+    const exec::ColumnRange want =
+        exec::detail::ColumnMinMaxScalar(vals.data(), n);
+    EXPECT_EQ(got.min, want.min) << "n=" << n;
+    EXPECT_EQ(got.max, want.max) << "n=" << n;
+    if (n == 0) EXPECT_GT(got.min, got.max);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIsas, ExecChunkIsaTest,
                          ::testing::Values(Isa::kScalar, Isa::kAvx2,
                                            Isa::kAvx512),
@@ -203,19 +237,26 @@ TEST(ExecChunkTest, MaterializeCountsConversions) {
 // End-to-end query byte-identity
 // ---------------------------------------------------------------------------
 
+/// R.attr spans of the test data: a narrow group-key domain, aggregated in
+/// direct-indexed partials, and a wide one (far more than
+/// GroupByState::kMaxDirectKeys values) that takes the hash partials.
+constexpr uint32_t kNarrowAttrs = 64;
+constexpr uint32_t kWideAttrs = 100'000;
+
 struct QueryData {
   AlignedBuffer<uint32_t> r_keys, r_attrs, s_fks, s_vals;
   size_t n_r = 0, n_s = 0;
 
-  QueryData(size_t nr, size_t ns) : n_r(nr), n_s(ns) {
+  QueryData(size_t nr, size_t ns, uint32_t attr_hi = kNarrowAttrs)
+      : n_r(nr), n_s(ns) {
     r_keys.Reset(nr + 16);
     r_attrs.Reset(nr + 16);
     s_fks.Reset(ns + 16);
     s_vals.Reset(ns + 16);
-    // Unique R keys 1..nr (0xFFFFFFFF = kEmptyKey must not appear; attrs
-    // are group keys with the same constraint).
+    // Unique R keys 1..nr, attrs in [1, attr_hi] (0xFFFFFFFF = kEmptyKey is
+    // reserved in both; see the ReservedValue tests).
     FillSequential(r_keys.data(), nr, 1);
-    FillUniform(r_attrs.data(), nr, 5, 1, 64);
+    FillUniform(r_attrs.data(), nr, 5, 1, attr_hi);
     FillUniform(s_fks.data(), ns, 6, 1,
                 nr == 0 ? 1 : static_cast<uint32_t>(nr));
     FillUniform(s_vals.data(), ns, 7, 0, 999'999);
@@ -233,10 +274,32 @@ struct QueryData {
     p.n_s = n_s;
     p.s_lo = 0;
     p.s_hi = 99'999;  // ~10% of S
-    p.max_groups_hint = 128;
     return p;
   }
 };
+
+/// Values in the group-key domain of the plan's build side: the span of
+/// R.attr over the rows inside the r= window.
+uint64_t AttrDomainValues(const QueryData& d, const ScanJoinAggregatePlan& p) {
+  uint32_t lo = 0xFFFFFFFFu, hi = 0;
+  for (size_t i = 0; i < d.n_r; ++i) {
+    if (d.r_keys[i] < p.r_lo || d.r_keys[i] > p.r_hi) continue;
+    lo = std::min(lo, d.r_attrs[i]);
+    hi = std::max(hi, d.r_attrs[i]);
+  }
+  return lo > hi ? 0 : uint64_t{hi} - lo + 1;
+}
+
+/// Checks that `attr_hi` sends the plan down the group-by path it names.
+void ExpectGroupByPath(const QueryData& d, const ScanJoinAggregatePlan& p,
+                       uint32_t attr_hi) {
+  const uint64_t values = AttrDomainValues(d, p);
+  if (attr_hi == kWideAttrs) {
+    EXPECT_GT(values, exec::GroupByState::kMaxDirectKeys);
+  } else {
+    EXPECT_LE(values, exec::GroupByState::kMaxDirectKeys);
+  }
+}
 
 struct RefRow {
   uint64_t sum = 0;
@@ -331,7 +394,7 @@ QueryResult HandComposed(const QueryData& d, const ScanJoinAggregatePlan& p,
       table.Probe(isa, fks, vals, n_sel, jk.data(), jsp.data(), jrp.data());
   res.rows_joined = n_join;
 
-  GroupByAggregator agg(p.max_groups_hint);
+  GroupByAggregator agg(1024);
   agg.Accumulate(isa, jrp.data(), jsp.data(), n_join);
   const size_t g = agg.num_groups();
   std::vector<uint32_t> k(g), cnt(g), mn(g), mx(g);
@@ -364,40 +427,45 @@ std::vector<Isa> SupportedIsas() {
 }
 
 TEST(ExecQueryTest, MatchesHandComposedAndReferenceAcrossMatrix) {
-  QueryData d(4096, 60'000);
-  ScanJoinAggregatePlan plan = d.Plan();
-  const auto want = MapReference(d, plan);
+  // Both group-by paths: direct-indexed (narrow attrs) and hashed (wide).
+  for (uint32_t attr_hi : {kNarrowAttrs, kWideAttrs}) {
+    QueryData d(4096, 60'000, attr_hi);
+    ScanJoinAggregatePlan plan = d.Plan();
+    ExpectGroupByPath(d, plan, attr_hi);
+    const auto want = MapReference(d, plan);
 
-  for (int bloom : {0, 10}) {
-    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-      plan.bloom_bits_per_key = bloom;
-      QueryResult first;
-      bool have_first = false;
-      for (Isa isa : SupportedIsas()) {
-        const QueryResult hand = HandComposed(d, plan, isa);
-        for (int threads : {1, 8}) {
-          for (size_t chunk : {size_t{257}, size_t{1024}}) {
-            for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-              plan.scan_mode = mode;
-              ExecConfig cfg;
-              cfg.isa = isa;
-              cfg.threads = threads;
-              cfg.chunk_tuples = chunk;
-              cfg.pipeline_mode = pm;
-              const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-              const std::string label =
-                  std::string(IsaName(isa)) + " t=" +
-                  std::to_string(threads) + " c=" + std::to_string(chunk) +
-                  " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
-                  " b=" + std::to_string(bloom) +
-                  " p=" + (pm == PipelineMode::kFused ? "fused" : "dynamic");
-              ExpectMatchesReference(got, want, label);
-              ExpectIdentical(got, hand, label + " vs hand-composed");
-              if (!have_first) {
-                first = got;
-                have_first = true;
-              } else {
-                ExpectIdentical(got, first, label + " vs first config");
+    for (int bloom : {0, 10}) {
+      for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+        plan.bloom_bits_per_key = bloom;
+        QueryResult first;
+        bool have_first = false;
+        for (Isa isa : SupportedIsas()) {
+          const QueryResult hand = HandComposed(d, plan, isa);
+          for (int threads : {1, 8}) {
+            for (size_t chunk : {size_t{257}, size_t{1024}}) {
+              for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
+                plan.scan_mode = mode;
+                ExecConfig cfg;
+                cfg.isa = isa;
+                cfg.threads = threads;
+                cfg.chunk_tuples = chunk;
+                cfg.pipeline_mode = pm;
+                const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+                const std::string label =
+                    std::string(IsaName(isa)) + " t=" +
+                    std::to_string(threads) + " c=" + std::to_string(chunk) +
+                    " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
+                    " b=" + std::to_string(bloom) +
+                    " p=" + (pm == PipelineMode::kFused ? "fused" : "dynamic") +
+                    " attrs=" + std::to_string(attr_hi);
+                ExpectMatchesReference(got, want, label);
+                ExpectIdentical(got, hand, label + " vs hand-composed");
+                if (!have_first) {
+                  first = got;
+                  have_first = true;
+                } else {
+                  ExpectIdentical(got, first, label + " vs first config");
+                }
               }
             }
           }
@@ -440,41 +508,46 @@ TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
   // Scan-over-compressed acceptance: the same plan over CompressColumn'd
   // base tables is byte-identical to the raw-column plan everywhere the
   // raw matrix runs — ISA x threads x chunk size x scan mode x bloom x
-  // pipeline mode — plus edge sizes below/at/above one block.
-  QueryData d(4096, 60'000);
-  const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
-  const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
-  const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
-  const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
-  ScanJoinAggregatePlan raw = d.Plan();
-  ScanJoinAggregatePlan comp = d.Plan();
-  comp.r_keys_c = &r_keys_c;
-  comp.r_attrs_c = &r_attrs_c;
-  comp.s_fks_c = &s_fks_c;
-  comp.s_vals_c = &s_vals_c;
-  for (int bloom : {0, 10}) {
-    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-      raw.bloom_bits_per_key = comp.bloom_bits_per_key = bloom;
-      for (Isa isa : SupportedIsas()) {
-        for (int threads : {1, 8}) {
-          for (size_t chunk : {size_t{257}, size_t{1024}}) {
-            for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-              raw.scan_mode = comp.scan_mode = mode;
-              ExecConfig cfg;
-              cfg.isa = isa;
-              cfg.threads = threads;
-              cfg.chunk_tuples = chunk;
-              cfg.pipeline_mode = pm;
-              const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
-              const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
-              const std::string label =
-                  "compressed " + std::string(IsaName(isa)) + " t=" +
-                  std::to_string(threads) + " c=" + std::to_string(chunk) +
-                  " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
-                  " b=" + std::to_string(bloom) +
-                  " p=" + (pm == PipelineMode::kFused ? "fused" : "dynamic");
-              ExpectIdentical(got, want, label);
-              EXPECT_EQ(got.rows_scanned, want.rows_scanned) << label;
+  // pipeline mode x group-by path — plus edge sizes below/at/above one
+  // block.
+  for (uint32_t attr_hi : {kNarrowAttrs, kWideAttrs}) {
+    QueryData d(4096, 60'000, attr_hi);
+    const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
+    const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
+    const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
+    const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
+    ScanJoinAggregatePlan raw = d.Plan();
+    ScanJoinAggregatePlan comp = d.Plan();
+    comp.r_keys_c = &r_keys_c;
+    comp.r_attrs_c = &r_attrs_c;
+    comp.s_fks_c = &s_fks_c;
+    comp.s_vals_c = &s_vals_c;
+    ExpectGroupByPath(d, raw, attr_hi);
+    for (int bloom : {0, 10}) {
+      for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+        raw.bloom_bits_per_key = comp.bloom_bits_per_key = bloom;
+        for (Isa isa : SupportedIsas()) {
+          for (int threads : {1, 8}) {
+            for (size_t chunk : {size_t{257}, size_t{1024}}) {
+              for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
+                raw.scan_mode = comp.scan_mode = mode;
+                ExecConfig cfg;
+                cfg.isa = isa;
+                cfg.threads = threads;
+                cfg.chunk_tuples = chunk;
+                cfg.pipeline_mode = pm;
+                const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
+                const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
+                const std::string label =
+                    "compressed " + std::string(IsaName(isa)) + " t=" +
+                    std::to_string(threads) + " c=" + std::to_string(chunk) +
+                    " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
+                    " b=" + std::to_string(bloom) +
+                    " p=" + (pm == PipelineMode::kFused ? "fused" : "dynamic") +
+                    " attrs=" + std::to_string(attr_hi);
+                ExpectIdentical(got, want, label);
+                EXPECT_EQ(got.rows_scanned, want.rows_scanned) << label;
+              }
             }
           }
         }
@@ -544,46 +617,51 @@ TEST(ExecPipelineTest, ChunksPushedAndConversionCounters) {
 
 TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
   // ISA x threads {1, 8} x chunk {257, 1024} x scan mode x seed {1, 42} x
-  // edge input sizes n_s in {0, 1, 1023, 4097} plus one bulk shape. The
-  // seed feeds the join table's, the Bloom filter's and the group-by's
-  // hashes. The forced dynamic run is the reference; the fused run must be
-  // byte-identical in every result row and every reported cardinality.
+  // edge input sizes n_s in {0, 1, 1023, 4097} plus one bulk shape x
+  // group-by path. The seed feeds the join table's, the Bloom filter's and
+  // the hash group-by's hashes. The forced dynamic run is the reference;
+  // the fused run must be byte-identical in every result row and every
+  // reported cardinality.
   const std::pair<size_t, size_t> shapes[] = {
       {256, 0}, {256, 1}, {256, 1023}, {1024, 4097}, {4096, 60'000}};
-  for (auto [nr, ns] : shapes) {
-    QueryData d(nr, ns);
-    ScanJoinAggregatePlan plan = d.Plan();
-    plan.bloom_bits_per_key = 10;
-    const auto want = MapReference(d, plan);
-    for (Isa isa : SupportedIsas()) {
-      for (int threads : {1, 8}) {
-        for (size_t chunk : {size_t{257}, size_t{1024}}) {
-          for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-            for (uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
-              plan.scan_mode = mode;
-              ExecConfig cfg;
-              cfg.isa = isa;
-              cfg.threads = threads;
-              cfg.chunk_tuples = chunk;
-              cfg.seed = seed;
-              cfg.pipeline_mode = PipelineMode::kDynamic;
-              const QueryResult dyn = exec::RunScanJoinAggregate(plan, cfg);
-              cfg.pipeline_mode = PipelineMode::kFused;
-              const QueryResult fus = exec::RunScanJoinAggregate(plan, cfg);
-              const std::string label =
-                  "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
-                  " " + IsaName(isa) + " t=" + std::to_string(threads) +
-                  " c=" + std::to_string(chunk) +
-                  " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
-                  " seed=" + std::to_string(seed);
-              EXPECT_FALSE(dyn.used_fused) << label;
-              EXPECT_TRUE(fus.used_fused) << label;
-              ExpectIdentical(fus, dyn, label + " fused vs dynamic");
-              EXPECT_EQ(fus.rows_build, dyn.rows_build) << label;
-              EXPECT_EQ(fus.rows_scanned, dyn.rows_scanned) << label;
-              EXPECT_EQ(fus.rows_bloomed, dyn.rows_bloomed) << label;
-              ExpectMatchesReference(fus, want,
-                                     label + " fused vs reference");
+  for (uint32_t attr_hi : {kNarrowAttrs, kWideAttrs}) {
+    for (auto [nr, ns] : shapes) {
+      QueryData d(nr, ns, attr_hi);
+      ScanJoinAggregatePlan plan = d.Plan();
+      ExpectGroupByPath(d, plan, attr_hi);
+      plan.bloom_bits_per_key = 10;
+      const auto want = MapReference(d, plan);
+      for (Isa isa : SupportedIsas()) {
+        for (int threads : {1, 8}) {
+          for (size_t chunk : {size_t{257}, size_t{1024}}) {
+            for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
+              for (uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
+                plan.scan_mode = mode;
+                ExecConfig cfg;
+                cfg.isa = isa;
+                cfg.threads = threads;
+                cfg.chunk_tuples = chunk;
+                cfg.seed = seed;
+                cfg.pipeline_mode = PipelineMode::kDynamic;
+                const QueryResult dyn = exec::RunScanJoinAggregate(plan, cfg);
+                cfg.pipeline_mode = PipelineMode::kFused;
+                const QueryResult fus = exec::RunScanJoinAggregate(plan, cfg);
+                const std::string label =
+                    "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
+                    " " + IsaName(isa) + " t=" + std::to_string(threads) +
+                    " c=" + std::to_string(chunk) +
+                    " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
+                    " seed=" + std::to_string(seed) +
+                    " attrs=" + std::to_string(attr_hi);
+                EXPECT_FALSE(dyn.used_fused) << label;
+                EXPECT_TRUE(fus.used_fused) << label;
+                ExpectIdentical(fus, dyn, label + " fused vs dynamic");
+                EXPECT_EQ(fus.rows_build, dyn.rows_build) << label;
+                EXPECT_EQ(fus.rows_scanned, dyn.rows_scanned) << label;
+                EXPECT_EQ(fus.rows_bloomed, dyn.rows_bloomed) << label;
+                ExpectMatchesReference(fus, want,
+                                       label + " fused vs reference");
+              }
             }
           }
         }
@@ -771,6 +849,130 @@ TEST(ExecQueryTest, DuplicateBuildKeysOutsideWindowStillRun) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The reserved value 0xFFFFFFFF (kEmptyKey)
+// ---------------------------------------------------------------------------
+
+/// Every plan variant a reserved-value case runs on: raw and packed
+/// storage, both executors, every ISA, threads {1, 2, 8}.
+template <typename Fn>
+void ForEachExecution(const QueryData& d, const ScanJoinAggregatePlan& base,
+                      Fn&& fn) {
+  const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
+  const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
+  const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
+  const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
+  for (bool packed : {false, true}) {
+    ScanJoinAggregatePlan plan = base;
+    if (packed) {
+      plan.r_keys_c = &r_keys_c;
+      plan.r_attrs_c = &r_attrs_c;
+      plan.s_fks_c = &s_fks_c;
+      plan.s_vals_c = &s_vals_c;
+    }
+    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+      for (Isa isa : SupportedIsas()) {
+        for (int threads : {1, 2, 8}) {
+          ExecConfig cfg;
+          cfg.isa = isa;
+          cfg.threads = threads;
+          cfg.pipeline_mode = pm;
+          cfg.chunk_tuples = 1000;
+          const std::string label =
+              std::string(packed ? "packed " : "raw ") +
+              (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
+              IsaName(isa) + " t=" + std::to_string(threads);
+          fn(plan, cfg, label);
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecQueryTest, ReservedValueProbeKeysJoinNothing) {
+  // Half of S probes with fk 0xFFFFFFFF, which no R row holds. The vector
+  // probes once matched it against empty buckets and emitted their payload
+  // 0: a group the build side never had, and in a direct-indexed group-by
+  // an index below the domain.
+  for (uint32_t attr_hi : {kNarrowAttrs, kWideAttrs}) {
+    QueryData d(4096, 4096, attr_hi);
+    std::fill(d.s_fks.data(), d.s_fks.data() + d.n_s / 2, 0xFFFFFFFFu);
+    for (int bloom : {0, 10}) {
+      ScanJoinAggregatePlan base = d.Plan();
+      base.s_hi = 999'999;
+      base.bloom_bits_per_key = bloom;
+      const auto want = MapReference(d, base);
+      uint64_t want_joined = 0;
+      for (const auto& [key, row] : want) want_joined += row.count;
+      ASSERT_GT(want_joined, 0u);
+      ForEachExecution(d, base, [&](const ScanJoinAggregatePlan& plan,
+                                    const ExecConfig& cfg,
+                                    const std::string& label) {
+        const std::string l = label + " b=" + std::to_string(bloom) +
+                              " attrs=" + std::to_string(attr_hi);
+        const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+        EXPECT_EQ(got.rows_joined, want_joined) << l;
+        ExpectMatchesReference(got, want, l);
+      });
+    }
+  }
+}
+
+TEST(ExecQueryTest, ReservedValueInBuildWindowFailsQuery) {
+  // kEmptyKey marks empty buckets, so the join table cannot store it as a
+  // key and the hash group-by cannot store it as a group: a build side
+  // holding it in its window fails before any probe runs, on every path.
+  struct Case {
+    const char* what;  // the column the error names
+    bool in_keys;
+  };
+  for (const Case& c : {Case{"keys", true}, Case{"group attributes", false}}) {
+    QueryData d(4096, 4096);
+    if (c.in_keys) {
+      d.r_keys[4000] = 0xFFFFFFFFu;  // one row
+    } else {
+      for (size_t i = 0; i < d.n_r; i += 4) d.r_attrs[i] = 0xFFFFFFFFu;
+    }
+    ScanJoinAggregatePlan base = d.Plan();
+    base.r_lo = 1;
+    base.r_hi = 0xFFFFFFFFu;
+    base.s_hi = 999'999;
+    ForEachExecution(d, base, [&](const ScanJoinAggregatePlan& plan,
+                                  const ExecConfig& cfg,
+                                  const std::string& label) {
+      try {
+        exec::RunScanJoinAggregate(plan, cfg);
+        ADD_FAILURE() << c.what << " " << label << ": query ran";
+      } catch (const exec::QueryError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string("reserved value 4294967295 in the "
+                                        "build ") +
+                            c.what),
+                  std::string::npos)
+            << label << ": " << what;
+      }
+    });
+  }
+}
+
+TEST(ExecQueryTest, ReservedValueOutsideBuildWindowStillRuns) {
+  // The same rows outside [r_lo, r_hi] are filtered out by the R scan.
+  QueryData d(4096, 4096);
+  d.r_keys[4000] = 0xFFFFFFFFu;
+  for (size_t i = 3500; i < d.n_r; i += 4) d.r_attrs[i] = 0xFFFFFFFFu;
+  ScanJoinAggregatePlan base = d.Plan();
+  base.r_lo = 1;
+  base.r_hi = 3000;
+  base.s_hi = 999'999;
+  const auto want = MapReference(d, base);
+  ASSERT_FALSE(want.empty());
+  ForEachExecution(d, base, [&](const ScanJoinAggregatePlan& plan,
+                                const ExecConfig& cfg,
+                                const std::string& label) {
+    ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want, label);
+  });
 }
 
 TEST(ExecPipelineTest, RowsOutCardinalitiesAreConsistent) {

@@ -387,6 +387,44 @@ TEST(LinearProbingUnique, EveryProbeMatchesReferenceAtBoundarySizes) {
   }
 }
 
+TEST(LinearProbing, ReservedValueProbeKeyMatchesNothing) {
+  // A probe key equal to kEmptyKey (0xFFFFFFFF) meets an empty bucket at
+  // the end of every chain; no probe variant may take that for a match.
+  // Every other probe key still finds its rows, on unique tables and on
+  // tables with repeats, at sizes that hit the vector loops and the tails.
+  const size_t n_build = 5000;
+  for (bool unique : {true, false}) {
+    for (LpBuild b : {LpBuild::kScalar, LpBuild::kVector}) {
+      if (!LpBuildSupported(b)) continue;
+      Workload w = MakeWorkload(n_build, 0, unique, 0.8, 31);
+      LinearProbingTable t(4 * n_build);
+      LpBuildInto(t, b, w.b_keys.data(), w.b_pays.data(), n_build);
+      for (size_t n : {size_t{1}, size_t{16}, size_t{33}, size_t{4096}}) {
+        std::vector<uint32_t> pk(n), pp(n);
+        FillProbeKeys(pk.data(), n, w.b_keys.data(), n_build, 0.8, n + 3);
+        FillSequential(pp.data(), n, 50'000);
+        for (size_t i = 0; i < n; i += 2) pk[i] = kEmptyKey;
+        const std::vector<Tuple3> want =
+            ReferenceJoin(w.b_keys, w.b_pays, pk, pp);
+        AlignedBuffer<uint32_t> ok(n + want.size() + 16),
+            os(n + want.size() + 16), orp(n + want.size() + 16);
+        for (LpProbe p : {LpProbe::kScalar, LpProbe::kAvx2, LpProbe::kVector,
+                          LpProbe::kHorizontal}) {
+          if (!LpProbeSupported(p)) continue;
+          const size_t got =
+              LpProbeInto(t, p, pk.data(), pp.data(), n, ok, os, orp);
+          const std::string label = std::string(LpProbeName(p)) + " " +
+                                    LpBuildName(b) +
+                                    (unique ? " unique" : " repeats") +
+                                    " n=" + std::to_string(n);
+          ASSERT_EQ(got, want.size()) << label;
+          EXPECT_EQ(Collect(ok, os, orp, got), want) << label;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Hash spread: structured key sets must not cluster in the join table
 // ---------------------------------------------------------------------------

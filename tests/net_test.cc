@@ -747,6 +747,70 @@ TEST(NetServer, DuplicateBuildKeysAnswerErrAndTheServerKeepsServing) {
   }
 }
 
+TEST(NetServer, ReservedValueBuildAnswersErrAndTheServerKeepsServing) {
+  // "Rkey" is R with key 0xFFFFFFFF on row 1,500 and "Rattr" R with attr
+  // 0xFFFFFFFF on every fourth row from row 1,000 on; rows from 1,000 on
+  // hold keys above 1,000, so r=[1,1000] leaves both clean.
+  NetData data(2000, 30000, /*compress=*/true);
+  AlignedBuffer<uint32_t> res_keys(data.n_r + 16), res_attrs(data.n_r + 16);
+  std::copy(data.r_keys.data(), data.r_keys.data() + data.n_r,
+            res_keys.data());
+  std::copy(data.r_attrs.data(), data.r_attrs.data() + data.n_r,
+            res_attrs.data());
+  res_keys[1500] = 0xFFFFFFFFu;
+  for (size_t i = 1000; i < data.n_r; i += 4) res_attrs[i] = 0xFFFFFFFFu;
+  server::TableOptions topts;
+  topts.compress = true;
+  ASSERT_NE(data.catalog.RegisterTable("Rkey", res_keys.data(),
+                                       data.r_attrs.data(), data.n_r, topts),
+            nullptr);
+  ASSERT_NE(data.catalog.RegisterTable("Rattr", data.r_keys.data(),
+                                       res_attrs.data(), data.n_r, topts),
+            nullptr);
+  for (int threads : {1, 8}) {
+    ServerOptions opts;
+    opts.unix_path = UniqueSocketPath();
+    opts.exec.threads = threads;
+    Server server(&data.catalog, opts);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    Client client;
+    ASSERT_TRUE(client.ConnectUnix(opts.unix_path, &error)) << error;
+    struct Case {
+      const char* line;
+      const char* error;
+    };
+    for (const Case& c :
+         {Case{"QUERY build=Rkey probe=S",
+               "exec reserved value 4294967295 in the build keys"},
+          Case{"QUERY build=Rkey probe=S storage=packed isa=avx2",
+               "exec reserved value 4294967295 in the build keys"},
+          Case{"QUERY build=Rattr probe=S scan=bitmap",
+               "exec reserved value 4294967295 in the build group "
+               "attributes"},
+          Case{"QUERY build=Rattr probe=S r=[1000,2000] storage=packed",
+               "exec reserved value 4294967295 in the build group "
+               "attributes"}}) {
+      const WireResult bad = client.Query(c.line);
+      EXPECT_FALSE(bad.ok) << c.line;
+      EXPECT_EQ(bad.error.rfind(c.error, 0), 0u)
+          << c.line << ": " << bad.error;
+      // The same connection answers a valid query afterwards.
+      const WireResult good =
+          client.Query("QUERY build=Rattr probe=S r=[1,1000]");
+      ASSERT_TRUE(good.ok) << good.error;
+      EXPECT_FALSE(good.rows.empty());
+    }
+    // And the server still accepts new connections.
+    Client other;
+    ASSERT_TRUE(other.ConnectUnix(opts.unix_path, &error)) << error;
+    EXPECT_TRUE(other.Ping());
+    other.Quit();
+    client.Quit();
+    server.Stop();
+  }
+}
+
 TEST(NetServer, ConcurrentClientsByteIdenticalAcrossThreads) {
   NetData data(1000, 40000);
   for (int threads : {1, 8}) {

@@ -107,7 +107,6 @@ QuerySpec SpecFor(int i, size_t n_r) {
   spec.s_hi = spec.s_lo + 150'000;
   spec.scan_mode = i % 3 == 2 ? ScanMode::kBitmap : ScanMode::kCompact;
   spec.bloom_bits_per_key = i % 2 == 1 ? 8 : 0;
-  spec.max_groups_hint = 128;
   return spec;
 }
 
@@ -458,7 +457,6 @@ TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
     const uint32_t w = static_cast<uint32_t>(d.n_s / kClients);
     spec.s_lo = static_cast<uint32_t>(i) * w;
     spec.s_hi = spec.s_lo + w - 1;
-    spec.max_groups_hint = 128;
     return spec;
   };
 
@@ -522,7 +520,6 @@ QuerySpec DupSpec(uint32_t r_lo) {
   spec.build_table = "Rdup";
   spec.probe_table = "S";
   spec.r_lo = r_lo;
-  spec.max_groups_hint = 128;
   return spec;
 }
 
@@ -590,6 +587,193 @@ TEST(ServerSharedScanTest, DuplicateBuildKeysFailEveryGatherMember) {
   for (const ResultSet& rs : run_gather([](int) { return 9u; })) {
     EXPECT_TRUE(rs.ok) << rs.error;
     EXPECT_TRUE(rs.stats.shared_scan);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The reserved value 0xFFFFFFFF in base tables
+// ---------------------------------------------------------------------------
+
+/// ServerData plus three tables holding 0xFFFFFFFF: "Rkey" (R with that key
+/// on row 30,000), "Rattr" (R with that attr on every fourth row from row
+/// 20,000 on) and "Sres" (S with that fk on every other row). Keys of R
+/// rows from 20,000 on exceed 20,000, so r=[0, 20000] leaves both
+/// reserved-value build tables clean.
+struct ReservedValueServerData : ServerData {
+  static constexpr uint32_t kCleanRHi = 20'000;
+  AlignedBuffer<uint32_t> res_keys, res_attrs, res_fks;
+  ReservedValueServerData() : ServerData(40'960, 32768) {
+    res_keys.Reset(n_r + 16);
+    res_attrs.Reset(n_r + 16);
+    res_fks.Reset(n_s + 16);
+    std::copy(r_keys.data(), r_keys.data() + n_r, res_keys.data());
+    std::copy(r_attrs.data(), r_attrs.data() + n_r, res_attrs.data());
+    std::copy(s_fks.data(), s_fks.data() + n_s, res_fks.data());
+    res_keys[30'000] = 0xFFFFFFFFu;
+    for (size_t i = 20'000; i < n_r; i += 4) res_attrs[i] = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n_s; i += 2) res_fks[i] = 0xFFFFFFFFu;
+    EXPECT_NE(catalog.RegisterTable("Rkey", res_keys.data(), r_attrs.data(),
+                                    n_r),
+              nullptr);
+    EXPECT_NE(catalog.RegisterTable("Rattr", r_keys.data(), res_attrs.data(),
+                                    n_r),
+              nullptr);
+    EXPECT_NE(catalog.RegisterTable("Sres", res_fks.data(), s_vals.data(),
+                                    n_s),
+              nullptr);
+  }
+};
+
+QuerySpec ReservedSpec(const char* build, const char* probe, uint32_t r_hi) {
+  QuerySpec spec;
+  spec.build_table = build;
+  spec.probe_table = probe;
+  spec.r_hi = r_hi;
+  return spec;
+}
+
+TEST(ServerSchedulerTest, ReservedValueBuildFailsQueryAndKeepsServing) {
+  ReservedValueServerData d;
+  QueryScheduler sched(&d.catalog);
+  QuerySession session(&d.catalog, &sched);
+  struct Case {
+    const char* table;
+    const char* error;
+  };
+  for (const Case& c :
+       {Case{"Rkey", "reserved value 4294967295 in the build keys"},
+        Case{"Rattr", "reserved value 4294967295 in the build group "
+                      "attributes"}}) {
+    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+      for (int threads : {1, 2, 8}) {
+        ExecConfig cfg;
+        cfg.threads = threads;
+        cfg.pipeline_mode = pm;
+        const std::string ctx =
+            std::string(c.table) + " threads=" + std::to_string(threads);
+        const ResultSet bad =
+            session.Execute(ReservedSpec(c.table, "S", 0xFFFFFFFFu), cfg);
+        EXPECT_FALSE(bad.ok) << ctx;
+        EXPECT_FALSE(bad.stats.aborted) << ctx;
+        EXPECT_NE(bad.error.find(c.error), std::string::npos)
+            << ctx << ": " << bad.error;
+        const ResultSet good = session.Execute(
+            ReservedSpec(c.table, "S", ReservedValueServerData::kCleanRHi),
+            cfg);
+        ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
+        EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
+      }
+    }
+  }
+  EXPECT_EQ(sched.queries_completed(), 24u);  // every slot was released
+}
+
+TEST(ServerSharedScanTest, ReservedValueBuildFailsEveryGatherMember) {
+  constexpr int kClients = 4;
+  ReservedValueServerData d;
+  SchedulerOptions opts;
+  opts.shared_scans = true;
+  opts.shared_gather_hint = kClients;
+  opts.shared_gather_timeout_ns = 1'000'000'000;  // hint closes the group
+  QueryScheduler sched(&d.catalog, opts);
+  ExecConfig cfg;
+  cfg.threads = 2;
+  cfg.pipeline_mode = PipelineMode::kDynamic;
+  // Runs one gather of kClients members; member i queries spec(i).
+  auto run_gather = [&](auto spec) {
+    std::vector<ResultSet> got(kClients);
+    std::vector<std::thread> workers;
+    for (int i = 0; i < kClients; ++i) {
+      workers.emplace_back([&, i] {
+        QuerySession session(&d.catalog, &sched);
+        got[i] = session.Execute(spec(i), cfg);
+      });
+    }
+    for (auto& w : workers) w.join();
+    return got;
+  };
+  // Only member 0's window holds the reserved attrs; the whole group fails.
+  const std::vector<ResultSet> bad = run_gather([](int i) {
+    return ReservedSpec("Rattr", "S",
+                        i == 0 ? 0xFFFFFFFFu
+                               : ReservedValueServerData::kCleanRHi);
+  });
+  for (int i = 0; i < kClients; ++i) {
+    EXPECT_FALSE(bad[i].ok) << "member " << i;
+    EXPECT_NE(bad[i].error.find("reserved value 4294967295 in the build "
+                                "group attributes"),
+              std::string::npos)
+        << "member " << i << ": " << bad[i].error;
+  }
+  // The scheduler keeps serving gathers.
+  for (const ResultSet& rs : run_gather([](int) {
+         return ReservedSpec("Rattr", "S", ReservedValueServerData::kCleanRHi);
+       })) {
+    EXPECT_TRUE(rs.ok) << rs.error;
+    EXPECT_TRUE(rs.stats.shared_scan);
+  }
+}
+
+TEST(ServerSharedScanTest, ReservedValueProbeKeysJoinNothingInAGather) {
+  // Every other S row of "Sres" probes with fk 0xFFFFFFFF, which R lacks;
+  // the other rows keep their fk in [1, n_r], so each of them joins.
+  constexpr int kClients = 4;
+  ReservedValueServerData d;
+  SchedulerOptions opts;
+  opts.shared_scans = true;
+  opts.shared_gather_hint = kClients;
+  opts.shared_gather_timeout_ns = 1'000'000'000;
+  QueryScheduler sched(&d.catalog, opts);
+  const uint32_t w = 250'000;  // member i filters val in [i*w, (i+1)*w)
+  auto spec_for = [&](int i) {
+    QuerySpec spec = ReservedSpec("R", "Sres", 0xFFFFFFFFu);
+    spec.s_lo = static_cast<uint32_t>(i) * w;
+    spec.s_hi = spec.s_lo + w - 1;
+    return spec;
+  };
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!IsaSupported(isa)) continue;
+    for (int threads : {1, 8}) {
+      ExecConfig cfg;
+      cfg.isa = isa;
+      cfg.threads = threads;
+      cfg.pipeline_mode = PipelineMode::kDynamic;
+      std::vector<ResultSet> got(kClients);
+      std::vector<std::thread> workers;
+      for (int i = 0; i < kClients; ++i) {
+        workers.emplace_back([&, i] {
+          QuerySession session(&d.catalog, &sched);
+          got[i] = session.Execute(spec_for(i), cfg);
+        });
+      }
+      for (auto& t : workers) t.join();
+      for (int i = 0; i < kClients; ++i) {
+        const std::string ctx = std::string(IsaName(isa)) +
+                                " threads=" + std::to_string(threads) +
+                                " member " + std::to_string(i);
+        ASSERT_TRUE(got[i].ok) << ctx << ": " << got[i].error;
+        EXPECT_TRUE(got[i].stats.shared_scan) << ctx;
+        const QuerySpec spec = spec_for(i);
+        uint64_t want = 0;
+        for (size_t r = 1; r < d.n_s; r += 2) {
+          want += d.s_vals[r] >= spec.s_lo && d.s_vals[r] <= spec.s_hi;
+        }
+        uint64_t joined = 0;
+        for (uint32_t c : got[i].result.counts) joined += c;
+        EXPECT_EQ(got[i].result.rows_joined, want) << ctx;
+        EXPECT_EQ(joined, want) << ctx;
+        // And the shared sweep answers exactly what a solo run answers.
+        QueryScheduler solo_sched(&d.catalog);
+        QuerySession solo(&d.catalog, &solo_sched);
+        const ResultSet alone = solo.Execute(spec, cfg);
+        ASSERT_TRUE(alone.ok) << ctx;
+        EXPECT_EQ(got[i].result.group_keys, alone.result.group_keys) << ctx;
+        EXPECT_EQ(got[i].result.sums, alone.result.sums) << ctx;
+        EXPECT_EQ(got[i].result.counts, alone.result.counts) << ctx;
+        EXPECT_EQ(got[i].result.mins, alone.result.mins) << ctx;
+        EXPECT_EQ(got[i].result.maxs, alone.result.maxs) << ctx;
+      }
+    }
   }
 }
 

@@ -24,6 +24,10 @@
 //                all, the lower bound the fused path chases. Registered at
 //                threads = 1 only (the sequence runs on one thread).
 //
+// Every R key range above is dense, so the executor joins through the
+// direct-indexed table; BM_ExecQuerySparseKeys keeps an end-to-end row on
+// the hash table.
+//
 // Selectivity 0 is the phase-changing input: S values ramp linearly with
 // row position, so under the fixed predicate the per-chunk qualifier
 // density slides from 100% down to 0% across the table.
@@ -36,6 +40,7 @@
 // (dynamic rows) and as the fused/paired-dynamic ratio (fused rows).
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -46,6 +51,7 @@
 #include "compress/column.h"
 #include "exec/chunk.h"
 #include "exec/query.h"
+#include "hash/direct_table.h"
 #include "hash/linear_probing.h"
 #include "scan/selection_scan.h"
 #include "util/rng.h"
@@ -69,6 +75,8 @@ constexpr uint32_t kSelRamp = 0;
 /// The plan hand-composed from the operator kernels, serial: scan R, build,
 /// scan S, bloom, probe, aggregate — the kernel sequence with zero executor
 /// machinery between stages (mirrors HandComposed in tests/exec_test.cc).
+/// The join table takes the layout HashBuildOp's rule picks, so the row
+/// stays the lower bound of the kernels the executor runs.
 size_t HandComposedQ3(const exec::ScanJoinAggregatePlan& p, Isa isa) {
   const ScanVariant v = exec::ScanVariantForIsa(isa);
   AlignedBuffer<uint32_t> rk(SelectionScanCapacity(p.n_r)),
@@ -78,8 +86,17 @@ size_t HandComposedQ3(const exec::ScanJoinAggregatePlan& p, Isa isa) {
                                        rk.size());
   size_t buckets = 16;
   while (buckets < 2 * (n_build + 1)) buckets <<= 1;
-  LinearProbingTable table(buckets);
-  table.Build(isa, rk.data(), ra.data(), n_build);
+  const exec::ColumnRange range = exec::ColumnMinMax(isa, rk.data(), n_build);
+  std::unique_ptr<DirectJoinTable> direct;
+  std::unique_ptr<LinearProbingTable> table;
+  if (DirectJoinTable::Fits(range.min, range.max, buckets)) {
+    direct = std::make_unique<DirectJoinTable>(
+        range.min, size_t{range.max} - range.min + 1);
+    direct->Build(rk.data(), ra.data(), n_build);
+  } else {
+    table = std::make_unique<LinearProbingTable>(buckets);
+    table->Build(isa, rk.data(), ra.data(), n_build);
+  }
   BloomFilter filter =
       BloomFilter::ForItems(n_build, p.bloom_bits_per_key, p.bloom_k, 42);
   filter.Add(rk.data(), n_build);
@@ -91,8 +108,12 @@ size_t HandComposedQ3(const exec::ScanJoinAggregatePlan& p, Isa isa) {
   AlignedBuffer<uint32_t> bf(n_sel + 16), bv(n_sel + 16);
   n_sel = filter.Probe(isa, sf.data(), sv.data(), n_sel, bf.data(), bv.data());
   AlignedBuffer<uint32_t> jk(n_sel + 16), jsp(n_sel + 16), jrp(n_sel + 16);
-  const size_t n_join = table.Probe(isa, bf.data(), bv.data(), n_sel,
-                                    jk.data(), jsp.data(), jrp.data());
+  const size_t n_join =
+      direct != nullptr
+          ? direct->Probe(isa, bf.data(), bv.data(), n_sel, jk.data(),
+                          jsp.data(), jrp.data())
+          : table->Probe(isa, bf.data(), bv.data(), n_sel, jk.data(),
+                         jsp.data(), jrp.data());
   GroupByAggregator agg(2048);
   agg.Accumulate(isa, jrp.data(), jsp.data(), n_join);
   return agg.num_groups();
@@ -229,6 +250,87 @@ BENCHMARK(BM_ExecQuery)
     // bursts comparable to a 10-iteration window, so the cross-row ratio
     // gates need each row to average over several bursts. Counter gates are
     // per-iteration or min-only, so the count is free to change.
+    ->Iterations(40)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Sparse build keys: the BM_ExecQuery plan at 10% selectivity with R's keys
+// spread 16 apart and S's foreign keys following them. The 96K-key build
+// side then spans 1.5M key values, more than twice its 2^18-bucket hash
+// table, so HashBuildOp builds the LinearProbingTable; every other row of
+// this binary has dense keys and builds the direct-indexed table. Fused
+// executor only. Args {isa, S selectivity %, threads}.
+constexpr uint32_t kSparseKeyStride = 16;
+
+void BM_ExecQuerySparseKeys(benchmark::State& state) {
+  const Isa isa = static_cast<Isa>(state.range(0));
+  const uint32_t sel_pct = static_cast<uint32_t>(state.range(1));
+  const int threads = static_cast<int>(state.range(2));
+  if (!RequireIsa(state, isa)) return;
+
+  static AlignedBuffer<uint32_t>* r_keys = [] {
+    auto* b = new AlignedBuffer<uint32_t>(kRTuples + 16);
+    for (size_t i = 0; i < kRTuples; ++i) {
+      (*b)[i] = static_cast<uint32_t>(1 + i * kSparseKeyStride);
+    }
+    return b;
+  }();
+  static AlignedBuffer<uint32_t>* r_attrs = [] {
+    auto* b = new AlignedBuffer<uint32_t>(kRTuples + 16);
+    FillUniform(b->data(), kRTuples, 5, 1, 1024);
+    return b;
+  }();
+  static AlignedBuffer<uint32_t>* s_fks = [] {
+    auto* b = new AlignedBuffer<uint32_t>(kSTuples + 16);
+    FillUniform(b->data(), kSTuples, 6, 1, static_cast<uint32_t>(kRTuples));
+    for (size_t i = 0; i < kSTuples; ++i) {
+      (*b)[i] = 1 + ((*b)[i] - 1) * kSparseKeyStride;
+    }
+    return b;
+  }();
+  static AlignedBuffer<uint32_t>* s_vals = [] {
+    auto* b = new AlignedBuffer<uint32_t>(kSTuples + 16);
+    FillUniform(b->data(), kSTuples, 7, 0, kValMax);
+    return b;
+  }();
+
+  exec::ScanJoinAggregatePlan plan;
+  plan.r_keys = r_keys->data();
+  plan.r_attrs = r_attrs->data();
+  plan.n_r = kRTuples;
+  plan.r_lo = 1;
+  // The first 75% of R's rows, as in BM_ExecQuery.
+  plan.r_hi = static_cast<uint32_t>(1 + ((3 * kRTuples) / 4 - 1) *
+                                            kSparseKeyStride);
+  plan.s_fks = s_fks->data();
+  plan.s_vals = s_vals->data();
+  plan.n_s = kSTuples;
+  plan.s_lo = 0;
+  plan.s_hi =
+      static_cast<uint32_t>((uint64_t{kValMax} + 1) * sel_pct / 100 - 1);
+  plan.bloom_bits_per_key = 10;
+
+  exec::ExecConfig cfg;
+  cfg.isa = isa;
+  cfg.threads = threads;
+  cfg.pipeline_mode = exec::PipelineMode::kFused;
+
+  size_t groups = 0;
+  for (auto _ : state) {
+    exec::QueryResult res = exec::RunScanJoinAggregate(plan, cfg);
+    groups = res.group_keys.size();
+    benchmark::DoNotOptimize(res.sums.data());
+  }
+  SetTuplesPerSecond(state, static_cast<double>(kSTuples));
+  state.SetLabel("query_q3_sparse_keys isa=" + std::string(IsaName(isa)) +
+                 " sel=" + std::to_string(sel_pct) +
+                 " threads=" + std::to_string(threads) +
+                 " groups=" + std::to_string(groups));
+}
+
+BENCHMARK(BM_ExecQuerySparseKeys)
+    ->ArgsProduct({{0, 1, 2}, {10}, {1, 8}})
     ->Iterations(40)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -50,7 +50,6 @@
 #include "core/isa.h"
 #include "exec/chunk.h"
 #include "exec/pipeline.h"
-#include "hash/linear_probing.h"
 #include "scan/selection_scan.h"
 #include "util/aligned_buffer.h"
 #include "util/task_pool.h"
@@ -455,13 +454,14 @@ class FusedBloomProbe {
   detail::LaneRows rows_;
 };
 
-/// Fused hash-join probe: (fk, val) batches become (key, s_val, r_attr)
-/// batches, one row per match (build keys unique — key/FK join, enforced
-/// by HashBuildOp::Finish — so a batch never outgrows its input).
+/// Fused join probe through HashBuildOp::Probe: (fk, val) batches become
+/// (key, s_val, r_attr) batches, one row per match (build keys unique —
+/// key/FK join, enforced by HashBuildOp::Finish — so a batch never
+/// outgrows its input).
 template <Isa kIsa>
 class FusedJoinProbe {
  public:
-  explicit FusedJoinProbe(const LinearProbingTable* table) : table_(table) {}
+  explicit FusedJoinProbe(const HashBuildOp* build) : build_(build) {}
 
   void Open(const ExecConfig& cfg, int lanes) {
     lanes_.resize(static_cast<size_t>(lanes));
@@ -475,11 +475,9 @@ class FusedJoinProbe {
 
   template <typename Next>
   void Process(const FusedBatch& in, int lane, Next&& next) {
-    assert(table_ != nullptr && "fused probe ran before the build broke");
-    assert(table_->unique_keys());
     Lane& l = lanes_[static_cast<size_t>(lane)];
     const size_t cnt =
-        table_->Probe(kIsa, in.col[0], in.col[1], in.n, l.key.data(),
+        build_->Probe(kIsa, in.col[0], in.col[1], in.n, l.key.data(),
                       l.sval.data(), l.rpay.data());
     assert(cnt <= l.key.size());
     rows_.Add(lane, cnt);
@@ -497,7 +495,7 @@ class FusedJoinProbe {
   struct Lane {
     AlignedBuffer<uint32_t> key, sval, rpay;
   };
-  const LinearProbingTable* table_;
+  const HashBuildOp* build_;
   std::vector<Lane> lanes_;
   detail::LaneRows rows_;
 };
@@ -618,7 +616,7 @@ FusedProbeResult RunFusedProbeShape(Source source, const FusedProbeSpec& spec,
   FusedPipeline<Source, FusedBloomProbe<kIsa>, FusedJoinProbe<kIsa>,
                 FusedGroupBy>
       pipeline(std::move(source), FusedBloomProbe<kIsa>(spec.build->bloom()),
-               FusedJoinProbe<kIsa>(spec.build->table()),
+               FusedJoinProbe<kIsa>(spec.build),
                FusedGroupBy(spec.build, /*key_col=*/2, /*val_col=*/1));
   pipeline.Run(cfg);
   FusedProbeResult res;

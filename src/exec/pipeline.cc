@@ -363,6 +363,7 @@ void HashBuildOp::Open(const ExecConfig& cfg, int lanes,
   n_build_ = 0;
   pay_min_ = 0xFFFFFFFFu;
   pay_max_ = 0;
+  direct_.reset();
   table_.reset();
   bloom_.reset();
 }
@@ -389,6 +390,7 @@ void HashBuildOp::Push(Chunk& c, int lane) {
 void HashBuildOp::Finish() {
   PhaseScope t(g_build_ns, timed_);
   size_t out = 0;
+  uint32_t key_min = 0xFFFFFFFFu;
   uint32_t key_max = 0;
   for (size_t m = 0; m < slots_.size(); ++m) {
     const Slot& slot = slots_[m];
@@ -401,6 +403,7 @@ void HashBuildOp::Finish() {
                    cnt * sizeof(uint32_t));
     }
     out += cnt;
+    key_min = std::min(key_min, slot.keys.min);
     key_max = std::max(key_max, slot.keys.max);
     pay_min_ = std::min(pay_min_, slot.pays.min);
     pay_max_ = std::max(pay_max_, slot.pays.max);
@@ -413,21 +416,35 @@ void HashBuildOp::Finish() {
   // Load factor <= 50%, and at least one empty bucket even when empty.
   size_t buckets = 16;
   while (buckets < 2 * (n_build_ + 1)) buckets <<= 1;
-  table_ = std::make_unique<LinearProbingTable>(buckets, cfg_.seed);
-  numa::PlaceBuffer(const_cast<uint32_t*>(table_->bucket_keys()),
-                    buckets * sizeof(uint32_t), cfg_.threads,
-                    numa::Placement::kInterleaved);
-  numa::PlaceBuffer(const_cast<uint32_t*>(table_->bucket_pays()),
-                    buckets * sizeof(uint32_t), cfg_.threads,
-                    numa::Placement::kInterleaved);
-  // The scalar walk on every ISA (Alg. 7's vector build is slower at both
-  // executor table sizes), split into home-bucket ranges when more than one
-  // lane can work on it.
-  const int lanes = TaskPool::LaneCount(n_build_, cfg_.threads);
-  table_->BuildPartitioned(cfg_.isa, mat_keys_.data(), mat_pays_.data(),
-                           n_build_, cfg_.threads,
-                           LinearProbingTable::BuildPartitions(buckets, lanes));
-  if (!table_->unique_keys()) {
+  bool unique;
+  if (DirectJoinTable::Fits(key_min, key_max, buckets)) {
+    // The key range ends below kEmptyKey (checked above), so the domain
+    // fits the kernels' 32-bit compare. One serial pass on every lane
+    // count: a split into slot ranges costs each task a scan of every key.
+    const size_t width = size_t{key_max} - key_min + 1;
+    direct_ = std::make_unique<DirectJoinTable>(key_min, width);
+    numa::PlaceBuffer(const_cast<uint32_t*>(direct_->slots()),
+                      width * sizeof(uint32_t), cfg_.threads,
+                      numa::Placement::kInterleaved);
+    unique = direct_->Build(mat_keys_.data(), mat_pays_.data(), n_build_);
+  } else {
+    table_ = std::make_unique<LinearProbingTable>(buckets, cfg_.seed);
+    numa::PlaceBuffer(const_cast<uint32_t*>(table_->bucket_keys()),
+                      buckets * sizeof(uint32_t), cfg_.threads,
+                      numa::Placement::kInterleaved);
+    numa::PlaceBuffer(const_cast<uint32_t*>(table_->bucket_pays()),
+                      buckets * sizeof(uint32_t), cfg_.threads,
+                      numa::Placement::kInterleaved);
+    // The scalar walk on every ISA (Alg. 7's vector build is slower at both
+    // executor table sizes), split into home-bucket ranges when more than
+    // one lane can work on it.
+    const int lanes = TaskPool::LaneCount(n_build_, cfg_.threads);
+    table_->BuildPartitioned(
+        cfg_.isa, mat_keys_.data(), mat_pays_.data(), n_build_, cfg_.threads,
+        LinearProbingTable::BuildPartitions(buckets, lanes));
+    unique = table_->unique_keys();
+  }
+  if (!unique) {
     throw QueryError(RepeatedBuildKeyError(mat_keys_.data(), n_build_));
   }
   if (bloom_bits_per_key_ > 0 && n_build_ > 0) {
@@ -438,6 +455,16 @@ void HashBuildOp::Finish() {
                       numa::Placement::kInterleaved);
     bloom_->Add(mat_keys_.data(), n_build_);
   }
+}
+
+size_t HashBuildOp::Probe(Isa isa, const uint32_t* keys, const uint32_t* pays,
+                          size_t n, uint32_t* out_keys, uint32_t* out_spays,
+                          uint32_t* out_rpays) const {
+  if (direct_ != nullptr) {
+    return direct_->Probe(isa, keys, pays, n, out_keys, out_spays, out_rpays);
+  }
+  assert(table_ != nullptr && "probe ran before the build broke");
+  return table_->Probe(isa, keys, pays, n, out_keys, out_spays, out_rpays);
 }
 
 // ---------------------------------------------------------------------------
@@ -483,13 +510,10 @@ void HashJoinProbeOp::Push(Chunk& c, int lane) {
   {
     PhaseScope t(g_probe_ns, timed_);
     c.Compact(cfg_.isa);
-    const LinearProbingTable* table = build_->table();
-    assert(table != nullptr && "probe pipeline ran before the build broke");
     // At most one match per row fits the output chunk; HashBuildOp::Finish
     // refuses tables with repeated keys.
-    assert(table->unique_keys());
-    const size_t cnt = table->Probe(cfg_.isa, c.col(0), c.col(1), c.size(),
-                                    out.col(0), out.col(1), out.col(2));
+    const size_t cnt = build_->Probe(cfg_.isa, c.col(0), c.col(1), c.size(),
+                                     out.col(0), out.col(1), out.col(2));
     assert(cnt <= ChunkCapacity(out.capacity()));
     out.SetDense(cnt);
     out.set_seq(c.seq());

@@ -16,11 +16,11 @@
 // placed via numa/placement.h.
 //
 // Adapters wrap the existing kernels unchanged: SelectionScan (source),
-// BloomFilter::Probe, LinearProbingTable::Probe, and DirectGroupBy or
-// GroupByAggregator behind GroupByState. Every Push is timed into a
-// per-operator obs phase timer (exec_*_ns) and counted into
-// `chunks_pushed`; the converters count `bitmap_to_sel` / `sel_to_bitmap`
-// (see chunk.cc).
+// BloomFilter::Probe, DirectJoinTable or LinearProbingTable behind
+// HashBuildOp::Probe, and DirectGroupBy or GroupByAggregator behind
+// GroupByState. Every Push is timed into a per-operator obs phase timer
+// (exec_*_ns) and counted into `chunks_pushed`; the converters count
+// `bitmap_to_sel` / `sel_to_bitmap` (see chunk.cc).
 
 #include <atomic>
 #include <cstddef>
@@ -34,6 +34,7 @@
 #include "compress/column.h"
 #include "core/isa.h"
 #include "exec/chunk.h"
+#include "hash/direct_table.h"
 #include "hash/linear_probing.h"
 #include "numa/placement.h"
 #include "scan/selection_scan.h"
@@ -236,23 +237,28 @@ class MaterializeOp final : public Operator {
 };
 
 /// Breaker sink: materializes the build relation into seq-slotted staging,
-/// then in Finish builds the linear-probing join table (2x buckets,
-/// interleaved placement — every probe lane reads it) and optionally a
-/// Bloom filter over the build keys for the probe pipeline's semi-join.
-/// The table is built with LinearProbingTable::BuildPartitioned, the
-/// scalar walk on every ISA, split into
-/// LinearProbingTable::BuildPartitions(buckets, lanes) home-bucket ranges
-/// that the TaskPool lanes insert in parallel (one range, no partition
-/// pass, on one lane). The join is key/FK: Finish throws QueryError when
-/// the table's build found a repeated key, since every probe stage sizes
-/// its output for at most one match per probe row.
+/// then in Finish builds the join table (interleaved placement — every
+/// probe lane reads it) and optionally a Bloom filter over the build keys
+/// for the probe pipeline's semi-join.
 ///
-/// Push also records each chunk's key and payload ranges (ColumnMinMax).
-/// Finish reduces them into the payload domain [pay_min(), pay_max()] —
-/// the group-key domain of every plan, since the payload is R.attr — and
-/// throws QueryError when a key or payload equals the reserved value
-/// kEmptyKey (0xFFFFFFFF), which marks empty buckets in the join table
-/// and the hash group-by.
+/// Push records each chunk's key and payload ranges (ColumnMinMax).
+/// Finish reduces them into the key range and the payload domain
+/// [pay_min(), pay_max()] — the group-key domain of every plan, since the
+/// payload is R.attr — and throws QueryError when a key or payload equals
+/// the reserved value kEmptyKey (0xFFFFFFFF), which marks empty buckets in
+/// the hash tables and absent keys in the direct-indexed one.
+///
+/// The key range then picks the table's layout. A linear-probing table
+/// gets 2x buckets (load factor <= 50%); when the key range spans at most
+/// twice that bucket count (DirectJoinTable::Fits), Finish builds a
+/// DirectJoinTable instead, with the serial slot-store loop on every lane
+/// count, since it never needs more memory. Otherwise it builds the
+/// LinearProbingTable with BuildPartitioned, the scalar walk on every ISA,
+/// split into LinearProbingTable::BuildPartitions(buckets, lanes)
+/// home-bucket ranges that the TaskPool lanes insert in parallel (one
+/// range, no partition pass, on one lane). The join is key/FK: Finish
+/// throws QueryError when either build found a repeated key, since every
+/// probe stage sizes its output for at most one match per probe row.
 class HashBuildOp final : public Operator {
  public:
   /// bloom_bits_per_key == 0 disables the filter.
@@ -263,7 +269,15 @@ class HashBuildOp final : public Operator {
   void Push(Chunk& c, int lane) override;
   void Finish() override;
 
-  const LinearProbingTable* table() const { return table_.get(); }
+  /// Probes n (key, payload) tuples against the table Finish built, with
+  /// the semantics of LinearProbingTable::Probe or DirectJoinTable::Probe
+  /// (at most one match per row; output buffers hold n tuples). Call only
+  /// after Finish.
+  size_t Probe(Isa isa, const uint32_t* keys, const uint32_t* pays, size_t n,
+               uint32_t* out_keys, uint32_t* out_spays,
+               uint32_t* out_rpays) const;
+  /// True when Finish built the direct-indexed table.
+  bool direct() const { return direct_ != nullptr; }
   const BloomFilter* bloom() const { return bloom_.get(); }
   size_t build_rows() const { return n_build_; }
   /// Smallest and largest payload in the table; pay_min() > pay_max() when
@@ -286,6 +300,8 @@ class HashBuildOp final : public Operator {
   size_t n_build_ = 0;
   uint32_t pay_min_ = 0xFFFFFFFFu;
   uint32_t pay_max_ = 0;
+  // Exactly one of the two is set once Finish returns.
+  std::unique_ptr<DirectJoinTable> direct_;
   std::unique_ptr<LinearProbingTable> table_;
   std::unique_ptr<BloomFilter> bloom_;
 };
@@ -306,10 +322,10 @@ class BloomProbeOp final : public Operator {
   std::vector<std::unique_ptr<Chunk>> out_;
 };
 
-/// Join probe adapter over the breaker's table: (key, val) chunks become
-/// (key, s_val, r_pay) chunks, one row per match. Build keys are unique
-/// (key/FK join, enforced by HashBuildOp::Finish), so matches never exceed
-/// the chunk's tuple count.
+/// Join probe adapter over the breaker's table (HashBuildOp::Probe): (key,
+/// val) chunks become (key, s_val, r_pay) chunks, one row per match. Build
+/// keys are unique (key/FK join, enforced by HashBuildOp::Finish), so
+/// matches never exceed the chunk's tuple count.
 class HashJoinProbeOp final : public Operator {
  public:
   explicit HashJoinProbeOp(const HashBuildOp* build) : build_(build) {}

@@ -1,0 +1,72 @@
+#ifndef SIMDDB_HASH_DIRECT_TABLE_H_
+#define SIMDDB_HASH_DIRECT_TABLE_H_
+
+// Direct-indexed join table for dense build keys: the payload of key k
+// lives at slot k - key_min of one array, and kEmptyKey marks the domain
+// values no build key holds. A probe is a range check and one load (one
+// masked gather per vector): no hashing, no cluster walk, and no second
+// access for the payload, because the key itself is the slot. A slot is
+// 4 bytes against a LinearProbingTable bucket's 8 (key + payload), so over
+// a key range of at most twice the table's bucket count (Fits) the array
+// holds no more memory than the hash table it replaces.
+//
+// Payloads must differ from kEmptyKey, which marks absent keys, and every
+// build key must lie in the domain. The build does not check either; the
+// executor takes the domain from the build side's own key range and
+// rejects the reserved value before it chooses this layout
+// (exec::HashBuildOp).
+
+#include <cstddef>
+#include <cstdint>
+
+#include "core/isa.h"
+#include "hash/hash_table.h"
+#include "util/aligned_buffer.h"
+
+namespace simddb {
+
+class DirectJoinTable {
+ public:
+  /// True when [key_min, key_max] is non-empty and spans at most
+  /// 2 * buckets values, and at most 2^31 (the reach of a gather's signed
+  /// 32-bit index). `buckets` is the size of the LinearProbingTable the
+  /// array would replace.
+  static bool Fits(uint32_t key_min, uint32_t key_max, size_t buckets);
+
+  /// An empty table over the domain [key_min, key_min + width). width must
+  /// be at least 1, and the domain must end below kEmptyKey.
+  DirectJoinTable(uint32_t key_min, size_t width);
+
+  /// Stores n (key, payload) tuples, serially. Returns false when a key
+  /// repeats, within this call or against an earlier one; the later
+  /// payload then replaces the earlier.
+  bool Build(const uint32_t* keys, const uint32_t* pays, size_t n);
+
+  /// Probes n (key, payload) tuples; writes one output tuple (key, probe
+  /// payload, table payload) per match, in input order, and returns the
+  /// match count. Output buffers must have room for n tuples. A key
+  /// outside the domain, kEmptyKey among them, matches nothing.
+  size_t Probe(Isa isa, const uint32_t* keys, const uint32_t* pays, size_t n,
+               uint32_t* out_keys, uint32_t* out_spays,
+               uint32_t* out_rpays) const;
+  size_t ProbeScalar(const uint32_t* keys, const uint32_t* pays, size_t n,
+                     uint32_t* out_keys, uint32_t* out_spays,
+                     uint32_t* out_rpays) const;
+  size_t ProbeAvx2(const uint32_t* keys, const uint32_t* pays, size_t n,
+                   uint32_t* out_keys, uint32_t* out_spays,
+                   uint32_t* out_rpays) const;
+  size_t ProbeAvx512(const uint32_t* keys, const uint32_t* pays, size_t n,
+                     uint32_t* out_keys, uint32_t* out_spays,
+                     uint32_t* out_rpays) const;
+
+  const uint32_t* slots() const { return slots_.data(); }
+
+ private:
+  AlignedBuffer<uint32_t> slots_;
+  uint32_t key_min_;
+  size_t width_;
+};
+
+}  // namespace simddb
+
+#endif  // SIMDDB_HASH_DIRECT_TABLE_H_

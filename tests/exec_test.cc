@@ -243,23 +243,48 @@ TEST(ExecChunkTest, MaterializeCountsConversions) {
 constexpr uint32_t kNarrowAttrs = 64;
 constexpr uint32_t kWideAttrs = 100'000;
 
+/// R key strides of the test data. Stride 1 makes the build keys dense,
+/// so HashBuildOp builds the direct-indexed join table; stride 16 spreads
+/// every build side of more than two rows over more than twice the hash
+/// table's bucket count (at most 8(n + 1) for n keys), so it builds the
+/// LinearProbingTable.
+constexpr uint32_t kDenseKeys = 1;
+constexpr uint32_t kSparseKeys = 16;
+
+/// The byte-identity matrices' (key stride, attr_hi) axes: both join-table
+/// layouts by both group-by paths.
+constexpr std::pair<uint32_t, uint32_t> kLayoutAxes[] = {
+    {kDenseKeys, kNarrowAttrs},
+    {kDenseKeys, kWideAttrs},
+    {kSparseKeys, kNarrowAttrs},
+    {kSparseKeys, kWideAttrs}};
+
 struct QueryData {
   AlignedBuffer<uint32_t> r_keys, r_attrs, s_fks, s_vals;
   size_t n_r = 0, n_s = 0;
+  uint32_t key_stride = kDenseKeys;
 
-  QueryData(size_t nr, size_t ns, uint32_t attr_hi = kNarrowAttrs)
-      : n_r(nr), n_s(ns) {
+  QueryData(size_t nr, size_t ns, uint32_t attr_hi = kNarrowAttrs,
+            uint32_t stride = kDenseKeys)
+      : n_r(nr), n_s(ns), key_stride(stride) {
     r_keys.Reset(nr + 16);
     r_attrs.Reset(nr + 16);
     s_fks.Reset(ns + 16);
     s_vals.Reset(ns + 16);
-    // Unique R keys 1..nr, attrs in [1, attr_hi] (0xFFFFFFFF = kEmptyKey is
-    // reserved in both; see the ReservedValue tests).
-    FillSequential(r_keys.data(), nr, 1);
+    // Unique R keys Key(0..nr-1), attrs in [1, attr_hi] (0xFFFFFFFF =
+    // kEmptyKey is reserved in both; see the ReservedValue tests). S.fk
+    // picks an R row uniformly and takes its key.
+    for (size_t i = 0; i < nr; ++i) r_keys[i] = Key(i);
     FillUniform(r_attrs.data(), nr, 5, 1, attr_hi);
     FillUniform(s_fks.data(), ns, 6, 1,
                 nr == 0 ? 1 : static_cast<uint32_t>(nr));
+    for (size_t i = 0; i < ns; ++i) s_fks[i] = Key(s_fks[i] - 1);
     FillUniform(s_vals.data(), ns, 7, 0, 999'999);
+  }
+
+  /// The key of R row `row`.
+  uint32_t Key(size_t row) const {
+    return static_cast<uint32_t>(1 + row * key_stride);
   }
 
   ScanJoinAggregatePlan Plan() const {
@@ -268,7 +293,9 @@ struct QueryData {
     p.r_attrs = r_attrs.data();
     p.n_r = n_r;
     p.r_lo = 1;
-    p.r_hi = n_r == 0 ? 1 : static_cast<uint32_t>((3 * n_r) / 4);  // 75% of R
+    // The first 75% of R's rows.
+    const size_t kept = (3 * n_r) / 4;
+    p.r_hi = n_r == 0 ? 1 : kept == 0 ? 0 : Key(kept - 1);
     p.s_fks = s_fks.data();
     p.s_vals = s_vals.data();
     p.n_s = n_s;
@@ -299,6 +326,24 @@ void ExpectGroupByPath(const QueryData& d, const ScanJoinAggregatePlan& p,
   } else {
     EXPECT_LE(values, exec::GroupByState::kMaxDirectKeys);
   }
+}
+
+/// Runs the plan's build pipeline alone and returns whether HashBuildOp
+/// built the direct-indexed join table. A build that refuses its input
+/// still reports the layout it chose; one refused before the choice (a
+/// reserved value) reports false.
+bool BuildsDirectTable(const ScanJoinAggregatePlan& p) {
+  exec::Query q;
+  exec::HashBuildOp* build = exec::AddBuildPipeline(q, p);
+  try {
+    q.Run(ExecConfig{});
+  } catch (const exec::QueryError&) {
+  }
+  return build->direct();
+}
+
+std::string StrideLabel(uint32_t stride) {
+  return stride == kDenseKeys ? " keys=dense" : " keys=sparse";
 }
 
 struct RefRow {
@@ -427,11 +472,14 @@ std::vector<Isa> SupportedIsas() {
 }
 
 TEST(ExecQueryTest, MatchesHandComposedAndReferenceAcrossMatrix) {
-  // Both group-by paths: direct-indexed (narrow attrs) and hashed (wide).
-  for (uint32_t attr_hi : {kNarrowAttrs, kWideAttrs}) {
-    QueryData d(4096, 60'000, attr_hi);
+  // Both join-table layouts: direct-indexed (dense keys) and hashed
+  // (sparse); both group-by paths: direct-indexed (narrow attrs) and
+  // hashed (wide). The hand-composed reference always hashes.
+  for (auto [stride, attr_hi] : kLayoutAxes) {
+    QueryData d(4096, 60'000, attr_hi, stride);
     ScanJoinAggregatePlan plan = d.Plan();
     ExpectGroupByPath(d, plan, attr_hi);
+    EXPECT_EQ(BuildsDirectTable(plan), stride == kDenseKeys);
     const auto want = MapReference(d, plan);
 
     for (int bloom : {0, 10}) {
@@ -457,7 +505,7 @@ TEST(ExecQueryTest, MatchesHandComposedAndReferenceAcrossMatrix) {
                     " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
                     " b=" + std::to_string(bloom) +
                     " p=" + (pm == PipelineMode::kFused ? "fused" : "dynamic") +
-                    " attrs=" + std::to_string(attr_hi);
+                    " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
                 ExpectMatchesReference(got, want, label);
                 ExpectIdentical(got, hand, label + " vs hand-composed");
                 if (!have_first) {
@@ -508,10 +556,9 @@ TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
   // Scan-over-compressed acceptance: the same plan over CompressColumn'd
   // base tables is byte-identical to the raw-column plan everywhere the
   // raw matrix runs — ISA x threads x chunk size x scan mode x bloom x
-  // pipeline mode x group-by path — plus edge sizes below/at/above one
-  // block.
-  for (uint32_t attr_hi : {kNarrowAttrs, kWideAttrs}) {
-    QueryData d(4096, 60'000, attr_hi);
+  // pipeline mode x group-by path x join-table layout.
+  for (auto [stride, attr_hi] : kLayoutAxes) {
+    QueryData d(4096, 60'000, attr_hi, stride);
     const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
     const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
     const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
@@ -523,6 +570,8 @@ TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
     comp.s_fks_c = &s_fks_c;
     comp.s_vals_c = &s_vals_c;
     ExpectGroupByPath(d, raw, attr_hi);
+    EXPECT_EQ(BuildsDirectTable(raw), stride == kDenseKeys);
+    EXPECT_EQ(BuildsDirectTable(comp), stride == kDenseKeys);
     for (int bloom : {0, 10}) {
       for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
         raw.bloom_bits_per_key = comp.bloom_bits_per_key = bloom;
@@ -544,7 +593,7 @@ TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
                     " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
                     " b=" + std::to_string(bloom) +
                     " p=" + (pm == PipelineMode::kFused ? "fused" : "dynamic") +
-                    " attrs=" + std::to_string(attr_hi);
+                    " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
                 ExpectIdentical(got, want, label);
                 EXPECT_EQ(got.rows_scanned, want.rows_scanned) << label;
               }
@@ -618,17 +667,18 @@ TEST(ExecPipelineTest, ChunksPushedAndConversionCounters) {
 TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
   // ISA x threads {1, 8} x chunk {257, 1024} x scan mode x seed {1, 42} x
   // edge input sizes n_s in {0, 1, 1023, 4097} plus one bulk shape x
-  // group-by path. The seed feeds the join table's, the Bloom filter's and
-  // the hash group-by's hashes. The forced dynamic run is the reference;
-  // the fused run must be byte-identical in every result row and every
-  // reported cardinality.
+  // group-by path x join-table layout. The seed feeds the hash join
+  // table's, the Bloom filter's and the hash group-by's hashes. The forced
+  // dynamic run is the reference; the fused run must be byte-identical in
+  // every result row and every reported cardinality.
   const std::pair<size_t, size_t> shapes[] = {
       {256, 0}, {256, 1}, {256, 1023}, {1024, 4097}, {4096, 60'000}};
-  for (uint32_t attr_hi : {kNarrowAttrs, kWideAttrs}) {
+  for (auto [stride, attr_hi] : kLayoutAxes) {
     for (auto [nr, ns] : shapes) {
-      QueryData d(nr, ns, attr_hi);
+      QueryData d(nr, ns, attr_hi, stride);
       ScanJoinAggregatePlan plan = d.Plan();
       ExpectGroupByPath(d, plan, attr_hi);
+      EXPECT_EQ(BuildsDirectTable(plan), stride == kDenseKeys);
       plan.bloom_bits_per_key = 10;
       const auto want = MapReference(d, plan);
       for (Isa isa : SupportedIsas()) {
@@ -652,7 +702,7 @@ TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
                     " c=" + std::to_string(chunk) +
                     " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
                     " seed=" + std::to_string(seed) +
-                    " attrs=" + std::to_string(attr_hi);
+                    " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
                 EXPECT_FALSE(dyn.used_fused) << label;
                 EXPECT_TRUE(fus.used_fused) << label;
                 ExpectIdentical(fus, dyn, label + " fused vs dynamic");
@@ -701,14 +751,89 @@ TEST(ExecFusedTest, PipelineModesRunTheirPipelines) {
 }
 
 // ---------------------------------------------------------------------------
+// Join-table layout boundaries
+// ---------------------------------------------------------------------------
+
+TEST(ExecQueryTest, JoinLayoutFollowsKeyRangeAtItsBoundaries) {
+  // Each case lists R's keys and its r= window. S probes every R key, the
+  // keys just below and above the window's key range, 0, and 0xFFFFFFFF,
+  // in turn. 1,000 build keys get 2,048 buckets, so a range of 4,096 keys
+  // is the widest that takes the direct-indexed table.
+  struct Case {
+    const char* name;
+    std::vector<uint32_t> keys;
+    uint32_t r_lo, r_hi;
+    bool direct;
+  };
+  auto run = [](uint32_t first, size_t n) {
+    std::vector<uint32_t> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = first + static_cast<uint32_t>(i);
+    return keys;
+  };
+  auto with = [](std::vector<uint32_t> keys, uint32_t last) {
+    keys.push_back(last);
+    return keys;
+  };
+  const Case cases[] = {
+      {"width 2x buckets", with(run(1, 999), 4096), 1, 4096, true},
+      {"width 2x buckets + 1", with(run(1, 999), 4097), 1, 4097, false},
+      {"domain from 0", run(0, 1000), 0, 999, true},
+      {"domain to 0xFFFFFFFE", run(0xFFFFFFFEu - 999, 1000), 0,
+       0xFFFFFFFEu, true},
+      {"one build row", run(1, 1000), 500, 500, true},
+      {"empty window", run(1, 1000), 5000, 6000, false},
+  };
+  for (const Case& c : cases) {
+    QueryData d(c.keys.size(), 3000);
+    std::copy(c.keys.begin(), c.keys.end(), d.r_keys.data());
+    uint32_t lo = 0xFFFFFFFFu, hi = 0;
+    for (uint32_t k : c.keys) {
+      if (k < c.r_lo || k > c.r_hi) continue;
+      lo = std::min(lo, k);
+      hi = std::max(hi, k);
+    }
+    std::vector<uint32_t> probes = c.keys;
+    for (uint32_t k : {lo - 1, lo, hi, hi + 1, 0u, 0xFFFFFFFFu}) {
+      probes.push_back(k);
+    }
+    for (size_t i = 0; i < d.n_s; ++i) d.s_fks[i] = probes[i % probes.size()];
+    ScanJoinAggregatePlan plan = d.Plan();
+    plan.r_lo = c.r_lo;
+    plan.r_hi = c.r_hi;
+    plan.s_hi = 999'999;
+    EXPECT_EQ(BuildsDirectTable(plan), c.direct) << c.name;
+    const auto want = MapReference(d, plan);
+    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+      for (Isa isa : SupportedIsas()) {
+        for (int threads : {1, 8}) {
+          ExecConfig cfg;
+          cfg.isa = isa;
+          cfg.threads = threads;
+          cfg.pipeline_mode = pm;
+          cfg.chunk_tuples = 257;
+          ExpectMatchesReference(
+              exec::RunScanJoinAggregate(plan, cfg), want,
+              std::string(c.name) + " " +
+                  (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
+                  IsaName(isa) + " t=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Partitioned build
 // ---------------------------------------------------------------------------
 
 TEST(ExecQueryTest, PartitionedBuildMatchesThreadsOneAcrossMatrix) {
   // The 30,720-key build side (75% of 40,960 rows) spans two 16K-tuple
   // partition-pass morsels: threads 2 and 8 build its table in 4 and 16
-  // home-bucket ranges, threads 1 with the serial walk.
-  QueryData d(40'960, 60'000);
+  // home-bucket ranges, threads 1 with the serial walk. Its keys are
+  // sparse: dense ones would take the direct-indexed table, which has no
+  // partitioned build.
+  QueryData d(40'960, 60'000, kNarrowAttrs, kSparseKeys);
+  ASSERT_FALSE(BuildsDirectTable(d.Plan()));
   const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
   const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
   const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
@@ -755,16 +880,31 @@ TEST(ExecQueryTest, PartitionedBuildMatchesThreadsOneAcrossMatrix) {
 // Duplicate build keys
 // ---------------------------------------------------------------------------
 
-// R has n_r rows whose first `d` keys are all 1, and key 1 again on row
-// `far` when far != 0 (the other keys are 2..n_r minus the overwritten
-// ones); half of S probes key 1. Each probe batch would produce up to d
-// matches per row, more than its output holds.
+// R has n_r rows keyed as QueryData lays them out. R's smallest key (the
+// direct-indexed table's first slot) or, with at_last, its largest (the
+// last slot) is written over d rows counted from its own end of R,
+// including the row that holds it, and over row `far` when far != 0; half
+// of S probes it. Each probe batch would produce up to d matches per row,
+// more than its output holds.
 struct RepeatedKeyData : QueryData {
-  explicit RepeatedKeyData(size_t d, size_t n_r = 4096, size_t far = 0)
-      : QueryData(n_r, 4096) {
-    std::fill(r_keys.data(), r_keys.data() + d, 1u);
-    if (far != 0) r_keys[far] = 1u;
-    std::fill(s_fks.data(), s_fks.data() + n_s / 2, 1u);
+  uint32_t repeated;
+  RepeatedKeyData(size_t d, size_t n_r, size_t far, uint32_t stride,
+                  bool at_last)
+      : QueryData(n_r, 4096, kNarrowAttrs, stride),
+        repeated(Key(at_last ? n_r - 1 : 0)) {
+    uint32_t* first = at_last ? r_keys.data() + n_r - d : r_keys.data();
+    std::fill(first, first + d, repeated);
+    if (far != 0) r_keys[far] = repeated;
+    std::fill(s_fks.data(), s_fks.data() + n_s / 2, repeated);
+  }
+
+  /// Every row of R.
+  ScanJoinAggregatePlan WholePlan() const {
+    ScanJoinAggregatePlan p = Plan();
+    p.r_lo = 1;
+    p.r_hi = Key(n_r - 1);
+    p.s_hi = 999'999;
+    return p;
   }
 };
 
@@ -772,52 +912,60 @@ TEST(ExecQueryTest, DuplicateBuildKeysInWindowFailQuery) {
   struct Case {
     size_t d, n_r, far;
   };
-  // The third case puts the two copies 30,000 rows apart: in chunks that
-  // start on different lanes, and in different morsels of the partitioned
-  // build at threads 2 and 8.
-  for (const Case& c : {Case{2, 4096, 0}, Case{64, 4096, 0},
-                        Case{1, 40'960, 30'000}}) {
-    const size_t d = c.d;
-    RepeatedKeyData data(d, c.n_r, c.far);
-    const auto r_keys_c =
-        compress::CompressColumn(data.r_keys.data(), data.n_r);
-    const auto r_attrs_c =
-        compress::CompressColumn(data.r_attrs.data(), data.n_r);
-    const auto s_fks_c = compress::CompressColumn(data.s_fks.data(), data.n_s);
-    const auto s_vals_c =
-        compress::CompressColumn(data.s_vals.data(), data.n_s);
-    for (bool packed : {false, true}) {
-      ScanJoinAggregatePlan plan = data.Plan();
-      plan.r_lo = 1;
-      plan.r_hi = static_cast<uint32_t>(c.n_r);
-      plan.s_hi = 999'999;
-      if (packed) {
-        plan.r_keys_c = &r_keys_c;
-        plan.r_attrs_c = &r_attrs_c;
-        plan.s_fks_c = &s_fks_c;
-        plan.s_vals_c = &s_vals_c;
-      }
-      for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-        for (Isa isa : SupportedIsas()) {
-          for (int threads : {1, 2, 8}) {
-            ExecConfig cfg;
-            cfg.isa = isa;
-            cfg.threads = threads;
-            cfg.pipeline_mode = pm;
-            cfg.chunk_tuples = 1000;
-            const std::string label =
-                "d=" + std::to_string(d) + " far=" + std::to_string(c.far) +
-                (packed ? " packed " : " raw ") +
-                (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
-                IsaName(isa) + " t=" + std::to_string(threads);
-            try {
-              exec::RunScanJoinAggregate(plan, cfg);
-              ADD_FAILURE() << label << ": query ran";
-            } catch (const exec::QueryError& e) {
-              const std::string what = e.what();
-              EXPECT_NE(what.find("duplicate build keys (key 1 repeats)"),
-                        std::string::npos)
-                  << label << ": " << what;
+  // The third case puts the two copies 30,000 rows or more apart: in
+  // chunks that start on different lanes, and in different morsels of the
+  // partitioned build at threads 2 and 8.
+  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
+    for (bool at_last : {false, true}) {
+      for (const Case& c : {Case{2, 4096, 0}, Case{64, 4096, 0},
+                            Case{1, 40'960, 30'000}}) {
+        const size_t d = c.d;
+        RepeatedKeyData data(d, c.n_r, c.far, stride, at_last);
+        const auto r_keys_c =
+            compress::CompressColumn(data.r_keys.data(), data.n_r);
+        const auto r_attrs_c =
+            compress::CompressColumn(data.r_attrs.data(), data.n_r);
+        const auto s_fks_c =
+            compress::CompressColumn(data.s_fks.data(), data.n_s);
+        const auto s_vals_c =
+            compress::CompressColumn(data.s_vals.data(), data.n_s);
+        const std::string want_error = "duplicate build keys (key " +
+                                       std::to_string(data.repeated) +
+                                       " repeats)";
+        for (bool packed : {false, true}) {
+          ScanJoinAggregatePlan plan = data.WholePlan();
+          if (packed) {
+            plan.r_keys_c = &r_keys_c;
+            plan.r_attrs_c = &r_attrs_c;
+            plan.s_fks_c = &s_fks_c;
+            plan.s_vals_c = &s_vals_c;
+          }
+          EXPECT_EQ(BuildsDirectTable(plan), stride == kDenseKeys);
+          for (PipelineMode pm :
+               {PipelineMode::kFused, PipelineMode::kDynamic}) {
+            for (Isa isa : SupportedIsas()) {
+              for (int threads : {1, 2, 8}) {
+                ExecConfig cfg;
+                cfg.isa = isa;
+                cfg.threads = threads;
+                cfg.pipeline_mode = pm;
+                cfg.chunk_tuples = 1000;
+                const std::string label =
+                    "d=" + std::to_string(d) +
+                    " far=" + std::to_string(c.far) +
+                    (at_last ? " last" : " first") + StrideLabel(stride) +
+                    (packed ? " packed " : " raw ") +
+                    (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
+                    IsaName(isa) + " t=" + std::to_string(threads);
+                try {
+                  exec::RunScanJoinAggregate(plan, cfg);
+                  ADD_FAILURE() << label << ": query ran";
+                } catch (const exec::QueryError& e) {
+                  const std::string what = e.what();
+                  EXPECT_NE(what.find(want_error), std::string::npos)
+                      << label << ": " << what;
+                }
+              }
             }
           }
         }
@@ -827,25 +975,28 @@ TEST(ExecQueryTest, DuplicateBuildKeysInWindowFailQuery) {
 }
 
 TEST(ExecQueryTest, DuplicateBuildKeysOutsideWindowStillRun) {
-  // The repeats of key 1 are filtered out by the R scan (window starts at
-  // 2), so the build side is unique and the query runs normally.
-  RepeatedKeyData data(64);
-  ScanJoinAggregatePlan plan = data.Plan();
-  plan.r_lo = 2;
-  plan.r_hi = 4096;
-  plan.s_hi = 999'999;
-  const auto want = MapReference(data, plan);
-  ASSERT_FALSE(want.empty());
-  for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-    for (Isa isa : SupportedIsas()) {
-      for (int threads : {1, 8}) {
-        ExecConfig cfg;
-        cfg.isa = isa;
-        cfg.threads = threads;
-        cfg.pipeline_mode = pm;
-        ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want,
-                               std::string(IsaName(isa)) +
-                                   " t=" + std::to_string(threads));
+  // The repeats of R's smallest key are filtered out by the R scan (the
+  // window starts just above it), so the build side is unique and the
+  // query runs normally.
+  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
+    RepeatedKeyData data(64, 4096, 0, stride, /*at_last=*/false);
+    ScanJoinAggregatePlan plan = data.WholePlan();
+    plan.r_lo = data.repeated + 1;
+    EXPECT_EQ(BuildsDirectTable(plan), stride == kDenseKeys);
+    const auto want = MapReference(data, plan);
+    ASSERT_FALSE(want.empty());
+    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+      for (Isa isa : SupportedIsas()) {
+        for (int threads : {1, 8}) {
+          ExecConfig cfg;
+          cfg.isa = isa;
+          cfg.threads = threads;
+          cfg.pipeline_mode = pm;
+          ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want,
+                                 std::string(IsaName(isa)) +
+                                     " t=" + std::to_string(threads) +
+                                     StrideLabel(stride));
+        }
       }
     }
   }
@@ -896,13 +1047,14 @@ TEST(ExecQueryTest, ReservedValueProbeKeysJoinNothing) {
   // probes once matched it against empty buckets and emitted their payload
   // 0: a group the build side never had, and in a direct-indexed group-by
   // an index below the domain.
-  for (uint32_t attr_hi : {kNarrowAttrs, kWideAttrs}) {
-    QueryData d(4096, 4096, attr_hi);
+  for (auto [stride, attr_hi] : kLayoutAxes) {
+    QueryData d(4096, 4096, attr_hi, stride);
     std::fill(d.s_fks.data(), d.s_fks.data() + d.n_s / 2, 0xFFFFFFFFu);
     for (int bloom : {0, 10}) {
       ScanJoinAggregatePlan base = d.Plan();
       base.s_hi = 999'999;
       base.bloom_bits_per_key = bloom;
+      EXPECT_EQ(BuildsDirectTable(base), stride == kDenseKeys);
       const auto want = MapReference(d, base);
       uint64_t want_joined = 0;
       for (const auto& [key, row] : want) want_joined += row.count;
@@ -911,7 +1063,8 @@ TEST(ExecQueryTest, ReservedValueProbeKeysJoinNothing) {
                                     const ExecConfig& cfg,
                                     const std::string& label) {
         const std::string l = label + " b=" + std::to_string(bloom) +
-                              " attrs=" + std::to_string(attr_hi);
+                              " attrs=" + std::to_string(attr_hi) +
+                              StrideLabel(stride);
         const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
         EXPECT_EQ(got.rows_joined, want_joined) << l;
         ExpectMatchesReference(got, want, l);
@@ -921,15 +1074,20 @@ TEST(ExecQueryTest, ReservedValueProbeKeysJoinNothing) {
 }
 
 TEST(ExecQueryTest, ReservedValueInBuildWindowFailsQuery) {
-  // kEmptyKey marks empty buckets, so the join table cannot store it as a
-  // key and the hash group-by cannot store it as a group: a build side
-  // holding it in its window fails before any probe runs, on every path.
+  // kEmptyKey marks empty buckets and absent keys, so neither join table
+  // can store it as a key and the hash group-by cannot store it as a
+  // group: a build side holding it in its window fails before any probe
+  // runs, on every path and whichever layout its keys would pick.
   struct Case {
     const char* what;  // the column the error names
     bool in_keys;
+    uint32_t stride;
   };
-  for (const Case& c : {Case{"keys", true}, Case{"group attributes", false}}) {
-    QueryData d(4096, 4096);
+  for (const Case& c : {Case{"keys", true, kDenseKeys},
+                        Case{"group attributes", false, kDenseKeys},
+                        Case{"keys", true, kSparseKeys},
+                        Case{"group attributes", false, kSparseKeys}}) {
+    QueryData d(4096, 4096, kNarrowAttrs, c.stride);
     if (c.in_keys) {
       d.r_keys[4000] = 0xFFFFFFFFu;  // one row
     } else {
@@ -951,7 +1109,7 @@ TEST(ExecQueryTest, ReservedValueInBuildWindowFailsQuery) {
                                         "build ") +
                             c.what),
                   std::string::npos)
-            << label << ": " << what;
+            << label << StrideLabel(c.stride) << ": " << what;
       }
     });
   }
@@ -959,20 +1117,24 @@ TEST(ExecQueryTest, ReservedValueInBuildWindowFailsQuery) {
 
 TEST(ExecQueryTest, ReservedValueOutsideBuildWindowStillRuns) {
   // The same rows outside [r_lo, r_hi] are filtered out by the R scan.
-  QueryData d(4096, 4096);
-  d.r_keys[4000] = 0xFFFFFFFFu;
-  for (size_t i = 3500; i < d.n_r; i += 4) d.r_attrs[i] = 0xFFFFFFFFu;
-  ScanJoinAggregatePlan base = d.Plan();
-  base.r_lo = 1;
-  base.r_hi = 3000;
-  base.s_hi = 999'999;
-  const auto want = MapReference(d, base);
-  ASSERT_FALSE(want.empty());
-  ForEachExecution(d, base, [&](const ScanJoinAggregatePlan& plan,
-                                const ExecConfig& cfg,
-                                const std::string& label) {
-    ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want, label);
-  });
+  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
+    QueryData d(4096, 4096, kNarrowAttrs, stride);
+    d.r_keys[4000] = 0xFFFFFFFFu;
+    for (size_t i = 3500; i < d.n_r; i += 4) d.r_attrs[i] = 0xFFFFFFFFu;
+    ScanJoinAggregatePlan base = d.Plan();
+    base.r_lo = 1;
+    base.r_hi = d.Key(2999);
+    base.s_hi = 999'999;
+    EXPECT_EQ(BuildsDirectTable(base), stride == kDenseKeys);
+    const auto want = MapReference(d, base);
+    ASSERT_FALSE(want.empty());
+    ForEachExecution(d, base, [&](const ScanJoinAggregatePlan& plan,
+                                  const ExecConfig& cfg,
+                                  const std::string& label) {
+      ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want,
+                             label + StrideLabel(stride));
+    });
+  }
 }
 
 TEST(ExecPipelineTest, RowsOutCardinalitiesAreConsistent) {

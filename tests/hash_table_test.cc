@@ -16,10 +16,12 @@
 #include "core/scalar_ops.h"
 #include "hash/bucketized.h"
 #include "hash/cuckoo.h"
+#include "hash/direct_table.h"
 #include "hash/double_hashing.h"
 #include "hash/linear_probing.h"
 #include "util/aligned_buffer.h"
 #include "util/data_gen.h"
+#include "util/rng.h"
 
 namespace simddb {
 namespace {
@@ -749,6 +751,142 @@ TEST(LinearProbingPartitioned, PartitionCountFollowsLanesAndTableSize) {
   // At least 16 buckets per range.
   EXPECT_EQ(LinearProbingTable::BuildPartitions(64, 8), 4u);
   EXPECT_EQ(LinearProbingTable::BuildPartitions(16, 2), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Direct-indexed join table (the executor's layout for dense build keys)
+// ---------------------------------------------------------------------------
+
+TEST(DirectJoinTable, FitsAtMostTwiceTheBuckets) {
+  // 4 B per slot against 8 B per bucket: 2 * buckets slots is the limit.
+  EXPECT_TRUE(DirectJoinTable::Fits(1, 4096, 2048));
+  EXPECT_FALSE(DirectJoinTable::Fits(1, 4097, 2048));
+  EXPECT_TRUE(DirectJoinTable::Fits(0, 4095, 2048));
+  EXPECT_TRUE(DirectJoinTable::Fits(0xFFFFFFFEu - 4095, 0xFFFFFFFEu, 2048));
+  EXPECT_TRUE(DirectJoinTable::Fits(7, 7, 16));  // one key
+  EXPECT_FALSE(DirectJoinTable::Fits(0xFFFFFFFFu, 0, 16));  // empty range
+  // A gather's index is a signed 32-bit value.
+  EXPECT_TRUE(DirectJoinTable::Fits(0, 0x7FFFFFFFu, size_t{1} << 31));
+  EXPECT_FALSE(DirectJoinTable::Fits(0, 0x80000000u, size_t{1} << 31));
+  EXPECT_FALSE(DirectJoinTable::Fits(0, 0xFFFFFFFFu, size_t{1} << 33));
+}
+
+// A table over [key_min, key_min + width) holding every third domain value
+// (payload key ^ 0x5A5A), and probe keys mixing present, absent, below,
+// above and kEmptyKey.
+struct DirectCase {
+  std::vector<uint32_t> b_keys, b_pays, p_keys, p_pays;
+  DirectCase(uint32_t key_min, uint32_t width, size_t n_probe, uint64_t seed) {
+    for (uint32_t off = 0; off < width; off += 3) {
+      b_keys.push_back(key_min + off);
+      b_pays.push_back((key_min + off) ^ 0x5A5Au);
+    }
+    if ((width - 1) % 3 != 0) {  // the last slot is present too
+      b_keys.push_back(key_min + width - 1);
+      b_pays.push_back(7);
+    }
+    Pcg32 rng(seed);
+    for (size_t i = 0; i < n_probe; ++i) {
+      uint32_t k;
+      switch (rng.NextBounded(6)) {
+        case 0: k = key_min - 1 - rng.NextBounded(100); break;  // below
+        case 1: k = key_min + width + rng.NextBounded(100); break;  // above
+        case 2: k = kEmptyKey; break;
+        case 3: k = key_min + width - 1; break;
+        default: k = key_min + rng.NextBounded(width); break;
+      }
+      p_keys.push_back(k);
+      p_pays.push_back(static_cast<uint32_t>(i) * 7);
+    }
+  }
+};
+
+TEST(DirectJoinTable, ProbesMatchReferenceAndScalarInInputOrder) {
+  // Domains starting at 0 (keys below it wrap to the top of the range),
+  // in the middle, and ending at 0xFFFFFFFE (keys above it are
+  // 0xFFFFFFFF or wrap to 0). Sizes 0-33 cover the vector loops' tails.
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 33; ++n) sizes.push_back(n);
+  sizes.push_back(1000);
+  for (uint32_t key_min : {0u, 1'000'000u, 0xFFFFFFFEu - 499}) {
+    const uint32_t width = 500;
+    for (size_t n : sizes) {
+      DirectCase c(key_min, width, n, n + key_min);
+      DirectJoinTable t(key_min, width);
+      ASSERT_TRUE(t.Build(c.b_keys.data(), c.b_pays.data(), c.b_keys.size()));
+      // The reference, in input order: the direct probe is stable.
+      std::vector<Tuple3> want;
+      for (size_t i = 0; i < n; ++i) {
+        const auto it =
+            std::find(c.b_keys.begin(), c.b_keys.end(), c.p_keys[i]);
+        if (it == c.b_keys.end()) continue;
+        want.push_back(
+            {c.p_keys[i], c.p_pays[i], c.b_pays[it - c.b_keys.begin()]});
+      }
+      for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+        if (!IsaSupported(isa)) continue;
+        AlignedBuffer<uint32_t> ok(n + 1), os(n + 1), orp(n + 1);
+        size_t got = 0;
+        switch (isa) {
+          case Isa::kScalar:
+            got = t.ProbeScalar(c.p_keys.data(), c.p_pays.data(), n,
+                                ok.data(), os.data(), orp.data());
+            break;
+          case Isa::kAvx2:
+            got = t.ProbeAvx2(c.p_keys.data(), c.p_pays.data(), n, ok.data(),
+                              os.data(), orp.data());
+            break;
+          case Isa::kAvx512:
+            got = t.ProbeAvx512(c.p_keys.data(), c.p_pays.data(), n,
+                                ok.data(), os.data(), orp.data());
+            break;
+        }
+        const std::string label = std::string(IsaName(isa)) +
+                                  " min=" + std::to_string(key_min) +
+                                  " n=" + std::to_string(n);
+        ASSERT_EQ(got, want.size()) << label;
+        for (size_t i = 0; i < got; ++i) {
+          ASSERT_EQ((Tuple3{ok[i], os[i], orp[i]}), want[i])
+              << label << " @" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(DirectJoinTable, RepeatsReportedExactly) {
+  // Build returns false exactly when a key repeats: at the first slot, at
+  // the last, in the middle, adjacent or far apart, or across two calls.
+  const uint32_t key_min = 100, width = 1000;
+  std::vector<uint32_t> keys(width), pays(width);
+  for (uint32_t i = 0; i < width; ++i) {
+    keys[i] = key_min + (i * 7919u) % width;  // a permutation of the domain
+    pays[i] = i;
+  }
+  {
+    DirectJoinTable t(key_min, width);
+    EXPECT_TRUE(t.Build(keys.data(), pays.data(), width));
+    EXPECT_FALSE(t.Build(keys.data() + 500, pays.data(), 1));  // second call
+  }
+  for (uint32_t repeated : {key_min, key_min + width - 1, key_min + 500}) {
+    for (size_t at : {size_t{0}, size_t{1}, size_t{999}}) {
+      std::vector<uint32_t> k = keys;
+      // Overwrite row `at` with `repeated`, unless it already holds it.
+      const size_t own = static_cast<size_t>(
+          std::find(k.begin(), k.end(), repeated) - k.begin());
+      if (own == at) continue;
+      k[at] = repeated;
+      DirectJoinTable t(key_min, width);
+      EXPECT_FALSE(t.Build(k.data(), pays.data(), width))
+          << "key " << repeated << " at row " << at;
+    }
+  }
+  // A one-key domain.
+  DirectJoinTable one(0, 1);
+  const uint32_t zero[2] = {0, 0};
+  EXPECT_TRUE(one.Build(zero, pays.data(), 1));
+  DirectJoinTable twice(0, 1);
+  EXPECT_FALSE(twice.Build(zero, pays.data(), 2));
 }
 
 // ---------------------------------------------------------------------------

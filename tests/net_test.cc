@@ -417,25 +417,47 @@ std::string UniqueSocketPath() {
          std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
+/// R key strides. Dense keys (stride 1) give every build side the
+/// direct-indexed join table; stride 16 spreads a build side of more than
+/// two rows over more than twice the hash table's bucket count, so it gets
+/// the LinearProbingTable.
+constexpr uint32_t kDenseKeys = 1;
+constexpr uint32_t kSparseKeys = 16;
+
 struct NetData {
   AlignedBuffer<uint32_t> r_keys, r_attrs, s_fks, s_vals;
   size_t n_r, n_s;
+  uint32_t key_stride;
   Catalog catalog;
 
-  explicit NetData(size_t nr, size_t ns, bool compress = false)
-      : n_r(nr), n_s(ns) {
+  /// R keys 1 + stride * row; S fks pick R rows uniformly.
+  explicit NetData(size_t nr, size_t ns, bool compress = false,
+                   uint32_t stride = kDenseKeys)
+      : n_r(nr), n_s(ns), key_stride(stride) {
     r_keys.Reset(nr + 16);
     r_attrs.Reset(nr + 16);
     s_fks.Reset(ns + 16);
     s_vals.Reset(ns + 16);
-    FillSequential(r_keys.data(), nr, 1);
+    for (size_t i = 0; i < nr; ++i) r_keys[i] = Key(i);
     FillUniform(r_attrs.data(), nr, 5, 1, 64);
     FillUniform(s_fks.data(), ns, 6, 1, static_cast<uint32_t>(nr));
+    for (size_t i = 0; i < ns; ++i) s_fks[i] = Key(s_fks[i] - 1);
     FillSequential(s_vals.data(), ns, 0);
     server::TableOptions topts;
     topts.compress = compress;
     catalog.RegisterTable("R", r_keys.data(), r_attrs.data(), nr, topts);
     catalog.RegisterTable("S", s_fks.data(), s_vals.data(), ns, topts);
+  }
+
+  /// The key of R row `row`.
+  uint32_t Key(size_t row) const {
+    return static_cast<uint32_t>(1 + row * key_stride);
+  }
+
+  /// The r= clause selecting R rows [first, last].
+  std::string Rows(size_t first, size_t last) const {
+    return " r=[" + std::to_string(Key(first)) + "," +
+           std::to_string(Key(last)) + "]";
   }
 };
 
@@ -700,114 +722,142 @@ TEST(NetServer, MalformedBytesOnTheWireNeverKillTheServer) {
 }
 
 TEST(NetServer, DuplicateBuildKeysAnswerErrAndTheServerKeepsServing) {
-  // "Rdup" is R with key 1 written over its first 64 keys: a join probe
-  // into it would emit up to 64 rows per probe row.
-  NetData data(2000, 30000, /*compress=*/true);
-  AlignedBuffer<uint32_t> dup_keys(data.n_r + 16);
-  std::copy(data.r_keys.data(), data.r_keys.data() + data.n_r,
-            dup_keys.data());
-  std::fill(dup_keys.data(), dup_keys.data() + 64, 1u);
-  server::TableOptions topts;
-  topts.compress = true;
-  ASSERT_NE(data.catalog.RegisterTable("Rdup", dup_keys.data(),
-                                       data.r_attrs.data(), data.n_r, topts),
-            nullptr);
-  for (int threads : {1, 8}) {
-    ServerOptions opts;
-    opts.unix_path = UniqueSocketPath();
-    opts.exec.threads = threads;
-    Server server(&data.catalog, opts);
-    std::string error;
-    ASSERT_TRUE(server.Start(&error)) << error;
-    Client client;
-    ASSERT_TRUE(client.ConnectUnix(opts.unix_path, &error)) << error;
-    for (const char* line :
-         {"QUERY build=Rdup probe=S",
-          "QUERY build=Rdup probe=S r=[1,500] storage=packed",
-          "QUERY build=Rdup probe=S isa=scalar scan=bitmap"}) {
-      const WireResult bad = client.Query(line);
-      EXPECT_FALSE(bad.ok) << line;
-      EXPECT_EQ(bad.error.rfind("exec duplicate build keys (key 1 repeats)",
-                                0),
-                0u)
-          << line << ": " << bad.error;
-      // The same connection answers a valid query afterwards.
-      const WireResult good =
-          client.Query("QUERY build=Rdup probe=S r=[65,2000]");
-      ASSERT_TRUE(good.ok) << good.error;
-      EXPECT_FALSE(good.rows.empty());
+  // "Rdup" is R with key 1, its smallest, written over its first 64 keys
+  // (the direct-indexed table's first slot), and "RdupLast" R with its
+  // largest key written over its last 64 (the last slot): a join probe
+  // into either would emit up to 64 rows per probe row. Dense and sparse
+  // keys put the same tables on both join-table layouts.
+  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
+    NetData data(2000, 30000, /*compress=*/true, stride);
+    AlignedBuffer<uint32_t> dup_keys(data.n_r + 16), last_keys(data.n_r + 16);
+    std::copy(data.r_keys.data(), data.r_keys.data() + data.n_r,
+              dup_keys.data());
+    std::fill(dup_keys.data(), dup_keys.data() + 64, 1u);
+    std::copy(data.r_keys.data(), data.r_keys.data() + data.n_r,
+              last_keys.data());
+    std::fill(last_keys.data() + data.n_r - 64, last_keys.data() + data.n_r,
+              data.Key(data.n_r - 1));
+    server::TableOptions topts;
+    topts.compress = true;
+    ASSERT_NE(data.catalog.RegisterTable("Rdup", dup_keys.data(),
+                                         data.r_attrs.data(), data.n_r, topts),
+              nullptr);
+    ASSERT_NE(data.catalog.RegisterTable("RdupLast", last_keys.data(),
+                                         data.r_attrs.data(), data.n_r, topts),
+              nullptr);
+    const std::string last_error =
+        "exec duplicate build keys (key " +
+        std::to_string(data.Key(data.n_r - 1)) + " repeats)";
+    for (int threads : {1, 8}) {
+      ServerOptions opts;
+      opts.unix_path = UniqueSocketPath();
+      opts.exec.threads = threads;
+      Server server(&data.catalog, opts);
+      std::string error;
+      ASSERT_TRUE(server.Start(&error)) << error;
+      Client client;
+      ASSERT_TRUE(client.ConnectUnix(opts.unix_path, &error)) << error;
+      struct Case {
+        std::string line;
+        std::string error;
+      };
+      for (const Case& c :
+           {Case{"QUERY build=Rdup probe=S",
+                 "exec duplicate build keys (key 1 repeats)"},
+            Case{"QUERY build=Rdup probe=S" + data.Rows(0, 499) +
+                     " storage=packed",
+                 "exec duplicate build keys (key 1 repeats)"},
+            Case{"QUERY build=Rdup probe=S isa=scalar scan=bitmap",
+                 "exec duplicate build keys (key 1 repeats)"},
+            Case{"QUERY build=RdupLast probe=S", last_error},
+            Case{"QUERY build=RdupLast probe=S isa=avx2 storage=packed",
+                 last_error}}) {
+        const WireResult bad = client.Query(c.line);
+        EXPECT_FALSE(bad.ok) << c.line;
+        EXPECT_EQ(bad.error.rfind(c.error, 0), 0u)
+            << c.line << ": " << bad.error;
+        // The same connection answers a valid query afterwards.
+        const WireResult good =
+            client.Query("QUERY build=Rdup probe=S" + data.Rows(64, 1999));
+        ASSERT_TRUE(good.ok) << good.error;
+        EXPECT_FALSE(good.rows.empty());
+      }
+      // And the server still accepts new connections.
+      Client other;
+      ASSERT_TRUE(other.ConnectUnix(opts.unix_path, &error)) << error;
+      EXPECT_TRUE(other.Ping());
+      other.Quit();
+      client.Quit();
+      server.Stop();
     }
-    // And the server still accepts new connections.
-    Client other;
-    ASSERT_TRUE(other.ConnectUnix(opts.unix_path, &error)) << error;
-    EXPECT_TRUE(other.Ping());
-    other.Quit();
-    client.Quit();
-    server.Stop();
   }
 }
 
 TEST(NetServer, ReservedValueBuildAnswersErrAndTheServerKeepsServing) {
   // "Rkey" is R with key 0xFFFFFFFF on row 1,500 and "Rattr" R with attr
-  // 0xFFFFFFFF on every fourth row from row 1,000 on; rows from 1,000 on
-  // hold keys above 1,000, so r=[1,1000] leaves both clean.
-  NetData data(2000, 30000, /*compress=*/true);
-  AlignedBuffer<uint32_t> res_keys(data.n_r + 16), res_attrs(data.n_r + 16);
-  std::copy(data.r_keys.data(), data.r_keys.data() + data.n_r,
-            res_keys.data());
-  std::copy(data.r_attrs.data(), data.r_attrs.data() + data.n_r,
-            res_attrs.data());
-  res_keys[1500] = 0xFFFFFFFFu;
-  for (size_t i = 1000; i < data.n_r; i += 4) res_attrs[i] = 0xFFFFFFFFu;
-  server::TableOptions topts;
-  topts.compress = true;
-  ASSERT_NE(data.catalog.RegisterTable("Rkey", res_keys.data(),
-                                       data.r_attrs.data(), data.n_r, topts),
-            nullptr);
-  ASSERT_NE(data.catalog.RegisterTable("Rattr", data.r_keys.data(),
-                                       res_attrs.data(), data.n_r, topts),
-            nullptr);
-  for (int threads : {1, 8}) {
-    ServerOptions opts;
-    opts.unix_path = UniqueSocketPath();
-    opts.exec.threads = threads;
-    Server server(&data.catalog, opts);
-    std::string error;
-    ASSERT_TRUE(server.Start(&error)) << error;
-    Client client;
-    ASSERT_TRUE(client.ConnectUnix(opts.unix_path, &error)) << error;
-    struct Case {
-      const char* line;
-      const char* error;
-    };
-    for (const Case& c :
-         {Case{"QUERY build=Rkey probe=S",
-               "exec reserved value 4294967295 in the build keys"},
-          Case{"QUERY build=Rkey probe=S storage=packed isa=avx2",
-               "exec reserved value 4294967295 in the build keys"},
-          Case{"QUERY build=Rattr probe=S scan=bitmap",
-               "exec reserved value 4294967295 in the build group "
-               "attributes"},
-          Case{"QUERY build=Rattr probe=S r=[1000,2000] storage=packed",
-               "exec reserved value 4294967295 in the build group "
-               "attributes"}}) {
-      const WireResult bad = client.Query(c.line);
-      EXPECT_FALSE(bad.ok) << c.line;
-      EXPECT_EQ(bad.error.rfind(c.error, 0), 0u)
-          << c.line << ": " << bad.error;
-      // The same connection answers a valid query afterwards.
-      const WireResult good =
-          client.Query("QUERY build=Rattr probe=S r=[1,1000]");
-      ASSERT_TRUE(good.ok) << good.error;
-      EXPECT_FALSE(good.rows.empty());
+  // 0xFFFFFFFF on every fourth row from row 1,000 on, so R rows [0, 999]
+  // are clean in both. Dense and sparse keys give the clean windows both
+  // join-table layouts.
+  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
+    NetData data(2000, 30000, /*compress=*/true, stride);
+    AlignedBuffer<uint32_t> res_keys(data.n_r + 16), res_attrs(data.n_r + 16);
+    std::copy(data.r_keys.data(), data.r_keys.data() + data.n_r,
+              res_keys.data());
+    std::copy(data.r_attrs.data(), data.r_attrs.data() + data.n_r,
+              res_attrs.data());
+    res_keys[1500] = 0xFFFFFFFFu;
+    for (size_t i = 1000; i < data.n_r; i += 4) res_attrs[i] = 0xFFFFFFFFu;
+    server::TableOptions topts;
+    topts.compress = true;
+    ASSERT_NE(data.catalog.RegisterTable("Rkey", res_keys.data(),
+                                         data.r_attrs.data(), data.n_r, topts),
+              nullptr);
+    ASSERT_NE(data.catalog.RegisterTable("Rattr", data.r_keys.data(),
+                                         res_attrs.data(), data.n_r, topts),
+              nullptr);
+    for (int threads : {1, 8}) {
+      ServerOptions opts;
+      opts.unix_path = UniqueSocketPath();
+      opts.exec.threads = threads;
+      Server server(&data.catalog, opts);
+      std::string error;
+      ASSERT_TRUE(server.Start(&error)) << error;
+      Client client;
+      ASSERT_TRUE(client.ConnectUnix(opts.unix_path, &error)) << error;
+      struct Case {
+        std::string line;
+        const char* error;
+      };
+      for (const Case& c :
+           {Case{"QUERY build=Rkey probe=S",
+                 "exec reserved value 4294967295 in the build keys"},
+            Case{"QUERY build=Rkey probe=S storage=packed isa=avx2",
+                 "exec reserved value 4294967295 in the build keys"},
+            Case{"QUERY build=Rattr probe=S scan=bitmap",
+                 "exec reserved value 4294967295 in the build group "
+                 "attributes"},
+            Case{"QUERY build=Rattr probe=S" + data.Rows(999, 1999) +
+                     " storage=packed",
+                 "exec reserved value 4294967295 in the build group "
+                 "attributes"}}) {
+        const WireResult bad = client.Query(c.line);
+        EXPECT_FALSE(bad.ok) << c.line;
+        EXPECT_EQ(bad.error.rfind(c.error, 0), 0u)
+            << c.line << ": " << bad.error;
+        // The same connection answers a valid query afterwards.
+        const WireResult good =
+            client.Query("QUERY build=Rattr probe=S" + data.Rows(0, 999));
+        ASSERT_TRUE(good.ok) << good.error;
+        EXPECT_FALSE(good.rows.empty());
+      }
+      // And the server still accepts new connections.
+      Client other;
+      ASSERT_TRUE(other.ConnectUnix(opts.unix_path, &error)) << error;
+      EXPECT_TRUE(other.Ping());
+      other.Quit();
+      client.Quit();
+      server.Stop();
     }
-    // And the server still accepts new connections.
-    Client other;
-    ASSERT_TRUE(other.ConnectUnix(opts.unix_path, &error)) << error;
-    EXPECT_TRUE(other.Ping());
-    other.Quit();
-    client.Quit();
-    server.Stop();
   }
 }
 

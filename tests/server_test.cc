@@ -61,26 +61,36 @@ struct ScopedMetrics {
   ~ScopedMetrics() { obs::EnableMetrics(false); }
 };
 
+/// R key strides. Dense keys (stride 1) give every build side the
+/// direct-indexed join table; stride 16 spreads a build side over more
+/// than twice the hash table's bucket count, so it gets the
+/// LinearProbingTable.
+constexpr uint32_t kDenseKeys = 1;
+constexpr uint32_t kSparseKeys = 16;
+
 /// Two catalog tables shaped like the executor's Q3 plan: R(pk, attr) with
-/// unique keys 1..nr, S(fk, val). `sequential_vals` makes S.val the row
-/// index, so a [lo, hi] window selects a contiguous chunk band — the
-/// clustered shape shared-scan skipping wins on.
+/// unique keys 1 + stride * row, S(fk, val) whose fks pick R rows
+/// uniformly. `sequential_vals` makes S.val the row index, so a [lo, hi]
+/// window selects a contiguous chunk band — the clustered shape
+/// shared-scan skipping wins on.
 struct ServerData {
   AlignedBuffer<uint32_t> r_keys, r_attrs, s_fks, s_vals;
   size_t n_r, n_s;
+  uint32_t key_stride;
   Catalog catalog;
 
   explicit ServerData(size_t nr, size_t ns, bool sequential_vals = false,
-                      bool compress = false)
-      : n_r(nr), n_s(ns) {
+                      bool compress = false, uint32_t stride = kDenseKeys)
+      : n_r(nr), n_s(ns), key_stride(stride) {
     r_keys.Reset(nr + 16);
     r_attrs.Reset(nr + 16);
     s_fks.Reset(ns + 16);
     s_vals.Reset(ns + 16);
-    FillSequential(r_keys.data(), nr, 1);  // unique, no kEmptyKey
+    for (size_t i = 0; i < nr; ++i) r_keys[i] = Key(i);  // no kEmptyKey
     FillUniform(r_attrs.data(), nr, 5, 1, 64);
     FillUniform(s_fks.data(), ns, 6, 1,
                 nr == 0 ? 1 : static_cast<uint32_t>(nr));
+    for (size_t i = 0; i < ns; ++i) s_fks[i] = Key(s_fks[i] - 1);
     if (sequential_vals) {
       FillSequential(s_vals.data(), ns, 0);
     } else {
@@ -95,7 +105,28 @@ struct ServerData {
         catalog.RegisterTable("S", s_fks.data(), s_vals.data(), ns, opts),
         nullptr);
   }
+
+  /// The key of R row `row`.
+  uint32_t Key(size_t row) const {
+    return static_cast<uint32_t>(1 + row * key_stride);
+  }
 };
+
+/// Binds the spec, runs its build pipeline alone and returns whether
+/// HashBuildOp built the direct-indexed join table (a build that refuses a
+/// repeated key still reports the layout it chose).
+bool BuildsDirectTable(const Catalog& catalog, const QuerySpec& spec) {
+  ScanJoinAggregatePlan plan;
+  std::string error;
+  EXPECT_TRUE(server::BindQuery(catalog, spec, &plan, &error)) << error;
+  exec::Query q;
+  exec::HashBuildOp* build = exec::AddBuildPipeline(q, plan);
+  try {
+    q.Run(ExecConfig{});
+  } catch (const exec::QueryError&) {
+  }
+  return build->direct();
+}
 
 QuerySpec SpecFor(int i, size_t n_r) {
   QuerySpec spec;
@@ -279,16 +310,25 @@ TEST(ServerSchedulerTest, PartitionedBuildsUnderConcurrencyMatchThreadsOne) {
   // 24,576 R rows: each query's 18,432-key build side spans two
   // partition-pass morsels, so at threads 2 and 8 every query builds its
   // table in home-bucket ranges on the shared pool while the others run.
-  // The reference is serial, scalar and threads 1; the concurrent runs use
-  // the widest ISA and alternate raw and packed storage.
-  ServerData d(24'576, 65'536, /*sequential_vals=*/false, /*compress=*/true);
+  // The keys are sparse: dense ones would take the direct-indexed table,
+  // which has no partitioned build. The reference is serial, scalar and
+  // threads 1; the concurrent runs use the widest ISA and alternate raw
+  // and packed storage.
+  ServerData d(24'576, 65'536, /*sequential_vals=*/false, /*compress=*/true,
+               kSparseKeys);
+  // SpecFor's window, over the first 18,432 rows' keys.
+  auto spec_for = [&](int i) {
+    QuerySpec spec = SpecFor(i, d.n_r);
+    spec.r_hi = d.Key(18'431);
+    return spec;
+  };
+  ASSERT_FALSE(BuildsDirectTable(d.catalog, spec_for(0)));
   constexpr int kClients = 8;
   std::vector<QueryResult> want;
   for (int i = 0; i < kClients; ++i) {
     ScanJoinAggregatePlan plan;
     std::string error;
-    ASSERT_TRUE(
-        server::BindQuery(d.catalog, SpecFor(i, d.n_r), &plan, &error));
+    ASSERT_TRUE(server::BindQuery(d.catalog, spec_for(i), &plan, &error));
     want.push_back(exec::RunScanJoinAggregate(plan, ExecConfig{}));
   }
   Isa widest = Isa::kScalar;
@@ -305,7 +345,7 @@ TEST(ServerSchedulerTest, PartitionedBuildsUnderConcurrencyMatchThreadsOne) {
     for (int i = 0; i < kClients; ++i) {
       workers.emplace_back([&, i] {
         QuerySession session(&d.catalog, &sched);
-        QuerySpec spec = SpecFor(i, d.n_r);
+        QuerySpec spec = spec_for(i);
         spec.prefer_compressed = i % 2 == 1;
         got[i] = session.Execute(spec, cfg);
       });
@@ -501,10 +541,12 @@ TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
 /// ServerData plus "Rdup": R's rows with key 1 written over the first 8
 /// keys and over row 30,000, registered as a second build table. The far
 /// copy sits in a chunk that starts on another lane and, at two or more
-/// threads, in another morsel of the partitioned build.
+/// threads, in another morsel of the partitioned build. Key 1 is R's
+/// smallest key: the direct-indexed table's first slot.
 struct RepeatedKeyServerData : ServerData {
   AlignedBuffer<uint32_t> dup_keys;
-  RepeatedKeyServerData() : ServerData(40'960, 32768) {
+  explicit RepeatedKeyServerData(uint32_t stride)
+      : ServerData(40'960, 32768, false, false, stride) {
     dup_keys.Reset(n_r + 16);
     std::copy(r_keys.data(), r_keys.data() + n_r, dup_keys.data());
     std::fill(dup_keys.data(), dup_keys.data() + 8, 1u);
@@ -524,69 +566,77 @@ QuerySpec DupSpec(uint32_t r_lo) {
 }
 
 TEST(ServerSchedulerTest, DuplicateBuildKeysFailQueryAndKeepServing) {
-  RepeatedKeyServerData d;
-  QueryScheduler sched(&d.catalog);
-  QuerySession session(&d.catalog, &sched);
-  for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-    for (int threads : {1, 2, 8}) {
-      ExecConfig cfg;
-      cfg.threads = threads;
-      cfg.pipeline_mode = pm;
-      const std::string ctx = "threads=" + std::to_string(threads);
-      const ResultSet bad = session.Execute(DupSpec(1), cfg);
-      EXPECT_FALSE(bad.ok) << ctx;
-      EXPECT_FALSE(bad.stats.aborted) << ctx;
-      EXPECT_NE(bad.error.find("duplicate build keys (key 1 repeats)"),
-                std::string::npos)
-          << ctx << ": " << bad.error;
-      // The repeats lie outside r=[9, ...]: that query runs.
-      const ResultSet good = session.Execute(DupSpec(9), cfg);
-      ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
-      EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
+  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
+    RepeatedKeyServerData d(stride);
+    EXPECT_EQ(BuildsDirectTable(d.catalog, DupSpec(1)), stride == kDenseKeys);
+    EXPECT_EQ(BuildsDirectTable(d.catalog, DupSpec(9)), stride == kDenseKeys);
+    QueryScheduler sched(&d.catalog);
+    QuerySession session(&d.catalog, &sched);
+    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+      for (int threads : {1, 2, 8}) {
+        ExecConfig cfg;
+        cfg.threads = threads;
+        cfg.pipeline_mode = pm;
+        const std::string ctx = "stride=" + std::to_string(stride) +
+                                " threads=" + std::to_string(threads);
+        const ResultSet bad = session.Execute(DupSpec(1), cfg);
+        EXPECT_FALSE(bad.ok) << ctx;
+        EXPECT_FALSE(bad.stats.aborted) << ctx;
+        EXPECT_NE(bad.error.find("duplicate build keys (key 1 repeats)"),
+                  std::string::npos)
+            << ctx << ": " << bad.error;
+        // The repeats lie outside r=[9, ...]: that query runs.
+        const ResultSet good = session.Execute(DupSpec(9), cfg);
+        ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
+        EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
+      }
     }
+    EXPECT_EQ(sched.queries_completed(), 12u);  // every slot was released
   }
-  EXPECT_EQ(sched.queries_completed(), 12u);  // every slot was released
 }
 
 TEST(ServerSharedScanTest, DuplicateBuildKeysFailEveryGatherMember) {
-  constexpr int kClients = 4;
-  RepeatedKeyServerData d;
-  SchedulerOptions opts;
-  opts.shared_scans = true;
-  opts.shared_gather_hint = kClients;
-  opts.shared_gather_timeout_ns = 1'000'000'000;  // hint closes the group
-  QueryScheduler sched(&d.catalog, opts);
-  ExecConfig cfg;
-  cfg.threads = 2;
-  cfg.pipeline_mode = PipelineMode::kDynamic;
-  // Runs one gather of kClients members; member i's r= window starts at
-  // r_lo(i).
-  auto run_gather = [&](auto r_lo) {
-    std::vector<ResultSet> got(kClients);
-    std::vector<std::thread> workers;
+  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
+    constexpr int kClients = 4;
+    RepeatedKeyServerData d(stride);
+    EXPECT_EQ(BuildsDirectTable(d.catalog, DupSpec(1)), stride == kDenseKeys);
+    SchedulerOptions opts;
+    opts.shared_scans = true;
+    opts.shared_gather_hint = kClients;
+    opts.shared_gather_timeout_ns = 1'000'000'000;  // hint closes the group
+    QueryScheduler sched(&d.catalog, opts);
+    ExecConfig cfg;
+    cfg.threads = 2;
+    cfg.pipeline_mode = PipelineMode::kDynamic;
+    // Runs one gather of kClients members; member i's r= window starts at
+    // r_lo(i).
+    auto run_gather = [&](auto r_lo) {
+      std::vector<ResultSet> got(kClients);
+      std::vector<std::thread> workers;
+      for (int i = 0; i < kClients; ++i) {
+        workers.emplace_back([&, i] {
+          QuerySession session(&d.catalog, &sched);
+          got[i] = session.Execute(DupSpec(r_lo(i)), cfg);
+        });
+      }
+      for (auto& w : workers) w.join();
+      return got;
+    };
+    // Only member 0's window holds the repeats; the whole group fails, and
+    // no member is left waiting.
+    const std::vector<ResultSet> bad =
+        run_gather([](int i) { return i == 0 ? 1u : 9u; });
     for (int i = 0; i < kClients; ++i) {
-      workers.emplace_back([&, i] {
-        QuerySession session(&d.catalog, &sched);
-        got[i] = session.Execute(DupSpec(r_lo(i)), cfg);
-      });
+      EXPECT_FALSE(bad[i].ok) << "member " << i;
+      EXPECT_NE(bad[i].error.find("duplicate build keys (key 1 repeats)"),
+                std::string::npos)
+          << "member " << i << ": " << bad[i].error;
     }
-    for (auto& w : workers) w.join();
-    return got;
-  };
-  // Only member 0's window holds the repeats; the whole group fails, and
-  // no member is left waiting.
-  const std::vector<ResultSet> bad =
-      run_gather([](int i) { return i == 0 ? 1u : 9u; });
-  for (int i = 0; i < kClients; ++i) {
-    EXPECT_FALSE(bad[i].ok) << "member " << i;
-    EXPECT_NE(bad[i].error.find("duplicate build keys (key 1 repeats)"),
-              std::string::npos)
-        << "member " << i << ": " << bad[i].error;
-  }
-  // The scheduler keeps serving gathers.
-  for (const ResultSet& rs : run_gather([](int) { return 9u; })) {
-    EXPECT_TRUE(rs.ok) << rs.error;
-    EXPECT_TRUE(rs.stats.shared_scan);
+    // The scheduler keeps serving gathers.
+    for (const ResultSet& rs : run_gather([](int) { return 9u; })) {
+      EXPECT_TRUE(rs.ok) << rs.error;
+      EXPECT_TRUE(rs.stats.shared_scan);
+    }
   }
 }
 
@@ -597,12 +647,14 @@ TEST(ServerSharedScanTest, DuplicateBuildKeysFailEveryGatherMember) {
 /// ServerData plus three tables holding 0xFFFFFFFF: "Rkey" (R with that key
 /// on row 30,000), "Rattr" (R with that attr on every fourth row from row
 /// 20,000 on) and "Sres" (S with that fk on every other row). Keys of R
-/// rows from 20,000 on exceed 20,000, so r=[0, 20000] leaves both
-/// reserved-value build tables clean.
+/// rows from 20,000 on exceed clean_r_hi, the key of row 19,999, so
+/// r=[0, clean_r_hi] leaves both reserved-value build tables clean.
 struct ReservedValueServerData : ServerData {
-  static constexpr uint32_t kCleanRHi = 20'000;
+  const uint32_t clean_r_hi;
   AlignedBuffer<uint32_t> res_keys, res_attrs, res_fks;
-  ReservedValueServerData() : ServerData(40'960, 32768) {
+  explicit ReservedValueServerData(uint32_t stride)
+      : ServerData(40'960, 32768, false, false, stride),
+        clean_r_hi(Key(19'999)) {
     res_keys.Reset(n_r + 16);
     res_attrs.Reset(n_r + 16);
     res_fks.Reset(n_s + 16);
@@ -633,145 +685,155 @@ QuerySpec ReservedSpec(const char* build, const char* probe, uint32_t r_hi) {
 }
 
 TEST(ServerSchedulerTest, ReservedValueBuildFailsQueryAndKeepsServing) {
-  ReservedValueServerData d;
-  QueryScheduler sched(&d.catalog);
-  QuerySession session(&d.catalog, &sched);
-  struct Case {
-    const char* table;
-    const char* error;
-  };
-  for (const Case& c :
-       {Case{"Rkey", "reserved value 4294967295 in the build keys"},
-        Case{"Rattr", "reserved value 4294967295 in the build group "
-                      "attributes"}}) {
-    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-      for (int threads : {1, 2, 8}) {
-        ExecConfig cfg;
-        cfg.threads = threads;
-        cfg.pipeline_mode = pm;
-        const std::string ctx =
-            std::string(c.table) + " threads=" + std::to_string(threads);
-        const ResultSet bad =
-            session.Execute(ReservedSpec(c.table, "S", 0xFFFFFFFFu), cfg);
-        EXPECT_FALSE(bad.ok) << ctx;
-        EXPECT_FALSE(bad.stats.aborted) << ctx;
-        EXPECT_NE(bad.error.find(c.error), std::string::npos)
-            << ctx << ": " << bad.error;
-        const ResultSet good = session.Execute(
-            ReservedSpec(c.table, "S", ReservedValueServerData::kCleanRHi),
-            cfg);
-        ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
-        EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
+  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
+    ReservedValueServerData d(stride);
+    EXPECT_EQ(BuildsDirectTable(d.catalog,
+                                ReservedSpec("Rkey", "S", d.clean_r_hi)),
+              stride == kDenseKeys);
+    QueryScheduler sched(&d.catalog);
+    QuerySession session(&d.catalog, &sched);
+    struct Case {
+      const char* table;
+      const char* error;
+    };
+    for (const Case& c :
+         {Case{"Rkey", "reserved value 4294967295 in the build keys"},
+          Case{"Rattr", "reserved value 4294967295 in the build group "
+                        "attributes"}}) {
+      for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+        for (int threads : {1, 2, 8}) {
+          ExecConfig cfg;
+          cfg.threads = threads;
+          cfg.pipeline_mode = pm;
+          const std::string ctx =
+              std::string(c.table) + " threads=" + std::to_string(threads);
+          const ResultSet bad =
+              session.Execute(ReservedSpec(c.table, "S", 0xFFFFFFFFu), cfg);
+          EXPECT_FALSE(bad.ok) << ctx;
+          EXPECT_FALSE(bad.stats.aborted) << ctx;
+          EXPECT_NE(bad.error.find(c.error), std::string::npos)
+              << ctx << ": " << bad.error;
+          const ResultSet good =
+              session.Execute(ReservedSpec(c.table, "S", d.clean_r_hi), cfg);
+          ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
+          EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
+        }
       }
     }
+    EXPECT_EQ(sched.queries_completed(), 24u);  // every slot was released
   }
-  EXPECT_EQ(sched.queries_completed(), 24u);  // every slot was released
 }
 
 TEST(ServerSharedScanTest, ReservedValueBuildFailsEveryGatherMember) {
-  constexpr int kClients = 4;
-  ReservedValueServerData d;
-  SchedulerOptions opts;
-  opts.shared_scans = true;
-  opts.shared_gather_hint = kClients;
-  opts.shared_gather_timeout_ns = 1'000'000'000;  // hint closes the group
-  QueryScheduler sched(&d.catalog, opts);
-  ExecConfig cfg;
-  cfg.threads = 2;
-  cfg.pipeline_mode = PipelineMode::kDynamic;
-  // Runs one gather of kClients members; member i queries spec(i).
-  auto run_gather = [&](auto spec) {
-    std::vector<ResultSet> got(kClients);
-    std::vector<std::thread> workers;
-    for (int i = 0; i < kClients; ++i) {
-      workers.emplace_back([&, i] {
-        QuerySession session(&d.catalog, &sched);
-        got[i] = session.Execute(spec(i), cfg);
-      });
-    }
-    for (auto& w : workers) w.join();
-    return got;
-  };
-  // Only member 0's window holds the reserved attrs; the whole group fails.
-  const std::vector<ResultSet> bad = run_gather([](int i) {
-    return ReservedSpec("Rattr", "S",
-                        i == 0 ? 0xFFFFFFFFu
-                               : ReservedValueServerData::kCleanRHi);
-  });
-  for (int i = 0; i < kClients; ++i) {
-    EXPECT_FALSE(bad[i].ok) << "member " << i;
-    EXPECT_NE(bad[i].error.find("reserved value 4294967295 in the build "
-                                "group attributes"),
-              std::string::npos)
-        << "member " << i << ": " << bad[i].error;
-  }
-  // The scheduler keeps serving gathers.
-  for (const ResultSet& rs : run_gather([](int) {
-         return ReservedSpec("Rattr", "S", ReservedValueServerData::kCleanRHi);
-       })) {
-    EXPECT_TRUE(rs.ok) << rs.error;
-    EXPECT_TRUE(rs.stats.shared_scan);
-  }
-}
-
-TEST(ServerSharedScanTest, ReservedValueProbeKeysJoinNothingInAGather) {
-  // Every other S row of "Sres" probes with fk 0xFFFFFFFF, which R lacks;
-  // the other rows keep their fk in [1, n_r], so each of them joins.
-  constexpr int kClients = 4;
-  ReservedValueServerData d;
-  SchedulerOptions opts;
-  opts.shared_scans = true;
-  opts.shared_gather_hint = kClients;
-  opts.shared_gather_timeout_ns = 1'000'000'000;
-  QueryScheduler sched(&d.catalog, opts);
-  const uint32_t w = 250'000;  // member i filters val in [i*w, (i+1)*w)
-  auto spec_for = [&](int i) {
-    QuerySpec spec = ReservedSpec("R", "Sres", 0xFFFFFFFFu);
-    spec.s_lo = static_cast<uint32_t>(i) * w;
-    spec.s_hi = spec.s_lo + w - 1;
-    return spec;
-  };
-  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
-    if (!IsaSupported(isa)) continue;
-    for (int threads : {1, 8}) {
-      ExecConfig cfg;
-      cfg.isa = isa;
-      cfg.threads = threads;
-      cfg.pipeline_mode = PipelineMode::kDynamic;
+  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
+    constexpr int kClients = 4;
+    ReservedValueServerData d(stride);
+    EXPECT_EQ(BuildsDirectTable(d.catalog,
+                                ReservedSpec("Rattr", "S", d.clean_r_hi)),
+              stride == kDenseKeys);
+    SchedulerOptions opts;
+    opts.shared_scans = true;
+    opts.shared_gather_hint = kClients;
+    opts.shared_gather_timeout_ns = 1'000'000'000;  // hint closes the group
+    QueryScheduler sched(&d.catalog, opts);
+    ExecConfig cfg;
+    cfg.threads = 2;
+    cfg.pipeline_mode = PipelineMode::kDynamic;
+    // Runs one gather of kClients members; member i queries spec(i).
+    auto run_gather = [&](auto spec) {
       std::vector<ResultSet> got(kClients);
       std::vector<std::thread> workers;
       for (int i = 0; i < kClients; ++i) {
         workers.emplace_back([&, i] {
           QuerySession session(&d.catalog, &sched);
-          got[i] = session.Execute(spec_for(i), cfg);
+          got[i] = session.Execute(spec(i), cfg);
         });
       }
-      for (auto& t : workers) t.join();
-      for (int i = 0; i < kClients; ++i) {
-        const std::string ctx = std::string(IsaName(isa)) +
-                                " threads=" + std::to_string(threads) +
-                                " member " + std::to_string(i);
-        ASSERT_TRUE(got[i].ok) << ctx << ": " << got[i].error;
-        EXPECT_TRUE(got[i].stats.shared_scan) << ctx;
-        const QuerySpec spec = spec_for(i);
-        uint64_t want = 0;
-        for (size_t r = 1; r < d.n_s; r += 2) {
-          want += d.s_vals[r] >= spec.s_lo && d.s_vals[r] <= spec.s_hi;
+      for (auto& w : workers) w.join();
+      return got;
+    };
+    // Only member 0's window holds the reserved attrs; the whole group fails.
+    const std::vector<ResultSet> bad = run_gather([&](int i) {
+      return ReservedSpec("Rattr", "S", i == 0 ? 0xFFFFFFFFu : d.clean_r_hi);
+    });
+    for (int i = 0; i < kClients; ++i) {
+      EXPECT_FALSE(bad[i].ok) << "member " << i;
+      EXPECT_NE(bad[i].error.find("reserved value 4294967295 in the build "
+                                  "group attributes"),
+                std::string::npos)
+          << "member " << i << ": " << bad[i].error;
+    }
+    // The scheduler keeps serving gathers.
+    for (const ResultSet& rs : run_gather([&](int) {
+           return ReservedSpec("Rattr", "S", d.clean_r_hi);
+         })) {
+      EXPECT_TRUE(rs.ok) << rs.error;
+      EXPECT_TRUE(rs.stats.shared_scan);
+    }
+  }
+}
+
+TEST(ServerSharedScanTest, ReservedValueProbeKeysJoinNothingInAGather) {
+  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
+    // Every other S row of "Sres" probes with fk 0xFFFFFFFF, which R lacks;
+    // the other rows keep their fk, an R key, so each of them joins.
+    constexpr int kClients = 4;
+    ReservedValueServerData d(stride);
+    SchedulerOptions opts;
+    opts.shared_scans = true;
+    opts.shared_gather_hint = kClients;
+    opts.shared_gather_timeout_ns = 1'000'000'000;
+    QueryScheduler sched(&d.catalog, opts);
+    const uint32_t w = 250'000;  // member i filters val in [i*w, (i+1)*w)
+    auto spec_for = [&](int i) {
+      QuerySpec spec = ReservedSpec("R", "Sres", 0xFFFFFFFFu);
+      spec.s_lo = static_cast<uint32_t>(i) * w;
+      spec.s_hi = spec.s_lo + w - 1;
+      return spec;
+    };
+    EXPECT_EQ(BuildsDirectTable(d.catalog, spec_for(0)), stride == kDenseKeys);
+    for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+      if (!IsaSupported(isa)) continue;
+      for (int threads : {1, 8}) {
+        ExecConfig cfg;
+        cfg.isa = isa;
+        cfg.threads = threads;
+        cfg.pipeline_mode = PipelineMode::kDynamic;
+        std::vector<ResultSet> got(kClients);
+        std::vector<std::thread> workers;
+        for (int i = 0; i < kClients; ++i) {
+          workers.emplace_back([&, i] {
+            QuerySession session(&d.catalog, &sched);
+            got[i] = session.Execute(spec_for(i), cfg);
+          });
         }
-        uint64_t joined = 0;
-        for (uint32_t c : got[i].result.counts) joined += c;
-        EXPECT_EQ(got[i].result.rows_joined, want) << ctx;
-        EXPECT_EQ(joined, want) << ctx;
-        // And the shared sweep answers exactly what a solo run answers.
-        QueryScheduler solo_sched(&d.catalog);
-        QuerySession solo(&d.catalog, &solo_sched);
-        const ResultSet alone = solo.Execute(spec, cfg);
-        ASSERT_TRUE(alone.ok) << ctx;
-        EXPECT_EQ(got[i].result.group_keys, alone.result.group_keys) << ctx;
-        EXPECT_EQ(got[i].result.sums, alone.result.sums) << ctx;
-        EXPECT_EQ(got[i].result.counts, alone.result.counts) << ctx;
-        EXPECT_EQ(got[i].result.mins, alone.result.mins) << ctx;
-        EXPECT_EQ(got[i].result.maxs, alone.result.maxs) << ctx;
+        for (auto& t : workers) t.join();
+        for (int i = 0; i < kClients; ++i) {
+          const std::string ctx = std::string(IsaName(isa)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " member " + std::to_string(i);
+          ASSERT_TRUE(got[i].ok) << ctx << ": " << got[i].error;
+          EXPECT_TRUE(got[i].stats.shared_scan) << ctx;
+          const QuerySpec spec = spec_for(i);
+          uint64_t want = 0;
+          for (size_t r = 1; r < d.n_s; r += 2) {
+            want += d.s_vals[r] >= spec.s_lo && d.s_vals[r] <= spec.s_hi;
+          }
+          uint64_t joined = 0;
+          for (uint32_t c : got[i].result.counts) joined += c;
+          EXPECT_EQ(got[i].result.rows_joined, want) << ctx;
+          EXPECT_EQ(joined, want) << ctx;
+          // And the shared sweep answers exactly what a solo run answers.
+          QueryScheduler solo_sched(&d.catalog);
+          QuerySession solo(&d.catalog, &solo_sched);
+          const ResultSet alone = solo.Execute(spec, cfg);
+          ASSERT_TRUE(alone.ok) << ctx;
+          EXPECT_EQ(got[i].result.group_keys, alone.result.group_keys) << ctx;
+          EXPECT_EQ(got[i].result.sums, alone.result.sums) << ctx;
+          EXPECT_EQ(got[i].result.counts, alone.result.counts) << ctx;
+          EXPECT_EQ(got[i].result.mins, alone.result.mins) << ctx;
+          EXPECT_EQ(got[i].result.maxs, alone.result.maxs) << ctx;
+        }
       }
     }
   }

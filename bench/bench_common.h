@@ -55,36 +55,6 @@ inline bool PerfRequested() {
   return on;
 }
 
-/// Registry deltas attributed to untimed side-work (e.g. the paired
-/// dynamic run behind fused bench rows). ExportMetricsCounters subtracts
-/// them from the case's exported counters and then clears the map, so
-/// side-work can never pollute a gated counter in the row it rode along
-/// with. Harness-thread only, like ExportMetricsCounters itself.
-inline std::map<std::string, uint64_t>& ExcludedMetricDeltas() {
-  static auto* m = new std::map<std::string, uint64_t>();
-  return *m;
-}
-
-/// Absolute registry values right now (empty while metrics are off). Pair
-/// with AccumulateExcludedSince around side-work inside PauseTiming.
-/// Thin alias over obs::SnapshotMap — the snapshot/delta primitives moved
-/// into the library (obs/metrics.h) so the server's per-query accounting
-/// and the bench harness share one implementation.
-inline std::map<std::string, uint64_t> MetricsSnapshotNow() {
-  return obs::SnapshotMap();
-}
-
-/// Marks everything the registry accumulated since `before` as side-work to
-/// exclude from the current case's row. Returns the per-name deltas so the
-/// caller can re-export chosen ones under an explicit side-channel name.
-inline std::map<std::string, uint64_t> AccumulateExcludedSince(
-    const std::map<std::string, uint64_t>& before) {
-  std::map<std::string, uint64_t> deltas = obs::DeltaSince(before);
-  auto& excluded = ExcludedMetricDeltas();
-  for (const auto& [name, d] : deltas) excluded[name] += d;
-  return deltas;
-}
-
 /// Attaches the delta of every registered obs instrument (and, under
 /// SIMDDB_PERF=1, of the hardware events) since the previous call as plain
 /// user counters, so each case's row reports its own share. No-op while
@@ -93,18 +63,14 @@ inline std::map<std::string, uint64_t> AccumulateExcludedSince(
 inline void ExportMetricsCounters(benchmark::State& state) {
   if (obs::MetricsEnabled()) {
     static auto* last = new std::map<std::string, uint64_t>();
-    auto& excluded = ExcludedMetricDeltas();
     for (const obs::MetricSample& s :
          obs::MetricsRegistry::Get().Snapshot()) {
       uint64_t& prev = (*last)[s.name];
-      uint64_t delta = s.value - prev;
+      const uint64_t delta = s.value - prev;
       prev = s.value;
-      auto it = excluded.find(s.name);
-      if (it != excluded.end()) delta -= delta < it->second ? delta : it->second;
       state.counters[s.name] =
           benchmark::Counter(static_cast<double>(delta));
     }
-    excluded.clear();
   }
   if (PerfRequested()) {
     static obs::PerfCounters* perf = [] {

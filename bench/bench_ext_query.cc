@@ -1,59 +1,30 @@
-// Extension benchmark: end-to-end composed query through the push-based
-// executor (src/exec/). The plan is TPC-H Q3 shaped — filter a 128K-row
-// dimension R on its key range, hash-build, filter a 2M-row fact S on a
-// value predicate, bloom-prefilter the foreign keys, probe, and group the
-// join output by R's attribute with SUM/COUNT/MIN/MAX — the same pipeline
-// every operator bench measures in isolation, now paying the real chunk
-// hand-off, conversion, and breaker costs between them.
+// Extension benchmark: end-to-end composed query through the executor
+// (src/exec/). The plan is TPC-H Q3 shaped — filter a 128K-row dimension R
+// on its key range, build the join table, filter a 2M-row fact S on a value
+// predicate, probe, and group the join output by R's attribute with
+// SUM/COUNT/MIN/MAX — the same kernels every operator bench measures in
+// isolation, now run as the executor's two fused pipelines (build, then
+// probe) over its chunk grids.
 //
 // Sweep: isa {scalar, avx2, avx512} x S selectivity {ramp, 1%, 10%, 50%} x
-// threads {1, 8} x executor mode. Mode is the dispatch-tax axis:
-//
-//   0  dynamic   the virtual-Push Operator chain (PipelineMode::kDynamic);
-//   1  fused     the template-fused pipeline (exec/fused.h). Each timed
-//                fused iteration is paired with an untimed dynamic run of
-//                the same plan (inside PauseTiming), after it in even
-//                iterations and before it in odd ones. The paired run's
-//                registry deltas are excluded from the row's gated
-//                counters (AccumulateExcludedSince) and its whole-query
-//                timer is re-exported as `paired_dynamic_ns`, so the
-//                fused/dynamic ratio gate needs no cross-row lookup and
-//                fused rows report fused-only counters (exec_dynamic_ns
-//                stays 0);
-//   2  hand      the serial hand-composed kernel sequence — no executor at
-//                all, the lower bound the fused path chases. Registered at
-//                threads = 1 only (the sequence runs on one thread).
-//
-// Every R key range above is dense, so the executor joins through the
-// direct-indexed table; BM_ExecQuerySparseKeys keeps an end-to-end row on
-// the hash table.
+// threads {1, 8}. Every R key range below is dense, so the executor joins
+// through the direct-indexed table; BM_ExecQuerySparseKeys keeps an
+// end-to-end row on the hash table.
 //
 // Selectivity 0 is the phase-changing input: S values ramp linearly with
 // row position, so under the fixed predicate the per-chunk qualifier
 // density slides from 100% down to 0% across the table.
 //
 // Under --metrics (or the metrics-forced CI build) each row carries the
-// executor's observability instruments — chunks_pushed, pipelines_fused /
-// pipelines_dynamic and the phase timers (exec_scan_ns, exec_bloom_ns,
-// exec_build_ns, exec_probe_ns, exec_groupby_ns, exec_fused_ns,
-// exec_dynamic_ns) — which check_bench_ranges.py gates structurally
-// (dynamic rows) and as the fused/paired-dynamic ratio (fused rows).
+// executor's observability instruments: chunks_pushed (the build grid plus
+// the probe grid per query), pipelines_fused (two per query) and the phase
+// timers exec_build_ns and exec_fused_ns.
 
-#include <algorithm>
-#include <memory>
-#include <numeric>
 #include <string>
-#include <vector>
 
-#include "agg/group_by.h"
 #include "bench/bench_common.h"
-#include "bloom/bloom_filter.h"
 #include "compress/column.h"
-#include "exec/chunk.h"
 #include "exec/query.h"
-#include "hash/direct_table.h"
-#include "hash/linear_probing.h"
-#include "scan/selection_scan.h"
 #include "util/rng.h"
 
 namespace simddb::bench {
@@ -63,67 +34,13 @@ constexpr size_t kRTuples = size_t{128} << 10;  // dimension: 128K rows
 constexpr size_t kSTuples = size_t{2} << 20;    // fact: 2M rows
 constexpr uint32_t kValMax = 999'999;
 
-enum ExecMode : int {
-  kModeDynamic = 0,
-  kModeFused = 1,
-  kModeHand = 2,
-};
-
 /// Selectivity axis sentinel: 0 selects the phase-changing ramp input.
 constexpr uint32_t kSelRamp = 0;
-
-/// The plan hand-composed from the operator kernels, serial: scan R, build,
-/// scan S, bloom, probe, aggregate — the kernel sequence with zero executor
-/// machinery between stages (mirrors HandComposed in tests/exec_test.cc).
-/// The join table takes the layout HashBuildOp's rule picks, so the row
-/// stays the lower bound of the kernels the executor runs.
-size_t HandComposedQ3(const exec::ScanJoinAggregatePlan& p, Isa isa) {
-  const ScanVariant v = exec::ScanVariantForIsa(isa);
-  AlignedBuffer<uint32_t> rk(SelectionScanCapacity(p.n_r)),
-      ra(SelectionScanCapacity(p.n_r));
-  const size_t n_build = SelectionScan(v, p.r_keys, p.r_attrs, p.n_r, p.r_lo,
-                                       p.r_hi, rk.data(), ra.data(),
-                                       rk.size());
-  size_t buckets = 16;
-  while (buckets < 2 * (n_build + 1)) buckets <<= 1;
-  const exec::ColumnRange range = exec::ColumnMinMax(isa, rk.data(), n_build);
-  std::unique_ptr<DirectJoinTable> direct;
-  std::unique_ptr<LinearProbingTable> table;
-  if (DirectJoinTable::Fits(range.min, range.max, buckets)) {
-    direct = std::make_unique<DirectJoinTable>(
-        range.min, size_t{range.max} - range.min + 1);
-    direct->Build(rk.data(), ra.data(), n_build);
-  } else {
-    table = std::make_unique<LinearProbingTable>(buckets);
-    table->Build(isa, rk.data(), ra.data(), n_build);
-  }
-  BloomFilter filter =
-      BloomFilter::ForItems(n_build, p.bloom_bits_per_key, p.bloom_k, 42);
-  filter.Add(rk.data(), n_build);
-
-  AlignedBuffer<uint32_t> sv(SelectionScanCapacity(p.n_s)),
-      sf(SelectionScanCapacity(p.n_s));
-  size_t n_sel = SelectionScan(v, p.s_vals, p.s_fks, p.n_s, p.s_lo, p.s_hi,
-                               sv.data(), sf.data(), sv.size());
-  AlignedBuffer<uint32_t> bf(n_sel + 16), bv(n_sel + 16);
-  n_sel = filter.Probe(isa, sf.data(), sv.data(), n_sel, bf.data(), bv.data());
-  AlignedBuffer<uint32_t> jk(n_sel + 16), jsp(n_sel + 16), jrp(n_sel + 16);
-  const size_t n_join =
-      direct != nullptr
-          ? direct->Probe(isa, bf.data(), bv.data(), n_sel, jk.data(),
-                          jsp.data(), jrp.data())
-          : table->Probe(isa, bf.data(), bv.data(), n_sel, jk.data(),
-                         jsp.data(), jrp.data());
-  GroupByAggregator agg(2048);
-  agg.Accumulate(isa, jrp.data(), jsp.data(), n_join);
-  return agg.num_groups();
-}
 
 void BM_ExecQuery(benchmark::State& state) {
   const Isa isa = static_cast<Isa>(state.range(0));
   const uint32_t sel_pct = static_cast<uint32_t>(state.range(1));
   const int threads = static_cast<int>(state.range(2));
-  const int mode = static_cast<int>(state.range(3));
   if (!RequireIsa(state, isa)) return;
 
   // R keys must be unique for the PK-FK join: sequential 1..kRTuples.
@@ -173,83 +90,30 @@ void BM_ExecQuery(benchmark::State& state) {
                   ? kValMax / 2
                   : static_cast<uint32_t>(
                         (uint64_t{kValMax} + 1) * sel_pct / 100 - 1);
-  plan.bloom_bits_per_key = 10;
 
   exec::ExecConfig cfg;
   cfg.isa = isa;
   cfg.threads = threads;
-  cfg.pipeline_mode = mode == kModeFused ? exec::PipelineMode::kFused
-                                         : exec::PipelineMode::kDynamic;
 
   size_t groups = 0;
-  uint64_t paired_dynamic_ns = 0;
-  // Paired untimed dynamic run of the same plan. Its registry deltas are
-  // excluded from this row's gated counters (fused rows must report
-  // fused-only counters); the whole-query timer it produces is re-exported
-  // under `paired_dynamic_ns` for the ratio gate.
-  const auto run_paired_dynamic = [&] {
-    state.PauseTiming();
-    const auto before = MetricsSnapshotNow();
-    exec::ExecConfig dyn_cfg = cfg;
-    dyn_cfg.pipeline_mode = exec::PipelineMode::kDynamic;
-    exec::QueryResult dyn = exec::RunScanJoinAggregate(plan, dyn_cfg);
-    benchmark::DoNotOptimize(dyn.sums.data());
-    const auto excluded = AccumulateExcludedSince(before);
-    const auto it = excluded.find("exec_dynamic_ns");
-    if (it != excluded.end()) paired_dynamic_ns += it->second;
-    state.ResumeTiming();
-  };
-  // The pair's order alternates, so each mode follows a fused query in
-  // half of the iterations and a dynamic one in the other half. Each query
-  // allocates its table and staging buffers afresh, and whether those pages
-  // fault depends on what glibc did with the previous query's frees; a
-  // fixed order would hand one mode the other's heap every time.
-  bool paired_first = false;
   for (auto _ : state) {
-    if (mode == kModeHand) {
-      groups = HandComposedQ3(plan, isa);
-      continue;
-    }
-    if (mode == kModeFused && paired_first) run_paired_dynamic();
     exec::QueryResult res = exec::RunScanJoinAggregate(plan, cfg);
     groups = res.group_keys.size();
     benchmark::DoNotOptimize(res.sums.data());
-    if (mode == kModeFused && !paired_first) run_paired_dynamic();
-    paired_first = !paired_first;
   }
   // Throughput over the fact table: the fact scan dominates the input.
   SetTuplesPerSecond(state, static_cast<double>(kSTuples));
-  if (mode == kModeFused && obs::MetricsEnabled()) {
-    state.counters["paired_dynamic_ns"] =
-        benchmark::Counter(static_cast<double>(paired_dynamic_ns));
-  }
-  const char* variant = mode == kModeHand    ? "query_q3_hand"
-                        : mode == kModeFused ? "query_q3_fused"
-                                             : "query_q3_dynamic";
-  state.SetLabel(std::string(variant) + " isa=" + IsaName(isa) +
+  state.SetLabel(std::string("query_q3") + " isa=" + IsaName(isa) +
                  " sel=" + std::to_string(sel_pct) +
                  " threads=" + std::to_string(threads) +
                  " groups=" + std::to_string(groups));
 }
 
-// {isa, S selectivity % (0 = ramp), threads, mode}. Fixed iterations so the
-// counter totals are comparable across variants; wall-clock since the work
-// spans lanes. The hand-composed mode is serial by construction, so it
-// registers at threads = 1 only.
+// {isa, S selectivity % (0 = ramp), threads}. Fixed iterations so the
+// counter totals are comparable across rows; wall-clock since the work
+// spans lanes.
 BENCHMARK(BM_ExecQuery)
-    ->ArgsProduct({{0, 1, 2}, {0}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0, 1, 2}, {0}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0, 1, 2}, {1}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0, 1, 2}, {1}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0, 1, 2}, {10}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0, 1, 2}, {10}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0, 1, 2}, {50}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0, 1, 2}, {50}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0, 1, 2}, {1, 10, 50}, {1}, {kModeHand}})
-    // 40 fixed iterations: on this shared host the ambient load arrives in
-    // bursts comparable to a 10-iteration window, so the cross-row ratio
-    // gates need each row to average over several bursts. Counter gates are
-    // per-iteration or min-only, so the count is free to change.
+    ->ArgsProduct({{0, 1, 2}, {0, 1, 10, 50}, {1, 8}})
     ->Iterations(40)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
@@ -259,8 +123,8 @@ BENCHMARK(BM_ExecQuery)
 // spread 16 apart and S's foreign keys following them. The 96K-key build
 // side then spans 1.5M key values, more than twice its 2^18-bucket hash
 // table, so HashBuildOp builds the LinearProbingTable; every other row of
-// this binary has dense keys and builds the direct-indexed table. Fused
-// executor only. Args {isa, S selectivity %, threads}.
+// this binary has dense keys and builds the direct-indexed table. Args
+// {isa, S selectivity %, threads}.
 constexpr uint32_t kSparseKeyStride = 16;
 
 void BM_ExecQuerySparseKeys(benchmark::State& state) {
@@ -309,12 +173,10 @@ void BM_ExecQuerySparseKeys(benchmark::State& state) {
   plan.s_lo = 0;
   plan.s_hi =
       static_cast<uint32_t>((uint64_t{kValMax} + 1) * sel_pct / 100 - 1);
-  plan.bloom_bits_per_key = 10;
 
   exec::ExecConfig cfg;
   cfg.isa = isa;
   cfg.threads = threads;
-  cfg.pipeline_mode = exec::PipelineMode::kFused;
 
   size_t groups = 0;
   for (auto _ : state) {
@@ -337,8 +199,8 @@ BENCHMARK(BM_ExecQuerySparseKeys)
 
 // ---------------------------------------------------------------------------
 // Compressed storage axis: the same Q3 plan over CompressColumn'd S base
-// tables (scan-over-compressed, src/compress/) vs the raw columns, on the
-// dynamic executor. Args {isa, sel code, threads, storage 0=raw/1=packed}.
+// tables (scan-over-compressed, src/compress/) vs the raw columns. Args
+// {isa, sel code, threads, storage 0=raw/1=packed}.
 //
 // Sel codes reuse the BM_ExecQuery meanings (0 = ramp, 1 = 1% uniform) and
 // add 77 = block-clustered: every 1024-row block of S draws both columns
@@ -451,7 +313,6 @@ void BM_ExecQueryCompressed(benchmark::State& state) {
                                                    : sel_code) /
                                               100 -
                                           1);
-  plan.bloom_bits_per_key = 10;
   if (compressed) {
     plan.s_fks_c = &s.fks_c;
     plan.s_vals_c = &s.vals_c;
@@ -460,7 +321,6 @@ void BM_ExecQueryCompressed(benchmark::State& state) {
   exec::ExecConfig cfg;
   cfg.isa = isa;
   cfg.threads = threads;
-  cfg.pipeline_mode = exec::PipelineMode::kDynamic;
 
   size_t groups = 0;
   for (auto _ : state) {

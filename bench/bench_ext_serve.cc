@@ -8,10 +8,11 @@
 //
 // With shared scans off every query runs its own full sweep of S; with them
 // on the scheduler gathers the wave (shared_gather_hint = clients) and one
-// member sweeps S once for the whole group, each member's skip-empty chain
-// consuming only its window's chunk band. The fact table's value column is
-// sequential, so the per-client windows are contiguous disjoint chunk bands
-// — the clustered shape table sharing exists for.
+// member sweeps S once for the whole group: one chunk grid dispatched for
+// N probe pipelines. The fact table's value column is sequential, so the
+// per-client windows are contiguous disjoint chunk bands, and each
+// member's pipeline stops at its scan outside its own band — the clustered
+// shape table sharing exists for.
 //
 // Per-row counters beyond the registry deltas:
 //
@@ -26,8 +27,10 @@
 // The reported Gtps counts logical tuples served (clients x |S| per wave):
 // by that yardstick a shared sweep's win is mechanical — one scan feeds N
 // answers — and the chunks_pushed registry delta is what the cross-row
-// gate compares (shared rows must push well under half the chunks of their
-// unshared counterpart).
+// gate compares: every query pushes its build grid, and a wave's probe
+// grids are dispatched once shared against once per client solo, so shared
+// rows must push well under half the chunks of their unshared counterpart
+// (8 clients: 8 x 64 + 1,024 = 1,536 against 8 x 1,088 = 8,704).
 
 #include <unistd.h>
 
@@ -102,10 +105,6 @@ void BM_Serve(benchmark::State& state) {
 
   exec::ExecConfig cfg;
   cfg.threads = threads;
-  // Dynamic chains on both sides of the shared axis: the shared sweep is a
-  // dynamic chain by construction, and identical executors keep the
-  // chunks_pushed comparison structural.
-  cfg.pipeline_mode = exec::PipelineMode::kDynamic;
 
   std::vector<uint64_t> latencies_ns;
   latencies_ns.reserve(64 * static_cast<size_t>(clients));
@@ -209,7 +208,6 @@ void BM_ServeWeighted(benchmark::State& state) {
 
   exec::ExecConfig cfg;
   cfg.threads = threads;
-  cfg.pipeline_mode = exec::PipelineMode::kDynamic;
 
   uint64_t w1_completed = 0, w4_completed = 0;
 
@@ -286,7 +284,6 @@ void BM_ServeWire(benchmark::State& state) {
                    std::to_string(state.range(1)) + ".sock";
   opts.handler_threads = clients;
   opts.exec.threads = threads;
-  opts.exec.pipeline_mode = exec::PipelineMode::kDynamic;
   net::Server server(&catalog, opts);
   std::string error;
   if (!server.Start(&error)) {

@@ -26,8 +26,8 @@ scaling of the numerator) — e.g. a per-phase time ratio
 part_hist_ns / part_shuffle_ns. A missing or non-positive denominator is
 a failure on matched rows, like a missing metric — unless the range sets
 "zero_denom": "skip", which silently skips the check on rows where the
-denominator can legitimately be 0 (e.g. pipelines_dynamic on fused-only
-rows).
+denominator can legitimately be 0 (a counter only some rows of the
+family increment).
 
 An entry may instead hold a cross-row comparison:
 

@@ -14,9 +14,9 @@
 // payload words at all.
 //
 // The unpack kernels are the scan-over-compressed hot path, so they follow
-// the per-ISA TU pattern of exec/chunk_*: a scalar baseline (pack.cc) plus
-// AVX2 / AVX-512 backends (pack_avx2.cc / pack_avx512.cc) compiled under
-// their own ISA flags. Both vector backends turn the per-value
+// the per-ISA TU pattern of scan/selection_scan_*: a scalar baseline
+// (pack.cc) plus AVX2 / AVX-512 backends (pack_avx2.cc / pack_avx512.cc)
+// compiled under their own ISA flags. Both vector backends turn the per-value
 // read-shift-mask into 64-bit gathers (vpgatherqd's 32-bit-granular cousin
 // vpgatherdq) + per-lane variable shifts (vpsrlvq), which makes one
 // generic kernel cover every width 1..32 at full vector width — there is

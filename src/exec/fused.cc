@@ -10,39 +10,55 @@
 namespace simddb::exec {
 namespace {
 
-// Registry keeps raw pointers, so the counter must have static storage.
+// Registry keeps raw pointers, so instruments must have static storage.
+obs::Counter g_chunks_pushed("chunks_pushed");
 obs::Counter g_pipelines_fused("pipelines_fused");
+obs::PhaseTimer g_build_ns("exec_build_ns");
 
 }  // namespace
 
 namespace detail {
 
-void GatherPairScalar(const uint32_t* a, const uint32_t* b,
-                      const uint32_t* sel, size_t cnt, uint32_t* out_a,
-                      uint32_t* out_b) {
-  for (size_t i = 0; i < cnt; ++i) {
-    const uint32_t s = sel[i];
-    out_a[i] = a[s];
-    out_b[i] = b[s];
-  }
+void CountPipelines(size_t n_chunks, size_t n_members) {
+  g_chunks_pushed.Add(n_chunks);
+  g_pipelines_fused.Add(n_members);
 }
 
 }  // namespace detail
 
-template FusedProbeResult RunFusedProbe<Isa::kScalar>(const FusedProbeSpec&,
-                                                      const ExecConfig&);
+template void RunFusedBuild<Isa::kScalar>(const ScanJoinAggregatePlan&,
+                                          const ExecConfig&, HashBuildOp*);
+template std::vector<QueryResult> RunFusedProbe<Isa::kScalar>(
+    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
+    const ExecConfig&);
 
-FusedProbeResult RunFusedProbePipeline(const FusedProbeSpec& spec,
-                                       const ExecConfig& cfg) {
-  g_pipelines_fused.Add(1);
-  // One ISA switch per pipeline — the only dispatch the fused path pays.
+void RunFusedBuildPipeline(const ScanJoinAggregatePlan& plan,
+                           const ExecConfig& cfg, HashBuildOp* build) {
+  obs::ScopedPhase t(g_build_ns);
   switch (cfg.isa) {
     case Isa::kAvx512:
-      return RunFusedProbe<Isa::kAvx512>(spec, cfg);
+      RunFusedBuild<Isa::kAvx512>(plan, cfg, build);
+      break;
     case Isa::kAvx2:
-      return RunFusedProbe<Isa::kAvx2>(spec, cfg);
+      RunFusedBuild<Isa::kAvx2>(plan, cfg, build);
+      break;
     default:
-      return RunFusedProbe<Isa::kScalar>(spec, cfg);
+      RunFusedBuild<Isa::kScalar>(plan, cfg, build);
+      break;
+  }
+  build->Finish();
+}
+
+std::vector<QueryResult> RunFusedProbePipelines(
+    const ScanJoinAggregatePlan* plans, const HashBuildOp* builds, size_t n,
+    const ExecConfig& cfg) {
+  switch (cfg.isa) {
+    case Isa::kAvx512:
+      return RunFusedProbe<Isa::kAvx512>(plans, builds, n, cfg);
+    case Isa::kAvx2:
+      return RunFusedProbe<Isa::kAvx2>(plans, builds, n, cfg);
+    default:
+      return RunFusedProbe<Isa::kScalar>(plans, builds, n, cfg);
   }
 }
 

@@ -1,141 +1,61 @@
 #ifndef SIMDDB_EXEC_FUSED_H_
 #define SIMDDB_EXEC_FUSED_H_
 
-// Template-fused compiled pipelines — the per-chunk dispatch tax killer.
+// Template-fused compiled pipelines: the executor.
 //
-// The dynamic executor (exec/pipeline.h) pays a virtual Push, a Chunk
-// visibility round-trip (memcpy into the chunk, bitmap -> selection ->
-// Compact gather), and a per-push metrics gate between every pair of
-// operators. Those costs are invisible in per-operator benches but add up
-// to the delta between bench_ext_query and the hand-composed kernel
-// sequence tests/exec_test.cc builds. This layer removes them without a
-// JIT: the hot Q3 probe pipeline (scan -> bloom semi-join -> hash-join
-// probe -> group-by) is expressed as a compile-time operator composition —
-// a variadic FusedPipeline<Source, Stages...> whose stages hand each other
-// a FusedBatch (dense column pointers + count, register-resident state, no
-// ownership, no visibility machinery) through fully-inlined continuations.
-// One instantiation exists per (ISA x source); RunScanJoinAggregate selects
-// it at plan-build time unless PipelineMode::kDynamic asks for the dynamic
-// chain (see query.cc).
+// A pipeline is a compile-time operator composition — a variadic
+// FusedPipeline<Source, Stages...> whose stages hand each other a
+// FusedBatch (dense column pointers + count + chunk ordinal, no ownership)
+// through fully-inlined continuations. No JIT, no virtual dispatch, no
+// per-stage timers: stage hand-off is an inlined template call, and the
+// executor is timed once per query (exec_fused_ns, query.cc) and once per
+// build (exec_build_ns). One instantiation exists per (ISA x source),
+// anchored in fused.cc / fused_avx2.cc / fused_avx512.cc so each backend's
+// inner loops compile under its own ISA flags.
 //
-// What fusion buys per chunk:
-//   - no virtual dispatch: stage hand-off is an inlined template call;
-//   - no Chunk materialization: the bitmap-mode scan evaluates the range
-//     predicate directly on the base columns and gathers qualifiers from
-//     the base columns in one pass (detail::GatherPair, per-ISA TUs) —
-//     the dynamic path instead memcpys the whole morsel into a Chunk,
-//     converts bitmap -> selection, and gathers every column in Compact;
-//   - no per-push metrics scopes: the fused path is timed once per query
-//     (exec_fused_ns, see query.cc) instead of once per operator per chunk.
+// A query runs two pipeline shapes:
+//   build:  FusedScan[Compressed] on R.key -> HashBuildOp (the breaker);
+//   probe:  FusedScan[Compressed] on S.val -> FusedJoinProbe -> FusedGroupBy.
+// RunPipelines drives N >= 1 member pipelines over ONE chunk grid: a solo
+// query's probe is the one-member case, and a shared sweep (RunSharedProbe)
+// feeds every member from the same dispatch.
 //
-// Determinism contract: the fused path reuses the dynamic path's chunk
-// grid (ceil(n / chunk_tuples) chunks, ParallelFor over chunk ordinals)
-// and its group-by state (GroupByState: the same per-lane partials over
-// the same build-side key domain, and the canonical ascending-key result
-// extraction), so a fused QueryResult is byte-identical to the dynamic
-// pipeline's for every ISA, thread count, chunk size, and steal schedule.
-// Pipeline breakers (the hash build that feeds this pipeline) still run
-// through the dynamic Chunk machinery — only streaming stages are fused.
+// Determinism contract: every pipeline runs the deterministic grid
+// (ceil(n / chunk_tuples) chunks, ParallelFor over chunk ordinals). The
+// build stages rows by chunk ordinal (FusedBatch::seq), never by lane, and
+// the probe ends in GroupByState's per-lane partials with their canonical
+// ascending-key extraction, so a QueryResult is byte-identical for every
+// ISA, thread count, chunk size, storage, sharing and steal schedule.
+//
+// One rule for empty batches: a stage hands on a batch only when it holds
+// rows, so a chunk the predicate empties costs its source and nothing
+// downstream, in every pipeline.
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <tuple>
 #include <utility>
 #include <vector>
 
-#include "bloom/bloom_filter.h"
 #include "compress/column.h"
 #include "core/isa.h"
-#include "exec/chunk.h"
 #include "exec/pipeline.h"
+#include "exec/query.h"
 #include "scan/selection_scan.h"
 #include "util/aligned_buffer.h"
 #include "util/task_pool.h"
 
 namespace simddb::exec {
 
-/// Dense batch view handed between fused stages: up to three column
-/// pointers plus a tuple count. Columns live in the producing stage's
-/// per-lane scratch (or the base table), so a batch is valid only for the
-/// duration of the continuation call that receives it.
-struct FusedBatch {
-  const uint32_t* col[3] = {nullptr, nullptr, nullptr};
-  size_t n = 0;
-};
-
-/// Inputs of the fused Q3 probe pipeline (the post-breaker half of the
-/// plan): the S base columns and predicate, plus the finished build
-/// breaker.
-struct FusedProbeSpec {
-  const uint32_t* fks = nullptr;   ///< S foreign keys (batch col 0)
-  const uint32_t* vals = nullptr;  ///< S values: filter + aggregate (col 1)
-  /// Compressed S columns (compress/column.h). When non-null they replace
-  /// the raw pointers: the pipeline sources from FusedScanCompressed in
-  /// BOTH scan modes — a compressed source has no base-table copy for the
-  /// bitmap duality to elide, so the mode axis degenerates (results are
-  /// byte-identical across modes by the executor's determinism contract).
-  const compress::CompressedColumn* fks_c = nullptr;
-  const compress::CompressedColumn* vals_c = nullptr;
-  size_t n = 0;
-  uint32_t lo = 0, hi = 0;         ///< inclusive range predicate on vals
-  ScanMode scan_mode = ScanMode::kCompact;
-  /// The finished build breaker (required): its table, its Bloom filter
-  /// (null disables the semi-join) and its payload domain, which is the
-  /// group-key domain.
-  const HashBuildOp* build = nullptr;
-};
-
-/// Canonical fused result: group rows in ascending key order (identical to
-/// GroupBySink's extraction) plus the cardinalities the dynamic operators
-/// report via rows_out().
-struct FusedProbeResult {
-  std::vector<uint32_t> group_keys;
-  std::vector<uint64_t> sums;
-  std::vector<uint32_t> counts;
-  std::vector<uint32_t> mins;
-  std::vector<uint32_t> maxs;
-  uint64_t rows_scanned = 0;
-  uint64_t rows_bloomed = 0;
-  uint64_t rows_joined = 0;
-};
-
-namespace detail {
-
-// Fused two-column gather: out{a,b}[i] = {a,b}[sel[i]] for i in [0, cnt).
-// Replaces the dynamic path's memcpy-then-Compact round trip with one pass
-// over the qualifiers. Backend TUs: fused.cc / fused_avx2.cc /
-// fused_avx512.cc (vpgatherdd on both vector ISAs).
-void GatherPairScalar(const uint32_t* a, const uint32_t* b,
-                      const uint32_t* sel, size_t cnt, uint32_t* out_a,
-                      uint32_t* out_b);
-void GatherPairAvx2(const uint32_t* a, const uint32_t* b, const uint32_t* sel,
-                    size_t cnt, uint32_t* out_a, uint32_t* out_b);
-void GatherPairAvx512(const uint32_t* a, const uint32_t* b,
-                      const uint32_t* sel, size_t cnt, uint32_t* out_a,
-                      uint32_t* out_b);
-
-inline void GatherPair(Isa isa, const uint32_t* a, const uint32_t* b,
-                       const uint32_t* sel, size_t cnt, uint32_t* out_a,
-                       uint32_t* out_b) {
-  if (isa == Isa::kAvx512 && IsaSupported(Isa::kAvx512)) {
-    return GatherPairAvx512(a, b, sel, cnt, out_a, out_b);
-  }
-  if (isa == Isa::kAvx2 && IsaSupported(Isa::kAvx2)) {
-    return GatherPairAvx2(a, b, sel, cnt, out_a, out_b);
-  }
-  return GatherPairScalar(a, b, sel, cnt, out_a, out_b);
-}
-
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
 // Fused stages
 // ---------------------------------------------------------------------------
 //
 // Stage interface (compile-time, no base class):
-//   void Open(const ExecConfig& cfg, int lanes);
+//   void Open(const ExecConfig& cfg, int lanes, size_t n_chunks);
 //   template <typename Next>
 //   void Process(const FusedBatch& in, int lane, Next&& next);   // mid-stage
 //   void Consume(const FusedBatch& in, int lane);                // terminal
@@ -167,27 +87,43 @@ class LaneRows {
   std::vector<Slot> rows_;
 };
 
+/// Chunks in the grid over n rows.
+inline size_t GridChunks(size_t n, const ExecConfig& cfg) {
+  return n == 0 ? 0 : (n + cfg.chunk_tuples - 1) / cfg.chunk_tuples;
+}
+
+/// Counts one pipeline run: `chunks_pushed` by its grid size, once however
+/// many members share the grid, and `pipelines_fused` by its members.
+void CountPipelines(size_t n_chunks, size_t n_members);
+
 }  // namespace detail
 
-/// Fused source over the paper's SelectionScan kernels: one dense (fk, val)
-/// batch per chunk of the deterministic grid, filtered on the val column.
+/// Fused source over a raw two-column base table (a, b): one dense batch
+/// per chunk of the grid (col 0 from a, col 1 from b) holding the rows
+/// whose column `pred_col` lies in [lo, hi], through the paper's
+/// SelectionScan kernels. The build side filters on R's key (column 0),
+/// the probe side on S's value (column 1).
 template <Isa kIsa>
-class FusedScanCompact {
+class FusedScan {
  public:
-  FusedScanCompact(const uint32_t* fks, const uint32_t* vals, size_t n,
-                   uint32_t lo, uint32_t hi)
-      : fks_(fks), vals_(vals), n_(n), lo_(lo), hi_(hi) {}
-
-  size_t Chunks(const ExecConfig& cfg) const {
-    return n_ == 0 ? 0 : (n_ + cfg.chunk_tuples - 1) / cfg.chunk_tuples;
+  FusedScan(const uint32_t* a, const uint32_t* b, size_t n, int pred_col,
+            uint32_t lo, uint32_t hi)
+      : cols_{a, b}, n_(n), pred_col_(pred_col), lo_(lo), hi_(hi) {
+    assert(pred_col == 0 || pred_col == 1);
   }
 
-  void Open(const ExecConfig& cfg, int lanes) {
+  size_t Chunks(const ExecConfig& cfg) const {
+    return detail::GridChunks(n_, cfg);
+  }
+
+  void Open(const ExecConfig& cfg, int lanes, size_t n_chunks) {
+    (void)n_chunks;
     chunk_tuples_ = cfg.chunk_tuples;
     lanes_.resize(static_cast<size_t>(lanes));
     for (Lane& l : lanes_) {
-      l.fk.Reset(ChunkCapacity(chunk_tuples_));
-      l.val.Reset(ChunkCapacity(chunk_tuples_));
+      for (AlignedBuffer<uint32_t>& c : l.col) {
+        c.Reset(ChunkCapacity(chunk_tuples_));
+      }
     }
     rows_.Open(lanes);
   }
@@ -197,16 +133,16 @@ class FusedScanCompact {
     Lane& l = lanes_[static_cast<size_t>(lane)];
     const size_t b = chunk * chunk_tuples_;
     const size_t sz = std::min(chunk_tuples_, n_ - b);
-    // Scan keyed on the val column, carrying the fk as payload — the same
-    // kernel call ScanOp makes, minus the Chunk in between.
-    const size_t cnt =
-        SelectionScan(ScanVariantForIsa(kIsa), vals_ + b, fks_ + b, sz, lo_,
-                      hi_, l.val.data(), l.fk.data(), l.val.size());
+    const int p = pred_col_;
+    const size_t cnt = SelectionScan(
+        ScanVariantForIsa(kIsa), cols_[p] + b, cols_[1 - p] + b, sz, lo_,
+        hi_, l.col[p].data(), l.col[1 - p].data(), l.col[p].size());
     rows_.Add(lane, cnt);
     FusedBatch out;
-    out.col[0] = l.fk.data();
-    out.col[1] = l.val.data();
+    out.col[0] = l.col[0].data();
+    out.col[1] = l.col[1].data();
     out.n = cnt;
+    out.seq = chunk;
     next(out);
   }
 
@@ -214,118 +150,53 @@ class FusedScanCompact {
 
  private:
   struct Lane {
-    AlignedBuffer<uint32_t> fk, val;
+    AlignedBuffer<uint32_t> col[2];
   };
-  const uint32_t* fks_;
-  const uint32_t* vals_;
+  const uint32_t* cols_[2];
   size_t n_;
+  int pred_col_;
   uint32_t lo_, hi_;
   size_t chunk_tuples_ = kDefaultChunkTuples;
   std::vector<Lane> lanes_;
   detail::LaneRows rows_;
 };
 
-/// Fused source for the bitmap-duality plan shape: the range predicate is
-/// evaluated into a lane-local bitmap directly over the base columns (no
-/// morsel copy), converted to a selection vector once, and both columns are
-/// gathered from the base table in a single fused pass. The dynamic
-/// equivalent (ScanOp kBitmap + MaterializeOp) copies the full morsel into
-/// a Chunk first and gathers it again in Compact.
-template <Isa kIsa>
-class FusedScanBitmap {
- public:
-  FusedScanBitmap(const uint32_t* fks, const uint32_t* vals, size_t n,
-                  uint32_t lo, uint32_t hi)
-      : fks_(fks), vals_(vals), n_(n), lo_(lo), hi_(hi) {}
-
-  size_t Chunks(const ExecConfig& cfg) const {
-    return n_ == 0 ? 0 : (n_ + cfg.chunk_tuples - 1) / cfg.chunk_tuples;
-  }
-
-  void Open(const ExecConfig& cfg, int lanes) {
-    chunk_tuples_ = cfg.chunk_tuples;
-    lanes_.resize(static_cast<size_t>(lanes));
-    for (Lane& l : lanes_) {
-      l.fk.Reset(ChunkCapacity(chunk_tuples_));
-      l.val.Reset(ChunkCapacity(chunk_tuples_));
-      l.sel.Reset(ChunkCapacity(chunk_tuples_));
-      l.bitmap.Reset(ChunkBitmapWords(chunk_tuples_) + 1);
-    }
-    rows_.Open(lanes);
-  }
-
-  template <typename Next>
-  void Produce(size_t chunk, int lane, Next&& next) {
-    Lane& l = lanes_[static_cast<size_t>(lane)];
-    const size_t b = chunk * chunk_tuples_;
-    const size_t sz = std::min(chunk_tuples_, n_ - b);
-    const size_t n_bits =
-        RangePredicateBitmap(kIsa, vals_ + b, sz, lo_, hi_, l.bitmap.data());
-    size_t cnt = 0;
-    if (n_bits != 0) {
-      cnt = BitmapToSelection(kIsa, l.bitmap.data(), sz, l.sel.data());
-      assert(cnt == n_bits);
-      detail::GatherPair(kIsa, fks_ + b, vals_ + b, l.sel.data(), cnt,
-                         l.fk.data(), l.val.data());
-    }
-    rows_.Add(lane, cnt);
-    FusedBatch out;
-    out.col[0] = l.fk.data();
-    out.col[1] = l.val.data();
-    out.n = cnt;
-    next(out);
-  }
-
-  uint64_t rows_out() const { return rows_.Total(); }
-
- private:
-  struct Lane {
-    AlignedBuffer<uint32_t> fk, val, sel;
-    AlignedBuffer<uint64_t> bitmap;
-  };
-  const uint32_t* fks_;
-  const uint32_t* vals_;
-  size_t n_;
-  uint32_t lo_, hi_;
-  size_t chunk_tuples_ = kDefaultChunkTuples;
-  std::vector<Lane> lanes_;
-  detail::LaneRows rows_;
-};
-
-/// Fused source over compressed base columns: the scan-over-compressed
-/// front-end of the fused pipeline, emitting the same dense (fk, val)
-/// batches FusedScanCompact would for the decompressed columns. Per chunk
-/// it walks the overlapped 1024-value blocks and classifies each against
-/// the predicate via the FOR-domain zone map (compress::ClassifyBlock):
-/// skipped blocks contribute nothing without their packed bytes being
-/// read, all-pass blocks decode straight into the batch columns with no
-/// per-value predicate evaluation, and mixed blocks decode into per-lane
-/// scratch (cached by block id) and run SelectionScan on the
-/// just-unpacked values — the CompressedScanOp protocol minus the Chunk.
+/// Fused source over compressed base columns (compress/column.h): emits
+/// the same batches FusedScan would for the decompressed columns, so a
+/// compressed plan is byte-identical to its raw twin by construction. Per
+/// chunk it walks the overlapped 1024-value blocks and classifies each
+/// against the predicate via the predicate column's FOR-domain zone map
+/// (compress::ClassifyBlock): skipped blocks contribute nothing without
+/// their packed bytes being read, all-pass blocks decode straight into the
+/// batch columns with no per-value predicate evaluation, and mixed blocks
+/// decode into per-lane scratch (cached by block id, so sub-block chunk
+/// grids do not re-decode) and run SelectionScan on the just-unpacked
+/// values.
 template <Isa kIsa>
 class FusedScanCompressed {
  public:
-  FusedScanCompressed(const compress::CompressedColumn* fks,
-                      const compress::CompressedColumn* vals, uint32_t lo,
-                      uint32_t hi)
-      : fks_(fks), vals_(vals), n_(fks->size()), lo_(lo), hi_(hi) {
-    assert(fks_->size() == vals_->size());
+  FusedScanCompressed(const compress::CompressedColumn* a,
+                      const compress::CompressedColumn* b, int pred_col,
+                      uint32_t lo, uint32_t hi)
+      : cols_{a, b}, n_(a->size()), pred_col_(pred_col), lo_(lo), hi_(hi) {
+    assert(a->size() == b->size());
+    assert(pred_col == 0 || pred_col == 1);
   }
 
   size_t Chunks(const ExecConfig& cfg) const {
-    return n_ == 0 ? 0 : (n_ + cfg.chunk_tuples - 1) / cfg.chunk_tuples;
+    return detail::GridChunks(n_, cfg);
   }
 
-  void Open(const ExecConfig& cfg, int lanes) {
+  void Open(const ExecConfig& cfg, int lanes, size_t n_chunks) {
+    (void)n_chunks;
     chunk_tuples_ = cfg.chunk_tuples;
     lanes_.resize(static_cast<size_t>(lanes));
     for (Lane& l : lanes_) {
-      l.fk.Reset(ChunkCapacity(chunk_tuples_));
-      l.val.Reset(ChunkCapacity(chunk_tuples_));
-      l.fk_buf.Reset(compress::PackedCapacity(compress::kBlockTuples));
-      l.val_buf.Reset(compress::PackedCapacity(compress::kBlockTuples));
-      l.fk_block = SIZE_MAX;
-      l.val_block = SIZE_MAX;
+      for (int c = 0; c < 2; ++c) {
+        l.col[c].Reset(ChunkCapacity(chunk_tuples_));
+        l.block_buf[c].Reset(compress::PackedCapacity(compress::kBlockTuples));
+        l.block[c] = SIZE_MAX;
+      }
     }
     rows_.Open(lanes);
   }
@@ -333,45 +204,53 @@ class FusedScanCompressed {
   template <typename Next>
   void Produce(size_t chunk, int lane, Next&& next) {
     Lane& l = lanes_[static_cast<size_t>(lane)];
+    const int p = pred_col_;
+    const compress::CompressedColumn* pred = cols_[p];
     const size_t begin = chunk * chunk_tuples_;
     const size_t end = begin + std::min(chunk_tuples_, n_ - begin);
-    const size_t cap = l.val.size();
+    const size_t cap = l.col[0].size();
     size_t cnt = 0;
     for (size_t pos = begin; pos < end;) {
       const size_t b = pos / compress::kBlockTuples;
       const size_t block_base = b * compress::kBlockTuples;
       const size_t off = pos - block_base;
       const size_t take =
-          std::min(end, block_base + vals_->block_rows(b)) - pos;
-      const compress::BlockMeta& m = vals_->block_meta(b);
-      const compress::BlockClass cls = compress::ClassifyBlock(m, lo_, hi_);
+          std::min(end, block_base + pred->block_rows(b)) - pos;
+      const compress::BlockClass cls =
+          compress::ClassifyBlock(pred->block_meta(b), lo_, hi_);
       if (cls == compress::BlockClass::kSkip) {
         compress::BlocksSkipped().Add(1);
       } else if (cls == compress::BlockClass::kAllPass) {
         compress::BlocksAllPass().Add(1);
-        if (take == vals_->block_rows(b)) {
-          fks_->DecodeBlock(kIsa, b, l.fk.data() + cnt, cap - cnt);
-          vals_->DecodeBlock(kIsa, b, l.val.data() + cnt, cap - cnt);
-        } else {
-          std::memcpy(l.fk.data() + cnt, DecodedFk(l, b) + off,
-                      take * sizeof(uint32_t));
-          std::memcpy(l.val.data() + cnt, DecodedVal(l, b) + off,
-                      take * sizeof(uint32_t));
+        for (int c = 0; c < 2; ++c) {
+          // A whole in-chunk block decodes straight into the batch column
+          // (its overshoot lands in the ChunkCapacity slack); partial
+          // overlaps go through the block cache.
+          if (take == pred->block_rows(b)) {
+            cols_[c]->DecodeBlock(kIsa, b, l.col[c].data() + cnt, cap - cnt);
+          } else {
+            std::memcpy(l.col[c].data() + cnt, Decoded(l, c, b) + off,
+                        take * sizeof(uint32_t));
+          }
         }
         cnt += take;
       } else {
-        cnt += SelectionScan(ScanVariantForIsa(kIsa), DecodedVal(l, b) + off,
-                             DecodedFk(l, b) + off, take, lo_, hi_,
-                             l.val.data() + cnt, l.fk.data() + cnt,
-                             cap - cnt);
+        // Mixed block: range-scan the just-unpacked slice, appending at
+        // the output cursor (input order is preserved, so the batch
+        // matches the raw scan's).
+        cnt += SelectionScan(ScanVariantForIsa(kIsa), Decoded(l, p, b) + off,
+                             Decoded(l, 1 - p, b) + off, take, lo_, hi_,
+                             l.col[p].data() + cnt,
+                             l.col[1 - p].data() + cnt, cap - cnt);
       }
       pos += take;
     }
     rows_.Add(lane, cnt);
     FusedBatch out;
-    out.col[0] = l.fk.data();
-    out.col[1] = l.val.data();
+    out.col[0] = l.col[0].data();
+    out.col[1] = l.col[1].data();
     out.n = cnt;
+    out.seq = chunk;
     next(out);
   }
 
@@ -379,77 +258,26 @@ class FusedScanCompressed {
 
  private:
   struct Lane {
-    AlignedBuffer<uint32_t> fk, val;        // batch columns
-    AlignedBuffer<uint32_t> fk_buf, val_buf;  // decoded-block cache
-    size_t fk_block = SIZE_MAX, val_block = SIZE_MAX;
+    AlignedBuffer<uint32_t> col[2];        // batch columns
+    AlignedBuffer<uint32_t> block_buf[2];  // decoded-block cache
+    size_t block[2] = {SIZE_MAX, SIZE_MAX};
   };
 
-  const uint32_t* DecodedFk(Lane& l, size_t b) {
-    if (l.fk_block != b) {
-      fks_->DecodeBlock(kIsa, b, l.fk_buf.data(), l.fk_buf.size());
-      l.fk_block = b;
+  /// Decoded values of block b of column c, through the lane's cache.
+  const uint32_t* Decoded(Lane& l, int c, size_t b) {
+    if (l.block[c] != b) {
+      cols_[c]->DecodeBlock(kIsa, b, l.block_buf[c].data(),
+                            l.block_buf[c].size());
+      l.block[c] = b;
     }
-    return l.fk_buf.data();
-  }
-  const uint32_t* DecodedVal(Lane& l, size_t b) {
-    if (l.val_block != b) {
-      vals_->DecodeBlock(kIsa, b, l.val_buf.data(), l.val_buf.size());
-      l.val_block = b;
-    }
-    return l.val_buf.data();
+    return l.block_buf[c].data();
   }
 
-  const compress::CompressedColumn* fks_;
-  const compress::CompressedColumn* vals_;
+  const compress::CompressedColumn* cols_[2];
   size_t n_;
+  int pred_col_;
   uint32_t lo_, hi_;
   size_t chunk_tuples_ = kDefaultChunkTuples;
-  std::vector<Lane> lanes_;
-  detail::LaneRows rows_;
-};
-
-/// Fused Bloom semi-join. A null filter (bloom disabled, or empty build
-/// side) forwards the batch untouched — a predicted branch per chunk, not a
-/// virtual call.
-template <Isa kIsa>
-class FusedBloomProbe {
- public:
-  explicit FusedBloomProbe(const BloomFilter* filter) : filter_(filter) {}
-
-  void Open(const ExecConfig& cfg, int lanes) {
-    lanes_.resize(static_cast<size_t>(lanes));
-    for (Lane& l : lanes_) {
-      l.fk.Reset(ChunkCapacity(cfg.chunk_tuples));
-      l.val.Reset(ChunkCapacity(cfg.chunk_tuples));
-    }
-    rows_.Open(lanes);
-  }
-
-  template <typename Next>
-  void Process(const FusedBatch& in, int lane, Next&& next) {
-    if (filter_ == nullptr) {
-      rows_.Add(lane, in.n);
-      next(in);
-      return;
-    }
-    Lane& l = lanes_[static_cast<size_t>(lane)];
-    const size_t cnt = filter_->Probe(kIsa, in.col[0], in.col[1], in.n,
-                                      l.fk.data(), l.val.data());
-    rows_.Add(lane, cnt);
-    FusedBatch out;
-    out.col[0] = l.fk.data();
-    out.col[1] = l.val.data();
-    out.n = cnt;
-    next(out);
-  }
-
-  uint64_t rows_out() const { return rows_.Total(); }
-
- private:
-  struct Lane {
-    AlignedBuffer<uint32_t> fk, val;
-  };
-  const BloomFilter* filter_;
   std::vector<Lane> lanes_;
   detail::LaneRows rows_;
 };
@@ -463,7 +291,8 @@ class FusedJoinProbe {
  public:
   explicit FusedJoinProbe(const HashBuildOp* build) : build_(build) {}
 
-  void Open(const ExecConfig& cfg, int lanes) {
+  void Open(const ExecConfig& cfg, int lanes, size_t n_chunks) {
+    (void)n_chunks;
     lanes_.resize(static_cast<size_t>(lanes));
     for (Lane& l : lanes_) {
       l.key.Reset(ChunkCapacity(cfg.chunk_tuples));
@@ -486,6 +315,7 @@ class FusedJoinProbe {
     out.col[1] = l.sval.data();
     out.col[2] = l.rpay.data();
     out.n = cnt;
+    out.seq = in.seq;
     next(out);
   }
 
@@ -500,14 +330,15 @@ class FusedJoinProbe {
   detail::LaneRows rows_;
 };
 
-/// Terminal fused stage: a GroupByState over the build side's key domain,
-/// as GroupBySink keeps, finalized after the run.
+/// Terminal probe stage: a GroupByState over the build side's payload
+/// domain (the group-key domain), finalized after the run.
 class FusedGroupBy {
  public:
   FusedGroupBy(const HashBuildOp* build, int key_col, int val_col)
       : build_(build), key_col_(key_col), val_col_(val_col) {}
 
-  void Open(const ExecConfig& cfg, int lanes) {
+  void Open(const ExecConfig& cfg, int lanes, size_t n_chunks) {
+    (void)n_chunks;
     state_.Open(cfg, lanes, build_->pay_min(), build_->pay_max());
   }
 
@@ -516,8 +347,8 @@ class FusedGroupBy {
   }
 
   /// Merges the lane partials and extracts the canonical ascending-key
-  /// result rows (exactly GroupBySink::Finish's representation).
-  void Finalize(FusedProbeResult* res) {
+  /// result rows.
+  void Finalize(QueryResult* res) {
     state_.Finish(&res->group_keys, &res->sums, &res->counts, &res->mins,
                   &res->maxs);
   }
@@ -529,35 +360,35 @@ class FusedGroupBy {
 };
 
 // ---------------------------------------------------------------------------
-// FusedPipeline
+// FusedPipeline and its driver
 // ---------------------------------------------------------------------------
 
 /// Compile-time operator chain: a source followed by mid-stages and one
-/// terminal stage. Run drives the source's deterministic chunk grid over
-/// the shared TaskPool; each chunk flows through every stage via inlined
-/// continuations — no virtual calls, no Chunks, no per-stage timers.
+/// terminal stage. A stage type may be a reference (HashBuildOp&): the
+/// pipeline then borrows that stage, as the build pipeline borrows the
+/// breaker its query keeps. Each chunk flows through every stage via
+/// inlined continuations — no virtual calls, no per-stage timers.
 template <typename Source, typename... Stages>
 class FusedPipeline {
   static_assert(sizeof...(Stages) >= 1, "a pipeline ends in a terminal stage");
 
  public:
-  FusedPipeline(Source source, Stages... stages)
-      : source_(std::move(source)), stages_(std::move(stages)...) {}
+  FusedPipeline(Source source, Stages&&... stages)
+      : source_(std::move(source)), stages_(std::forward<Stages>(stages)...) {}
 
-  /// Opens every stage for the grid's lane count, then runs the whole grid
-  /// morsel-parallel. The fan-out is capped at that lane count so worker
-  /// ids stay within the per-lane state Open allocated.
-  void Run(const ExecConfig& cfg) {
-    const size_t n_chunks = source_.Chunks(cfg);
-    int lanes = TaskPool::LaneCount(n_chunks, cfg.threads);
-    if (lanes < 1) lanes = 1;
-    source_.Open(cfg, lanes);
-    std::apply([&](auto&... s) { (s.Open(cfg, lanes), ...); }, stages_);
-    if (n_chunks == 0) return;
-    TaskPool::Get().ParallelFor(n_chunks, lanes, [this](int lane, size_t c) {
-      source_.Produce(c, lane, [this, lane](const FusedBatch& b) {
-        Apply<0>(b, lane);
-      });
+  size_t Chunks(const ExecConfig& cfg) const { return source_.Chunks(cfg); }
+
+  /// Opens the source and every stage for the grid's lane count.
+  void Open(const ExecConfig& cfg, int lanes, size_t n_chunks) {
+    source_.Open(cfg, lanes, n_chunks);
+    std::apply([&](auto&... s) { (s.Open(cfg, lanes, n_chunks), ...); },
+               stages_);
+  }
+
+  /// Runs chunk `chunk` of the grid through the whole chain on `lane`.
+  void Produce(size_t chunk, int lane) {
+    source_.Produce(chunk, lane, [this, lane](const FusedBatch& b) {
+      Apply<0>(b, lane);
     });
   }
 
@@ -570,6 +401,7 @@ class FusedPipeline {
  private:
   template <size_t I>
   void Apply(const FusedBatch& b, int lane) {
+    if (b.n == 0) return;  // empty batches stop where they empty
     if constexpr (I + 1 == sizeof...(Stages)) {
       std::get<I>(stages_).Consume(b, lane);
     } else {
@@ -583,73 +415,142 @@ class FusedPipeline {
   std::tuple<Stages...> stages_;
 };
 
+/// Runs n_members >= 1 pipelines over ONE chunk grid: every member opens
+/// for the grid's lane count, then a single TaskPool dispatch walks the
+/// grid and produces each chunk into every member back to back, so the
+/// chunk's base-column window stays cache-hot across members. Members must
+/// have the same grid (sources over the same row count). The fan-out is
+/// capped at the lane count so worker ids stay within the per-lane state
+/// Open allocated.
+template <typename Pipeline>
+void RunPipelines(Pipeline* members, size_t n_members, const ExecConfig& cfg) {
+  assert(n_members >= 1);
+  const size_t n_chunks = members[0].Chunks(cfg);
+  int lanes = TaskPool::LaneCount(n_chunks, cfg.threads);
+  if (lanes < 1) lanes = 1;
+  for (size_t m = 0; m < n_members; ++m) {
+    assert(members[m].Chunks(cfg) == n_chunks);
+    members[m].Open(cfg, lanes, n_chunks);
+  }
+  detail::CountPipelines(n_chunks, n_members);
+  if (n_chunks == 0) return;
+  TaskPool::Get().ParallelFor(n_chunks, lanes, [&](int lane, size_t c) {
+    for (size_t m = 0; m < n_members; ++m) members[m].Produce(c, lane);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Instantiation surface
 // ---------------------------------------------------------------------------
 
-/// Runs the fused Q3 probe pipeline for one ISA (compile-time) and the
-/// spec's source (selected inside). Instantiated once per ISA in fused.cc /
-/// fused_avx2.cc / fused_avx512.cc so each backend's inner loops compile
-/// under its own ISA flags.
+/// Runs the plan's build pipeline (R scan filtered on R.key ->
+/// HashBuildOp) into `build` for one ISA (compile-time), from the plan's
+/// raw or compressed R. Does not Finish the breaker.
 template <Isa kIsa>
-FusedProbeResult RunFusedProbe(const FusedProbeSpec& spec,
-                               const ExecConfig& cfg);
+void RunFusedBuild(const ScanJoinAggregatePlan& plan, const ExecConfig& cfg,
+                   HashBuildOp* build) {
+  if (plan.r_keys_c != nullptr) {
+    FusedPipeline<FusedScanCompressed<kIsa>, HashBuildOp&> pipeline(
+        FusedScanCompressed<kIsa>(plan.r_keys_c, plan.r_attrs_c,
+                                  /*pred_col=*/0, plan.r_lo, plan.r_hi),
+        *build);
+    RunPipelines(&pipeline, 1, cfg);
+  } else {
+    FusedPipeline<FusedScan<kIsa>, HashBuildOp&> pipeline(
+        FusedScan<kIsa>(plan.r_keys, plan.r_attrs, plan.n_r, /*pred_col=*/0,
+                        plan.r_lo, plan.r_hi),
+        *build);
+    RunPipelines(&pipeline, 1, cfg);
+  }
+}
 
-extern template FusedProbeResult RunFusedProbe<Isa::kScalar>(
-    const FusedProbeSpec& spec, const ExecConfig& cfg);
-extern template FusedProbeResult RunFusedProbe<Isa::kAvx2>(
-    const FusedProbeSpec& spec, const ExecConfig& cfg);
-extern template FusedProbeResult RunFusedProbe<Isa::kAvx512>(
-    const FusedProbeSpec& spec, const ExecConfig& cfg);
-
-/// Runtime entry: dispatches cfg.isa to its instantiation (one switch per
-/// pipeline, not per chunk) and counts `pipelines_fused`.
-FusedProbeResult RunFusedProbePipeline(const FusedProbeSpec& spec,
-                                       const ExecConfig& cfg);
+/// Runs the probe pipelines of n plans (S scan filtered on S.val -> join
+/// probe against builds[i] -> group-by) as the members of one grid, for
+/// one ISA, and returns their results (all but rows_build). Every plan must
+/// probe the same S: all raw or all compressed, with one row count.
+template <Isa kIsa>
+std::vector<QueryResult> RunFusedProbe(const ScanJoinAggregatePlan* plans,
+                                            const HashBuildOp* builds,
+                                            size_t n, const ExecConfig& cfg);
 
 namespace detail {
 
 /// Shared shape driver for the RunFusedProbe instantiations.
-template <Isa kIsa, typename Source>
-FusedProbeResult RunFusedProbeShape(Source source, const FusedProbeSpec& spec,
-                                    const ExecConfig& cfg) {
-  FusedPipeline<Source, FusedBloomProbe<kIsa>, FusedJoinProbe<kIsa>,
-                FusedGroupBy>
-      pipeline(std::move(source), FusedBloomProbe<kIsa>(spec.build->bloom()),
-               FusedJoinProbe<kIsa>(spec.build),
-               FusedGroupBy(spec.build, /*key_col=*/2, /*val_col=*/1));
-  pipeline.Run(cfg);
-  FusedProbeResult res;
-  res.rows_scanned = pipeline.source().rows_out();
-  res.rows_bloomed = pipeline.template stage<0>().rows_out();
-  res.rows_joined = pipeline.template stage<1>().rows_out();
-  pipeline.template stage<2>().Finalize(&res);
-  return res;
+template <Isa kIsa, typename Source, typename MakeSource>
+std::vector<QueryResult> RunFusedProbeShape(
+    const ScanJoinAggregatePlan* plans, const HashBuildOp* builds, size_t n,
+    const ExecConfig& cfg, MakeSource make_source) {
+  using Member = FusedPipeline<Source, FusedJoinProbe<kIsa>, FusedGroupBy>;
+  std::vector<Member> members;
+  members.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    members.emplace_back(make_source(plans[i]),
+                         FusedJoinProbe<kIsa>(&builds[i]),
+                         FusedGroupBy(&builds[i], /*key_col=*/2,
+                                      /*val_col=*/1));
+  }
+  RunPipelines(members.data(), n, cfg);
+  std::vector<QueryResult> results(n);
+  for (size_t i = 0; i < n; ++i) {
+    results[i].rows_scanned = members[i].source().rows_out();
+    results[i].rows_joined = members[i].template stage<0>().rows_out();
+    members[i].template stage<1>().Finalize(&results[i]);
+  }
+  return results;
 }
 
 }  // namespace detail
 
 // Defined here so each backend TU can anchor its explicit instantiation
-// (the extern template declarations above suppress implicit ones).
+// (the extern template declarations below suppress implicit ones).
 template <Isa kIsa>
-FusedProbeResult RunFusedProbe(const FusedProbeSpec& spec,
-                               const ExecConfig& cfg) {
-  if (spec.fks_c != nullptr) {
-    // Compressed source: one shape serves both scan modes (see
-    // FusedProbeSpec::fks_c).
-    return detail::RunFusedProbeShape<kIsa>(
-        FusedScanCompressed<kIsa>(spec.fks_c, spec.vals_c, spec.lo, spec.hi),
-        spec, cfg);
+std::vector<QueryResult> RunFusedProbe(const ScanJoinAggregatePlan* plans,
+                                       const HashBuildOp* builds, size_t n,
+                                       const ExecConfig& cfg) {
+  if (plans[0].s_fks_c != nullptr) {
+    return detail::RunFusedProbeShape<kIsa, FusedScanCompressed<kIsa>>(
+        plans, builds, n, cfg, [](const ScanJoinAggregatePlan& p) {
+          assert(p.s_fks_c != nullptr);
+          return FusedScanCompressed<kIsa>(p.s_fks_c, p.s_vals_c,
+                                           /*pred_col=*/1, p.s_lo, p.s_hi);
+        });
   }
-  if (spec.scan_mode == ScanMode::kBitmap) {
-    return detail::RunFusedProbeShape<kIsa>(
-        FusedScanBitmap<kIsa>(spec.fks, spec.vals, spec.n, spec.lo, spec.hi),
-        spec, cfg);
-  }
-  return detail::RunFusedProbeShape<kIsa>(
-      FusedScanCompact<kIsa>(spec.fks, spec.vals, spec.n, spec.lo, spec.hi),
-      spec, cfg);
+  return detail::RunFusedProbeShape<kIsa, FusedScan<kIsa>>(
+      plans, builds, n, cfg, [](const ScanJoinAggregatePlan& p) {
+        assert(p.s_fks_c == nullptr);
+        return FusedScan<kIsa>(p.s_fks, p.s_vals, p.n_s, /*pred_col=*/1,
+                               p.s_lo, p.s_hi);
+      });
 }
+
+extern template void RunFusedBuild<Isa::kScalar>(const ScanJoinAggregatePlan&,
+                                                 const ExecConfig&,
+                                                 HashBuildOp*);
+extern template void RunFusedBuild<Isa::kAvx2>(const ScanJoinAggregatePlan&,
+                                               const ExecConfig&,
+                                               HashBuildOp*);
+extern template void RunFusedBuild<Isa::kAvx512>(const ScanJoinAggregatePlan&,
+                                                 const ExecConfig&,
+                                                 HashBuildOp*);
+extern template std::vector<QueryResult> RunFusedProbe<Isa::kScalar>(
+    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
+    const ExecConfig&);
+extern template std::vector<QueryResult> RunFusedProbe<Isa::kAvx2>(
+    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
+    const ExecConfig&);
+extern template std::vector<QueryResult> RunFusedProbe<Isa::kAvx512>(
+    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
+    const ExecConfig&);
+
+/// Runtime entries: dispatch cfg.isa (which must be supported — callers
+/// pass EffectiveIsa) to its instantiation, one switch per pipeline.
+/// RunFusedBuildPipeline also finishes the breaker and records the whole
+/// build into the `exec_build_ns` phase timer.
+void RunFusedBuildPipeline(const ScanJoinAggregatePlan& plan,
+                           const ExecConfig& cfg, HashBuildOp* build);
+std::vector<QueryResult> RunFusedProbePipelines(
+    const ScanJoinAggregatePlan* plans, const HashBuildOp* builds, size_t n,
+    const ExecConfig& cfg);
 
 }  // namespace simddb::exec
 

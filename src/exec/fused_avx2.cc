@@ -1,9 +1,7 @@
-// AVX2 backend TU for the template-fused pipelines: anchors the
-// RunFusedProbe<kAvx2> instantiation (so the fused stage loops compile
-// under the AVX2 flags) and the fused two-column gather. Haswell has native
-// gathers (vpgatherdd) but no masked 32-bit loads worth using here, so the
-// tail stays scalar — reading past `cnt` would gather through garbage
-// indexes.
+// AVX2 backend TU for the executor: anchors the RunFusedBuild<kAvx2> and
+// RunFusedProbe<kAvx2> instantiations (so the fused stage loops compile
+// under the AVX2 flags) and the ColumnMinMax kernel the build breaker runs
+// per staged chunk (vpminud/vpmaxud accumulators, scalar tail).
 
 #include "exec/fused.h"
 
@@ -15,29 +13,33 @@ namespace simddb::exec {
 
 namespace detail {
 
-void GatherPairAvx2(const uint32_t* a, const uint32_t* b, const uint32_t* sel,
-                    size_t cnt, uint32_t* out_a, uint32_t* out_b) {
+ColumnRange ColumnMinMaxAvx2(const uint32_t* vals, size_t n) {
+  __m256i lo = _mm256_set1_epi32(-1);
+  __m256i hi = _mm256_setzero_si256();
   size_t i = 0;
-  for (; i + 8 <= cnt; i += 8) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + i));
-    const __m256i va =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(a), idx, 4);
-    const __m256i vb =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(b), idx, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_a + i), va);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_b + i), vb);
+  for (; i + 8 <= n; i += 8) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
+    lo = _mm256_min_epu32(lo, x);
+    hi = _mm256_max_epu32(hi, x);
   }
-  for (; i < cnt; ++i) {
-    const uint32_t s = sel[i];
-    out_a[i] = a[s];
-    out_b[i] = b[s];
+  alignas(32) uint32_t los[8], his[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(los), lo);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(his), hi);
+  ColumnRange r = ColumnMinMaxScalar(vals + i, n - i);
+  for (int l = 0; l < 8; ++l) {
+    r.min = los[l] < r.min ? los[l] : r.min;
+    r.max = his[l] > r.max ? his[l] : r.max;
   }
+  return r;
 }
 
 }  // namespace detail
 
-template FusedProbeResult RunFusedProbe<Isa::kAvx2>(const FusedProbeSpec&,
-                                                    const ExecConfig&);
+template void RunFusedBuild<Isa::kAvx2>(const ScanJoinAggregatePlan&,
+                                        const ExecConfig&, HashBuildOp*);
+template std::vector<QueryResult> RunFusedProbe<Isa::kAvx2>(
+    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
+    const ExecConfig&);
 
 }  // namespace simddb::exec

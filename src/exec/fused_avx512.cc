@@ -1,7 +1,7 @@
-// AVX-512 backend TU for the template-fused pipelines: anchors the
-// RunFusedProbe<kAvx512> instantiation and the fused two-column gather.
-// The tail is fully masked (maskz index load -> masked gather -> masked
-// store), so no lane ever dereferences an index beyond `cnt`.
+// AVX-512 backend TU for the executor: anchors the RunFusedBuild<kAvx512>
+// and RunFusedProbe<kAvx512> instantiations and the ColumnMinMax kernel
+// the build breaker runs per staged chunk (vpminud/vpmaxud accumulators
+// with a masked tail).
 
 #include "exec/fused.h"
 
@@ -13,30 +13,33 @@ namespace simddb::exec {
 
 namespace detail {
 
-void GatherPairAvx512(const uint32_t* a, const uint32_t* b,
-                      const uint32_t* sel, size_t cnt, uint32_t* out_a,
-                      uint32_t* out_b) {
+ColumnRange ColumnMinMaxAvx512(const uint32_t* vals, size_t n) {
+  __m512i lo = _mm512_set1_epi32(-1);
+  __m512i hi = _mm512_setzero_si512();
   size_t i = 0;
-  for (; i + 16 <= cnt; i += 16) {
-    const __m512i idx = _mm512_loadu_si512(sel + i);
-    _mm512_storeu_si512(out_a + i, _mm512_i32gather_epi32(idx, a, 4));
-    _mm512_storeu_si512(out_b + i, _mm512_i32gather_epi32(idx, b, 4));
+  for (; i + 16 <= n; i += 16) {
+    const __m512i x = _mm512_loadu_si512(vals + i);
+    lo = _mm512_min_epu32(lo, x);
+    hi = _mm512_max_epu32(hi, x);
   }
-  const size_t rem = cnt - i;
-  if (rem != 0) {
-    const __mmask16 m = static_cast<__mmask16>((1u << rem) - 1);
-    const __m512i idx = _mm512_maskz_loadu_epi32(m, sel + i);
-    const __m512i zero = _mm512_setzero_si512();
-    _mm512_mask_storeu_epi32(out_a + i, m,
-                             _mm512_mask_i32gather_epi32(zero, m, idx, a, 4));
-    _mm512_mask_storeu_epi32(out_b + i, m,
-                             _mm512_mask_i32gather_epi32(zero, m, idx, b, 4));
+  if (i < n) {
+    const __mmask16 m = static_cast<__mmask16>((1u << (n - i)) - 1);
+    const __m512i x = _mm512_maskz_loadu_epi32(m, vals + i);
+    lo = _mm512_mask_min_epu32(lo, m, lo, x);
+    hi = _mm512_mask_max_epu32(hi, m, hi, x);
   }
+  ColumnRange r;
+  r.min = _mm512_reduce_min_epu32(lo);
+  r.max = _mm512_reduce_max_epu32(hi);
+  return r;
 }
 
 }  // namespace detail
 
-template FusedProbeResult RunFusedProbe<Isa::kAvx512>(const FusedProbeSpec&,
-                                                      const ExecConfig&);
+template void RunFusedBuild<Isa::kAvx512>(const ScanJoinAggregatePlan&,
+                                          const ExecConfig&, HashBuildOp*);
+template std::vector<QueryResult> RunFusedProbe<Isa::kAvx512>(
+    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
+    const ExecConfig&);
 
 }  // namespace simddb::exec

@@ -1,59 +1,28 @@
 #ifndef SIMDDB_EXEC_QUERY_H_
 #define SIMDDB_EXEC_QUERY_H_
 
-// Query assembly over exec/pipeline.h: a Query owns a set of operators and
-// an ordered list of pipelines (each ending at a sink or breaker), and
-// RunScanJoinAggregate composes the canonical scan -> bloom -> join ->
-// group-by plan — the TPC-H-Q3-shaped workload the end-to-end bench and
-// tests run across scalar/AVX2/AVX-512.
+// The executor's entry points. RunScanJoinAggregate runs the canonical
+// scan -> join -> group-by plan — the TPC-H-Q3-shaped workload the
+// end-to-end benches, tests and the server run across scalar/AVX2/AVX-512
+// — as two fused pipelines (exec/fused.h): the build side (R scan ->
+// HashBuildOp) and the probe side (S scan -> join probe -> group-by).
+// RunSharedProbe runs N plans with one sweep of a shared probe relation; a
+// solo query is the one-member case of the same driver.
 //
 // The result representation is canonical (group rows in ascending key
 // order with exact commutative aggregates), so a plan's QueryResult is
-// byte-identical across ISAs, thread counts, chunk sizes, and scan modes —
-// the property exec_test.cc checks against a hand-composed operator
-// sequence.
+// byte-identical across ISAs, thread counts, chunk sizes, storage and
+// sharing — the property exec_test.cc checks against a std::map reference
+// and a hand-composed operator sequence.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
+#include "compress/column.h"
 #include "exec/pipeline.h"
 
 namespace simddb::exec {
-
-/// Owns operators and runs their pipelines in order.
-class Query {
- public:
-  /// Constructs an operator owned by this query; returns a borrowed pointer
-  /// for wiring into pipelines.
-  template <typename Op, typename... Args>
-  Op* Add(Args&&... args) {
-    auto op = std::make_unique<Op>(std::forward<Args>(args)...);
-    Op* raw = op.get();
-    ops_.push_back(std::move(op));
-    return raw;
-  }
-
-  /// Appends a pipeline (first operator is its source). Pipelines run in
-  /// insertion order, so a breaker's pipeline must precede the pipelines
-  /// that read its state.
-  void AddPipeline(std::vector<Operator*> ops) {
-    pipelines_.emplace_back(std::move(ops));
-  }
-
-  /// Runs every pipeline to completion in order.
-  void Run(const ExecConfig& cfg) {
-    for (Pipeline& p : pipelines_) p.Run(cfg);
-  }
-
-  const std::vector<Pipeline>& pipelines() const { return pipelines_; }
-
- private:
-  std::vector<std::unique_ptr<Operator>> ops_;
-  std::vector<Pipeline> pipelines_;
-};
 
 /// The Q3-shaped plan: build relation R(pk, attr) filtered by pk in
 /// [r_lo, r_hi], probe relation S(fk, val) filtered by val in [s_lo, s_hi],
@@ -75,21 +44,13 @@ struct ScanJoinAggregatePlan {
 
   /// Compressed base tables (compress/column.h). Setting a side's pair
   /// replaces that side's raw pointers: the plan scans it through the
-  /// scan-over-compressed front-end (CompressedScanOp, or
-  /// FusedScanCompressed on the fused path), the row count comes from the
-  /// columns, and the result stays byte-identical to the raw-column plan.
-  /// Either side may be compressed independently.
+  /// scan-over-compressed source (FusedScanCompressed), the row count comes
+  /// from the columns, and the result stays byte-identical to the
+  /// raw-column plan. Either side may be compressed independently.
   const compress::CompressedColumn* r_keys_c = nullptr;
   const compress::CompressedColumn* r_attrs_c = nullptr;
   const compress::CompressedColumn* s_fks_c = nullptr;
   const compress::CompressedColumn* s_vals_c = nullptr;
-
-  /// kCompact drives the SelectionScan kernels; kBitmap evaluates the
-  /// predicate into chunk bitmaps and materializes downstream.
-  ScanMode scan_mode = ScanMode::kCompact;
-  /// 0 disables the Bloom semi-join before the probe.
-  int bloom_bits_per_key = 0;
-  int bloom_k = 4;
 };
 
 /// Canonical query result: one row per group, ascending group key.
@@ -103,29 +64,61 @@ struct QueryResult {
   // Cardinalities for sanity checks and bench labels.
   uint64_t rows_build = 0;   ///< R rows surviving the scan (table size)
   uint64_t rows_scanned = 0; ///< S rows surviving the scan
-  uint64_t rows_bloomed = 0; ///< S rows surviving the Bloom probe
   uint64_t rows_joined = 0;  ///< join matches fed to the group-by
-
-  /// True when the probe side ran the template-fused pipeline (exec/
-  /// fused.h) instead of the dynamic Operator chain. The result rows are
-  /// byte-identical either way; this only records which executor ran.
-  bool used_fused = false;
 };
 
-/// Appends the plan's build pipeline to `q`: R scan -> [materialize] ->
-/// hash build (breaker), and returns the breaker. Shared by RunDynamic,
-/// RunFused, and external drivers that assemble probe sides themselves
-/// (exec/shared_scan.h).
+/// A plan's build side on its own. AddBuildPipeline records the plan's R
+/// scan and returns the breaker; Run runs the build pipeline (R scan ->
+/// HashBuildOp) on the shared TaskPool and finishes the join table, after
+/// which the breaker can be inspected (layout, row count, payload domain).
+/// Run throws QueryError as RunScanJoinAggregate does for the same build
+/// side. The breaker lives as long as the Query.
+class Query {
+ public:
+  Query() = default;
+  Query(const Query&) = delete;
+  Query& operator=(const Query&) = delete;
+
+  /// Runs the recorded build pipeline to completion.
+  void Run(const ExecConfig& cfg);
+
+ private:
+  friend HashBuildOp* AddBuildPipeline(Query& q,
+                                       const ScanJoinAggregatePlan& plan);
+  ScanJoinAggregatePlan plan_;
+  HashBuildOp build_;
+};
+
+/// Records the plan's build pipeline in `q` (see Query) and returns its
+/// breaker.
 HashBuildOp* AddBuildPipeline(Query& q, const ScanJoinAggregatePlan& plan);
 
-/// Assembles and runs the plan end to end on the shared TaskPool. Under
-/// PipelineMode::kFused the probe side runs through the template-fused
-/// pipeline and the build side through the dynamic executor; kDynamic runs
-/// the dynamic chain everywhere. The whole-query wall time is recorded into
-/// the `exec_fused_ns` or `exec_dynamic_ns` phase timer according to the
-/// path taken. Throws QueryError when R repeats a key within [r_lo, r_hi].
+/// Runs the plan end to end on the shared TaskPool: the build pipeline,
+/// then the probe pipeline. The whole-query wall time is recorded into the
+/// `exec_fused_ns` phase timer. Throws QueryError when R repeats a key
+/// within [r_lo, r_hi] or holds the reserved value there.
 QueryResult RunScanJoinAggregate(const ScanJoinAggregatePlan& plan,
                                  const ExecConfig& cfg);
+
+/// True when every plan can join a shared sweep: identical raw probe-side
+/// base columns (same pointers and row count — catalog tables guarantee
+/// this) and uncompressed. Build sides and predicates may differ freely.
+bool SharedProbeSupported(const std::vector<ScanJoinAggregatePlan>& plans);
+
+/// Runs all plans with one probe-relation sweep. When N sessions scan the
+/// same probe relation, N independent probe pipelines pull its columns
+/// through memory N times; the shared sweep instead dispatches ONE chunk
+/// grid and produces each chunk into every member's pipeline back to back,
+/// so the first member pulls the chunk into cache and the rest hit L1/L2.
+/// Every member keeps its own build side, predicate, join probe and
+/// group-by, so its QueryResult is byte-identical to its solo run: sharing
+/// changes memory traffic, never results.
+///
+/// Precondition: SharedProbeSupported(plans). Build pipelines run first,
+/// member by member; results come back in plan order. Throws QueryError,
+/// failing the whole group, when any member's build side is refused.
+std::vector<QueryResult> RunSharedProbe(
+    const std::vector<ScanJoinAggregatePlan>& plans, const ExecConfig& cfg);
 
 }  // namespace simddb::exec
 

@@ -75,10 +75,10 @@ bool ParseRange(std::string_view s, uint32_t* lo, uint32_t* hi) {
 }
 
 constexpr const char* kExpectedClause =
-    "clause (build=|probe=|r=|s=|weight=|scan=|storage=|isa=)";
+    "clause (build=|probe=|r=|s=|weight=|storage=|isa=)";
 
 bool ParseQueryClauses(Cursor* cur, ParsedQuery* q, ParseError* err) {
-  bool seen[8] = {};  // build probe r s weight scan storage isa
+  bool seen[7] = {};  // build probe r s weight storage isa
   for (;;) {
     size_t tok_pos = 0;
     std::string_view tok = cur->Next(&tok_pos);
@@ -101,12 +101,10 @@ bool ParseQueryClauses(Cursor* cur, ParsedQuery* q, ParseError* err) {
       slot = 3;
     } else if (key == "weight") {
       slot = 4;
-    } else if (key == "scan") {
-      slot = 5;
     } else if (key == "storage") {
-      slot = 6;
+      slot = 5;
     } else if (key == "isa") {
-      slot = 7;
+      slot = 6;
     } else {
       return Fail(err, tok_pos, kExpectedClause);
     }
@@ -144,15 +142,6 @@ bool ParseQueryClauses(Cursor* cur, ParsedQuery* q, ParseError* err) {
         break;
       }
       case 5:
-        if (val == "compact") {
-          q->scan_mode = exec::ScanMode::kCompact;
-        } else if (val == "bitmap") {
-          q->scan_mode = exec::ScanMode::kBitmap;
-        } else {
-          return Fail(err, val_pos, "scan mode (compact|bitmap)");
-        }
-        break;
-      case 6:
         if (val == "raw") {
           q->packed = false;
         } else if (val == "packed") {
@@ -161,7 +150,7 @@ bool ParseQueryClauses(Cursor* cur, ParsedQuery* q, ParseError* err) {
           return Fail(err, val_pos, "storage (raw|packed)");
         }
         break;
-      case 7:
+      case 6:
         if (val == "scalar") {
           q->isa = Isa::kScalar;
         } else if (val == "avx2") {
@@ -257,7 +246,6 @@ server::QuerySpec ToSpec(const ParsedQuery& q) {
   spec.r_hi = q.r_hi;
   spec.s_lo = q.s_lo;
   spec.s_hi = q.s_hi;
-  spec.scan_mode = q.scan_mode;
   spec.prefer_compressed = q.packed;
   return spec;
 }

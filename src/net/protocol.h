@@ -10,8 +10,7 @@
 // each clause at most once):
 //
 //   QUERY build=<table> probe=<table> [r=[lo,hi]] [s=[lo,hi]]
-//         [weight=W] [scan=compact|bitmap] [storage=raw|packed]
-//         [isa=scalar|avx2|avx512]
+//         [weight=W] [storage=raw|packed] [isa=scalar|avx2|avx512]
 //   TABLES
 //   STATS
 //   PING
@@ -71,7 +70,6 @@ struct ParsedQuery {
   uint32_t r_lo = 0, r_hi = 0xFFFFFFFFu;
   uint32_t s_lo = 0, s_hi = 0xFFFFFFFFu;
   uint64_t weight = 1;
-  exec::ScanMode scan_mode = exec::ScanMode::kCompact;
   bool packed = false;  ///< storage=packed: bind compressed twins
   bool has_isa = false;
   Isa isa = Isa::kScalar;  ///< meaningful only when has_isa
@@ -98,7 +96,7 @@ struct ParseError {
 bool ParseRequest(std::string_view line, Request* req, ParseError* err);
 
 /// Materializes a ParsedQuery into the scheduler's QuerySpec (copies the
-/// table names; sets scan mode / packed binding).
+/// table names; sets the packed binding).
 server::QuerySpec ToSpec(const ParsedQuery& q);
 
 /// Maximum accepted request-line length, terminator excluded. Longer

@@ -31,7 +31,7 @@ inline constexpr size_t kSelectionScanPad = 16;
 
 /// Required allocation size for a serial scan's output buffers on an
 /// n-tuple input — the centralized scratch contract, mirroring
-/// ShuffleCapacity (partition/shuffle.h) and ChunkCapacity (exec/chunk.h).
+/// ShuffleCapacity (partition/shuffle.h) and ChunkCapacity (exec/pipeline.h).
 /// Size buffers with this instead of ad-hoc `n + kSelectionScanPad`;
 /// SelectionScan asserts it when told the real capacity.
 inline constexpr size_t SelectionScanCapacity(size_t n) {

@@ -15,7 +15,7 @@
 // serving. Both are internally synchronized, but a registered table is
 // immutable forever — Find returns borrowed pointers that stay valid and
 // constant for the catalog's lifetime, which is what lets N sessions scan
-// one table concurrently (and share sweeps, exec/shared_scan.h) with no
+// one table concurrently (and share sweeps, exec::RunSharedProbe) with no
 // per-query locking.
 
 #include <cstddef>

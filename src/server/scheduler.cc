@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "exec/shared_scan.h"
 #include "obs/metrics.h"
 #include "util/task_pool.h"
 
@@ -82,9 +81,6 @@ bool BindQuery(const Catalog& catalog, const QuerySpec& spec,
   plan->r_hi = spec.r_hi;
   plan->s_lo = spec.s_lo;
   plan->s_hi = spec.s_hi;
-  plan->scan_mode = spec.scan_mode;
-  plan->bloom_bits_per_key = spec.bloom_bits_per_key;
-  plan->bloom_k = spec.bloom_k;
   return true;
 }
 

@@ -24,7 +24,7 @@
 //      the same catalog table (same ExecConfig shape) collect into a group
 //      — closed when `shared_gather_hint` members arrived or after
 //      `shared_gather_timeout_ns` — and one member (the closer) runs a
-//      single sweep feeding every member's pipeline (exec/shared_scan.h);
+//      single sweep feeding every member's pipeline (exec::RunSharedProbe);
 //      the rest wait and receive their own byte-identical results.
 //
 // Aborted queries (AbortQueryTag, pool teardown) unwind with
@@ -59,9 +59,6 @@ struct QuerySpec {
   std::string probe_table;  ///< S: key column joined, val column filtered
   uint32_t s_lo = 0, s_hi = 0xFFFFFFFFu;
 
-  exec::ScanMode scan_mode = exec::ScanMode::kCompact;
-  int bloom_bits_per_key = 0;
-  int bloom_k = 4;
   /// Bind the compressed representation when the table has one.
   bool prefer_compressed = false;
 };

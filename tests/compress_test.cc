@@ -40,7 +40,6 @@ using compress::PackedWordsCapacity;
 using exec::ExecConfig;
 using exec::QueryResult;
 using exec::ScanJoinAggregatePlan;
-using exec::ScanMode;
 
 std::vector<Isa> SupportedIsas() {
   std::vector<Isa> isas{Isa::kScalar};
@@ -317,29 +316,20 @@ void ExpectIdentical(const QueryResult& a, const QueryResult& b,
 TEST(CompressScanTest, CompressedPlanIdenticalToRaw) {
   for (bool clustered : {false, true}) {
     CompressedQueryData d(4096, 60'000, clustered);
-    ScanJoinAggregatePlan raw = d.RawPlan();
-    ScanJoinAggregatePlan comp = d.CompressedPlan();
+    const ScanJoinAggregatePlan raw = d.RawPlan();
+    const ScanJoinAggregatePlan comp = d.CompressedPlan();
     for (Isa isa : SupportedIsas()) {
       for (int threads : {1, 8}) {
-        for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-          for (auto pm : {exec::PipelineMode::kDynamic,
-                          exec::PipelineMode::kFused}) {
-            raw.scan_mode = comp.scan_mode = mode;
-            ExecConfig cfg;
-            cfg.isa = isa;
-            cfg.threads = threads;
-            cfg.chunk_tuples = 257;  // sub-block grid: exercises the cache
-            cfg.pipeline_mode = pm;
-            const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
-            const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
-            ExpectIdentical(
-                got, want,
-                std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
-                    (mode == ScanMode::kBitmap ? " bitmap" : " compact") +
-                    (pm == exec::PipelineMode::kFused ? " fused" : " dyn") +
-                    (clustered ? " clustered" : " uniform"));
-          }
-        }
+        ExecConfig cfg;
+        cfg.isa = isa;
+        cfg.threads = threads;
+        cfg.chunk_tuples = 257;  // sub-block grid: exercises the cache
+        const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
+        const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
+        ExpectIdentical(
+            got, want,
+            std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
+                (clustered ? " clustered" : " uniform"));
       }
     }
   }
@@ -349,25 +339,21 @@ TEST(CompressScanTest, ZoneMapSkipsBlocksOnClusteredInput) {
   // Ramp values with a ~10% predicate: ~90% of the S value blocks fall
   // entirely outside [lo, hi] and must be skipped without decoding.
   CompressedQueryData d(1024, 100'000, /*clustered_vals=*/true);
-  ScanJoinAggregatePlan plan = d.CompressedPlan();
-  for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-    plan.scan_mode = mode;
-    ScopedMetrics metrics;
-    ExecConfig cfg;
-    cfg.isa = SupportedIsas().back();
-    cfg.pipeline_mode = exec::PipelineMode::kDynamic;
-    (void)exec::RunScanJoinAggregate(plan, cfg);
-    const uint64_t skipped = Metric("blocks_skipped");
-    const uint64_t all_pass = Metric("blocks_all_pass");
-    const uint64_t unpacked = Metric("bytes_unpacked");
-    // 98 value blocks: ~10 in range (all-pass or mixed), the rest skipped.
-    EXPECT_GE(skipped, 80u) << "mode=" << static_cast<int>(mode);
-    EXPECT_GE(all_pass, 5u) << "mode=" << static_cast<int>(mode);
-    EXPECT_GT(unpacked, 0u) << "mode=" << static_cast<int>(mode);
-    // Decoded bytes must stay well under the raw footprint of both S
-    // columns — the point of skipping.
-    EXPECT_LT(unpacked, d.s_fks_c.raw_bytes()) << "skip saved nothing";
-  }
+  const ScanJoinAggregatePlan plan = d.CompressedPlan();
+  ScopedMetrics metrics;
+  ExecConfig cfg;
+  cfg.isa = SupportedIsas().back();
+  (void)exec::RunScanJoinAggregate(plan, cfg);
+  const uint64_t skipped = Metric("blocks_skipped");
+  const uint64_t all_pass = Metric("blocks_all_pass");
+  const uint64_t unpacked = Metric("bytes_unpacked");
+  // 98 value blocks: ~10 in range (all-pass or mixed), the rest skipped.
+  EXPECT_GE(skipped, 80u);
+  EXPECT_GE(all_pass, 5u);
+  EXPECT_GT(unpacked, 0u);
+  // Decoded bytes must stay well under the raw footprint of both S
+  // columns — the point of skipping.
+  EXPECT_LT(unpacked, d.s_fks_c.raw_bytes()) << "skip saved nothing";
 }
 
 }  // namespace

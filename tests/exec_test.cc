@@ -1,16 +1,13 @@
-// Execution subsystem tests (src/exec/): bitmap <-> selection converter
-// properties against the scalar reference on every ISA, Chunk visibility
-// state machinery, and the acceptance bar for the push-based executor —
-// the scan -> bloom -> join -> group-by plan produces byte-identical
-// canonical results across ISAs, thread counts {1, 8}, chunk sizes
-// (including non-chunk-multiple and degenerate inputs n in {0, 1, 1023}),
-// scan modes (compact vs bitmap) and Bloom settings, and matches a
-// hand-composed serial operator sequence over the same kernels. The
-// template-fused executor (exec/fused.h) is held to the same bar: the
-// ExecFusedTest matrix proves the fused path byte-identical to the forced
-// dynamic path across ISA x threads x chunk size x scan mode x seed x edge
-// input sizes, and the mode test proves each PipelineMode runs the
-// pipelines it names (observed via pipelines_fused / pipelines_dynamic).
+// Execution subsystem tests (src/exec/): the ColumnMinMax kernel against
+// the scalar reference on every ISA, and the acceptance bar for the
+// executor — the scan -> join -> group-by plan, run as its two fused
+// pipelines, produces byte-identical canonical results across ISAs, thread
+// counts {1, 8}, chunk sizes (including non-chunk-multiple and degenerate
+// inputs n in {0, 1, 1023}), hash seeds, both join-table layouts and both
+// group-by paths, raw and compressed storage, solo and shared sweeps, and
+// matches a std::map reference and a hand-composed serial operator
+// sequence over the same kernels. The chunk-grid test pins the
+// `chunks_pushed` count exactly: each pipeline run counts its grid once.
 // ExecIsaDegradeTest covers the ISA sanitization every plan goes through:
 // an unsupported request degrades to the best supported backend.
 
@@ -24,11 +21,9 @@
 #include <tuple>
 #include <vector>
 
-#include "bloom/bloom_filter.h"
 #include "agg/group_by.h"
 #include "compress/column.h"
 #include "core/isa.h"
-#include "exec/chunk.h"
 #include "exec/pipeline.h"
 #include "exec/query.h"
 #include "hash/linear_probing.h"
@@ -42,15 +37,10 @@
 namespace simddb {
 namespace {
 
-using exec::Chunk;
 using exec::ChunkCapacity;
-using exec::ChunkBitmapWords;
 using exec::ExecConfig;
-using exec::PipelineMode;
 using exec::QueryResult;
 using exec::ScanJoinAggregatePlan;
-using exec::ScanMode;
-using exec::SelKind;
 
 uint64_t Metric(const char* name) {
   for (const obs::MetricSample& s : obs::MetricsRegistry::Get().Snapshot()) {
@@ -69,91 +59,10 @@ struct ScopedMetrics {
 };
 
 // ---------------------------------------------------------------------------
-// Converter kernels
+// ColumnMinMax kernel
 // ---------------------------------------------------------------------------
 
 class ExecChunkIsaTest : public ::testing::TestWithParam<Isa> {};
-
-TEST_P(ExecChunkIsaTest, BitmapToSelectionMatchesScalar) {
-  const Isa isa = GetParam();
-  if (!IsaSupported(isa)) GTEST_SKIP();
-  Pcg32 rng(123);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
-                   size_t{1023}, size_t{1024}, size_t{4097}}) {
-    // Densities from empty to full, including single-bit patterns.
-    for (uint32_t density_pct : {0u, 1u, 50u, 99u, 100u}) {
-      const size_t words = ChunkBitmapWords(n);
-      AlignedBuffer<uint64_t> bitmap(words + 1);
-      for (size_t w = 0; w < words; ++w) {
-        uint64_t word = 0;
-        for (int b = 0; b < 64; ++b) {
-          if (rng.NextBounded(100) < density_pct) word |= uint64_t{1} << b;
-        }
-        bitmap[w] = word;
-      }
-      if (n & 63 && words > 0) {
-        bitmap[words - 1] &= (uint64_t{1} << (n & 63)) - 1;  // bits >= n zero
-      }
-      AlignedBuffer<uint32_t> want(ChunkCapacity(n)), got(ChunkCapacity(n));
-      const size_t want_n =
-          exec::detail::BitmapToSelectionScalar(bitmap.data(), n, want.data());
-      const size_t got_n =
-          exec::BitmapToSelection(isa, bitmap.data(), n, got.data());
-      ASSERT_EQ(got_n, want_n) << "n=" << n << " d=" << density_pct;
-      for (size_t i = 0; i < want_n; ++i) {
-        ASSERT_EQ(got[i], want[i]) << "n=" << n << " @" << i;
-      }
-    }
-  }
-}
-
-TEST_P(ExecChunkIsaTest, SelectionBitmapRoundTrip) {
-  const Isa isa = GetParam();
-  if (!IsaSupported(isa)) GTEST_SKIP();
-  Pcg32 rng(77);
-  for (size_t n : {size_t{1}, size_t{64}, size_t{1000}, size_t{4096}}) {
-    // Random ascending selection of ~half the positions.
-    std::vector<uint32_t> sel;
-    for (size_t i = 0; i < n; ++i) {
-      if (rng.NextBounded(2) == 0) sel.push_back(static_cast<uint32_t>(i));
-    }
-    AlignedBuffer<uint64_t> bitmap(ChunkBitmapWords(n) + 1);
-    exec::SelectionToBitmap(sel.data(), sel.size(), n, bitmap.data());
-    AlignedBuffer<uint32_t> back(ChunkCapacity(n));
-    const size_t cnt = exec::BitmapToSelection(isa, bitmap.data(), n,
-                                               back.data());
-    ASSERT_EQ(cnt, sel.size()) << "n=" << n;
-    for (size_t i = 0; i < cnt; ++i) ASSERT_EQ(back[i], sel[i]);
-  }
-}
-
-TEST_P(ExecChunkIsaTest, RangePredicateBitmapMatchesScalar) {
-  const Isa isa = GetParam();
-  if (!IsaSupported(isa)) GTEST_SKIP();
-  for (size_t n : {size_t{0}, size_t{1}, size_t{64}, size_t{1023},
-                   size_t{5000}}) {
-    AlignedBuffer<uint32_t> keys(n + 16);
-    FillUniform(keys.data(), n, 99, 0, 0xFFFFFFFFu);
-    const size_t words = ChunkBitmapWords(n);
-    // Bounds including the degenerate unbounded forms (AVX2 falls back to
-    // scalar there: the sign-bias trick wraps on lo-1 / hi+1).
-    const std::pair<uint32_t, uint32_t> bounds[] = {
-        {0, 0xFFFFFFFFu},          {0, 0x7FFFFFFFu},
-        {0x40000000u, 0xC0000000u}, {5, 5},
-        {0xFFFFFFF0u, 0xFFFFFFFFu}, {7, 3}};  // empty range too
-    for (auto [lo, hi] : bounds) {
-      AlignedBuffer<uint64_t> want(words + 1), got(words + 1);
-      const size_t want_n = exec::detail::RangePredicateBitmapScalar(
-          keys.data(), n, lo, hi, want.data());
-      const size_t got_n =
-          exec::RangePredicateBitmap(isa, keys.data(), n, lo, hi, got.data());
-      ASSERT_EQ(got_n, want_n) << "n=" << n << " lo=" << lo << " hi=" << hi;
-      for (size_t w = 0; w < words; ++w) {
-        ASSERT_EQ(got[w], want[w]) << "n=" << n << " word " << w;
-      }
-    }
-  }
-}
 
 TEST_P(ExecChunkIsaTest, ColumnMinMaxMatchesScalar) {
   const Isa isa = GetParam();
@@ -195,43 +104,6 @@ INSTANTIATE_TEST_SUITE_P(AllIsas, ExecChunkIsaTest,
                          [](const auto& info) {
                            return std::string(IsaName(info.param));
                          });
-
-TEST(ExecChunkTest, CompactGathersEveryColumn) {
-  const size_t n = 1000;
-  Chunk c(n, 3);
-  for (int col = 0; col < 3; ++col) {
-    for (size_t i = 0; i < n; ++i) {
-      c.col(col)[i] = static_cast<uint32_t>(1000 * col + i);
-    }
-  }
-  size_t cnt = 0;
-  for (size_t i = 0; i < n; i += 3) c.sel()[cnt++] = static_cast<uint32_t>(i);
-  c.SetSelection(n, cnt);
-  c.Compact(Isa::kScalar);
-  ASSERT_EQ(c.kind(), SelKind::kDense);
-  ASSERT_EQ(c.size(), cnt);
-  for (int col = 0; col < 3; ++col) {
-    for (size_t j = 0; j < cnt; ++j) {
-      ASSERT_EQ(c.col(col)[j], 1000u * col + 3 * j) << col << "," << j;
-    }
-  }
-}
-
-TEST(ExecChunkTest, MaterializeCountsConversions) {
-  ScopedMetrics metrics;
-  const size_t n = 256;
-  Chunk c(n, 1);
-  for (size_t i = 0; i < n; ++i) c.col(0)[i] = static_cast<uint32_t>(i);
-  c.SetDense(n);
-  c.MaterializeBitmap(Isa::kScalar);  // dense -> all-ones bitmap
-  ASSERT_EQ(c.kind(), SelKind::kBitmap);
-  ASSERT_EQ(c.active(), n);
-  c.MaterializeSelection(Isa::kScalar);
-  ASSERT_EQ(c.kind(), SelKind::kSelection);
-  ASSERT_EQ(c.active(), n);
-  EXPECT_EQ(Metric("sel_to_bitmap"), 1u);
-  EXPECT_EQ(Metric("bitmap_to_sel"), 1u);
-}
 
 // ---------------------------------------------------------------------------
 // End-to-end query byte-identity
@@ -421,22 +293,11 @@ QueryResult HandComposed(const QueryData& d, const ScanJoinAggregatePlan& p,
   AlignedBuffer<uint32_t> sv(SelectionScanCapacity(d.n_s)),
       sf(SelectionScanCapacity(d.n_s));
   // Scan keyed on S.val carrying the fk as payload, like the executor.
-  size_t n_sel = SelectionScan(v, p.s_vals, p.s_fks, d.n_s, p.s_lo, p.s_hi,
-                               sv.data(), sf.data(), sv.size());
-  const uint32_t* fks = sf.data();
-  const uint32_t* vals = sv.data();
-  AlignedBuffer<uint32_t> bf(n_sel + 16), bv(n_sel + 16);
-  if (p.bloom_bits_per_key > 0 && n_build > 0) {
-    BloomFilter filter = BloomFilter::ForItems(
-        n_build, p.bloom_bits_per_key, p.bloom_k, 42);
-    filter.Add(rk.data(), n_build);
-    n_sel = filter.Probe(isa, fks, vals, n_sel, bf.data(), bv.data());
-    fks = bf.data();
-    vals = bv.data();
-  }
+  const size_t n_sel = SelectionScan(v, p.s_vals, p.s_fks, d.n_s, p.s_lo,
+                                     p.s_hi, sv.data(), sf.data(), sv.size());
   AlignedBuffer<uint32_t> jk(n_sel + 16), jsp(n_sel + 16), jrp(n_sel + 16);
-  const size_t n_join =
-      table.Probe(isa, fks, vals, n_sel, jk.data(), jsp.data(), jrp.data());
+  const size_t n_join = table.Probe(isa, sf.data(), sv.data(), n_sel,
+                                    jk.data(), jsp.data(), jrp.data());
   res.rows_joined = n_join;
 
   GroupByAggregator agg(1024);
@@ -477,45 +338,33 @@ TEST(ExecQueryTest, MatchesHandComposedAndReferenceAcrossMatrix) {
   // hashed (wide). The hand-composed reference always hashes.
   for (auto [stride, attr_hi] : kLayoutAxes) {
     QueryData d(4096, 60'000, attr_hi, stride);
-    ScanJoinAggregatePlan plan = d.Plan();
+    const ScanJoinAggregatePlan plan = d.Plan();
     ExpectGroupByPath(d, plan, attr_hi);
     EXPECT_EQ(BuildsDirectTable(plan), stride == kDenseKeys);
     const auto want = MapReference(d, plan);
 
-    for (int bloom : {0, 10}) {
-      for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-        plan.bloom_bits_per_key = bloom;
-        QueryResult first;
-        bool have_first = false;
-        for (Isa isa : SupportedIsas()) {
-          const QueryResult hand = HandComposed(d, plan, isa);
-          for (int threads : {1, 8}) {
-            for (size_t chunk : {size_t{257}, size_t{1024}}) {
-              for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-                plan.scan_mode = mode;
-                ExecConfig cfg;
-                cfg.isa = isa;
-                cfg.threads = threads;
-                cfg.chunk_tuples = chunk;
-                cfg.pipeline_mode = pm;
-                const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-                const std::string label =
-                    std::string(IsaName(isa)) + " t=" +
-                    std::to_string(threads) + " c=" + std::to_string(chunk) +
-                    " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
-                    " b=" + std::to_string(bloom) +
-                    " p=" + (pm == PipelineMode::kFused ? "fused" : "dynamic") +
-                    " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
-                ExpectMatchesReference(got, want, label);
-                ExpectIdentical(got, hand, label + " vs hand-composed");
-                if (!have_first) {
-                  first = got;
-                  have_first = true;
-                } else {
-                  ExpectIdentical(got, first, label + " vs first config");
-                }
-              }
-            }
+    QueryResult first;
+    bool have_first = false;
+    for (Isa isa : SupportedIsas()) {
+      const QueryResult hand = HandComposed(d, plan, isa);
+      for (int threads : {1, 8}) {
+        for (size_t chunk : {size_t{257}, size_t{1024}}) {
+          ExecConfig cfg;
+          cfg.isa = isa;
+          cfg.threads = threads;
+          cfg.chunk_tuples = chunk;
+          const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+          const std::string label =
+              std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
+              " c=" + std::to_string(chunk) +
+              " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
+          ExpectMatchesReference(got, want, label);
+          ExpectIdentical(got, hand, label + " vs hand-composed");
+          if (!have_first) {
+            first = got;
+            have_first = true;
+          } else {
+            ExpectIdentical(got, first, label + " vs first config");
           }
         }
       }
@@ -531,22 +380,18 @@ TEST(ExecQueryTest, EdgeInputSizes) {
     QueryData d(nr, ns);
     ScanJoinAggregatePlan plan = d.Plan();
     plan.s_hi = 999'999;  // keep everything: exercises full chunks
-    plan.bloom_bits_per_key = 10;
     const auto want = MapReference(d, plan);
     for (int threads : {1, 8}) {
       for (size_t chunk : {size_t{1}, size_t{64}, size_t{1023}}) {
-        for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-          plan.scan_mode = mode;
-          ExecConfig cfg;
-          cfg.threads = threads;
-          cfg.chunk_tuples = chunk;
-          const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-          ExpectMatchesReference(
-              got, want,
-              "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
-                  " t=" + std::to_string(threads) +
-                  " c=" + std::to_string(chunk));
-        }
+        ExecConfig cfg;
+        cfg.threads = threads;
+        cfg.chunk_tuples = chunk;
+        const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+        ExpectMatchesReference(
+            got, want,
+            "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
+                " t=" + std::to_string(threads) +
+                " c=" + std::to_string(chunk));
       }
     }
   }
@@ -555,15 +400,15 @@ TEST(ExecQueryTest, EdgeInputSizes) {
 TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
   // Scan-over-compressed acceptance: the same plan over CompressColumn'd
   // base tables is byte-identical to the raw-column plan everywhere the
-  // raw matrix runs — ISA x threads x chunk size x scan mode x bloom x
-  // pipeline mode x group-by path x join-table layout.
+  // raw matrix runs — ISA x threads x chunk size x group-by path x
+  // join-table layout.
   for (auto [stride, attr_hi] : kLayoutAxes) {
     QueryData d(4096, 60'000, attr_hi, stride);
     const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
     const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
     const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
     const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
-    ScanJoinAggregatePlan raw = d.Plan();
+    const ScanJoinAggregatePlan raw = d.Plan();
     ScanJoinAggregatePlan comp = d.Plan();
     comp.r_keys_c = &r_keys_c;
     comp.r_attrs_c = &r_attrs_c;
@@ -572,33 +417,22 @@ TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
     ExpectGroupByPath(d, raw, attr_hi);
     EXPECT_EQ(BuildsDirectTable(raw), stride == kDenseKeys);
     EXPECT_EQ(BuildsDirectTable(comp), stride == kDenseKeys);
-    for (int bloom : {0, 10}) {
-      for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-        raw.bloom_bits_per_key = comp.bloom_bits_per_key = bloom;
-        for (Isa isa : SupportedIsas()) {
-          for (int threads : {1, 8}) {
-            for (size_t chunk : {size_t{257}, size_t{1024}}) {
-              for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-                raw.scan_mode = comp.scan_mode = mode;
-                ExecConfig cfg;
-                cfg.isa = isa;
-                cfg.threads = threads;
-                cfg.chunk_tuples = chunk;
-                cfg.pipeline_mode = pm;
-                const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
-                const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
-                const std::string label =
-                    "compressed " + std::string(IsaName(isa)) + " t=" +
-                    std::to_string(threads) + " c=" + std::to_string(chunk) +
-                    " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
-                    " b=" + std::to_string(bloom) +
-                    " p=" + (pm == PipelineMode::kFused ? "fused" : "dynamic") +
-                    " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
-                ExpectIdentical(got, want, label);
-                EXPECT_EQ(got.rows_scanned, want.rows_scanned) << label;
-              }
-            }
-          }
+    for (Isa isa : SupportedIsas()) {
+      for (int threads : {1, 8}) {
+        for (size_t chunk : {size_t{257}, size_t{1024}}) {
+          ExecConfig cfg;
+          cfg.isa = isa;
+          cfg.threads = threads;
+          cfg.chunk_tuples = chunk;
+          const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
+          const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
+          const std::string label =
+              "compressed " + std::string(IsaName(isa)) +
+              " t=" + std::to_string(threads) +
+              " c=" + std::to_string(chunk) +
+              " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
+          ExpectIdentical(got, want, label);
+          EXPECT_EQ(got.rows_scanned, want.rows_scanned) << label;
         }
       }
     }
@@ -621,132 +455,181 @@ TEST(ExecQueryTest, CompressedStorageEdgeSizes) {
     comp.s_vals_c = &s_vals_c;
     const auto want = MapReference(d, raw);
     for (size_t chunk : {size_t{1}, size_t{64}, size_t{1023}}) {
-      for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-        raw.scan_mode = comp.scan_mode = mode;
-        ExecConfig cfg;
-        cfg.isa = SupportedIsas().back();
-        cfg.threads = 8;
-        cfg.chunk_tuples = chunk;
-        const std::string label = "nr=" + std::to_string(nr) +
-                                  " ns=" + std::to_string(ns) +
-                                  " c=" + std::to_string(chunk);
-        const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
-        ExpectMatchesReference(got, want, label);
-        ExpectIdentical(got, exec::RunScanJoinAggregate(raw, cfg), label);
+      ExecConfig cfg;
+      cfg.isa = SupportedIsas().back();
+      cfg.threads = 8;
+      cfg.chunk_tuples = chunk;
+      const std::string label = "nr=" + std::to_string(nr) +
+                                " ns=" + std::to_string(ns) +
+                                " c=" + std::to_string(chunk);
+      const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
+      ExpectMatchesReference(got, want, label);
+      ExpectIdentical(got, exec::RunScanJoinAggregate(raw, cfg), label);
+    }
+  }
+}
+
+TEST(ExecPipelineTest, ChunksPushedCountsEachGridOnce) {
+  // Every pipeline run counts its chunk grid once, by size: a query pushes
+  // its build grid plus its probe grid, whatever the predicates keep (at
+  // chunk size 1 most probe chunks hold no qualifying row). A shared sweep
+  // runs N build grids and dispatches one probe grid for its N members.
+  QueryData d(1024, 10'000);
+  const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
+  const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
+  const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
+  const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
+  for (bool packed : {false, true}) {
+    ScanJoinAggregatePlan plan = d.Plan();
+    if (packed) {
+      plan.r_keys_c = &r_keys_c;
+      plan.r_attrs_c = &r_attrs_c;
+      plan.s_fks_c = &s_fks_c;
+      plan.s_vals_c = &s_vals_c;
+    }
+    for (size_t chunk : {size_t{1}, size_t{257}, size_t{1024}}) {
+      const uint64_t build_grid = (d.n_r + chunk - 1) / chunk;
+      const uint64_t probe_grid = (d.n_s + chunk - 1) / chunk;
+      const std::string label =
+          std::string(packed ? "packed" : "raw") + " c=" + std::to_string(chunk);
+      ExecConfig cfg;
+      cfg.threads = 4;
+      cfg.chunk_tuples = chunk;
+      {
+        ScopedMetrics metrics;
+        const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+        ASSERT_FALSE(got.group_keys.empty()) << label;
+        EXPECT_EQ(Metric("chunks_pushed"), build_grid + probe_grid) << label;
+        EXPECT_EQ(Metric("pipelines_fused"), 2u) << label;  // build + probe
+        EXPECT_GT(Metric("exec_build_ns"), 0u) << label;
+        EXPECT_GT(Metric("exec_fused_ns"), 0u) << label;
       }
+      {
+        ScopedMetrics metrics;
+        exec::Query q;
+        exec::AddBuildPipeline(q, plan);
+        q.Run(cfg);
+        EXPECT_EQ(Metric("chunks_pushed"), build_grid) << label << " build";
+        EXPECT_EQ(Metric("pipelines_fused"), 1u) << label << " build";
+      }
+      if (packed) continue;  // shared sweeps scan raw probe tables only
+      constexpr size_t kMembers = 3;
+      const std::vector<ScanJoinAggregatePlan> plans(kMembers, plan);
+      ScopedMetrics metrics;
+      exec::RunSharedProbe(plans, cfg);
+      EXPECT_EQ(Metric("chunks_pushed"), kMembers * build_grid + probe_grid)
+          << label << " shared";
+      EXPECT_EQ(Metric("pipelines_fused"), 2 * kMembers) << label << " shared";
+      EXPECT_EQ(Metric("shared_sweeps"), 1u) << label;
+      EXPECT_EQ(Metric("shared_members"), kMembers) << label;
     }
   }
 }
 
 TEST(ExecPipelineTest, ChunksPushedAndConversionCounters) {
-  ScopedMetrics metrics;
+  // One R chunk plus ten S chunks at chunk size 1024. The count follows the
+  // grids alone, so the lane count does not move it. Rows stay a selection
+  // vector from scan to sink, so no visibility conversion is left to count.
   QueryData d(1024, 10'000);
-  ScanJoinAggregatePlan plan = d.Plan();
-  plan.scan_mode = ScanMode::kBitmap;
-  plan.bloom_bits_per_key = 10;
-  ExecConfig cfg;
-  cfg.chunk_tuples = 1024;
-  cfg.pipeline_mode = PipelineMode::kDynamic;  // asserts dynamic internals
-  const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-  ASSERT_FALSE(got.group_keys.empty());
-  // Source grids: 1 R chunk + 10 S chunks; every operator edge counts one
-  // push per chunk, so the total is at least the source chunk count and a
-  // bitmap-mode run converts every source chunk.
-  EXPECT_GE(Metric("chunks_pushed"), 11u);
-  EXPECT_GE(Metric("bitmap_to_sel"), 11u);
-  EXPECT_GT(Metric("exec_scan_ns"), 0u);
-  EXPECT_GT(Metric("exec_build_ns"), 0u);
-  EXPECT_GT(Metric("exec_probe_ns"), 0u);
-  EXPECT_GT(Metric("exec_groupby_ns"), 0u);
+  const ScanJoinAggregatePlan plan = d.Plan();
+  for (int threads : {1, 8}) {
+    ScopedMetrics metrics;
+    ExecConfig cfg;
+    cfg.threads = threads;
+    cfg.chunk_tuples = 1024;
+    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+    ASSERT_FALSE(got.group_keys.empty());
+    EXPECT_EQ(Metric("chunks_pushed"), 11u) << "t=" << threads;
+    EXPECT_GT(Metric("exec_build_ns"), 0u) << "t=" << threads;
+  }
 }
 
-// ---------------------------------------------------------------------------
-// Template-fused pipelines (exec/fused.h)
-// ---------------------------------------------------------------------------
+TEST(ExecFusedTest, PipelineModesRunTheirPipelines) {
+  // One mode is left, and it runs every pipeline fused. A query runs its
+  // build and its probe pipeline inside the query timer; the build-only
+  // call (AddBuildPipeline + Query::Run) runs the build alone, outside it.
+  QueryData d(1024, 10'000);
+  const ScanJoinAggregatePlan plan = d.Plan();
+  const ExecConfig cfg;
+  {
+    ScopedMetrics metrics;
+    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+    ASSERT_FALSE(got.group_keys.empty());
+    EXPECT_EQ(Metric("pipelines_fused"), 2u);  // build + probe
+    EXPECT_GT(Metric("exec_build_ns"), 0u);
+    EXPECT_GT(Metric("exec_fused_ns"), 0u);
+  }
+  {
+    ScopedMetrics metrics;
+    exec::Query q;
+    exec::AddBuildPipeline(q, plan);
+    q.Run(cfg);
+    EXPECT_EQ(Metric("pipelines_fused"), 1u);
+    EXPECT_GT(Metric("exec_build_ns"), 0u);
+    EXPECT_EQ(Metric("exec_fused_ns"), 0u);
+  }
+}
 
-TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
-  // ISA x threads {1, 8} x chunk {257, 1024} x scan mode x seed {1, 42} x
-  // edge input sizes n_s in {0, 1, 1023, 4097} plus one bulk shape x
-  // group-by path x join-table layout. The seed feeds the hash join
-  // table's, the Bloom filter's and the hash group-by's hashes. The forced
-  // dynamic run is the reference; the fused run must be byte-identical in
-  // every result row and every reported cardinality.
+TEST(ExecQueryTest, EdgeShapesAndSeedsMatchReferenceAcrossMatrix) {
+  // Edge input sizes n_s in {0, 1, 1023, 4097} x hash seed {1, 42} x ISA x
+  // threads {1, 8} x chunk {257, 1024} x group-by path x join-table
+  // layout. The seed feeds the hash join table's and the hash group-by's
+  // hashes. Every result row and every reported cardinality must match
+  // the reference, solo and as a member of a shared sweep next to a plan
+  // with another S window.
   const std::pair<size_t, size_t> shapes[] = {
-      {256, 0}, {256, 1}, {256, 1023}, {1024, 4097}, {4096, 60'000}};
+      {256, 0}, {256, 1}, {256, 1023}, {1024, 4097}};
   for (auto [stride, attr_hi] : kLayoutAxes) {
     for (auto [nr, ns] : shapes) {
       QueryData d(nr, ns, attr_hi, stride);
-      ScanJoinAggregatePlan plan = d.Plan();
+      const ScanJoinAggregatePlan plan = d.Plan();
+      ScanJoinAggregatePlan other = plan;
+      other.s_lo = 500'000;
+      other.s_hi = 999'999;
       ExpectGroupByPath(d, plan, attr_hi);
       EXPECT_EQ(BuildsDirectTable(plan), stride == kDenseKeys);
-      plan.bloom_bits_per_key = 10;
       const auto want = MapReference(d, plan);
+      const auto want_other = MapReference(d, other);
+      uint64_t want_build = 0, want_scanned = 0, want_joined = 0;
+      for (size_t i = 0; i < d.n_r; ++i) {
+        want_build += d.r_keys[i] >= plan.r_lo && d.r_keys[i] <= plan.r_hi;
+      }
+      for (size_t i = 0; i < d.n_s; ++i) {
+        want_scanned += d.s_vals[i] >= plan.s_lo && d.s_vals[i] <= plan.s_hi;
+      }
+      for (const auto& [key, row] : want) want_joined += row.count;
       for (Isa isa : SupportedIsas()) {
         for (int threads : {1, 8}) {
           for (size_t chunk : {size_t{257}, size_t{1024}}) {
-            for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-              for (uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
-                plan.scan_mode = mode;
-                ExecConfig cfg;
-                cfg.isa = isa;
-                cfg.threads = threads;
-                cfg.chunk_tuples = chunk;
-                cfg.seed = seed;
-                cfg.pipeline_mode = PipelineMode::kDynamic;
-                const QueryResult dyn = exec::RunScanJoinAggregate(plan, cfg);
-                cfg.pipeline_mode = PipelineMode::kFused;
-                const QueryResult fus = exec::RunScanJoinAggregate(plan, cfg);
-                const std::string label =
-                    "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
-                    " " + IsaName(isa) + " t=" + std::to_string(threads) +
-                    " c=" + std::to_string(chunk) +
-                    " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
-                    " seed=" + std::to_string(seed) +
-                    " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
-                EXPECT_FALSE(dyn.used_fused) << label;
-                EXPECT_TRUE(fus.used_fused) << label;
-                ExpectIdentical(fus, dyn, label + " fused vs dynamic");
-                EXPECT_EQ(fus.rows_build, dyn.rows_build) << label;
-                EXPECT_EQ(fus.rows_scanned, dyn.rows_scanned) << label;
-                EXPECT_EQ(fus.rows_bloomed, dyn.rows_bloomed) << label;
-                ExpectMatchesReference(fus, want,
-                                       label + " fused vs reference");
-              }
+            for (uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
+              ExecConfig cfg;
+              cfg.isa = isa;
+              cfg.threads = threads;
+              cfg.chunk_tuples = chunk;
+              cfg.seed = seed;
+              const std::string label =
+                  "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
+                  " " + IsaName(isa) + " t=" + std::to_string(threads) +
+                  " c=" + std::to_string(chunk) +
+                  " seed=" + std::to_string(seed) +
+                  " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
+              const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+              ExpectMatchesReference(got, want, label);
+              EXPECT_EQ(got.rows_build, want_build) << label;
+              EXPECT_EQ(got.rows_scanned, want_scanned) << label;
+              EXPECT_EQ(got.rows_joined, want_joined) << label;
+              const std::vector<QueryResult> shared =
+                  exec::RunSharedProbe({plan, other}, cfg);
+              ASSERT_EQ(shared.size(), 2u) << label;
+              ExpectIdentical(shared[0], got, label + " shared vs solo");
+              EXPECT_EQ(shared[0].rows_scanned, got.rows_scanned) << label;
+              ExpectMatchesReference(shared[1], want_other,
+                                     label + " shared other window");
             }
           }
         }
       }
     }
-  }
-}
-
-TEST(ExecFusedTest, PipelineModesRunTheirPipelines) {
-  QueryData d(1024, 10'000);
-  ScanJoinAggregatePlan plan = d.Plan();
-  plan.bloom_bits_per_key = 10;
-
-  {
-    ScopedMetrics metrics;
-    ExecConfig cfg;  // kFused by default
-    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-    EXPECT_TRUE(got.used_fused);
-    EXPECT_EQ(Metric("pipelines_fused"), 1u);
-    // The build breaker still runs as a dynamic pipeline.
-    EXPECT_EQ(Metric("pipelines_dynamic"), 1u);
-    EXPECT_GT(Metric("exec_fused_ns"), 0u);
-    EXPECT_EQ(Metric("exec_dynamic_ns"), 0u);
-  }
-
-  {
-    ScopedMetrics metrics;
-    ExecConfig cfg;
-    cfg.pipeline_mode = PipelineMode::kDynamic;
-    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-    EXPECT_FALSE(got.used_fused);
-    EXPECT_EQ(Metric("pipelines_fused"), 0u);
-    EXPECT_EQ(Metric("pipelines_dynamic"), 2u);  // build + probe
-    EXPECT_EQ(Metric("exec_fused_ns"), 0u);
-    EXPECT_GT(Metric("exec_dynamic_ns"), 0u);
   }
 }
 
@@ -803,20 +686,16 @@ TEST(ExecQueryTest, JoinLayoutFollowsKeyRangeAtItsBoundaries) {
     plan.s_hi = 999'999;
     EXPECT_EQ(BuildsDirectTable(plan), c.direct) << c.name;
     const auto want = MapReference(d, plan);
-    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-      for (Isa isa : SupportedIsas()) {
-        for (int threads : {1, 8}) {
-          ExecConfig cfg;
-          cfg.isa = isa;
-          cfg.threads = threads;
-          cfg.pipeline_mode = pm;
-          cfg.chunk_tuples = 257;
-          ExpectMatchesReference(
-              exec::RunScanJoinAggregate(plan, cfg), want,
-              std::string(c.name) + " " +
-                  (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
-                  IsaName(isa) + " t=" + std::to_string(threads));
-        }
+    for (Isa isa : SupportedIsas()) {
+      for (int threads : {1, 8}) {
+        ExecConfig cfg;
+        cfg.isa = isa;
+        cfg.threads = threads;
+        cfg.chunk_tuples = 257;
+        ExpectMatchesReference(
+            exec::RunScanJoinAggregate(plan, cfg), want,
+            std::string(c.name) + " " + IsaName(isa) +
+                " t=" + std::to_string(threads));
       }
     }
   }
@@ -841,36 +720,30 @@ TEST(ExecQueryTest, PartitionedBuildMatchesThreadsOneAcrossMatrix) {
   const auto want = MapReference(d, d.Plan());
   for (bool packed : {false, true}) {
     ScanJoinAggregatePlan plan = d.Plan();
-    plan.bloom_bits_per_key = 10;
     if (packed) {
       plan.r_keys_c = &r_keys_c;
       plan.r_attrs_c = &r_attrs_c;
       plan.s_fks_c = &s_fks_c;
       plan.s_vals_c = &s_vals_c;
     }
-    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-      for (Isa isa : SupportedIsas()) {
-        QueryResult serial;
-        for (int threads : {1, 2, 8}) {
-          ExecConfig cfg;
-          cfg.isa = isa;
-          cfg.threads = threads;
-          cfg.pipeline_mode = pm;
-          const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-          const std::string label =
-              std::string(packed ? "packed " : "raw ") +
-              (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
-              IsaName(isa) + " t=" + std::to_string(threads);
-          EXPECT_EQ(got.rows_build, 30'720u) << label;
-          if (threads == 1) {
-            ExpectMatchesReference(got, want, label);
-            serial = got;
-            continue;
-          }
-          ExpectIdentical(got, serial, label + " vs t=1");
-          EXPECT_EQ(got.rows_scanned, serial.rows_scanned) << label;
-          EXPECT_EQ(got.rows_bloomed, serial.rows_bloomed) << label;
+    for (Isa isa : SupportedIsas()) {
+      QueryResult serial;
+      for (int threads : {1, 2, 8}) {
+        ExecConfig cfg;
+        cfg.isa = isa;
+        cfg.threads = threads;
+        const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+        const std::string label =
+            std::string(packed ? "packed " : "raw ") +
+            IsaName(isa) + " t=" + std::to_string(threads);
+        EXPECT_EQ(got.rows_build, 30'720u) << label;
+        if (threads == 1) {
+          ExpectMatchesReference(got, want, label);
+          serial = got;
+          continue;
         }
+        ExpectIdentical(got, serial, label + " vs t=1");
+        EXPECT_EQ(got.rows_scanned, serial.rows_scanned) << label;
       }
     }
   }
@@ -941,30 +814,25 @@ TEST(ExecQueryTest, DuplicateBuildKeysInWindowFailQuery) {
             plan.s_vals_c = &s_vals_c;
           }
           EXPECT_EQ(BuildsDirectTable(plan), stride == kDenseKeys);
-          for (PipelineMode pm :
-               {PipelineMode::kFused, PipelineMode::kDynamic}) {
-            for (Isa isa : SupportedIsas()) {
-              for (int threads : {1, 2, 8}) {
-                ExecConfig cfg;
-                cfg.isa = isa;
-                cfg.threads = threads;
-                cfg.pipeline_mode = pm;
-                cfg.chunk_tuples = 1000;
-                const std::string label =
-                    "d=" + std::to_string(d) +
-                    " far=" + std::to_string(c.far) +
-                    (at_last ? " last" : " first") + StrideLabel(stride) +
-                    (packed ? " packed " : " raw ") +
-                    (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
-                    IsaName(isa) + " t=" + std::to_string(threads);
-                try {
-                  exec::RunScanJoinAggregate(plan, cfg);
-                  ADD_FAILURE() << label << ": query ran";
-                } catch (const exec::QueryError& e) {
-                  const std::string what = e.what();
-                  EXPECT_NE(what.find(want_error), std::string::npos)
-                      << label << ": " << what;
-                }
+          for (Isa isa : SupportedIsas()) {
+            for (int threads : {1, 2, 8}) {
+              ExecConfig cfg;
+              cfg.isa = isa;
+              cfg.threads = threads;
+              cfg.chunk_tuples = 1000;
+              const std::string label =
+                  "d=" + std::to_string(d) +
+                  " far=" + std::to_string(c.far) +
+                  (at_last ? " last" : " first") + StrideLabel(stride) +
+                  (packed ? " packed " : " raw ") +
+                  IsaName(isa) + " t=" + std::to_string(threads);
+              try {
+                exec::RunScanJoinAggregate(plan, cfg);
+                ADD_FAILURE() << label << ": query ran";
+              } catch (const exec::QueryError& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find(want_error), std::string::npos)
+                    << label << ": " << what;
               }
             }
           }
@@ -985,18 +853,15 @@ TEST(ExecQueryTest, DuplicateBuildKeysOutsideWindowStillRun) {
     EXPECT_EQ(BuildsDirectTable(plan), stride == kDenseKeys);
     const auto want = MapReference(data, plan);
     ASSERT_FALSE(want.empty());
-    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-      for (Isa isa : SupportedIsas()) {
-        for (int threads : {1, 8}) {
-          ExecConfig cfg;
-          cfg.isa = isa;
-          cfg.threads = threads;
-          cfg.pipeline_mode = pm;
-          ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want,
-                                 std::string(IsaName(isa)) +
-                                     " t=" + std::to_string(threads) +
-                                     StrideLabel(stride));
-        }
+    for (Isa isa : SupportedIsas()) {
+      for (int threads : {1, 8}) {
+        ExecConfig cfg;
+        cfg.isa = isa;
+        cfg.threads = threads;
+        ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want,
+                               std::string(IsaName(isa)) +
+                                   " t=" + std::to_string(threads) +
+                                   StrideLabel(stride));
       }
     }
   }
@@ -1007,7 +872,7 @@ TEST(ExecQueryTest, DuplicateBuildKeysOutsideWindowStillRun) {
 // ---------------------------------------------------------------------------
 
 /// Every plan variant a reserved-value case runs on: raw and packed
-/// storage, both executors, every ISA, threads {1, 2, 8}.
+/// storage, every ISA, threads {1, 2, 8}.
 template <typename Fn>
 void ForEachExecution(const QueryData& d, const ScanJoinAggregatePlan& base,
                       Fn&& fn) {
@@ -1023,20 +888,16 @@ void ForEachExecution(const QueryData& d, const ScanJoinAggregatePlan& base,
       plan.s_fks_c = &s_fks_c;
       plan.s_vals_c = &s_vals_c;
     }
-    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-      for (Isa isa : SupportedIsas()) {
-        for (int threads : {1, 2, 8}) {
-          ExecConfig cfg;
-          cfg.isa = isa;
-          cfg.threads = threads;
-          cfg.pipeline_mode = pm;
-          cfg.chunk_tuples = 1000;
-          const std::string label =
-              std::string(packed ? "packed " : "raw ") +
-              (pm == PipelineMode::kFused ? "fused " : "dynamic ") +
-              IsaName(isa) + " t=" + std::to_string(threads);
-          fn(plan, cfg, label);
-        }
+    for (Isa isa : SupportedIsas()) {
+      for (int threads : {1, 2, 8}) {
+        ExecConfig cfg;
+        cfg.isa = isa;
+        cfg.threads = threads;
+        cfg.chunk_tuples = 1000;
+        const std::string label =
+            std::string(packed ? "packed " : "raw ") +
+            IsaName(isa) + " t=" + std::to_string(threads);
+        fn(plan, cfg, label);
       }
     }
   }
@@ -1050,26 +911,22 @@ TEST(ExecQueryTest, ReservedValueProbeKeysJoinNothing) {
   for (auto [stride, attr_hi] : kLayoutAxes) {
     QueryData d(4096, 4096, attr_hi, stride);
     std::fill(d.s_fks.data(), d.s_fks.data() + d.n_s / 2, 0xFFFFFFFFu);
-    for (int bloom : {0, 10}) {
-      ScanJoinAggregatePlan base = d.Plan();
-      base.s_hi = 999'999;
-      base.bloom_bits_per_key = bloom;
-      EXPECT_EQ(BuildsDirectTable(base), stride == kDenseKeys);
-      const auto want = MapReference(d, base);
-      uint64_t want_joined = 0;
-      for (const auto& [key, row] : want) want_joined += row.count;
-      ASSERT_GT(want_joined, 0u);
-      ForEachExecution(d, base, [&](const ScanJoinAggregatePlan& plan,
-                                    const ExecConfig& cfg,
-                                    const std::string& label) {
-        const std::string l = label + " b=" + std::to_string(bloom) +
-                              " attrs=" + std::to_string(attr_hi) +
-                              StrideLabel(stride);
-        const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-        EXPECT_EQ(got.rows_joined, want_joined) << l;
-        ExpectMatchesReference(got, want, l);
-      });
-    }
+    ScanJoinAggregatePlan base = d.Plan();
+    base.s_hi = 999'999;
+    EXPECT_EQ(BuildsDirectTable(base), stride == kDenseKeys);
+    const auto want = MapReference(d, base);
+    uint64_t want_joined = 0;
+    for (const auto& [key, row] : want) want_joined += row.count;
+    ASSERT_GT(want_joined, 0u);
+    ForEachExecution(d, base, [&](const ScanJoinAggregatePlan& plan,
+                                  const ExecConfig& cfg,
+                                  const std::string& label) {
+      const std::string l =
+          label + " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
+      const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+      EXPECT_EQ(got.rows_joined, want_joined) << l;
+      ExpectMatchesReference(got, want, l);
+    });
   }
 }
 
@@ -1139,13 +996,13 @@ TEST(ExecQueryTest, ReservedValueOutsideBuildWindowStillRuns) {
 
 TEST(ExecPipelineTest, RowsOutCardinalitiesAreConsistent) {
   QueryData d(4096, 50'000);
-  ScanJoinAggregatePlan plan = d.Plan();
-  plan.bloom_bits_per_key = 10;
+  const ScanJoinAggregatePlan plan = d.Plan();
   ExecConfig cfg;
   cfg.threads = 4;
   const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-  EXPECT_LE(got.rows_bloomed, got.rows_scanned);
-  EXPECT_LE(got.rows_joined, got.rows_bloomed);  // bloom has no false negatives
+  EXPECT_LE(got.rows_build, d.n_r);
+  EXPECT_LE(got.rows_scanned, d.n_s);
+  EXPECT_LE(got.rows_joined, got.rows_scanned);  // at most one match per row
   const uint64_t total_count = std::accumulate(got.counts.begin(),
                                                got.counts.end(), uint64_t{0});
   EXPECT_EQ(total_count, got.rows_joined);
@@ -1162,16 +1019,13 @@ struct ScopedCpuCaps {
 
 TEST(ExecIsaDegradeTest, SupportedRequestIsNotDegraded) {
   QueryData d(1024, 10'000);
-  ScanJoinAggregatePlan plan = d.Plan();
-  for (PipelineMode pmode : {PipelineMode::kDynamic, PipelineMode::kFused}) {
-    ScopedMetrics metrics;
-    ExecConfig cfg;
-    cfg.isa = SupportedIsas().back();
-    cfg.pipeline_mode = pmode;
-    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-    ASSERT_FALSE(got.group_keys.empty());
-    EXPECT_EQ(Metric("isa_degraded"), 0u);
-  }
+  const ScanJoinAggregatePlan plan = d.Plan();
+  ScopedMetrics metrics;
+  ExecConfig cfg;
+  cfg.isa = SupportedIsas().back();
+  const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+  ASSERT_FALSE(got.group_keys.empty());
+  EXPECT_EQ(Metric("isa_degraded"), 0u);
 }
 
 TEST(ExecIsaDegradeTest, UnsupportedRequestDegradesInsteadOfSigill) {
@@ -1188,17 +1042,14 @@ TEST(ExecIsaDegradeTest, UnsupportedRequestDegradesInsteadOfSigill) {
 
   ScopedMetrics metrics;
   QueryData d(512, 5000);
-  ScanJoinAggregatePlan plan = d.Plan();
-  plan.bloom_bits_per_key = 10;
+  const ScanJoinAggregatePlan plan = d.Plan();
   const auto want = MapReference(d, plan);
   ExecConfig cfg;
   cfg.isa = Isa::kAvx512;  // would SIGILL if trusted on this "host"
-  for (PipelineMode pmode : {PipelineMode::kDynamic, PipelineMode::kFused}) {
-    cfg.pipeline_mode = pmode;
-    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-    ExpectMatchesReference(got, want,
-                           pmode == PipelineMode::kFused ? "fused" : "dynamic");
-  }
+  // Solo, and as a member of a shared sweep: each entry sanitizes.
+  ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want, "solo");
+  ExpectMatchesReference(exec::RunSharedProbe({plan}, cfg).front(), want,
+                         "shared");
   EXPECT_GE(Metric("isa_degraded"), 2u);
 }
 

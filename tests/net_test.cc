@@ -39,8 +39,6 @@ namespace simddb {
 namespace {
 
 using exec::ExecConfig;
-using exec::PipelineMode;
-using exec::ScanMode;
 using net::Client;
 using net::Command;
 using net::ParsedQuery;
@@ -73,7 +71,6 @@ TEST(NetProtocolParse, MinimalQueryDefaults) {
   EXPECT_EQ(req.query.s_lo, 0u);
   EXPECT_EQ(req.query.s_hi, 0xFFFFFFFFu);
   EXPECT_EQ(req.query.weight, 1u);
-  EXPECT_EQ(req.query.scan_mode, ScanMode::kCompact);
   EXPECT_FALSE(req.query.packed);
   EXPECT_FALSE(req.query.has_isa);
 }
@@ -82,8 +79,8 @@ TEST(NetProtocolParse, AllClausesAnyOrder) {
   // The full clause set in every rotation plus a few shuffles: clause
   // order must never change the parse.
   const std::vector<std::string> clauses = {
-      "build=R",      "probe=S",      "r=[10,200]", "s=[5,99]",
-      "weight=4",     "scan=bitmap",  "storage=packed", "isa=avx2"};
+      "build=R",  "probe=S",        "r=[10,200]", "s=[5,99]",
+      "weight=4", "storage=packed", "isa=avx2"};
   std::vector<size_t> idx(clauses.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
 
@@ -101,7 +98,6 @@ TEST(NetProtocolParse, AllClausesAnyOrder) {
     EXPECT_EQ(req.query.s_lo, 5u);
     EXPECT_EQ(req.query.s_hi, 99u);
     EXPECT_EQ(req.query.weight, 4u);
-    EXPECT_EQ(req.query.scan_mode, ScanMode::kBitmap);
     EXPECT_TRUE(req.query.packed);
     EXPECT_TRUE(req.query.has_isa);
     EXPECT_EQ(req.query.isa, Isa::kAvx2);
@@ -130,8 +126,8 @@ TEST(NetProtocolParse, OptionalClauseSubsetsAnyPosition) {
   // Each optional clause alone, in front of / between / after the
   // required pair.
   const std::vector<std::pair<std::string, int>> optionals = {
-      {"r=[0,4294967295]", 0}, {"s=[0,0]", 1},      {"weight=65536", 2},
-      {"scan=compact", 3},     {"storage=raw", 4},  {"isa=scalar", 5}};
+      {"r=[0,4294967295]", 0}, {"s=[0,0]", 1},    {"weight=65536", 2},
+      {"storage=raw", 3},      {"isa=scalar", 4}};
   for (const auto& [clause, which] : optionals) {
     for (const std::string& line :
          {"QUERY " + clause + " build=R probe=S",
@@ -154,12 +150,9 @@ TEST(NetProtocolParse, OptionalClauseSubsetsAnyPosition) {
           EXPECT_EQ(req.query.weight, 65536u);
           break;
         case 3:
-          EXPECT_EQ(req.query.scan_mode, ScanMode::kCompact);
-          break;
-        case 4:
           EXPECT_FALSE(req.query.packed);
           break;
-        case 5:
+        case 4:
           EXPECT_TRUE(req.query.has_isa);
           EXPECT_EQ(req.query.isa, Isa::kScalar);
           break;
@@ -249,7 +242,9 @@ TEST(NetProtocolParse, MalformedSuite) {
       {"QUERY build=R probe=S weight=-3", "weight"},
       {"QUERY build=R probe=S weight=huge", "weight"},
       {"QUERY build=R probe=S weight=99999999999999999999999", "weight"},
-      {"QUERY build=R probe=S scan=vector", "scan mode"},
+      {"QUERY build=R probe=S scan=compact", "clause"},  // no scan= clause
+      {"QUERY build=R probe=S scan=bitmap", "clause"},
+      {"QUERY build=R probe=S scan=vector", "clause"},
       {"QUERY build=R probe=S storage=zip", "storage"},
       {"QUERY build=R probe=S isa=sse", "isa"},
       {"QUERY build=R probe=S build=T", "at most once"},
@@ -280,6 +275,10 @@ TEST(NetProtocolParse, ErrorPositionsPointAtOffendingToken) {
   ASSERT_FALSE(net::ParseRequest("QUERY build=R probe=S weight=x", &req,
                                  &err));
   EXPECT_EQ(err.pos, 29u);
+  // A clause the grammar does not know points at its token.
+  ASSERT_FALSE(net::ParseRequest("QUERY build=R probe=S scan=bitmap", &req,
+                                 &err));
+  EXPECT_EQ(err.pos, 22u);
   // Missing required clause points at end of line.
   ASSERT_FALSE(net::ParseRequest("QUERY build=R", &req, &err));
   EXPECT_EQ(err.pos, std::strlen("QUERY build=R"));
@@ -497,21 +496,18 @@ TEST(NetServer, LoopbackByteIdentityAcrossThreadsAndModes) {
 
     struct Case {
       const char* wire;
-      ScanMode mode;
       bool packed;
       uint32_t r_lo, r_hi, s_lo, s_hi;
     };
     const Case cases[] = {
-        {"QUERY build=R probe=S s=[100,8000]", ScanMode::kCompact, false, 0,
-         0xFFFFFFFFu, 100, 8000},
-        {"QUERY build=R probe=S r=[1,1500] s=[0,29999] scan=bitmap",
-         ScanMode::kBitmap, false, 1, 1500, 0, 29999},
-        {"QUERY build=R probe=S s=[4000,12000] storage=packed",
-         ScanMode::kCompact, true, 0, 0xFFFFFFFFu, 4000, 12000},
-        {"QUERY build=R probe=S s=[0,0]", ScanMode::kCompact, false, 0,
-         0xFFFFFFFFu, 0, 0},
-        {"QUERY build=R probe=S r=[9,3]", ScanMode::kCompact, false, 9, 3, 0,
-         0xFFFFFFFFu},
+        {"QUERY build=R probe=S s=[100,8000]", false, 0, 0xFFFFFFFFu, 100,
+         8000},
+        {"QUERY build=R probe=S r=[1,1500] s=[0,29999]", false, 1, 1500, 0,
+         29999},
+        {"QUERY build=R probe=S s=[4000,12000] storage=packed", true, 0,
+         0xFFFFFFFFu, 4000, 12000},
+        {"QUERY build=R probe=S s=[0,0]", false, 0, 0xFFFFFFFFu, 0, 0},
+        {"QUERY build=R probe=S r=[9,3]", false, 9, 3, 0, 0xFFFFFFFFu},
     };
     for (const Case& c : cases) {
       const WireResult wire = client.Query(c.wire);
@@ -522,7 +518,6 @@ TEST(NetServer, LoopbackByteIdentityAcrossThreadsAndModes) {
       spec.r_hi = c.r_hi;
       spec.s_lo = c.s_lo;
       spec.s_hi = c.s_hi;
-      spec.scan_mode = c.mode;
       spec.prefer_compressed = c.packed;
       ExecConfig cfg;
       cfg.threads = threads;
@@ -767,8 +762,6 @@ TEST(NetServer, DuplicateBuildKeysAnswerErrAndTheServerKeepsServing) {
             Case{"QUERY build=Rdup probe=S" + data.Rows(0, 499) +
                      " storage=packed",
                  "exec duplicate build keys (key 1 repeats)"},
-            Case{"QUERY build=Rdup probe=S isa=scalar scan=bitmap",
-                 "exec duplicate build keys (key 1 repeats)"},
             Case{"QUERY build=RdupLast probe=S", last_error},
             Case{"QUERY build=RdupLast probe=S isa=avx2 storage=packed",
                  last_error}}) {
@@ -833,7 +826,7 @@ TEST(NetServer, ReservedValueBuildAnswersErrAndTheServerKeepsServing) {
                  "exec reserved value 4294967295 in the build keys"},
             Case{"QUERY build=Rkey probe=S storage=packed isa=avx2",
                  "exec reserved value 4294967295 in the build keys"},
-            Case{"QUERY build=Rattr probe=S scan=bitmap",
+            Case{"QUERY build=Rattr probe=S",
                  "exec reserved value 4294967295 in the build group "
                  "attributes"},
             Case{"QUERY build=Rattr probe=S" + data.Rows(999, 1999) +

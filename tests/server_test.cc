@@ -4,10 +4,10 @@
 // on the shared TaskPool return results byte-identical to serial execution
 // of the same plans at threads {1, 8}, every query's morsels drain
 // (no-starvation), the admission gate bounds in-flight queries under both
-// policies, shared-scan groups feed N consumers from one sweep with
-// byte-identical per-member results and fewer pushed chunks than N
-// independent scans, and per-query metric sinks attribute work with no
-// cross-query bleed.
+// policies, shared-scan groups feed N consumers from one sweep (one probe
+// grid dispatched where N independent scans dispatch N) with
+// byte-identical per-member results, and per-query metric sinks attribute
+// work with no cross-query bleed.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 
 #include "core/isa.h"
 #include "exec/query.h"
-#include "exec/shared_scan.h"
 #include "obs/metrics.h"
 #include "server/catalog.h"
 #include "server/scheduler.h"
@@ -32,10 +31,8 @@ namespace simddb {
 namespace {
 
 using exec::ExecConfig;
-using exec::PipelineMode;
 using exec::QueryResult;
 using exec::ScanJoinAggregatePlan;
-using exec::ScanMode;
 using server::AdmissionPolicy;
 using server::Catalog;
 using server::QueryScheduler;
@@ -72,7 +69,7 @@ constexpr uint32_t kSparseKeys = 16;
 /// unique keys 1 + stride * row, S(fk, val) whose fks pick R rows
 /// uniformly. `sequential_vals` makes S.val the row index, so a [lo, hi]
 /// window selects a contiguous chunk band — the clustered shape
-/// shared-scan skipping wins on.
+/// shared sweeps exist for.
 struct ServerData {
   AlignedBuffer<uint32_t> r_keys, r_attrs, s_fks, s_vals;
   size_t n_r, n_s;
@@ -136,8 +133,6 @@ QuerySpec SpecFor(int i, size_t n_r) {
   spec.r_hi = static_cast<uint32_t>((3 * n_r) / 4);
   spec.s_lo = static_cast<uint32_t>((i * 37) % 700'000);
   spec.s_hi = spec.s_lo + 150'000;
-  spec.scan_mode = i % 3 == 2 ? ScanMode::kBitmap : ScanMode::kCompact;
-  spec.bloom_bits_per_key = i % 2 == 1 ? 8 : 0;
   return spec;
 }
 
@@ -150,7 +145,6 @@ void ExpectSameResult(const QueryResult& got, const QueryResult& want,
   ASSERT_EQ(got.maxs, want.maxs) << ctx;
   EXPECT_EQ(got.rows_build, want.rows_build) << ctx;
   EXPECT_EQ(got.rows_scanned, want.rows_scanned) << ctx;
-  EXPECT_EQ(got.rows_bloomed, want.rows_bloomed) << ctx;
   EXPECT_EQ(got.rows_joined, want.rows_joined) << ctx;
 }
 
@@ -439,7 +433,6 @@ TEST(ServerSharedScanTest, SharedSweepByteIdenticalToSolo) {
   ServerData d(4096, 131072, /*sequential_vals=*/true);
   ExecConfig cfg;
   cfg.threads = 4;
-  cfg.pipeline_mode = PipelineMode::kDynamic;
 
   // Disjoint contiguous windows over the sequential val column.
   auto spec_for = [&](int i) {
@@ -487,7 +480,6 @@ TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
   ServerData d(4096, 131072, /*sequential_vals=*/true);
   ExecConfig cfg;
   cfg.threads = 4;
-  cfg.pipeline_mode = PipelineMode::kDynamic;
   auto spec_for = [&](int i) {
     QuerySpec spec;
     spec.build_table = "R";
@@ -528,8 +520,9 @@ TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
   const uint64_t shared_pushed = Metric("chunks_pushed") - solo_pushed;
   EXPECT_EQ(Metric("shared_sweeps"), 1u);  // one sweep fed all members
   EXPECT_EQ(Metric("shared_members"), static_cast<uint64_t>(kClients));
-  // Disjoint windows: each member's skip-empty scan pushes only its own
-  // chunk band, so the group pushes a fraction of N solo all-chunk scans.
+  // Each query pushes its build grid either way; the group dispatches one
+  // probe grid where the solo runs dispatched N, so it pushes well under
+  // half their chunks.
   EXPECT_LT(shared_pushed, solo_pushed / 2)
       << "shared=" << shared_pushed << " solo=" << solo_pushed;
 }
@@ -572,26 +565,23 @@ TEST(ServerSchedulerTest, DuplicateBuildKeysFailQueryAndKeepServing) {
     EXPECT_EQ(BuildsDirectTable(d.catalog, DupSpec(9)), stride == kDenseKeys);
     QueryScheduler sched(&d.catalog);
     QuerySession session(&d.catalog, &sched);
-    for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-      for (int threads : {1, 2, 8}) {
-        ExecConfig cfg;
-        cfg.threads = threads;
-        cfg.pipeline_mode = pm;
-        const std::string ctx = "stride=" + std::to_string(stride) +
-                                " threads=" + std::to_string(threads);
-        const ResultSet bad = session.Execute(DupSpec(1), cfg);
-        EXPECT_FALSE(bad.ok) << ctx;
-        EXPECT_FALSE(bad.stats.aborted) << ctx;
-        EXPECT_NE(bad.error.find("duplicate build keys (key 1 repeats)"),
-                  std::string::npos)
-            << ctx << ": " << bad.error;
-        // The repeats lie outside r=[9, ...]: that query runs.
-        const ResultSet good = session.Execute(DupSpec(9), cfg);
-        ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
-        EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
-      }
+    for (int threads : {1, 2, 8}) {
+      ExecConfig cfg;
+      cfg.threads = threads;
+      const std::string ctx = "stride=" + std::to_string(stride) +
+                              " threads=" + std::to_string(threads);
+      const ResultSet bad = session.Execute(DupSpec(1), cfg);
+      EXPECT_FALSE(bad.ok) << ctx;
+      EXPECT_FALSE(bad.stats.aborted) << ctx;
+      EXPECT_NE(bad.error.find("duplicate build keys (key 1 repeats)"),
+                std::string::npos)
+          << ctx << ": " << bad.error;
+      // The repeats lie outside r=[9, ...]: that query runs.
+      const ResultSet good = session.Execute(DupSpec(9), cfg);
+      ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
+      EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
     }
-    EXPECT_EQ(sched.queries_completed(), 12u);  // every slot was released
+    EXPECT_EQ(sched.queries_completed(), 6u);  // every slot was released
   }
 }
 
@@ -607,8 +597,7 @@ TEST(ServerSharedScanTest, DuplicateBuildKeysFailEveryGatherMember) {
     QueryScheduler sched(&d.catalog, opts);
     ExecConfig cfg;
     cfg.threads = 2;
-    cfg.pipeline_mode = PipelineMode::kDynamic;
-    // Runs one gather of kClients members; member i's r= window starts at
+      // Runs one gather of kClients members; member i's r= window starts at
     // r_lo(i).
     auto run_gather = [&](auto r_lo) {
       std::vector<ResultSet> got(kClients);
@@ -700,27 +689,24 @@ TEST(ServerSchedulerTest, ReservedValueBuildFailsQueryAndKeepsServing) {
          {Case{"Rkey", "reserved value 4294967295 in the build keys"},
           Case{"Rattr", "reserved value 4294967295 in the build group "
                         "attributes"}}) {
-      for (PipelineMode pm : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-        for (int threads : {1, 2, 8}) {
-          ExecConfig cfg;
-          cfg.threads = threads;
-          cfg.pipeline_mode = pm;
-          const std::string ctx =
-              std::string(c.table) + " threads=" + std::to_string(threads);
-          const ResultSet bad =
-              session.Execute(ReservedSpec(c.table, "S", 0xFFFFFFFFu), cfg);
-          EXPECT_FALSE(bad.ok) << ctx;
-          EXPECT_FALSE(bad.stats.aborted) << ctx;
-          EXPECT_NE(bad.error.find(c.error), std::string::npos)
-              << ctx << ": " << bad.error;
-          const ResultSet good =
-              session.Execute(ReservedSpec(c.table, "S", d.clean_r_hi), cfg);
-          ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
-          EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
-        }
+      for (int threads : {1, 2, 8}) {
+        ExecConfig cfg;
+        cfg.threads = threads;
+        const std::string ctx =
+            std::string(c.table) + " threads=" + std::to_string(threads);
+        const ResultSet bad =
+            session.Execute(ReservedSpec(c.table, "S", 0xFFFFFFFFu), cfg);
+        EXPECT_FALSE(bad.ok) << ctx;
+        EXPECT_FALSE(bad.stats.aborted) << ctx;
+        EXPECT_NE(bad.error.find(c.error), std::string::npos)
+            << ctx << ": " << bad.error;
+        const ResultSet good =
+            session.Execute(ReservedSpec(c.table, "S", d.clean_r_hi), cfg);
+        ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
+        EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
       }
     }
-    EXPECT_EQ(sched.queries_completed(), 24u);  // every slot was released
+    EXPECT_EQ(sched.queries_completed(), 12u);  // every slot was released
   }
 }
 
@@ -738,8 +724,7 @@ TEST(ServerSharedScanTest, ReservedValueBuildFailsEveryGatherMember) {
     QueryScheduler sched(&d.catalog, opts);
     ExecConfig cfg;
     cfg.threads = 2;
-    cfg.pipeline_mode = PipelineMode::kDynamic;
-    // Runs one gather of kClients members; member i queries spec(i).
+      // Runs one gather of kClients members; member i queries spec(i).
     auto run_gather = [&](auto spec) {
       std::vector<ResultSet> got(kClients);
       std::vector<std::thread> workers;
@@ -798,8 +783,7 @@ TEST(ServerSharedScanTest, ReservedValueProbeKeysJoinNothingInAGather) {
         ExecConfig cfg;
         cfg.isa = isa;
         cfg.threads = threads;
-        cfg.pipeline_mode = PipelineMode::kDynamic;
-        std::vector<ResultSet> got(kClients);
+              std::vector<ResultSet> got(kClients);
         std::vector<std::thread> workers;
         for (int i = 0; i < kClients; ++i) {
           workers.emplace_back([&, i] {
@@ -855,7 +839,6 @@ TEST(ServerSchedulerTest, PerQueryMetricsDoNotBleedAcrossConcurrentQueries) {
   QueryScheduler sched(&big.catalog);
   ExecConfig cfg;
   cfg.threads = 4;
-  cfg.pipeline_mode = PipelineMode::kDynamic;
 
   QuerySpec big_spec = SpecFor(0, big.n_r);
   QuerySpec small_spec = SpecFor(0, big.n_r);
@@ -880,9 +863,9 @@ TEST(ServerSchedulerTest, PerQueryMetricsDoNotBleedAcrossConcurrentQueries) {
   EXPECT_GT(big_pushed, 0u);
   EXPECT_GT(small_pushed, 0u);
   // Structural bound, independent of timing: the small query's whole plan
-  // is ~4 probe chunks + ~2 build chunks through <= 3 forwarding
-  // operators. If the big query's concurrent pushes bled into the small
-  // sink, this bound would explode past the hundreds.
+  // is a 2-chunk build grid and a 4-chunk probe grid. If the big query's
+  // concurrent 130 chunks bled into the small sink, this bound would
+  // break.
   EXPECT_LT(small_pushed, 64u);
   EXPECT_GT(big_pushed, small_pushed);
   // Both sinks together never exceed what the registry recorded globally.

@@ -35,6 +35,10 @@ template std::vector<QueryResult> RunFusedProbe<Isa::kScalar>(
 void RunFusedBuildPipeline(const ScanJoinAggregatePlan& plan,
                            const ExecConfig& cfg, HashBuildOp* build) {
   obs::ScopedPhase t(g_build_ns);
+  if (plan.r_index != nullptr) {
+    build->Borrow(cfg, *plan.r_index, plan.r_lo, plan.r_hi);
+    return;
+  }
   switch (cfg.isa) {
     case Isa::kAvx512:
       RunFusedBuild<Isa::kAvx512>(plan, cfg, build);

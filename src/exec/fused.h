@@ -14,7 +14,8 @@
 // inner loops compile under its own ISA flags.
 //
 // A query runs two pipeline shapes:
-//   build:  FusedScan[Compressed] on R.key -> HashBuildOp (the breaker);
+//   build:  FusedScan[Compressed] on R.key -> HashBuildOp (the breaker),
+//           skipped when the plan borrows R's join index (JoinIndex);
 //   probe:  FusedScan[Compressed] on S.val -> FusedJoinProbe -> FusedGroupBy.
 // RunPipelines drives N >= 1 member pipelines over ONE chunk grid: a solo
 // query's probe is the one-member case, and a shared sweep (RunSharedProbe)
@@ -544,8 +545,9 @@ extern template std::vector<QueryResult> RunFusedProbe<Isa::kAvx512>(
 
 /// Runtime entries: dispatch cfg.isa (which must be supported — callers
 /// pass EffectiveIsa) to its instantiation, one switch per pipeline.
-/// RunFusedBuildPipeline also finishes the breaker and records the whole
-/// build into the `exec_build_ns` phase timer.
+/// RunFusedBuildPipeline also finishes the breaker, or, for a plan with a
+/// join index, borrows the index's window in place of the whole pipeline,
+/// and records the build into the `exec_build_ns` phase timer.
 void RunFusedBuildPipeline(const ScanJoinAggregatePlan& plan,
                            const ExecConfig& cfg, HashBuildOp* build);
 std::vector<QueryResult> RunFusedProbePipelines(

@@ -30,6 +30,26 @@ std::string ReservedValueError(const char* column) {
          std::to_string(kEmptyKey);
 }
 
+// Buckets of the LinearProbingTable for an n-row build side: load factor
+// <= 50%, and at least one empty bucket even when empty. Also the size a
+// direct-indexed table may not outgrow (DirectJoinTable::Fits).
+size_t JoinBuckets(size_t n) {
+  size_t buckets = 16;
+  while (buckets < 2 * (n + 1)) buckets <<= 1;
+  return buckets;
+}
+
+// Adds the present slots of slots[0 .. n) to *rows and *pays.
+void SummarizeSlots(const uint32_t* slots, size_t n, size_t* rows,
+                    ColumnRange* pays) {
+  for (size_t i = 0; i < n; ++i) {
+    if (slots[i] == kEmptyKey) continue;
+    ++*rows;
+    pays->min = std::min(pays->min, slots[i]);
+    pays->max = std::max(pays->max, slots[i]);
+  }
+}
+
 }  // namespace
 
 ScanVariant ScanVariantForIsa(Isa isa) {
@@ -67,6 +87,71 @@ ColumnRange ColumnMinMaxScalar(const uint32_t* vals, size_t n) {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
+// JoinIndex
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<JoinIndex> JoinIndex::Build(Isa isa, const uint32_t* keys,
+                                            const uint32_t* attrs, size_t n,
+                                            int threads) {
+  if (n == 0) return nullptr;
+  const ColumnRange k = ColumnMinMax(isa, keys, n);
+  if (k.max == kEmptyKey) return nullptr;
+  const uint64_t width = uint64_t{k.max} - k.min + 1;
+  // Fewer key-range values than rows: some key repeats.
+  if (width < n || width > 2 * uint64_t{n} ||
+      !DirectJoinTable::Fits(k.min, k.max, JoinBuckets(n))) {
+    return nullptr;
+  }
+  if (ColumnMinMax(isa, attrs, n).max == kEmptyKey) return nullptr;
+  DirectJoinTable table(k.min, static_cast<size_t>(width));
+  numa::PlaceBuffer(const_cast<uint32_t*>(table.slots()),
+                    table.width() * sizeof(uint32_t), threads,
+                    numa::Placement::kInterleaved);
+  if (!table.Build(keys, attrs, n)) return nullptr;
+  std::unique_ptr<JoinIndex> index(new JoinIndex(std::move(table)));
+  const uint32_t* slots = index->table_.slots();
+  const size_t w = index->table_.width();
+  index->blocks_.resize((w + kBlockSlots - 1) / kBlockSlots);
+  for (size_t b = 0; b < index->blocks_.size(); ++b) {
+    Block& block = index->blocks_[b];
+    size_t rows = 0;
+    const size_t first = b * kBlockSlots;
+    SummarizeSlots(slots + first, std::min(kBlockSlots, w - first), &rows,
+                   &block.pays);
+    block.rows = static_cast<uint32_t>(rows);
+  }
+  return index;
+}
+
+size_t JoinIndex::bytes() const {
+  return table_.width() * sizeof(uint32_t) + blocks_.size() * sizeof(Block);
+}
+
+// Whole blocks inside the window read their summary; the at most two
+// partial blocks at its edges scan their slots.
+JoinIndex::Summary JoinIndex::Summarize(uint32_t lo, uint32_t hi) const {
+  assert(key_min() <= lo && lo <= hi && hi <= key_max());
+  const uint32_t* slots = table_.slots();
+  const size_t width = table_.width();
+  const size_t last = hi - key_min();
+  Summary s;
+  for (size_t i = lo - key_min(); i <= last;) {
+    const size_t b = i / kBlockSlots;
+    const size_t block_end = std::min((b + 1) * kBlockSlots, width);
+    const size_t end = std::min(block_end, last + 1);
+    if (i == b * kBlockSlots && end == block_end) {
+      s.rows += blocks_[b].rows;
+      s.pays.min = std::min(s.pays.min, blocks_[b].pays.min);
+      s.pays.max = std::max(s.pays.max, blocks_[b].pays.max);
+    } else {
+      SummarizeSlots(slots + i, end - i, &s.rows, &s.pays);
+    }
+    i = end;
+  }
+  return s;
+}
+
+// ---------------------------------------------------------------------------
 // HashBuildOp
 // ---------------------------------------------------------------------------
 
@@ -85,6 +170,7 @@ void HashBuildOp::Open(const ExecConfig& cfg, int lanes, size_t n_chunks) {
   n_build_ = 0;
   pay_min_ = 0xFFFFFFFFu;
   pay_max_ = 0;
+  borrowed_ = false;
   direct_.reset();
   table_.reset();
 }
@@ -129,9 +215,7 @@ void HashBuildOp::Finish() {
   if (pay_max_ == kEmptyKey) {
     throw QueryError(ReservedValueError("group attributes"));
   }
-  // Load factor <= 50%, and at least one empty bucket even when empty.
-  size_t buckets = 16;
-  while (buckets < 2 * (n_build_ + 1)) buckets <<= 1;
+  const size_t buckets = JoinBuckets(n_build_);
   bool unique;
   if (DirectJoinTable::Fits(key_min, key_max, buckets)) {
     // The key range ends below kEmptyKey (checked above), so the domain
@@ -163,6 +247,27 @@ void HashBuildOp::Finish() {
   if (!unique) {
     throw QueryError(RepeatedBuildKeyError(mat_keys_.data(), n_build_));
   }
+}
+
+void HashBuildOp::Borrow(const ExecConfig& cfg, const JoinIndex& index,
+                         uint32_t lo, uint32_t hi) {
+  lo = std::max(lo, index.key_min());
+  hi = std::min(hi, index.key_max());
+  const JoinIndex::Summary s =
+      lo <= hi ? index.Summarize(lo, hi) : JoinIndex::Summary{};
+  if (s.rows == 0) {
+    Open(cfg, 1, 0);
+    Finish();
+  } else {
+    cfg_ = cfg;
+    n_build_ = s.rows;
+    pay_min_ = s.pays.min;
+    pay_max_ = s.pays.max;
+    table_.reset();
+    direct_ = std::make_unique<DirectJoinTable>(
+        DirectJoinTable::Window(index.table(), lo, hi));
+  }
+  borrowed_ = true;
 }
 
 size_t HashBuildOp::Probe(Isa isa, const uint32_t* keys, const uint32_t* pays,

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "agg/group_by.h"
@@ -95,6 +96,58 @@ struct FusedBatch {
   size_t seq = 0;
 };
 
+/// A join index over one immutable build table: the DirectJoinTable of
+/// its attrs at key - min (interleaved placement), built once, plus a
+/// summary of every kBlockSlots-slot block (present keys, attr range) from
+/// which any key window's row count and payload domain follow without a
+/// pass over its rows. server::Catalog builds one at registration for each
+/// table that qualifies; a plan whose r_index points at it
+/// (ScanJoinAggregatePlan) serves its build side from it
+/// (HashBuildOp::Borrow) instead of running the build pipeline.
+class JoinIndex {
+ public:
+  static constexpr size_t kBlockSlots = 1024;
+
+  /// The index of the n (key, attr) rows, or nullptr when they do not
+  /// qualify: n >= 1, the keys unique, no key or attr equal to kEmptyKey,
+  /// and a key range of at most 2n values that passes DirectJoinTable::Fits
+  /// for the hash table n rows would get, so the array (4 B per key-range
+  /// slot) never outgrows the rows' own two columns. More rows than
+  /// key-range values must repeat a key: such tables are refused before
+  /// any allocation. isa runs the range scans; threads places the array.
+  static std::unique_ptr<JoinIndex> Build(Isa isa, const uint32_t* keys,
+                                          const uint32_t* attrs, size_t n,
+                                          int threads);
+
+  uint32_t key_min() const { return table_.key_min(); }
+  uint32_t key_max() const {
+    return static_cast<uint32_t>(table_.key_min() + table_.width() - 1);
+  }
+  const DirectJoinTable& table() const { return table_; }
+  /// Bytes the index holds: the array and the block summaries.
+  size_t bytes() const;
+
+  /// What a build of the rows with keys in [lo, hi] holds: its row count
+  /// and payload (attr) range. [lo, hi] must lie within [key_min(),
+  /// key_max()].
+  struct Summary {
+    size_t rows = 0;
+    ColumnRange pays;
+  };
+  Summary Summarize(uint32_t lo, uint32_t hi) const;
+
+ private:
+  struct Block {
+    uint32_t rows = 0;
+    ColumnRange pays;
+  };
+
+  explicit JoinIndex(DirectJoinTable table) : table_(std::move(table)) {}
+
+  DirectJoinTable table_;
+  std::vector<Block> blocks_;
+};
+
 /// Breaker: the terminal stage of the build pipeline. Consume stages each
 /// (key, payload) batch at its chunk ordinal; Finish builds the join table
 /// (interleaved placement — every probe lane reads it).
@@ -127,15 +180,28 @@ class HashBuildOp {
   /// Builds the join table from the staged rows (see the class comment).
   void Finish();
 
-  /// Probes n (key, payload) tuples against the table Finish built, with
-  /// the semantics of LinearProbingTable::Probe or DirectJoinTable::Probe
-  /// (at most one match per row; output buffers hold n tuples). Call only
-  /// after Finish.
+  /// Serves the build from `index` instead of Open/Consume/Finish: clips
+  /// [lo, hi] to the index's key range and probes a DirectJoinTable::Window
+  /// of the index over it, with build_rows(), pay_min() and pay_max() taken
+  /// from the block summaries, so they equal what the build pipeline
+  /// computes for the same window of the indexed table. A window holding
+  /// no indexed key gets what Finish builds for an empty build side. The
+  /// index must outlive every probe.
+  void Borrow(const ExecConfig& cfg, const JoinIndex& index, uint32_t lo,
+              uint32_t hi);
+
+  /// Probes n (key, payload) tuples against the table Finish built or
+  /// Borrow viewed, with the semantics of LinearProbingTable::Probe or
+  /// DirectJoinTable::Probe (at most one match per row; output buffers
+  /// hold n tuples). Call only after Finish or Borrow.
   size_t Probe(Isa isa, const uint32_t* keys, const uint32_t* pays, size_t n,
                uint32_t* out_keys, uint32_t* out_spays,
                uint32_t* out_rpays) const;
-  /// True when Finish built the direct-indexed table.
+  /// True when the table probed is direct-indexed (built by Finish, or a
+  /// window of a join index).
   bool direct() const { return direct_ != nullptr; }
+  /// True when Borrow served the build from a join index.
+  bool borrowed() const { return borrowed_; }
   size_t build_rows() const { return n_build_; }
   /// Smallest and largest payload in the table; pay_min() > pay_max() when
   /// the build side is empty.
@@ -156,7 +222,8 @@ class HashBuildOp {
   size_t n_build_ = 0;
   uint32_t pay_min_ = 0xFFFFFFFFu;
   uint32_t pay_max_ = 0;
-  // Exactly one of the two is set once Finish returns.
+  bool borrowed_ = false;
+  // Exactly one of the two is set once Finish or Borrow returns.
   std::unique_ptr<DirectJoinTable> direct_;
   std::unique_ptr<LinearProbingTable> table_;
 };

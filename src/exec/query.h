@@ -51,6 +51,13 @@ struct ScanJoinAggregatePlan {
   const compress::CompressedColumn* r_attrs_c = nullptr;
   const compress::CompressedColumn* s_fks_c = nullptr;
   const compress::CompressedColumn* s_vals_c = nullptr;
+
+  /// R's join index (JoinIndex), borrowed. Only server::BindQuery sets it,
+  /// for a catalog table that has one. The build side is then served from
+  /// the index's [r_lo, r_hi] window (HashBuildOp::Borrow) instead of the
+  /// build pipeline, with byte-identical results; R's columns are not
+  /// scanned.
+  const JoinIndex* r_index = nullptr;
 };
 
 /// Canonical query result: one row per group, ascending group key.
@@ -69,10 +76,11 @@ struct QueryResult {
 
 /// A plan's build side on its own. AddBuildPipeline records the plan's R
 /// scan and returns the breaker; Run runs the build pipeline (R scan ->
-/// HashBuildOp) on the shared TaskPool and finishes the join table, after
-/// which the breaker can be inspected (layout, row count, payload domain).
-/// Run throws QueryError as RunScanJoinAggregate does for the same build
-/// side. The breaker lives as long as the Query.
+/// HashBuildOp) on the shared TaskPool and finishes the join table, or
+/// borrows the plan's join index, after which the breaker can be inspected
+/// (layout, row count, payload domain). Run throws QueryError as
+/// RunScanJoinAggregate does for the same build side. The breaker lives as
+/// long as the Query.
 class Query {
  public:
   Query() = default;

@@ -14,16 +14,25 @@ bool DirectJoinTable::Fits(uint32_t key_min, uint32_t key_max,
 }
 
 DirectJoinTable::DirectJoinTable(uint32_t key_min, size_t width)
-    : slots_(width), key_min_(key_min), width_(width) {
+    : owned_(width), base_(owned_.data()), key_min_(key_min), width_(width) {
   assert(width >= 1 && uint64_t{key_min} + width - 1 < kEmptyKey);
-  std::memset(slots_.data(), 0xFF, width * sizeof(uint32_t));
+  std::memset(owned_.data(), 0xFF, width * sizeof(uint32_t));
+}
+
+DirectJoinTable DirectJoinTable::Window(const DirectJoinTable& whole,
+                                        uint32_t lo, uint32_t hi) {
+  assert(whole.key_min_ <= lo && lo <= hi &&
+         hi - whole.key_min_ < whole.width_);
+  return DirectJoinTable(whole.base_ + (lo - whole.key_min_), lo,
+                         size_t{hi} - lo + 1);
 }
 
 // The store doubles as the repeat check: a slot that no longer holds
 // kEmptyKey was written by an earlier copy of the key.
 bool DirectJoinTable::Build(const uint32_t* keys, const uint32_t* pays,
                             size_t n) {
-  uint32_t* slots = slots_.data();
+  assert(base_ == owned_.data() && "a Window cannot Build");
+  uint32_t* slots = owned_.data();
   bool unique = true;
   for (size_t i = 0; i < n; ++i) {
     uint32_t& slot = slots[keys[i] - key_min_];
@@ -41,7 +50,7 @@ size_t DirectJoinTable::ProbeScalar(const uint32_t* keys, const uint32_t* pays,
                                     size_t n, uint32_t* out_keys,
                                     uint32_t* out_spays,
                                     uint32_t* out_rpays) const {
-  const uint32_t* slots = slots_.data();
+  const uint32_t* slots = base_;
   const uint32_t key_min = key_min_;
   const uint32_t width = static_cast<uint32_t>(width_);
   size_t j = 0;

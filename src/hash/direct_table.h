@@ -15,6 +15,11 @@
 // executor takes the domain from the build side's own key range and
 // rejects the reserved value before it chooses this layout
 // (exec::HashBuildOp).
+//
+// A table either owns its array or is a Window of another table's: a
+// read-only view of the slots of a sub-range of keys, through which a
+// catalog's join index (exec::JoinIndex) serves each query's r= window
+// without copying it.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,9 +42,16 @@ class DirectJoinTable {
   /// be at least 1, and the domain must end below kEmptyKey.
   DirectJoinTable(uint32_t key_min, size_t width);
 
-  /// Stores n (key, payload) tuples, serially. Returns false when a key
-  /// repeats, within this call or against an earlier one; the later
-  /// payload then replaces the earlier.
+  /// A view of `whole`'s slots for the keys [lo, hi], which must lie in
+  /// its domain: it probes as `whole` would with every key outside [lo, hi]
+  /// removed. It borrows `whole`'s array, which must outlive it, and
+  /// cannot Build.
+  static DirectJoinTable Window(const DirectJoinTable& whole, uint32_t lo,
+                                uint32_t hi);
+
+  /// Stores n (key, payload) tuples, serially, into a table that owns its
+  /// array. Returns false when a key repeats, within this call or against
+  /// an earlier one; the later payload then replaces the earlier.
   bool Build(const uint32_t* keys, const uint32_t* pays, size_t n);
 
   /// Probes n (key, payload) tuples; writes one output tuple (key, probe
@@ -59,10 +71,17 @@ class DirectJoinTable {
                      uint32_t* out_keys, uint32_t* out_spays,
                      uint32_t* out_rpays) const;
 
-  const uint32_t* slots() const { return slots_.data(); }
+  /// The slot of key key_min() + i is slots()[i], for i < width().
+  const uint32_t* slots() const { return base_; }
+  uint32_t key_min() const { return key_min_; }
+  size_t width() const { return width_; }
 
  private:
-  AlignedBuffer<uint32_t> slots_;
+  DirectJoinTable(const uint32_t* base, uint32_t key_min, size_t width)
+      : base_(base), key_min_(key_min), width_(width) {}
+
+  AlignedBuffer<uint32_t> owned_;  // empty in a Window
+  const uint32_t* base_;           // owned_.data(), or the viewed slots
   uint32_t key_min_;
   size_t width_;
 };

@@ -17,7 +17,7 @@ size_t DirectJoinTable::ProbeAvx2(const uint32_t* keys, const uint32_t* pays,
   // when min(k - key_min, width - 1) leaves it unchanged.
   const __m256i last = _mm256_set1_epi32(static_cast<int>(width_ - 1));
   const __m256i empty = _mm256_set1_epi32(static_cast<int>(kEmptyKey));
-  const int* slots = reinterpret_cast<const int*>(slots_.data());
+  const int* slots = reinterpret_cast<const int*>(base_);
   size_t i = 0;
   size_t j = 0;
   for (; i + 8 <= n; i += 8) {

@@ -14,7 +14,7 @@ size_t DirectJoinTable::ProbeAvx512(const uint32_t* keys, const uint32_t* pays,
   const __m512i key_min = _mm512_set1_epi32(static_cast<int>(key_min_));
   const __m512i width = _mm512_set1_epi32(static_cast<int>(width_));
   const __m512i empty = _mm512_set1_epi32(static_cast<int>(kEmptyKey));
-  const uint32_t* slots = slots_.data();
+  const uint32_t* slots = base_;
   size_t j = 0;
   for (size_t i = 0; i < n; i += 16) {
     // The last vector loads only the rows left; masked-off lanes read no

@@ -315,6 +315,10 @@ void Server::AppendStatsResponse(std::string* out) {
   emit("parse_errors", snap.parse_errors);
   emit("sched_completed", scheduler_->queries_completed());
   emit("sched_rejected", scheduler_->queries_rejected());
+  const server::TableBytes catalog_bytes = catalog_->bytes();
+  emit("catalog_raw_bytes", catalog_bytes.raw);
+  emit("catalog_packed_bytes", catalog_bytes.packed);
+  emit("catalog_index_bytes", catalog_bytes.index);
   // The whole obs registry, when metrics are on (empty map otherwise):
   // every counter and phase timer, the net_* instruments included.
   for (const auto& [name, value] : obs::SnapshotMap()) emit(name, value);

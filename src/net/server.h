@@ -33,7 +33,9 @@
 // (net_bytes_in/out, net_queries_parsed, net_parse_errors,
 // net_queries_rejected, net_connections_opened/closed); per-connection
 // tallies of the same events live on the connection and feed the
-// always-on ServerStats totals that STATS reports even with metrics off.
+// always-on ServerStats totals that STATS reports even with metrics off,
+// beside the catalog's resident bytes (catalog_raw_bytes,
+// catalog_packed_bytes, catalog_index_bytes; server::Catalog::bytes).
 
 #include <atomic>
 #include <condition_variable>

@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "core/isa.h"
+#include "exec/pipeline.h"
+
 namespace simddb::server {
 
 const Table* Catalog::RegisterTable(const std::string& name,
@@ -28,10 +31,24 @@ const Table* Catalog::RegisterTable(const std::string& name,
     table->vals_c_ = std::make_unique<compress::CompressedColumn>(
         compress::CompressColumn(vals, rows, opts.threads, opts.placement));
   }
+  table->index_ = exec::JoinIndex::Build(BestIsa(), table->keys(),
+                                         table->vals(), rows, opts.threads);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = tables_.emplace(name, std::move(table));
   return inserted ? it->second.get() : nullptr;
+}
+
+Table::~Table() = default;
+
+TableBytes Table::bytes() const {
+  TableBytes b;
+  b.raw = (keys_.size() + vals_.size()) * sizeof(uint32_t);
+  if (keys_c_ != nullptr) {
+    b.packed = keys_c_->packed_bytes() + vals_c_->packed_bytes();
+  }
+  if (index_ != nullptr) b.index = index_->bytes();
+  return b;
 }
 
 const Table* Catalog::Find(const std::string& name) const {
@@ -51,6 +68,18 @@ std::vector<std::string> Catalog::TableNames() const {
 size_t Catalog::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return tables_.size();
+}
+
+TableBytes Catalog::bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  TableBytes total;
+  for (const auto& [name, t] : tables_) {
+    const TableBytes b = t->bytes();
+    total.raw += b.raw;
+    total.packed += b.packed;
+    total.index += b.index;
+  }
+  return total;
 }
 
 }  // namespace simddb::server

@@ -10,6 +10,9 @@
 // catalog in aligned, slack-padded buffers (scan kernels may overshoot by
 // up to one vector), optionally alongside the compressed form
 // (compress/column.h) so plans can run the scan-over-compressed front-end.
+// A table whose keys qualify also gets a join index (exec::JoinIndex),
+// built once here, which BindQuery hands to every plan that builds on the
+// table, so no query runs its build pipeline.
 //
 // Concurrency contract: registration happens during load, lookups during
 // serving. Both are internally synchronized, but a registered table is
@@ -30,6 +33,10 @@
 #include "numa/placement.h"
 #include "util/aligned_buffer.h"
 
+namespace simddb::exec {
+class JoinIndex;
+}  // namespace simddb::exec
+
 namespace simddb::server {
 
 /// Immutable schema of a registered table.
@@ -39,6 +46,13 @@ struct TableSchema {
   std::string val_column = "val";
   size_t rows = 0;
   bool compressed = false;  ///< compressed twin columns are present
+};
+
+/// Bytes a table, or the whole catalog, holds in each representation.
+struct TableBytes {
+  uint64_t raw = 0;     ///< both raw columns, scan slack included
+  uint64_t packed = 0;  ///< the compressed twins' packed blocks
+  uint64_t index = 0;   ///< the join index (exec::JoinIndex::bytes)
 };
 
 /// Registration-time options.
@@ -56,6 +70,8 @@ struct TableOptions {
 /// A named, immutable two-column relation owned by the catalog.
 class Table {
  public:
+  ~Table();
+
   const TableSchema& schema() const { return schema_; }
   const std::string& name() const { return schema_.name; }
   size_t rows() const { return schema_.rows; }
@@ -71,6 +87,12 @@ class Table {
     return vals_c_.get();
   }
 
+  /// The join index over (keys, vals); nullptr when the table does not
+  /// qualify (exec::JoinIndex::Build).
+  const exec::JoinIndex* join_index() const { return index_.get(); }
+
+  TableBytes bytes() const;
+
  private:
   friend class Catalog;
   Table() = default;
@@ -78,6 +100,7 @@ class Table {
   TableSchema schema_;
   AlignedBuffer<uint32_t> keys_, vals_;
   std::unique_ptr<compress::CompressedColumn> keys_c_, vals_c_;
+  std::unique_ptr<exec::JoinIndex> index_;
 };
 
 /// Name -> Table directory. Register during load, look up during serving.
@@ -88,7 +111,8 @@ class Catalog {
   Catalog& operator=(const Catalog&) = delete;
 
   /// Copies the columns into catalog-owned aligned buffers (with the +16
-  /// slack the scan kernels may overshoot into) and registers the table.
+  /// slack the scan kernels may overshoot into), builds the join index when
+  /// the table qualifies, and registers the table.
   /// Returns the registered table, or nullptr if the name is taken —
   /// tables are immutable during serving, so re-registration is an error,
   /// never a replace.
@@ -104,6 +128,9 @@ class Catalog {
   std::vector<std::string> TableNames() const;
 
   size_t size() const;
+
+  /// Bytes held by every registered table, summed.
+  TableBytes bytes() const;
 
  private:
   mutable std::mutex mu_;

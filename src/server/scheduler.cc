@@ -77,6 +77,7 @@ bool BindQuery(const Catalog& catalog, const QuerySpec& spec,
     plan->s_vals = s->vals();
     plan->n_s = s->rows();
   }
+  plan->r_index = r->join_index();
   plan->r_lo = spec.r_lo;
   plan->r_hi = spec.r_hi;
   plan->s_lo = spec.s_lo;

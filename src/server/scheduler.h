@@ -109,7 +109,8 @@ struct SchedulerOptions {
   uint64_t shared_gather_timeout_ns = 2'000'000;
 };
 
-/// Binds a QuerySpec against the catalog. False (with *error set) when a
+/// Binds a QuerySpec against the catalog, handing the plan the build
+/// table's join index when it has one. False (with *error set) when a
 /// table is unknown or a compressed representation was asked of a table
 /// that has none.
 bool BindQuery(const Catalog& catalog, const QuerySpec& spec,

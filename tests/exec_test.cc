@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -473,55 +474,66 @@ TEST(ExecPipelineTest, ChunksPushedCountsEachGridOnce) {
   // Every pipeline run counts its chunk grid once, by size: a query pushes
   // its build grid plus its probe grid, whatever the predicates keep (at
   // chunk size 1 most probe chunks hold no qualifying row). A shared sweep
-  // runs N build grids and dispatches one probe grid for its N members.
+  // runs N build grids and dispatches one probe grid for its N members. A
+  // plan served by a join index runs no build pipeline at all.
   QueryData d(1024, 10'000);
   const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
   const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
   const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
   const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
-  for (bool packed : {false, true}) {
-    ScanJoinAggregatePlan plan = d.Plan();
-    if (packed) {
-      plan.r_keys_c = &r_keys_c;
-      plan.r_attrs_c = &r_attrs_c;
-      plan.s_fks_c = &s_fks_c;
-      plan.s_vals_c = &s_vals_c;
-    }
-    for (size_t chunk : {size_t{1}, size_t{257}, size_t{1024}}) {
-      const uint64_t build_grid = (d.n_r + chunk - 1) / chunk;
-      const uint64_t probe_grid = (d.n_s + chunk - 1) / chunk;
-      const std::string label =
-          std::string(packed ? "packed" : "raw") + " c=" + std::to_string(chunk);
-      ExecConfig cfg;
-      cfg.threads = 4;
-      cfg.chunk_tuples = chunk;
-      {
-        ScopedMetrics metrics;
-        const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-        ASSERT_FALSE(got.group_keys.empty()) << label;
-        EXPECT_EQ(Metric("chunks_pushed"), build_grid + probe_grid) << label;
-        EXPECT_EQ(Metric("pipelines_fused"), 2u) << label;  // build + probe
-        EXPECT_GT(Metric("exec_build_ns"), 0u) << label;
-        EXPECT_GT(Metric("exec_fused_ns"), 0u) << label;
+  const auto index = exec::JoinIndex::Build(
+      BestIsa(), d.r_keys.data(), d.r_attrs.data(), d.n_r, 1);
+  ASSERT_NE(index, nullptr);
+  for (bool indexed : {false, true}) {
+    for (bool packed : {false, true}) {
+      ScanJoinAggregatePlan plan = d.Plan();
+      if (packed) {
+        plan.r_keys_c = &r_keys_c;
+        plan.r_attrs_c = &r_attrs_c;
+        plan.s_fks_c = &s_fks_c;
+        plan.s_vals_c = &s_vals_c;
       }
-      {
+      if (indexed) plan.r_index = index.get();
+      for (size_t chunk : {size_t{1}, size_t{257}, size_t{1024}}) {
+        const uint64_t build_grid = indexed ? 0 : (d.n_r + chunk - 1) / chunk;
+        const uint64_t builds = indexed ? 0 : 1;
+        const uint64_t probe_grid = (d.n_s + chunk - 1) / chunk;
+        const std::string label = std::string(packed ? "packed" : "raw") +
+                                  (indexed ? " indexed" : "") +
+                                  " c=" + std::to_string(chunk);
+        ExecConfig cfg;
+        cfg.threads = 4;
+        cfg.chunk_tuples = chunk;
+        {
+          ScopedMetrics metrics;
+          const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+          ASSERT_FALSE(got.group_keys.empty()) << label;
+          EXPECT_EQ(Metric("chunks_pushed"), build_grid + probe_grid)
+              << label;
+          EXPECT_EQ(Metric("pipelines_fused"), builds + 1) << label;
+          EXPECT_GT(Metric("exec_build_ns"), 0u) << label;
+          EXPECT_GT(Metric("exec_fused_ns"), 0u) << label;
+        }
+        {
+          ScopedMetrics metrics;
+          exec::Query q;
+          exec::AddBuildPipeline(q, plan);
+          q.Run(cfg);
+          EXPECT_EQ(Metric("chunks_pushed"), build_grid) << label << " build";
+          EXPECT_EQ(Metric("pipelines_fused"), builds) << label << " build";
+        }
+        if (packed) continue;  // shared sweeps scan raw probe tables only
+        constexpr size_t kMembers = 3;
+        const std::vector<ScanJoinAggregatePlan> plans(kMembers, plan);
         ScopedMetrics metrics;
-        exec::Query q;
-        exec::AddBuildPipeline(q, plan);
-        q.Run(cfg);
-        EXPECT_EQ(Metric("chunks_pushed"), build_grid) << label << " build";
-        EXPECT_EQ(Metric("pipelines_fused"), 1u) << label << " build";
+        exec::RunSharedProbe(plans, cfg);
+        EXPECT_EQ(Metric("chunks_pushed"), kMembers * build_grid + probe_grid)
+            << label << " shared";
+        EXPECT_EQ(Metric("pipelines_fused"), (builds + 1) * kMembers)
+            << label << " shared";
+        EXPECT_EQ(Metric("shared_sweeps"), 1u) << label;
+        EXPECT_EQ(Metric("shared_members"), kMembers) << label;
       }
-      if (packed) continue;  // shared sweeps scan raw probe tables only
-      constexpr size_t kMembers = 3;
-      const std::vector<ScanJoinAggregatePlan> plans(kMembers, plan);
-      ScopedMetrics metrics;
-      exec::RunSharedProbe(plans, cfg);
-      EXPECT_EQ(Metric("chunks_pushed"), kMembers * build_grid + probe_grid)
-          << label << " shared";
-      EXPECT_EQ(Metric("pipelines_fused"), 2 * kMembers) << label << " shared";
-      EXPECT_EQ(Metric("shared_sweeps"), 1u) << label;
-      EXPECT_EQ(Metric("shared_members"), kMembers) << label;
     }
   }
 }
@@ -637,6 +649,13 @@ TEST(ExecQueryTest, EdgeShapesAndSeedsMatchReferenceAcrossMatrix) {
 // Join-table layout boundaries
 // ---------------------------------------------------------------------------
 
+/// Keys first, first + 1, ..., n of them.
+std::vector<uint32_t> KeyRun(uint32_t first, size_t n) {
+  std::vector<uint32_t> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = first + static_cast<uint32_t>(i);
+  return keys;
+}
+
 TEST(ExecQueryTest, JoinLayoutFollowsKeyRangeAtItsBoundaries) {
   // Each case lists R's keys and its r= window. S probes every R key, the
   // keys just below and above the window's key range, 0, and 0xFFFFFFFF,
@@ -648,23 +667,18 @@ TEST(ExecQueryTest, JoinLayoutFollowsKeyRangeAtItsBoundaries) {
     uint32_t r_lo, r_hi;
     bool direct;
   };
-  auto run = [](uint32_t first, size_t n) {
-    std::vector<uint32_t> keys(n);
-    for (size_t i = 0; i < n; ++i) keys[i] = first + static_cast<uint32_t>(i);
-    return keys;
-  };
   auto with = [](std::vector<uint32_t> keys, uint32_t last) {
     keys.push_back(last);
     return keys;
   };
   const Case cases[] = {
-      {"width 2x buckets", with(run(1, 999), 4096), 1, 4096, true},
-      {"width 2x buckets + 1", with(run(1, 999), 4097), 1, 4097, false},
-      {"domain from 0", run(0, 1000), 0, 999, true},
-      {"domain to 0xFFFFFFFE", run(0xFFFFFFFEu - 999, 1000), 0,
+      {"width 2x buckets", with(KeyRun(1, 999), 4096), 1, 4096, true},
+      {"width 2x buckets + 1", with(KeyRun(1, 999), 4097), 1, 4097, false},
+      {"domain from 0", KeyRun(0, 1000), 0, 999, true},
+      {"domain to 0xFFFFFFFE", KeyRun(0xFFFFFFFEu - 999, 1000), 0,
        0xFFFFFFFEu, true},
-      {"one build row", run(1, 1000), 500, 500, true},
-      {"empty window", run(1, 1000), 5000, 6000, false},
+      {"one build row", KeyRun(1, 1000), 500, 500, true},
+      {"empty window", KeyRun(1, 1000), 5000, 6000, false},
   };
   for (const Case& c : cases) {
     QueryData d(c.keys.size(), 3000);
@@ -686,16 +700,25 @@ TEST(ExecQueryTest, JoinLayoutFollowsKeyRangeAtItsBoundaries) {
     plan.s_hi = 999'999;
     EXPECT_EQ(BuildsDirectTable(plan), c.direct) << c.name;
     const auto want = MapReference(d, plan);
+    // Every case's R but the wide ones qualifies for a join index, which
+    // must answer the same probes.
+    const auto index = exec::JoinIndex::Build(
+        BestIsa(), d.r_keys.data(), d.r_attrs.data(), d.n_r, 1);
+    ScanJoinAggregatePlan indexed = plan;
+    indexed.r_index = index.get();
     for (Isa isa : SupportedIsas()) {
       for (int threads : {1, 8}) {
         ExecConfig cfg;
         cfg.isa = isa;
         cfg.threads = threads;
         cfg.chunk_tuples = 257;
-        ExpectMatchesReference(
-            exec::RunScanJoinAggregate(plan, cfg), want,
-            std::string(c.name) + " " + IsaName(isa) +
-                " t=" + std::to_string(threads));
+        const std::string label = std::string(c.name) + " " + IsaName(isa) +
+                                  " t=" + std::to_string(threads);
+        ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want,
+                               label);
+        if (index == nullptr) continue;
+        ExpectMatchesReference(exec::RunScanJoinAggregate(indexed, cfg), want,
+                               label + " indexed");
       }
     }
   }
@@ -1006,6 +1029,227 @@ TEST(ExecPipelineTest, RowsOutCardinalitiesAreConsistent) {
   const uint64_t total_count = std::accumulate(got.counts.begin(),
                                                got.counts.end(), uint64_t{0});
   EXPECT_EQ(total_count, got.rows_joined);
+}
+
+// ---------------------------------------------------------------------------
+// Join index (JoinIndex, HashBuildOp::Borrow)
+// ---------------------------------------------------------------------------
+
+TEST(JoinIndex, BuiltOnlyForUniqueKeysOverANarrowRange) {
+  // 1,000 rows get 2,048 buckets, so a range of 4,097 keys is just past
+  // DirectJoinTable::Fits; 2,000 keys is the widest range 2 x rows allows.
+  struct Case {
+    const char* name;
+    std::vector<uint32_t> keys;
+    bool indexed;
+    uint32_t reserved_attr_row = UINT32_MAX;  ///< row given attr 0xFFFFFFFF
+  };
+  auto replaced = [](std::vector<uint32_t> keys, size_t row, uint32_t key) {
+    keys[row] = key;
+    return keys;
+  };
+  // 1 .. 999 and 1,500: unique, with spare key-range values, so a repeat
+  // is caught by the build itself, not by the row count.
+  const std::vector<uint32_t> spare = replaced(KeyRun(1, 1000), 999, 1500);
+  const Case cases[] = {
+      {"dense", KeyRun(1, 1000), true},
+      {"spare values", spare, true},
+      {"repeat in the first rows", replaced(spare, 1, spare[0]), false},
+      {"repeat in the middle", replaced(spare, 500, spare[499]), false},
+      {"repeat of the last row", replaced(spare, 998, spare[999]), false},
+      {"more rows than range values", std::vector<uint32_t>(1000, 5), false},
+      {"key 0xFFFFFFFF", KeyRun(0xFFFFFFFFu - 999, 1000), false},
+      {"attr 0xFFFFFFFF", KeyRun(1, 1000), false, 640},
+      {"range 2 x rows", replaced(KeyRun(1, 1000), 999, 2000), true},
+      {"range 2 x rows + 1", replaced(KeyRun(1, 1000), 999, 2001), false},
+      {"range just past Fits", replaced(KeyRun(1, 1000), 999, 4097), false},
+      {"empty table", {}, false},
+      {"one row", {7}, true},
+      {"range from 0", KeyRun(0, 1000), true},
+      {"range to 0xFFFFFFFE", KeyRun(0xFFFFFFFEu - 999, 1000), true},
+  };
+  for (const Case& c : cases) {
+    std::vector<uint32_t> attrs(c.keys.size());
+    std::iota(attrs.begin(), attrs.end(), 1u);
+    if (c.reserved_attr_row != UINT32_MAX) {
+      attrs[c.reserved_attr_row] = 0xFFFFFFFFu;
+    }
+    for (Isa isa : SupportedIsas()) {
+      const std::string label = std::string(c.name) + " " + IsaName(isa);
+      const auto index = exec::JoinIndex::Build(isa, c.keys.data(),
+                                                attrs.data(), c.keys.size(), 2);
+      ASSERT_EQ(index != nullptr, c.indexed) << label;
+      if (index == nullptr) continue;
+      const uint32_t lo = *std::min_element(c.keys.begin(), c.keys.end());
+      const uint32_t hi = *std::max_element(c.keys.begin(), c.keys.end());
+      EXPECT_EQ(index->key_min(), lo) << label;
+      EXPECT_EQ(index->key_max(), hi) << label;
+      const size_t width = size_t{hi} - lo + 1;
+      const size_t blocks = (width + exec::JoinIndex::kBlockSlots - 1) /
+                            exec::JoinIndex::kBlockSlots;
+      EXPECT_EQ(index->bytes(), 4 * width + 12 * blocks) << label;
+      const exec::JoinIndex::Summary all = index->Summarize(lo, hi);
+      EXPECT_EQ(all.rows, c.keys.size()) << label;
+      EXPECT_EQ(all.pays.min, 1u) << label;
+      EXPECT_EQ(all.pays.max, c.keys.size()) << label;
+    }
+  }
+}
+
+/// R for the join-index matrix: 8,192 rows whose unique keys skip every
+/// fourth value (1, 2, 3, 5, 6, 7, 9, ...), so windows meet absent slots
+/// inside the index's range; S.fk mostly hits R, and every seventh row
+/// probes a skipped key or one past R's range.
+struct IndexedQueryData : QueryData {
+  static constexpr size_t kRows = 8192;
+
+  explicit IndexedQueryData(uint32_t attr_hi)
+      : QueryData(kRows, 60'000, attr_hi) {
+    for (size_t i = 0; i < n_r; ++i) r_keys[i] = SkipKey(i);
+    for (size_t i = 0; i < n_s; ++i) {
+      s_fks[i] = i % 7 == 0 ? 4 * static_cast<uint32_t>(1 + i % 3000)
+                            : SkipKey(s_fks[i] - 1);
+    }
+  }
+
+  static uint32_t SkipKey(size_t row) {
+    return static_cast<uint32_t>(1 + row + row / 3);
+  }
+};
+
+/// r= windows over IndexedQueryData's keys [1, kmax]: empty, inverted, one
+/// key, wholly outside, edges inside and on 1,024-slot blocks, and full.
+std::vector<std::pair<uint32_t, uint32_t>> IndexWindows(uint32_t kmax) {
+  return {{4, 4},        {500, 400},  {5, 5},          {0, 0},
+          {kmax + 1, 0xFFFFFFFFu},    {101, 5001},     {1025, 3072},
+          {0, 2048},     {3001, 0xFFFFFFFFu},            {0, 0xFFFFFFFFu}};
+}
+
+TEST(JoinIndex, WindowsMatchThePerQueryBuildAcrossMatrix) {
+  // Each window's plan runs twice, through the per-query build and through
+  // the index, on every ISA, threads {1, 2, 8}, raw and packed storage,
+  // solo and as members of one shared sweep. Results are byte-identical,
+  // rows_build included.
+  for (uint32_t attr_hi : {kNarrowAttrs, kWideAttrs}) {
+    IndexedQueryData d(attr_hi);
+    const uint32_t kmax = IndexedQueryData::SkipKey(d.n_r - 1);
+    const auto index = exec::JoinIndex::Build(
+        BestIsa(), d.r_keys.data(), d.r_attrs.data(), d.n_r, 1);
+    ASSERT_NE(index, nullptr);
+    ASSERT_EQ(index->key_max(), kmax);
+    const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
+    const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
+    const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
+    const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
+    for (bool packed : {false, true}) {
+      std::vector<ScanJoinAggregatePlan> plans;
+      for (auto [lo, hi] : IndexWindows(kmax)) {
+        ScanJoinAggregatePlan p = d.Plan();
+        p.r_lo = lo;
+        p.r_hi = hi;
+        p.s_hi = 999'999;
+        if (packed) {
+          p.r_keys_c = &r_keys_c;
+          p.r_attrs_c = &r_attrs_c;
+        }
+        plans.push_back(p);
+      }
+      for (Isa isa : SupportedIsas()) {
+        for (int threads : {1, 2, 8}) {
+          ExecConfig cfg;
+          cfg.isa = isa;
+          cfg.threads = threads;
+          std::vector<QueryResult> want;
+          std::vector<ScanJoinAggregatePlan> indexed;
+          for (const ScanJoinAggregatePlan& p : plans) {
+            ScanJoinAggregatePlan solo = p;
+            if (packed) {
+              solo.s_fks_c = &s_fks_c;
+              solo.s_vals_c = &s_vals_c;
+            }
+            want.push_back(exec::RunScanJoinAggregate(solo, cfg));
+            solo.r_index = index.get();
+            const QueryResult got = exec::RunScanJoinAggregate(solo, cfg);
+            const std::string label =
+                std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
+                (packed ? " packed" : " raw") +
+                " attrs=" + std::to_string(attr_hi) +
+                " r=[" + std::to_string(p.r_lo) + "," +
+                std::to_string(p.r_hi) + "]";
+            ExpectIdentical(got, want.back(), label);
+            EXPECT_EQ(got.rows_build, want.back().rows_build) << label;
+            EXPECT_EQ(got.rows_scanned, want.back().rows_scanned) << label;
+            indexed.push_back(p);
+            indexed.back().r_index = index.get();
+          }
+          // The shared sweep probes raw S; packed here means a packed R.
+          const std::vector<QueryResult> shared =
+              exec::RunSharedProbe(indexed, cfg);
+          for (size_t i = 0; i < plans.size(); ++i) {
+            const std::string label =
+                std::string("shared ") + IsaName(isa) +
+                " t=" + std::to_string(threads) +
+                (packed ? " packed" : " raw") + " #" + std::to_string(i);
+            ExpectIdentical(shared[i], want[i], label);
+            EXPECT_EQ(shared[i].rows_build, want[i].rows_build) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(JoinIndex, BorrowReportsWhatTheBuildPipelineComputes) {
+  // build_rows(), the payload domain and the group-by path it picks are
+  // the same through the index as through the build pipeline. The wide
+  // table's attrs grow with the key (7 per key, over 76,000 values in
+  // all): its full window takes hash partials, but a window of 500 keys
+  // spans under 3,500 attr values and stays on direct partials.
+  IndexedQueryData narrow(kNarrowAttrs);
+  IndexedQueryData wide(kNarrowAttrs);
+  for (size_t i = 0; i < wide.n_r; ++i) wide.r_attrs[i] = 7 * wide.r_keys[i];
+  const uint32_t kmax = IndexedQueryData::SkipKey(narrow.n_r - 1);
+  for (const IndexedQueryData* d : {&narrow, &wide}) {
+    const bool is_wide = d == &wide;
+    const auto index = exec::JoinIndex::Build(
+        BestIsa(), d->r_keys.data(), d->r_attrs.data(), d->n_r, 1);
+    ASSERT_NE(index, nullptr);
+    auto windows = IndexWindows(kmax);
+    windows.push_back({2000, 2499});  // 500 keys
+    for (auto [lo, hi] : windows) {
+      ScanJoinAggregatePlan plan = d->Plan();
+      plan.r_lo = lo;
+      plan.r_hi = hi;
+      exec::Query per_query, borrowed;
+      exec::HashBuildOp* want = exec::AddBuildPipeline(per_query, plan);
+      plan.r_index = index.get();
+      exec::HashBuildOp* got = exec::AddBuildPipeline(borrowed, plan);
+      ExecConfig cfg;
+      cfg.threads = 2;
+      per_query.Run(cfg);
+      borrowed.Run(cfg);
+      const std::string label = std::string(is_wide ? "wide" : "narrow") +
+                                " r=[" + std::to_string(lo) + "," +
+                                std::to_string(hi) + "]";
+      EXPECT_FALSE(want->borrowed()) << label;
+      EXPECT_TRUE(got->borrowed()) << label;
+      EXPECT_EQ(got->build_rows(), want->build_rows()) << label;
+      EXPECT_EQ(got->pay_min(), want->pay_min()) << label;
+      EXPECT_EQ(got->pay_max(), want->pay_max()) << label;
+      // A window holding no key gets the empty build's table.
+      EXPECT_EQ(got->direct(), got->build_rows() > 0) << label;
+      exec::GroupByState want_agg, got_agg;
+      want_agg.Open(cfg, 1, want->pay_min(), want->pay_max());
+      got_agg.Open(cfg, 1, got->pay_min(), got->pay_max());
+      EXPECT_EQ(got_agg.direct(), want_agg.direct()) << label;
+      if (is_wide && lo == 2000) {
+        EXPECT_TRUE(got_agg.direct()) << label;
+      }
+      if (is_wide && lo == 0 && hi == 0xFFFFFFFFu) {
+        EXPECT_FALSE(got_agg.direct()) << label;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

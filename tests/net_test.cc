@@ -477,7 +477,21 @@ void ExpectWireEqualsLocal(const WireResult& wire, const ResultSet& local) {
 }
 
 TEST(NetServer, LoopbackByteIdentityAcrossThreadsAndModes) {
+  // R is served by its join index; "Rrep", R with its last key written
+  // over the row before's, gets none, so its windows below key 1,999 run
+  // the per-query direct build.
   NetData data(2000, 30000, /*compress=*/true);
+  AlignedBuffer<uint32_t> rep_keys(data.n_r + 16);
+  std::copy(data.r_keys.data(), data.r_keys.data() + data.n_r,
+            rep_keys.data());
+  rep_keys[data.n_r - 1] = data.Key(data.n_r - 2);
+  server::TableOptions topts;
+  topts.compress = true;
+  ASSERT_NE(data.catalog.RegisterTable("Rrep", rep_keys.data(),
+                                       data.r_attrs.data(), data.n_r, topts),
+            nullptr);
+  ASSERT_NE(data.catalog.Find("R")->join_index(), nullptr);
+  ASSERT_EQ(data.catalog.Find("Rrep")->join_index(), nullptr);
   for (int threads : {1, 8}) {
     ServerOptions opts;
     opts.unix_path = UniqueSocketPath();
@@ -498,6 +512,7 @@ TEST(NetServer, LoopbackByteIdentityAcrossThreadsAndModes) {
       const char* wire;
       bool packed;
       uint32_t r_lo, r_hi, s_lo, s_hi;
+      const char* build = "R";
     };
     const Case cases[] = {
         {"QUERY build=R probe=S s=[100,8000]", false, 0, 0xFFFFFFFFu, 100,
@@ -508,11 +523,15 @@ TEST(NetServer, LoopbackByteIdentityAcrossThreadsAndModes) {
          0xFFFFFFFFu, 4000, 12000},
         {"QUERY build=R probe=S s=[0,0]", false, 0, 0xFFFFFFFFu, 0, 0},
         {"QUERY build=R probe=S r=[9,3]", false, 9, 3, 0, 0xFFFFFFFFu},
+        {"QUERY build=Rrep probe=S r=[1,1500] s=[0,29999]", false, 1, 1500,
+         0, 29999, "Rrep"},
+        {"QUERY build=Rrep probe=S r=[0,1998] s=[4000,12000] storage=packed",
+         true, 0, 1998, 4000, 12000, "Rrep"},
     };
     for (const Case& c : cases) {
       const WireResult wire = client.Query(c.wire);
       QuerySpec spec;
-      spec.build_table = "R";
+      spec.build_table = c.build;
       spec.probe_table = "S";
       spec.r_lo = c.r_lo;
       spec.r_hi = c.r_hi;
@@ -546,6 +565,108 @@ TEST(NetServer, LoopbackByteIdentityAcrossThreadsAndModes) {
 
     client.Quit();
     server.Stop();
+  }
+}
+
+TEST(NetServer, JoinIndexServedWindowsMatchThePerQueryBuild) {
+  // One client per r= window sends it on every ISA, raw and packed, to
+  // servers at threads {1, 2, 8} with shared sweeps off and on (the raw
+  // queries of the eight clients gather per ISA). Every response equals
+  // the per-query build of the same bound plan, run in-process.
+  NetData data(6000, 30000, /*compress=*/true);
+  ASSERT_NE(data.catalog.Find("R")->join_index(), nullptr);
+  const std::pair<uint32_t, uint32_t> windows[] = {
+      {500, 400}, {5, 5},    {0, 0},          {6001, 0xFFFFFFFFu},
+      {101, 5001}, {0, 2048}, {3001, 0xFFFFFFFFu}, {0, 0xFFFFFFFFu}};
+  constexpr size_t kWindows = sizeof(windows) / sizeof(windows[0]);
+  const Isa isas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
+  auto spec_for = [&](size_t w, bool packed) {
+    QuerySpec spec;
+    spec.build_table = "R";
+    spec.probe_table = "S";
+    spec.r_lo = windows[w].first;
+    spec.r_hi = windows[w].second;
+    spec.s_lo = static_cast<uint32_t>(w * 2000);
+    spec.s_hi = spec.s_lo + 15'000;
+    spec.prefer_compressed = packed;
+    return spec;
+  };
+  auto line_for = [&](size_t w, Isa isa, bool packed) {
+    const QuerySpec spec = spec_for(w, packed);
+    return "QUERY build=R probe=S r=[" + std::to_string(spec.r_lo) + "," +
+           std::to_string(spec.r_hi) + "] s=[" + std::to_string(spec.s_lo) +
+           "," + std::to_string(spec.s_hi) + "] isa=" + IsaName(isa) +
+           (packed ? " storage=packed" : " storage=raw");
+  };
+  // want[w][isa][packed]: results are byte-identical across thread counts.
+  std::vector<exec::QueryResult> want;
+  for (size_t w = 0; w < kWindows; ++w) {
+    for (Isa isa : isas) {
+      for (bool packed : {false, true}) {
+        exec::ScanJoinAggregatePlan plan;
+        std::string error;
+        ASSERT_TRUE(
+            server::BindQuery(data.catalog, spec_for(w, packed), &plan, &error))
+            << error;
+        plan.r_index = nullptr;
+        ExecConfig cfg;
+        cfg.isa = isa;
+        want.push_back(exec::RunScanJoinAggregate(plan, cfg));
+      }
+    }
+  }
+  for (int threads : {1, 2, 8}) {
+    for (bool shared : {false, true}) {
+      ServerOptions opts;
+      opts.unix_path = UniqueSocketPath();
+      opts.handler_threads = static_cast<int>(kWindows);
+      opts.exec.threads = threads;
+      opts.scheduler.shared_scans = shared;
+      opts.scheduler.shared_gather_hint = kWindows;
+      opts.scheduler.shared_gather_timeout_ns = 20'000'000;
+      Server server(&data.catalog, opts);
+      std::string error;
+      ASSERT_TRUE(server.Start(&error)) << error;
+      std::vector<std::string> failures(kWindows);
+      std::vector<std::thread> clients;
+      for (size_t w = 0; w < kWindows; ++w) {
+        clients.emplace_back([&, w] {
+          Client client;
+          std::string cerr;
+          if (!client.ConnectUnix(opts.unix_path, &cerr)) {
+            failures[w] = cerr;
+            return;
+          }
+          size_t i = w * 6;
+          for (Isa isa : isas) {
+            for (bool packed : {false, true}) {
+              const std::string line = line_for(w, isa, packed);
+              const WireResult wire = client.Query(line);
+              const exec::QueryResult& r = want[i++];
+              bool same = wire.ok && wire.rows.size() == r.group_keys.size() &&
+                          wire.shared == (shared && !packed);
+              for (size_t g = 0; same && g < wire.rows.size(); ++g) {
+                same = wire.rows[g].key == r.group_keys[g] &&
+                       wire.rows[g].sum == r.sums[g] &&
+                       wire.rows[g].count == r.counts[g] &&
+                       wire.rows[g].min == r.mins[g] &&
+                       wire.rows[g].max == r.maxs[g];
+              }
+              if (!same && failures[w].empty()) {
+                failures[w] = line + ": " + (wire.ok ? "differs" : wire.error);
+              }
+            }
+          }
+          client.Quit();
+        });
+      }
+      for (std::thread& c : clients) c.join();
+      server.Stop();
+      for (size_t w = 0; w < kWindows; ++w) {
+        EXPECT_EQ(failures[w], "") << "threads=" << threads
+                                   << " shared=" << shared;
+      }
+    }
   }
 }
 
@@ -636,6 +757,19 @@ TEST(NetServer, TablesStatsAndPipelining) {
   EXPECT_GT(value_of("bytes_in"), 0u);
   EXPECT_GT(value_of("bytes_out"), 0u);
   EXPECT_EQ(value_of("sched_completed"), 1u);
+  // The catalog's resident bytes, reported with metrics off: both tables'
+  // slack-padded raw columns, their packed twins, and R's join index (4 B
+  // per key 1..300 plus one 1,024-slot block summary; S repeats keys).
+  const server::Table* r = data.catalog.Find("R");
+  const server::Table* s = data.catalog.Find("S");
+  EXPECT_EQ(value_of("catalog_raw_bytes"), 8u * (300 + 16) + 8u * (3000 + 16));
+  EXPECT_EQ(value_of("catalog_packed_bytes"),
+            r->keys_compressed()->packed_bytes() +
+                r->vals_compressed()->packed_bytes() +
+                s->keys_compressed()->packed_bytes() +
+                s->vals_compressed()->packed_bytes());
+  EXPECT_EQ(value_of("catalog_index_bytes"), 4u * 300 + 12);
+  EXPECT_EQ(s->join_index(), nullptr);
 
   client.Quit();
   server.Stop();

@@ -65,13 +65,16 @@ struct ScopedMetrics {
 constexpr uint32_t kDenseKeys = 1;
 constexpr uint32_t kSparseKeys = 16;
 
-/// Two catalog tables shaped like the executor's Q3 plan: R(pk, attr) with
+/// Catalog tables shaped like the executor's Q3 plan: R(pk, attr) with
 /// unique keys 1 + stride * row, S(fk, val) whose fks pick R rows
 /// uniformly. `sequential_vals` makes S.val the row index, so a [lo, hi]
 /// window selects a contiguous chunk band — the clustered shape
-/// shared sweeps exist for.
+/// shared sweeps exist for. Dense R gets a join index; "Rrep" is R with its
+/// last row's key repeating the row before's, outside every window below
+/// R's last two keys, so it gets none: its queries run the per-query build
+/// with R's results.
 struct ServerData {
-  AlignedBuffer<uint32_t> r_keys, r_attrs, s_fks, s_vals;
+  AlignedBuffer<uint32_t> r_keys, r_attrs, s_fks, s_vals, rep_keys;
   size_t n_r, n_s;
   uint32_t key_stride;
   Catalog catalog;
@@ -101,6 +104,14 @@ struct ServerData {
     EXPECT_NE(
         catalog.RegisterTable("S", s_fks.data(), s_vals.data(), ns, opts),
         nullptr);
+    if (nr >= 2) {
+      rep_keys.Reset(nr + 16);
+      std::copy(r_keys.data(), r_keys.data() + nr, rep_keys.data());
+      rep_keys[nr - 1] = Key(nr - 2);
+      EXPECT_NE(catalog.RegisterTable("Rrep", rep_keys.data(), r_attrs.data(),
+                                      nr, opts),
+                nullptr);
+    }
   }
 
   /// The key of R row `row`.
@@ -123,6 +134,25 @@ bool BuildsDirectTable(const Catalog& catalog, const QuerySpec& spec) {
   } catch (const exec::QueryError&) {
   }
   return build->direct();
+}
+
+/// Whether BindQuery hands the spec's plan a join index.
+bool BorrowsIndex(const Catalog& catalog, const QuerySpec& spec) {
+  ScanJoinAggregatePlan plan;
+  std::string error;
+  EXPECT_TRUE(server::BindQuery(catalog, spec, &plan, &error)) << error;
+  return plan.r_index != nullptr;
+}
+
+/// The spec's bound plan run with the per-query build: the reference every
+/// index-served result must equal byte for byte.
+QueryResult PerQueryBuild(const Catalog& catalog, const QuerySpec& spec,
+                          const ExecConfig& cfg) {
+  ScanJoinAggregatePlan plan;
+  std::string error;
+  EXPECT_TRUE(server::BindQuery(catalog, spec, &plan, &error)) << error;
+  plan.r_index = nullptr;
+  return exec::RunScanJoinAggregate(plan, cfg);
 }
 
 QuerySpec SpecFor(int i, size_t n_r) {
@@ -206,6 +236,60 @@ TEST(ServerCatalogTest, CompressedTwinsRegisteredOnRequest) {
   EXPECT_EQ(raw->keys_compressed(), nullptr);
 }
 
+TEST(ServerCatalogTest, JoinIndexAndBytesPerTable) {
+  // Each table's raw, packed-twin and join-index bytes, and their sums. A
+  // join index goes to the tables with unique keys over a narrow range
+  // and no reserved value (exec::JoinIndex::Build).
+  std::vector<uint32_t> keys(5000), vals(5000);
+  FillSequential(keys.data(), keys.size(), 1);
+  FillUniform(vals.data(), vals.size(), 11, 0, 4095);
+  std::vector<uint32_t> repeat = keys, sparse = keys, reserved = keys;
+  repeat[4999] = repeat[0];
+  for (uint32_t& k : sparse) k *= 16;
+  reserved[4999] = 0xFFFFFFFFu;
+  Catalog catalog;
+  TableOptions packed;
+  packed.compress = true;
+  struct Case {
+    const char* name;
+    const std::vector<uint32_t>* keys;
+    bool compress, indexed;
+  };
+  const Case cases[] = {{"dense", &keys, false, true},
+                        {"dense_packed", &keys, true, true},
+                        {"repeat", &repeat, false, false},
+                        {"sparse", &sparse, false, false},
+                        {"reserved", &reserved, true, false}};
+  server::TableBytes sum;
+  for (const Case& c : cases) {
+    const server::Table* t = catalog.RegisterTable(
+        c.name, c.keys->data(), vals.data(), vals.size(),
+        c.compress ? packed : TableOptions{});
+    ASSERT_NE(t, nullptr) << c.name;
+    EXPECT_EQ(t->join_index() != nullptr, c.indexed) << c.name;
+    const server::TableBytes b = t->bytes();
+    EXPECT_EQ(b.raw, 2 * 4 * (vals.size() + 16)) << c.name;
+    EXPECT_EQ(b.packed,
+              c.compress ? t->keys_compressed()->packed_bytes() +
+                               t->vals_compressed()->packed_bytes()
+                         : 0u)
+        << c.name;
+    // 4 B per key-range slot plus 12 B per 1,024-slot block summary.
+    EXPECT_EQ(b.index, c.indexed ? 4 * 5000 + 12 * 5 : 0u) << c.name;
+    if (c.compress) {
+      EXPECT_GT(b.packed, 0u) << c.name;
+    }
+    sum.raw += b.raw;
+    sum.packed += b.packed;
+    sum.index += b.index;
+  }
+  const server::TableBytes total = catalog.bytes();
+  EXPECT_EQ(total.raw, sum.raw);
+  EXPECT_EQ(total.packed, sum.packed);
+  EXPECT_EQ(total.index, sum.index);
+  EXPECT_EQ(total.index, 2 * (4 * 5000 + 12 * 5));
+}
+
 // ---------------------------------------------------------------------------
 // Binding
 // ---------------------------------------------------------------------------
@@ -226,6 +310,12 @@ TEST(ServerSessionTest, BindResolvesCatalogColumns) {
   EXPECT_EQ(plan.n_s, d.n_s);
   EXPECT_EQ(plan.s_lo, spec.s_lo);
   EXPECT_EQ(plan.s_hi, spec.s_hi);
+  ASSERT_NE(d.catalog.Find("R")->join_index(), nullptr);
+  EXPECT_EQ(plan.r_index, d.catalog.Find("R")->join_index());
+  spec.build_table = "Rrep";
+  ASSERT_TRUE(session.Bind(spec, &plan, &error)) << error;
+  EXPECT_EQ(plan.r_index, nullptr);
+  spec.build_table = "R";
 
   spec.probe_table = "missing";
   EXPECT_FALSE(session.Bind(spec, &plan, &error));
@@ -257,21 +347,27 @@ TEST(ServerSessionTest, CompressedExecutionMatchesRaw) {
 // ---------------------------------------------------------------------------
 
 TEST(ServerSchedulerTest, ConcurrentSessionsByteIdenticalVsSerial) {
+  // Even clients build on R, through its join index; odd ones on Rrep,
+  // through the per-query direct build.
   ServerData d(4096, 65536);
+  auto spec_for = [&](int i) {
+    QuerySpec spec = SpecFor(i, d.n_r);
+    if (i % 2 == 1) spec.build_table = "Rrep";
+    return spec;
+  };
+  ASSERT_TRUE(BorrowsIndex(d.catalog, spec_for(0)));
+  ASSERT_FALSE(BorrowsIndex(d.catalog, spec_for(1)));
+  ASSERT_TRUE(BuildsDirectTable(d.catalog, spec_for(1)));
   for (int clients : {8, 32}) {
     for (int threads : {1, 8}) {
       ExecConfig cfg;
       cfg.threads = threads;
 
       // Serial reference: the same bound plans straight through the
-      // executor, one at a time.
+      // executor, one at a time, each with its per-query build.
       std::vector<QueryResult> want;
       for (int i = 0; i < clients; ++i) {
-        ScanJoinAggregatePlan plan;
-        std::string error;
-        ASSERT_TRUE(
-            server::BindQuery(d.catalog, SpecFor(i, d.n_r), &plan, &error));
-        want.push_back(exec::RunScanJoinAggregate(plan, cfg));
+        want.push_back(PerQueryBuild(d.catalog, spec_for(i), cfg));
       }
 
       QueryScheduler sched(&d.catalog);
@@ -280,7 +376,7 @@ TEST(ServerSchedulerTest, ConcurrentSessionsByteIdenticalVsSerial) {
       for (int i = 0; i < clients; ++i) {
         workers.emplace_back([&, i] {
           QuerySession session(&d.catalog, &sched);
-          got[i] = session.Execute(SpecFor(i, d.n_r), cfg);
+          got[i] = session.Execute(spec_for(i), cfg);
         });
       }
       for (auto& w : workers) w.join();
@@ -434,21 +530,24 @@ TEST(ServerSharedScanTest, SharedSweepByteIdenticalToSolo) {
   ExecConfig cfg;
   cfg.threads = 4;
 
-  // Disjoint contiguous windows over the sequential val column.
+  // Disjoint contiguous windows over the sequential val column. The gather
+  // mixes members served by R's join index (even) with members that build
+  // on Rrep per query (odd).
   auto spec_for = [&](int i) {
     QuerySpec spec = SpecFor(i, d.n_r);
+    if (i % 2 == 1) spec.build_table = "Rrep";
     const uint32_t w = static_cast<uint32_t>(d.n_s / kClients);
     spec.s_lo = static_cast<uint32_t>(i) * w;
     spec.s_hi = spec.s_lo + w - 1;
     return spec;
   };
+  ASSERT_TRUE(BorrowsIndex(d.catalog, spec_for(0)));
+  ASSERT_FALSE(BorrowsIndex(d.catalog, spec_for(1)));
+  ASSERT_TRUE(BuildsDirectTable(d.catalog, spec_for(1)));
 
   std::vector<QueryResult> want;
   for (int i = 0; i < kClients; ++i) {
-    ScanJoinAggregatePlan plan;
-    std::string error;
-    ASSERT_TRUE(server::BindQuery(d.catalog, spec_for(i), &plan, &error));
-    want.push_back(exec::RunScanJoinAggregate(plan, cfg));
+    want.push_back(PerQueryBuild(d.catalog, spec_for(i), cfg));
   }
 
   SchedulerOptions opts;
@@ -520,11 +619,133 @@ TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
   const uint64_t shared_pushed = Metric("chunks_pushed") - solo_pushed;
   EXPECT_EQ(Metric("shared_sweeps"), 1u);  // one sweep fed all members
   EXPECT_EQ(Metric("shared_members"), static_cast<uint64_t>(kClients));
-  // Each query pushes its build grid either way; the group dispatches one
+  // R's join index serves every build either way; the group dispatches one
   // probe grid where the solo runs dispatched N, so it pushes well under
   // half their chunks.
   EXPECT_LT(shared_pushed, solo_pushed / 2)
       << "shared=" << shared_pushed << " solo=" << solo_pushed;
+}
+
+// ---------------------------------------------------------------------------
+// Join index
+// ---------------------------------------------------------------------------
+
+/// r= windows over ServerData's dense keys [1, n_r]: inverted, one key,
+/// wholly below or above, edges inside 1,024-key blocks, and full.
+std::vector<std::pair<uint32_t, uint32_t>> ServedWindows(size_t n_r) {
+  const uint32_t kmax = static_cast<uint32_t>(n_r);
+  return {{500, 400},  {5, 5},     {0, 0},          {kmax + 1, 0xFFFFFFFFu},
+          {101, 5001}, {0, 2048},  {3001, 0xFFFFFFFFu}, {0, 0xFFFFFFFFu}};
+}
+
+TEST(ServerJoinIndexTest, ServedWindowsMatchThePerQueryBuild) {
+  // Every window, ISA and thread count, raw and packed storage, solo and
+  // (raw) gathered into one shared sweep: the index-served result equals
+  // the per-query build of the same bound plan, rows_build included.
+  ServerData d(8192, 65536, /*sequential_vals=*/true, /*compress=*/true);
+  const auto windows = ServedWindows(d.n_r);
+  auto spec_for = [&](size_t w, bool packed) {
+    QuerySpec spec;
+    spec.build_table = "R";
+    spec.probe_table = "S";
+    spec.r_lo = windows[w].first;
+    spec.r_hi = windows[w].second;
+    spec.s_lo = static_cast<uint32_t>(w * 4096);
+    spec.s_hi = spec.s_lo + 40'000;
+    spec.prefer_compressed = packed;
+    return spec;
+  };
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!IsaSupported(isa)) continue;
+    for (int threads : {1, 2, 8}) {
+      ExecConfig cfg;
+      cfg.isa = isa;
+      cfg.threads = threads;
+      for (bool packed : {false, true}) {
+        for (bool shared : {false, true}) {
+          SchedulerOptions opts;
+          opts.shared_scans = shared;
+          opts.shared_gather_hint = windows.size();
+          opts.shared_gather_timeout_ns = 1'000'000'000;
+          QueryScheduler sched(&d.catalog, opts);
+          std::vector<ResultSet> got(windows.size());
+          std::vector<std::thread> workers;
+          for (size_t w = 0; w < windows.size(); ++w) {
+            workers.emplace_back([&, w] {
+              QuerySession session(&d.catalog, &sched);
+              got[w] = session.Execute(spec_for(w, packed), cfg);
+            });
+          }
+          for (auto& t : workers) t.join();
+          for (size_t w = 0; w < windows.size(); ++w) {
+            const std::string ctx =
+                std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
+                (packed ? " packed" : " raw") +
+                (shared ? " shared" : " solo") + " r=[" +
+                std::to_string(windows[w].first) + "," +
+                std::to_string(windows[w].second) + "]";
+            ASSERT_TRUE(got[w].ok) << ctx << ": " << got[w].error;
+            // Packed probe tables never gather.
+            EXPECT_EQ(got[w].stats.shared_scan, shared && !packed) << ctx;
+            ExpectSameResult(got[w].result,
+                             PerQueryBuild(d.catalog, spec_for(w, packed), cfg),
+                             ctx);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ServerJoinIndexTest, ConcurrentSessionsReadOneIndex) {
+  // 16 sessions, 8 queries each over shifting windows, all probing R's one
+  // join index at once (the TSan job runs this).
+  ServerData d(8192, 65536);
+  const exec::JoinIndex* index = d.catalog.Find("R")->join_index();
+  ASSERT_NE(index, nullptr);
+  constexpr int kSessions = 16;
+  constexpr int kQueries = 8;
+  ExecConfig cfg;
+  cfg.threads = 2;
+  const QuerySpec base = SpecFor(0, d.n_r);
+  std::vector<QuerySpec> specs;
+  std::vector<QueryResult> want;
+  for (int s = 0; s < kSessions; ++s) {
+    for (int q = 0; q < kQueries; ++q) {
+      QuerySpec spec = base;
+      spec.r_lo = static_cast<uint32_t>(1 + 331 * (s + q));
+      spec.r_hi = spec.r_lo + static_cast<uint32_t>(1000 * (q + 1));
+      spec.s_lo = static_cast<uint32_t>(((s * kQueries + q) * 37) % 700'000);
+      spec.s_hi = spec.s_lo + 150'000;
+      specs.push_back(spec);
+      want.push_back(PerQueryBuild(d.catalog, spec, cfg));
+    }
+  }
+  QueryScheduler sched(&d.catalog);
+  std::vector<ResultSet> got(want.size());
+  std::atomic<int> other_index{0};
+  std::vector<std::thread> workers;
+  for (int s = 0; s < kSessions; ++s) {
+    workers.emplace_back([&, s] {
+      QuerySession session(&d.catalog, &sched);
+      for (int q = 0; q < kQueries; ++q) {
+        const QuerySpec& spec = specs[s * kQueries + q];
+        ScanJoinAggregatePlan plan;
+        std::string error;
+        if (!session.Bind(spec, &plan, &error) || plan.r_index != index) {
+          ++other_index;
+        }
+        got[s * kQueries + q] = session.Execute(spec, cfg);
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  EXPECT_EQ(other_index.load(), 0);
+  for (size_t i = 0; i < want.size(); ++i) {
+    const std::string ctx = "query " + std::to_string(i);
+    ASSERT_TRUE(got[i].ok) << ctx << ": " << got[i].error;
+    ExpectSameResult(got[i].result, want[i], ctx);
+  }
 }
 
 // ---------------------------------------------------------------------------

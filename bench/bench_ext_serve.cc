@@ -4,15 +4,12 @@
 // Q3-shaped query (its own disjoint value window over the shared fact
 // table) and blocks for the ResultSet. The axes:
 //
-//   clients {8, 64} x executor threads {1, 8} x shared scans {off, on}
+//   clients {8, 64} x executor threads {1, 8}
 //
-// With shared scans off every query runs its own full sweep of S; with them
-// on the scheduler gathers the wave (shared_gather_hint = clients) and one
-// member sweeps S once for the whole group: one chunk grid dispatched for
-// N probe pipelines. The fact table's value column is sequential, so the
-// per-client windows are contiguous disjoint chunk bands, and each
-// member's pipeline stops at its scan outside its own band — the clustered
-// shape table sharing exists for.
+// Every query runs its own probe sweep of S; R's join index serves every
+// build side. The fact table's value column is sequential, so the
+// per-client windows are contiguous disjoint chunk bands, and each query's
+// pipeline stops at its scan outside its own band.
 //
 // Per-row counters beyond the registry deltas:
 //
@@ -21,16 +18,10 @@
 //                      (Execute call, admission wait included)
 //   min_query_morsels  MIN over queries of stats.morsels_drained — the
 //                      no-starvation observable the baseline gate holds
-//                      >= 1 (shared rows report the group sweep's total)
+//                      >= 1
 //   queries_completed  total ResultSets with ok = true (waves x clients)
 //
-// The reported Gtps counts logical tuples served (clients x |S| per wave):
-// by that yardstick a shared sweep's win is mechanical — one scan feeds N
-// answers — and the chunks_pushed registry delta is what the cross-row
-// gate compares: every query pushes its build grid, and a wave's probe
-// grids are dispatched once shared against once per client solo, so shared
-// rows must push well under half the chunks of their unshared counterpart
-// (8 clients: 8 x 64 + 1,024 = 1,536 against 8 x 1,088 = 8,704).
+// The reported Gtps counts logical tuples served (clients x |S| per wave).
 
 #include <unistd.h>
 
@@ -92,16 +83,9 @@ server::QuerySpec ClientSpec(int i, int clients) {
 void BM_Serve(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  const bool shared = state.range(2) != 0;
 
   const server::Catalog& catalog = ServeCatalog();
-  server::SchedulerOptions opts;
-  opts.shared_scans = shared;
-  // Waves are synchronized below, so the whole wave gathers into one group;
-  // the timeout is a liveness backstop, not the close signal.
-  opts.shared_gather_hint = static_cast<size_t>(clients);
-  opts.shared_gather_timeout_ns = 100'000'000;
-  server::QueryScheduler sched(&catalog, opts);
+  server::QueryScheduler sched(&catalog);
 
   exec::ExecConfig cfg;
   cfg.threads = threads;
@@ -160,21 +144,14 @@ void BM_Serve(benchmark::State& state) {
   // table's key space, so a wave serves clients x |S| tuples.
   SetTuplesPerSecond(state,
                      static_cast<double>(kSTuples) * static_cast<double>(clients));
-  state.SetLabel(std::string(shared ? "serve_shared" : "serve_solo") +
-                 " clients=" + std::to_string(clients) +
-                 " threads=" + std::to_string(threads) +
-                 " shared=" + (shared ? "1" : "0"));
+  state.SetLabel("serve clients=" + std::to_string(clients) +
+                 " threads=" + std::to_string(threads));
 }
 
-// {clients, threads, shared}. Solo/shared pairs register adjacently per
-// (clients, threads) cell so the chunks_pushed comparison measures them
-// seconds apart. Fixed iterations keep the counter totals comparable
-// across the shared axis (same number of waves on both sides).
+// {clients, threads}. Fixed iterations keep the counter totals comparable
+// across rows (the same number of waves in each).
 BENCHMARK(BM_Serve)
-    ->ArgsProduct({{8}, {1}, {0, 1}})
-    ->ArgsProduct({{8}, {8}, {0, 1}})
-    ->ArgsProduct({{64}, {1}, {0, 1}})
-    ->ArgsProduct({{64}, {8}, {0, 1}})
+    ->ArgsProduct({{8, 64}, {1, 8}})
     ->Iterations(10)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
@@ -202,9 +179,7 @@ void BM_ServeWeighted(benchmark::State& state) {
   constexpr uint64_t kWindowNs = 250'000'000;  // 250 ms per iteration
 
   const server::Catalog& catalog = ServeCatalog();
-  server::SchedulerOptions opts;
-  opts.shared_scans = false;
-  server::QueryScheduler sched(&catalog, opts);
+  server::QueryScheduler sched(&catalog);
 
   exec::ExecConfig cfg;
   cfg.threads = threads;

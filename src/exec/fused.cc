@@ -19,18 +19,17 @@ obs::PhaseTimer g_build_ns("exec_build_ns");
 
 namespace detail {
 
-void CountPipelines(size_t n_chunks, size_t n_members) {
+void CountPipeline(size_t n_chunks) {
   g_chunks_pushed.Add(n_chunks);
-  g_pipelines_fused.Add(n_members);
+  g_pipelines_fused.Add(1);
 }
 
 }  // namespace detail
 
 template void RunFusedBuild<Isa::kScalar>(const ScanJoinAggregatePlan&,
                                           const ExecConfig&, HashBuildOp*);
-template std::vector<QueryResult> RunFusedProbe<Isa::kScalar>(
-    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
-    const ExecConfig&);
+template QueryResult RunFusedProbe<Isa::kScalar>(
+    const ScanJoinAggregatePlan&, const HashBuildOp&, const ExecConfig&);
 
 void RunFusedBuildPipeline(const ScanJoinAggregatePlan& plan,
                            const ExecConfig& cfg, HashBuildOp* build) {
@@ -53,16 +52,16 @@ void RunFusedBuildPipeline(const ScanJoinAggregatePlan& plan,
   build->Finish();
 }
 
-std::vector<QueryResult> RunFusedProbePipelines(
-    const ScanJoinAggregatePlan* plans, const HashBuildOp* builds, size_t n,
-    const ExecConfig& cfg) {
+QueryResult RunFusedProbePipeline(const ScanJoinAggregatePlan& plan,
+                                  const HashBuildOp& build,
+                                  const ExecConfig& cfg) {
   switch (cfg.isa) {
     case Isa::kAvx512:
-      return RunFusedProbe<Isa::kAvx512>(plans, builds, n, cfg);
+      return RunFusedProbe<Isa::kAvx512>(plan, build, cfg);
     case Isa::kAvx2:
-      return RunFusedProbe<Isa::kAvx2>(plans, builds, n, cfg);
+      return RunFusedProbe<Isa::kAvx2>(plan, build, cfg);
     default:
-      return RunFusedProbe<Isa::kScalar>(plans, builds, n, cfg);
+      return RunFusedProbe<Isa::kScalar>(plan, build, cfg);
   }
 }
 

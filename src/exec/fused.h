@@ -13,20 +13,18 @@
 // anchored in fused.cc / fused_avx2.cc / fused_avx512.cc so each backend's
 // inner loops compile under its own ISA flags.
 //
-// A query runs two pipeline shapes:
+// A query runs two pipeline shapes, one after the other, each driven by
+// RunPipeline over its own chunk grid:
 //   build:  FusedScan[Compressed] on R.key -> HashBuildOp (the breaker),
 //           skipped when the plan borrows R's join index (JoinIndex);
 //   probe:  FusedScan[Compressed] on S.val -> FusedJoinProbe -> FusedGroupBy.
-// RunPipelines drives N >= 1 member pipelines over ONE chunk grid: a solo
-// query's probe is the one-member case, and a shared sweep (RunSharedProbe)
-// feeds every member from the same dispatch.
 //
 // Determinism contract: every pipeline runs the deterministic grid
 // (ceil(n / chunk_tuples) chunks, ParallelFor over chunk ordinals). The
 // build stages rows by chunk ordinal (FusedBatch::seq), never by lane, and
 // the probe ends in GroupByState's per-lane partials with their canonical
 // ascending-key extraction, so a QueryResult is byte-identical for every
-// ISA, thread count, chunk size, storage, sharing and steal schedule.
+// ISA, thread count, chunk size, storage and steal schedule.
 //
 // One rule for empty batches: a stage hands on a batch only when it holds
 // rows, so a chunk the predicate empties costs its source and nothing
@@ -93,9 +91,9 @@ inline size_t GridChunks(size_t n, const ExecConfig& cfg) {
   return n == 0 ? 0 : (n + cfg.chunk_tuples - 1) / cfg.chunk_tuples;
 }
 
-/// Counts one pipeline run: `chunks_pushed` by its grid size, once however
-/// many members share the grid, and `pipelines_fused` by its members.
-void CountPipelines(size_t n_chunks, size_t n_members);
+/// Counts one pipeline run: `chunks_pushed` by its grid size and
+/// `pipelines_fused` by one.
+void CountPipeline(size_t n_chunks);
 
 }  // namespace detail
 
@@ -416,27 +414,20 @@ class FusedPipeline {
   std::tuple<Stages...> stages_;
 };
 
-/// Runs n_members >= 1 pipelines over ONE chunk grid: every member opens
-/// for the grid's lane count, then a single TaskPool dispatch walks the
-/// grid and produces each chunk into every member back to back, so the
-/// chunk's base-column window stays cache-hot across members. Members must
-/// have the same grid (sources over the same row count). The fan-out is
-/// capped at the lane count so worker ids stay within the per-lane state
-/// Open allocated.
+/// Runs one pipeline over its chunk grid: opens it for the grid's lane
+/// count, then one TaskPool dispatch produces every chunk through the
+/// chain. The fan-out is capped at the lane count so worker ids stay
+/// within the per-lane state Open allocated.
 template <typename Pipeline>
-void RunPipelines(Pipeline* members, size_t n_members, const ExecConfig& cfg) {
-  assert(n_members >= 1);
-  const size_t n_chunks = members[0].Chunks(cfg);
+void RunPipeline(Pipeline& pipeline, const ExecConfig& cfg) {
+  const size_t n_chunks = pipeline.Chunks(cfg);
   int lanes = TaskPool::LaneCount(n_chunks, cfg.threads);
   if (lanes < 1) lanes = 1;
-  for (size_t m = 0; m < n_members; ++m) {
-    assert(members[m].Chunks(cfg) == n_chunks);
-    members[m].Open(cfg, lanes, n_chunks);
-  }
-  detail::CountPipelines(n_chunks, n_members);
+  pipeline.Open(cfg, lanes, n_chunks);
+  detail::CountPipeline(n_chunks);
   if (n_chunks == 0) return;
   TaskPool::Get().ParallelFor(n_chunks, lanes, [&](int lane, size_t c) {
-    for (size_t m = 0; m < n_members; ++m) members[m].Produce(c, lane);
+    pipeline.Produce(c, lane);
   });
 }
 
@@ -455,49 +446,38 @@ void RunFusedBuild(const ScanJoinAggregatePlan& plan, const ExecConfig& cfg,
         FusedScanCompressed<kIsa>(plan.r_keys_c, plan.r_attrs_c,
                                   /*pred_col=*/0, plan.r_lo, plan.r_hi),
         *build);
-    RunPipelines(&pipeline, 1, cfg);
+    RunPipeline(pipeline, cfg);
   } else {
     FusedPipeline<FusedScan<kIsa>, HashBuildOp&> pipeline(
         FusedScan<kIsa>(plan.r_keys, plan.r_attrs, plan.n_r, /*pred_col=*/0,
                         plan.r_lo, plan.r_hi),
         *build);
-    RunPipelines(&pipeline, 1, cfg);
+    RunPipeline(pipeline, cfg);
   }
 }
 
-/// Runs the probe pipelines of n plans (S scan filtered on S.val -> join
-/// probe against builds[i] -> group-by) as the members of one grid, for
-/// one ISA, and returns their results (all but rows_build). Every plan must
-/// probe the same S: all raw or all compressed, with one row count.
+/// Runs the plan's probe pipeline (S scan filtered on S.val -> join probe
+/// against `build` -> group-by) for one ISA, from the plan's raw or
+/// compressed S, and returns its result (all but rows_build).
 template <Isa kIsa>
-std::vector<QueryResult> RunFusedProbe(const ScanJoinAggregatePlan* plans,
-                                            const HashBuildOp* builds,
-                                            size_t n, const ExecConfig& cfg);
+QueryResult RunFusedProbe(const ScanJoinAggregatePlan& plan,
+                          const HashBuildOp& build, const ExecConfig& cfg);
 
 namespace detail {
 
-/// Shared shape driver for the RunFusedProbe instantiations.
-template <Isa kIsa, typename Source, typename MakeSource>
-std::vector<QueryResult> RunFusedProbeShape(
-    const ScanJoinAggregatePlan* plans, const HashBuildOp* builds, size_t n,
-    const ExecConfig& cfg, MakeSource make_source) {
-  using Member = FusedPipeline<Source, FusedJoinProbe<kIsa>, FusedGroupBy>;
-  std::vector<Member> members;
-  members.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    members.emplace_back(make_source(plans[i]),
-                         FusedJoinProbe<kIsa>(&builds[i]),
-                         FusedGroupBy(&builds[i], /*key_col=*/2,
-                                      /*val_col=*/1));
-  }
-  RunPipelines(members.data(), n, cfg);
-  std::vector<QueryResult> results(n);
-  for (size_t i = 0; i < n; ++i) {
-    results[i].rows_scanned = members[i].source().rows_out();
-    results[i].rows_joined = members[i].template stage<0>().rows_out();
-    members[i].template stage<1>().Finalize(&results[i]);
-  }
-  return results;
+/// The probe pipeline over `source`, for the RunFusedProbe instantiations.
+template <Isa kIsa, typename Source>
+QueryResult RunFusedProbeShape(Source source, const HashBuildOp& build,
+                               const ExecConfig& cfg) {
+  FusedPipeline<Source, FusedJoinProbe<kIsa>, FusedGroupBy> pipeline(
+      std::move(source), FusedJoinProbe<kIsa>(&build),
+      FusedGroupBy(&build, /*key_col=*/2, /*val_col=*/1));
+  RunPipeline(pipeline, cfg);
+  QueryResult res;
+  res.rows_scanned = pipeline.source().rows_out();
+  res.rows_joined = pipeline.template stage<0>().rows_out();
+  pipeline.template stage<1>().Finalize(&res);
+  return res;
 }
 
 }  // namespace detail
@@ -505,23 +485,18 @@ std::vector<QueryResult> RunFusedProbeShape(
 // Defined here so each backend TU can anchor its explicit instantiation
 // (the extern template declarations below suppress implicit ones).
 template <Isa kIsa>
-std::vector<QueryResult> RunFusedProbe(const ScanJoinAggregatePlan* plans,
-                                       const HashBuildOp* builds, size_t n,
-                                       const ExecConfig& cfg) {
-  if (plans[0].s_fks_c != nullptr) {
-    return detail::RunFusedProbeShape<kIsa, FusedScanCompressed<kIsa>>(
-        plans, builds, n, cfg, [](const ScanJoinAggregatePlan& p) {
-          assert(p.s_fks_c != nullptr);
-          return FusedScanCompressed<kIsa>(p.s_fks_c, p.s_vals_c,
-                                           /*pred_col=*/1, p.s_lo, p.s_hi);
-        });
+QueryResult RunFusedProbe(const ScanJoinAggregatePlan& plan,
+                          const HashBuildOp& build, const ExecConfig& cfg) {
+  if (plan.s_fks_c != nullptr) {
+    return detail::RunFusedProbeShape<kIsa>(
+        FusedScanCompressed<kIsa>(plan.s_fks_c, plan.s_vals_c,
+                                  /*pred_col=*/1, plan.s_lo, plan.s_hi),
+        build, cfg);
   }
-  return detail::RunFusedProbeShape<kIsa, FusedScan<kIsa>>(
-      plans, builds, n, cfg, [](const ScanJoinAggregatePlan& p) {
-        assert(p.s_fks_c == nullptr);
-        return FusedScan<kIsa>(p.s_fks, p.s_vals, p.n_s, /*pred_col=*/1,
-                               p.s_lo, p.s_hi);
-      });
+  return detail::RunFusedProbeShape<kIsa>(
+      FusedScan<kIsa>(plan.s_fks, plan.s_vals, plan.n_s, /*pred_col=*/1,
+                      plan.s_lo, plan.s_hi),
+      build, cfg);
 }
 
 extern template void RunFusedBuild<Isa::kScalar>(const ScanJoinAggregatePlan&,
@@ -533,15 +508,12 @@ extern template void RunFusedBuild<Isa::kAvx2>(const ScanJoinAggregatePlan&,
 extern template void RunFusedBuild<Isa::kAvx512>(const ScanJoinAggregatePlan&,
                                                  const ExecConfig&,
                                                  HashBuildOp*);
-extern template std::vector<QueryResult> RunFusedProbe<Isa::kScalar>(
-    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
-    const ExecConfig&);
-extern template std::vector<QueryResult> RunFusedProbe<Isa::kAvx2>(
-    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
-    const ExecConfig&);
-extern template std::vector<QueryResult> RunFusedProbe<Isa::kAvx512>(
-    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
-    const ExecConfig&);
+extern template QueryResult RunFusedProbe<Isa::kScalar>(
+    const ScanJoinAggregatePlan&, const HashBuildOp&, const ExecConfig&);
+extern template QueryResult RunFusedProbe<Isa::kAvx2>(
+    const ScanJoinAggregatePlan&, const HashBuildOp&, const ExecConfig&);
+extern template QueryResult RunFusedProbe<Isa::kAvx512>(
+    const ScanJoinAggregatePlan&, const HashBuildOp&, const ExecConfig&);
 
 /// Runtime entries: dispatch cfg.isa (which must be supported — callers
 /// pass EffectiveIsa) to its instantiation, one switch per pipeline.
@@ -550,9 +522,9 @@ extern template std::vector<QueryResult> RunFusedProbe<Isa::kAvx512>(
 /// and records the build into the `exec_build_ns` phase timer.
 void RunFusedBuildPipeline(const ScanJoinAggregatePlan& plan,
                            const ExecConfig& cfg, HashBuildOp* build);
-std::vector<QueryResult> RunFusedProbePipelines(
-    const ScanJoinAggregatePlan* plans, const HashBuildOp* builds, size_t n,
-    const ExecConfig& cfg);
+QueryResult RunFusedProbePipeline(const ScanJoinAggregatePlan& plan,
+                                  const HashBuildOp& build,
+                                  const ExecConfig& cfg);
 
 }  // namespace simddb::exec
 

@@ -38,8 +38,7 @@ ColumnRange ColumnMinMaxAvx2(const uint32_t* vals, size_t n) {
 
 template void RunFusedBuild<Isa::kAvx2>(const ScanJoinAggregatePlan&,
                                         const ExecConfig&, HashBuildOp*);
-template std::vector<QueryResult> RunFusedProbe<Isa::kAvx2>(
-    const ScanJoinAggregatePlan*, const HashBuildOp*, size_t,
-    const ExecConfig&);
+template QueryResult RunFusedProbe<Isa::kAvx2>(
+    const ScanJoinAggregatePlan&, const HashBuildOp&, const ExecConfig&);
 
 }  // namespace simddb::exec

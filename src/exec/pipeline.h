@@ -32,9 +32,9 @@
 namespace simddb::exec {
 
 /// A query the executor refuses to finish. Thrown on the thread that runs
-/// the plan (RunScanJoinAggregate, RunSharedProbe, Query::Run) before any
-/// probe runs; what() is the reason, worded for the client. The serving
-/// layer turns it into a failed ResultSet (server/scheduler.h).
+/// the plan (RunScanJoinAggregate, Query::Run) before any probe runs;
+/// what() is the reason, worded for the client. The serving layer turns it
+/// into a failed ResultSet (server/scheduler.h).
 class QueryError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

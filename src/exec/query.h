@@ -6,14 +6,12 @@
 // end-to-end benches, tests and the server run across scalar/AVX2/AVX-512
 // — as two fused pipelines (exec/fused.h): the build side (R scan ->
 // HashBuildOp) and the probe side (S scan -> join probe -> group-by).
-// RunSharedProbe runs N plans with one sweep of a shared probe relation; a
-// solo query is the one-member case of the same driver.
 //
 // The result representation is canonical (group rows in ascending key
 // order with exact commutative aggregates), so a plan's QueryResult is
-// byte-identical across ISAs, thread counts, chunk sizes, storage and
-// sharing — the property exec_test.cc checks against a std::map reference
-// and a hand-composed operator sequence.
+// byte-identical across ISAs, thread counts, chunk sizes and storage — the
+// property exec_test.cc checks against a std::map reference and a
+// hand-composed operator sequence.
 
 #include <cstddef>
 #include <cstdint>
@@ -107,26 +105,6 @@ HashBuildOp* AddBuildPipeline(Query& q, const ScanJoinAggregatePlan& plan);
 /// within [r_lo, r_hi] or holds the reserved value there.
 QueryResult RunScanJoinAggregate(const ScanJoinAggregatePlan& plan,
                                  const ExecConfig& cfg);
-
-/// True when every plan can join a shared sweep: identical raw probe-side
-/// base columns (same pointers and row count — catalog tables guarantee
-/// this) and uncompressed. Build sides and predicates may differ freely.
-bool SharedProbeSupported(const std::vector<ScanJoinAggregatePlan>& plans);
-
-/// Runs all plans with one probe-relation sweep. When N sessions scan the
-/// same probe relation, N independent probe pipelines pull its columns
-/// through memory N times; the shared sweep instead dispatches ONE chunk
-/// grid and produces each chunk into every member's pipeline back to back,
-/// so the first member pulls the chunk into cache and the rest hit L1/L2.
-/// Every member keeps its own build side, predicate, join probe and
-/// group-by, so its QueryResult is byte-identical to its solo run: sharing
-/// changes memory traffic, never results.
-///
-/// Precondition: SharedProbeSupported(plans). Build pipelines run first,
-/// member by member; results come back in plan order. Throws QueryError,
-/// failing the whole group, when any member's build side is refused.
-std::vector<QueryResult> RunSharedProbe(
-    const std::vector<ScanJoinAggregatePlan>& plans, const ExecConfig& cfg);
 
 }  // namespace simddb::exec
 

@@ -271,7 +271,6 @@ void AppendQueryOk(std::string* out, uint64_t rows,
   AppendField(out, " exec_ns=", stats.exec_ns);
   AppendField(out, " queue_ns=", stats.queue_wait_ns);
   AppendField(out, " morsels=", stats.morsels_drained);
-  AppendField(out, " shared=", stats.shared_scan ? 1 : 0);
   out->push_back('\n');
 }
 
@@ -355,7 +354,6 @@ bool DecodeRow(std::string_view line, WireRow* row) {
 }
 
 bool DecodeQueryOk(std::string_view line, WireResult* result) {
-  uint64_t shared = 0;
   if (!TakeWord(&line, "OK rows=")) return false;
   if (!TakeUint(&line, ~uint64_t{0}, &result->rows_declared)) return false;
   if (!TakeWord(&line, " exec_ns=")) return false;
@@ -364,11 +362,7 @@ bool DecodeQueryOk(std::string_view line, WireResult* result) {
   if (!TakeUint(&line, ~uint64_t{0}, &result->queue_ns)) return false;
   if (!TakeWord(&line, " morsels=")) return false;
   if (!TakeUint(&line, ~uint64_t{0}, &result->morsels)) return false;
-  if (!TakeWord(&line, " shared=")) return false;
-  if (!TakeUint(&line, 1, &shared)) return false;
-  if (!line.empty()) return false;
-  result->shared = shared != 0;
-  return true;
+  return line.empty();
 }
 
 bool DecodeTable(std::string_view line, WireTable* table) {

@@ -27,7 +27,7 @@
 // Response grammar:
 //
 //   QUERY ->  ROW <key> <sum> <count> <min> <max>        (one per group)
-//             OK rows=<n> exec_ns=<t> queue_ns=<t> morsels=<n> shared=<0|1>
+//             OK rows=<n> exec_ns=<t> queue_ns=<t> morsels=<n>
 //   TABLES -> TABLE <name> rows=<n> compressed=<0|1>     (one per table)
 //             OK tables=<n>
 //   STATS  -> STAT <name> <value>                        (one per counter)
@@ -111,8 +111,7 @@ inline constexpr size_t kMaxLineBytes = 4096;
 void AppendRow(std::string* out, uint32_t key, uint64_t sum, uint32_t count,
                uint32_t min, uint32_t max);
 
-/// The result trailer: `OK rows=... exec_ns=... queue_ns=... morsels=...
-/// shared=...`.
+/// The result trailer: `OK rows=... exec_ns=... queue_ns=... morsels=...`.
 void AppendQueryOk(std::string* out, uint64_t rows,
                    const server::QueryStats& stats);
 
@@ -159,7 +158,6 @@ struct WireResult {
   uint64_t exec_ns = 0;
   uint64_t queue_ns = 0;
   uint64_t morsels = 0;
-  bool shared = false;
 };
 
 /// Frame classification for the client's response loop.

@@ -70,7 +70,7 @@ struct ServerOptions {
 
   /// Default per-query ExecConfig; a QUERY's isa= clause overrides isa.
   exec::ExecConfig exec;
-  /// Admission / shared-scan policy of the embedded QueryScheduler.
+  /// Admission policy of the embedded QueryScheduler.
   server::SchedulerOptions scheduler;
 
   int listen_backlog = 64;

@@ -18,8 +18,7 @@
 // serving. Both are internally synchronized, but a registered table is
 // immutable forever — Find returns borrowed pointers that stay valid and
 // constant for the catalog's lifetime, which is what lets N sessions scan
-// one table concurrently (and share sweeps, exec::RunSharedProbe) with no
-// per-query locking.
+// one table concurrently with no per-query locking.
 
 #include <cstddef>
 #include <cstdint>

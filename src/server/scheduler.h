@@ -9,39 +9,30 @@
 //   1. binds the named-table QuerySpec against the Catalog into the
 //      executor's ScanJoinAggregatePlan;
 //   2. passes the admission gate — at most `max_inflight` queries execute
-//      concurrently (SIMDDB_MAX_INFLIGHT, or the explicit option); excess
-//      arrivals either block in FIFO-ish cv order (kBlock) or are rejected
-//      immediately (kReject);
-//   3. registers a TaskPool query tag and runs the plan under
-//      TaskPool::QueryTagScope, so every morsel the query dispatches is
+//      concurrently; excess arrivals either block in FIFO-ish cv order
+//      (kBlock) or are rejected immediately (kReject);
+//   3. registers a TaskPool query tag and runs the plan
+//      (exec::RunScanJoinAggregate: its own build and probe pipelines)
+//      under TaskPool::QueryTagScope, so every morsel the query dispatches is
 //      weighted-fair-scheduled against other in-flight queries and counted
 //      toward the tag (QueryStats::morsels_drained — the no-starvation
 //      observable);
 //   4. scopes an obs::QueryMetricSink to the execution, so the per-query
 //      counters/timers in QueryStats::metrics contain exactly this query's
-//      share of the global instruments, with no cross-query bleed;
-//   5. optionally joins a *shared-scan gather*: concurrent queries probing
-//      the same catalog table (same ExecConfig shape) collect into a group
-//      — closed when `shared_gather_hint` members arrived or after
-//      `shared_gather_timeout_ns` — and one member (the closer) runs a
-//      single sweep feeding every member's pipeline (exec::RunSharedProbe);
-//      the rest wait and receive their own byte-identical results.
+//      share of the global instruments, with no cross-query bleed.
 //
 // Aborted queries (AbortQueryTag, pool teardown) unwind with
 // TaskPool::QueryAborted at the next quantum boundary; Run converts that
 // into ResultSet{ok = false, stats.aborted = true} and always releases the
 // admission slot and tag — an aborted query drains cleanly. A plan the
 // executor refuses (exec::QueryError, e.g. a build table repeating a key
-// in the r= window) becomes ResultSet{ok = false, error = its reason}; in a
-// shared-scan gather every member receives that error.
+// in the r= window) becomes ResultSet{ok = false, error = its reason}.
 
 #include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "exec/query.h"
 #include "server/catalog.h"
@@ -69,16 +60,12 @@ struct QueryStats {
   uint64_t queue_wait_ns = 0;   ///< time blocked in the admission gate
   uint64_t exec_ns = 0;         ///< wall time inside the executor
   /// Tasks the TaskPool drained for this query (>= 1 for any nonempty
-  /// plan — the no-starvation observable). For a shared-scan group every
-  /// member reports the group's sweep total: the sweep ran once on all
-  /// members' behalf.
+  /// plan — the no-starvation observable).
   uint64_t morsels_drained = 0;
-  bool shared_scan = false;  ///< served by a shared sweep
-  bool aborted = false;      ///< unwound via QueryAborted
-  bool rejected = false;     ///< refused by the admission gate (kReject)
+  bool aborted = false;   ///< unwound via QueryAborted
+  bool rejected = false;  ///< refused by the admission gate (kReject)
   /// This query's share of every obs instrument (name -> delta), captured
-  /// via a scoped QueryMetricSink. Empty while metrics are off, and for
-  /// shared-scan followers (the closer's sink sees the sweep).
+  /// via a scoped QueryMetricSink. Empty while metrics are off.
   std::map<std::string, uint64_t> metrics;
 };
 
@@ -94,19 +81,9 @@ struct ResultSet {
 enum class AdmissionPolicy { kBlock, kReject };
 
 struct SchedulerOptions {
-  /// Concurrent-query bound; 0 reads SIMDDB_MAX_INFLIGHT from the
-  /// environment (unset or 0 there means unbounded).
+  /// Concurrent-query bound; 0 (or less) means unbounded.
   int max_inflight = 0;
   AdmissionPolicy policy = AdmissionPolicy::kBlock;
-
-  /// Enable shared-scan gathers for eligible plans (raw probe table).
-  bool shared_scans = false;
-  /// Close a gather as soon as this many members joined (0: timeout only).
-  /// Deterministic tests set it to the known concurrent-client count.
-  size_t shared_gather_hint = 0;
-  /// A member that waited this long closes the gather with whoever joined
-  /// so far — liveness when fewer than shared_gather_hint queries arrive.
-  uint64_t shared_gather_timeout_ns = 2'000'000;
 };
 
 /// Binds a QuerySpec against the catalog, handing the plan the build
@@ -136,14 +113,8 @@ class QueryScheduler {
   uint64_t queries_rejected() const;
 
  private:
-  struct Gather;
-
   bool Admit(uint64_t* waited_ns);
   void Release();
-  exec::QueryResult RunShared(const std::string& key,
-                              const exec::ScanJoinAggregatePlan& plan,
-                              const exec::ExecConfig& cfg, uint64_t tag,
-                              QueryStats* stats);
 
   const Catalog* catalog_;
   SchedulerOptions opts_;
@@ -154,9 +125,6 @@ class QueryScheduler {
   int inflight_ = 0;
   uint64_t completed_ = 0;
   uint64_t rejected_ = 0;
-
-  std::mutex gathers_mu_;
-  std::map<std::string, std::shared_ptr<Gather>> gathers_;
 };
 
 }  // namespace simddb::server

@@ -26,7 +26,7 @@
 // sessions in parallel per scheduler.
 //
 // Results are byte-identical to calling exec::RunScanJoinAggregate directly
-// with the bound plan — serving adds scheduling, admission, sharing, and
+// with the bound plan — serving adds scheduling, admission and
 // accounting, never different answers.
 
 #include <cstdint>

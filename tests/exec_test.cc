@@ -3,11 +3,11 @@
 // executor — the scan -> join -> group-by plan, run as its two fused
 // pipelines, produces byte-identical canonical results across ISAs, thread
 // counts {1, 8}, chunk sizes (including non-chunk-multiple and degenerate
-// inputs n in {0, 1, 1023}), hash seeds, both join-table layouts and both
-// group-by paths, raw and compressed storage, solo and shared sweeps, and
-// matches a std::map reference and a hand-composed serial operator
-// sequence over the same kernels. The chunk-grid test pins the
-// `chunks_pushed` count exactly: each pipeline run counts its grid once.
+// inputs n in {0, 1, 1023}), hash seeds, both join-table layouts, both
+// group-by paths and raw and compressed storage, and matches a std::map
+// reference and a hand-composed serial operator sequence over the same
+// kernels. The chunk-grid test pins the `chunks_pushed` count exactly:
+// each pipeline run counts its grid once.
 // ExecIsaDegradeTest covers the ISA sanitization every plan goes through:
 // an unsupported request degrades to the best supported backend.
 
@@ -473,9 +473,8 @@ TEST(ExecQueryTest, CompressedStorageEdgeSizes) {
 TEST(ExecPipelineTest, ChunksPushedCountsEachGridOnce) {
   // Every pipeline run counts its chunk grid once, by size: a query pushes
   // its build grid plus its probe grid, whatever the predicates keep (at
-  // chunk size 1 most probe chunks hold no qualifying row). A shared sweep
-  // runs N build grids and dispatches one probe grid for its N members. A
-  // plan served by a join index runs no build pipeline at all.
+  // chunk size 1 most probe chunks hold no qualifying row). A plan served
+  // by a join index runs no build pipeline at all.
   QueryData d(1024, 10'000);
   const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
   const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
@@ -522,17 +521,6 @@ TEST(ExecPipelineTest, ChunksPushedCountsEachGridOnce) {
           EXPECT_EQ(Metric("chunks_pushed"), build_grid) << label << " build";
           EXPECT_EQ(Metric("pipelines_fused"), builds) << label << " build";
         }
-        if (packed) continue;  // shared sweeps scan raw probe tables only
-        constexpr size_t kMembers = 3;
-        const std::vector<ScanJoinAggregatePlan> plans(kMembers, plan);
-        ScopedMetrics metrics;
-        exec::RunSharedProbe(plans, cfg);
-        EXPECT_EQ(Metric("chunks_pushed"), kMembers * build_grid + probe_grid)
-            << label << " shared";
-        EXPECT_EQ(Metric("pipelines_fused"), (builds + 1) * kMembers)
-            << label << " shared";
-        EXPECT_EQ(Metric("shared_sweeps"), 1u) << label;
-        EXPECT_EQ(Metric("shared_members"), kMembers) << label;
       }
     }
   }
@@ -587,8 +575,7 @@ TEST(ExecQueryTest, EdgeShapesAndSeedsMatchReferenceAcrossMatrix) {
   // threads {1, 8} x chunk {257, 1024} x group-by path x join-table
   // layout. The seed feeds the hash join table's and the hash group-by's
   // hashes. Every result row and every reported cardinality must match
-  // the reference, solo and as a member of a shared sweep next to a plan
-  // with another S window.
+  // the reference, for the plan and for a plan with another S window.
   const std::pair<size_t, size_t> shapes[] = {
       {256, 0}, {256, 1}, {256, 1023}, {1024, 4097}};
   for (auto [stride, attr_hi] : kLayoutAxes) {
@@ -630,13 +617,8 @@ TEST(ExecQueryTest, EdgeShapesAndSeedsMatchReferenceAcrossMatrix) {
               EXPECT_EQ(got.rows_build, want_build) << label;
               EXPECT_EQ(got.rows_scanned, want_scanned) << label;
               EXPECT_EQ(got.rows_joined, want_joined) << label;
-              const std::vector<QueryResult> shared =
-                  exec::RunSharedProbe({plan, other}, cfg);
-              ASSERT_EQ(shared.size(), 2u) << label;
-              ExpectIdentical(shared[0], got, label + " shared vs solo");
-              EXPECT_EQ(shared[0].rows_scanned, got.rows_scanned) << label;
-              ExpectMatchesReference(shared[1], want_other,
-                                     label + " shared other window");
+              ExpectMatchesReference(exec::RunScanJoinAggregate(other, cfg),
+                                     want_other, label + " other window");
             }
           }
         }
@@ -1127,9 +1109,8 @@ std::vector<std::pair<uint32_t, uint32_t>> IndexWindows(uint32_t kmax) {
 
 TEST(JoinIndex, WindowsMatchThePerQueryBuildAcrossMatrix) {
   // Each window's plan runs twice, through the per-query build and through
-  // the index, on every ISA, threads {1, 2, 8}, raw and packed storage,
-  // solo and as members of one shared sweep. Results are byte-identical,
-  // rows_build included.
+  // the index, on every ISA, threads {1, 2, 8} and raw and packed storage.
+  // Results are byte-identical, rows_build included.
   for (uint32_t attr_hi : {kNarrowAttrs, kWideAttrs}) {
     IndexedQueryData d(attr_hi);
     const uint32_t kmax = IndexedQueryData::SkipKey(d.n_r - 1);
@@ -1159,39 +1140,23 @@ TEST(JoinIndex, WindowsMatchThePerQueryBuildAcrossMatrix) {
           ExecConfig cfg;
           cfg.isa = isa;
           cfg.threads = threads;
-          std::vector<QueryResult> want;
-          std::vector<ScanJoinAggregatePlan> indexed;
-          for (const ScanJoinAggregatePlan& p : plans) {
-            ScanJoinAggregatePlan solo = p;
+          for (ScanJoinAggregatePlan p : plans) {
             if (packed) {
-              solo.s_fks_c = &s_fks_c;
-              solo.s_vals_c = &s_vals_c;
+              p.s_fks_c = &s_fks_c;
+              p.s_vals_c = &s_vals_c;
             }
-            want.push_back(exec::RunScanJoinAggregate(solo, cfg));
-            solo.r_index = index.get();
-            const QueryResult got = exec::RunScanJoinAggregate(solo, cfg);
+            const QueryResult want = exec::RunScanJoinAggregate(p, cfg);
+            p.r_index = index.get();
+            const QueryResult got = exec::RunScanJoinAggregate(p, cfg);
             const std::string label =
                 std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
                 (packed ? " packed" : " raw") +
                 " attrs=" + std::to_string(attr_hi) +
                 " r=[" + std::to_string(p.r_lo) + "," +
                 std::to_string(p.r_hi) + "]";
-            ExpectIdentical(got, want.back(), label);
-            EXPECT_EQ(got.rows_build, want.back().rows_build) << label;
-            EXPECT_EQ(got.rows_scanned, want.back().rows_scanned) << label;
-            indexed.push_back(p);
-            indexed.back().r_index = index.get();
-          }
-          // The shared sweep probes raw S; packed here means a packed R.
-          const std::vector<QueryResult> shared =
-              exec::RunSharedProbe(indexed, cfg);
-          for (size_t i = 0; i < plans.size(); ++i) {
-            const std::string label =
-                std::string("shared ") + IsaName(isa) +
-                " t=" + std::to_string(threads) +
-                (packed ? " packed" : " raw") + " #" + std::to_string(i);
-            ExpectIdentical(shared[i], want[i], label);
-            EXPECT_EQ(shared[i].rows_build, want[i].rows_build) << label;
+            ExpectIdentical(got, want, label);
+            EXPECT_EQ(got.rows_build, want.rows_build) << label;
+            EXPECT_EQ(got.rows_scanned, want.rows_scanned) << label;
           }
         }
       }
@@ -1290,10 +1255,13 @@ TEST(ExecIsaDegradeTest, UnsupportedRequestDegradesInsteadOfSigill) {
   const auto want = MapReference(d, plan);
   ExecConfig cfg;
   cfg.isa = Isa::kAvx512;  // would SIGILL if trusted on this "host"
-  // Solo, and as a member of a shared sweep: each entry sanitizes.
-  ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want, "solo");
-  ExpectMatchesReference(exec::RunSharedProbe({plan}, cfg).front(), want,
-                         "shared");
+  // The query, and the build-only Query::Run: each entry sanitizes.
+  const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+  ExpectMatchesReference(got, want, "query");
+  exec::Query q;
+  const exec::HashBuildOp* build = exec::AddBuildPipeline(q, plan);
+  q.Run(cfg);
+  EXPECT_EQ(build->build_rows(), got.rows_build);
   EXPECT_GE(Metric("isa_degraded"), 2u);
 }
 

@@ -363,7 +363,6 @@ TEST(NetProtocolCodec, TrailerRoundTrip) {
   stats.exec_ns = 123456;
   stats.queue_wait_ns = 789;
   stats.morsels_drained = 42;
-  stats.shared_scan = true;
   std::string out;
   net::AppendQueryOk(&out, 17, stats);
   ASSERT_FALSE(out.empty());
@@ -374,7 +373,8 @@ TEST(NetProtocolCodec, TrailerRoundTrip) {
   EXPECT_EQ(wr.exec_ns, 123456u);
   EXPECT_EQ(wr.queue_ns, 789u);
   EXPECT_EQ(wr.morsels, 42u);
-  EXPECT_TRUE(wr.shared);
+  // The trailer ends after morsels=: a trailing field is malformed.
+  EXPECT_FALSE(net::DecodeQueryOk(out + " shared=0", &wr));
 }
 
 TEST(NetProtocolCodec, TableAndStatRoundTrip) {
@@ -570,9 +570,8 @@ TEST(NetServer, LoopbackByteIdentityAcrossThreadsAndModes) {
 
 TEST(NetServer, JoinIndexServedWindowsMatchThePerQueryBuild) {
   // One client per r= window sends it on every ISA, raw and packed, to
-  // servers at threads {1, 2, 8} with shared sweeps off and on (the raw
-  // queries of the eight clients gather per ISA). Every response equals
-  // the per-query build of the same bound plan, run in-process.
+  // servers at threads {1, 2, 8}, all clients at once. Every response
+  // equals the per-query build of the same bound plan, run in-process.
   NetData data(6000, 30000, /*compress=*/true);
   ASSERT_NE(data.catalog.Find("R")->join_index(), nullptr);
   const std::pair<uint32_t, uint32_t> windows[] = {
@@ -616,56 +615,49 @@ TEST(NetServer, JoinIndexServedWindowsMatchThePerQueryBuild) {
     }
   }
   for (int threads : {1, 2, 8}) {
-    for (bool shared : {false, true}) {
-      ServerOptions opts;
-      opts.unix_path = UniqueSocketPath();
-      opts.handler_threads = static_cast<int>(kWindows);
-      opts.exec.threads = threads;
-      opts.scheduler.shared_scans = shared;
-      opts.scheduler.shared_gather_hint = kWindows;
-      opts.scheduler.shared_gather_timeout_ns = 20'000'000;
-      Server server(&data.catalog, opts);
-      std::string error;
-      ASSERT_TRUE(server.Start(&error)) << error;
-      std::vector<std::string> failures(kWindows);
-      std::vector<std::thread> clients;
-      for (size_t w = 0; w < kWindows; ++w) {
-        clients.emplace_back([&, w] {
-          Client client;
-          std::string cerr;
-          if (!client.ConnectUnix(opts.unix_path, &cerr)) {
-            failures[w] = cerr;
-            return;
-          }
-          size_t i = w * 6;
-          for (Isa isa : isas) {
-            for (bool packed : {false, true}) {
-              const std::string line = line_for(w, isa, packed);
-              const WireResult wire = client.Query(line);
-              const exec::QueryResult& r = want[i++];
-              bool same = wire.ok && wire.rows.size() == r.group_keys.size() &&
-                          wire.shared == (shared && !packed);
-              for (size_t g = 0; same && g < wire.rows.size(); ++g) {
-                same = wire.rows[g].key == r.group_keys[g] &&
-                       wire.rows[g].sum == r.sums[g] &&
-                       wire.rows[g].count == r.counts[g] &&
-                       wire.rows[g].min == r.mins[g] &&
-                       wire.rows[g].max == r.maxs[g];
-              }
-              if (!same && failures[w].empty()) {
-                failures[w] = line + ": " + (wire.ok ? "differs" : wire.error);
-              }
+    ServerOptions opts;
+    opts.unix_path = UniqueSocketPath();
+    opts.handler_threads = static_cast<int>(kWindows);
+    opts.exec.threads = threads;
+    Server server(&data.catalog, opts);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    std::vector<std::string> failures(kWindows);
+    std::vector<std::thread> clients;
+    for (size_t w = 0; w < kWindows; ++w) {
+      clients.emplace_back([&, w] {
+        Client client;
+        std::string cerr;
+        if (!client.ConnectUnix(opts.unix_path, &cerr)) {
+          failures[w] = cerr;
+          return;
+        }
+        size_t i = w * 6;
+        for (Isa isa : isas) {
+          for (bool packed : {false, true}) {
+            const std::string line = line_for(w, isa, packed);
+            const WireResult wire = client.Query(line);
+            const exec::QueryResult& r = want[i++];
+            bool same = wire.ok && wire.rows.size() == r.group_keys.size();
+            for (size_t g = 0; same && g < wire.rows.size(); ++g) {
+              same = wire.rows[g].key == r.group_keys[g] &&
+                     wire.rows[g].sum == r.sums[g] &&
+                     wire.rows[g].count == r.counts[g] &&
+                     wire.rows[g].min == r.mins[g] &&
+                     wire.rows[g].max == r.maxs[g];
+            }
+            if (!same && failures[w].empty()) {
+              failures[w] = line + ": " + (wire.ok ? "differs" : wire.error);
             }
           }
-          client.Quit();
-        });
-      }
-      for (std::thread& c : clients) c.join();
-      server.Stop();
-      for (size_t w = 0; w < kWindows; ++w) {
-        EXPECT_EQ(failures[w], "") << "threads=" << threads
-                                   << " shared=" << shared;
-      }
+        }
+        client.Quit();
+      });
+    }
+    for (std::thread& c : clients) c.join();
+    server.Stop();
+    for (size_t w = 0; w < kWindows; ++w) {
+      EXPECT_EQ(failures[w], "") << "threads=" << threads;
     }
   }
 }

@@ -4,10 +4,8 @@
 // on the shared TaskPool return results byte-identical to serial execution
 // of the same plans at threads {1, 8}, every query's morsels drain
 // (no-starvation), the admission gate bounds in-flight queries under both
-// policies, shared-scan groups feed N consumers from one sweep (one probe
-// grid dispatched where N independent scans dispatch N) with
-// byte-identical per-member results, and per-query metric sinks attribute
-// work with no cross-query bleed.
+// policies, and per-query metric sinks attribute work with no cross-query
+// bleed.
 
 #include <gtest/gtest.h>
 
@@ -68,11 +66,10 @@ constexpr uint32_t kSparseKeys = 16;
 /// Catalog tables shaped like the executor's Q3 plan: R(pk, attr) with
 /// unique keys 1 + stride * row, S(fk, val) whose fks pick R rows
 /// uniformly. `sequential_vals` makes S.val the row index, so a [lo, hi]
-/// window selects a contiguous chunk band — the clustered shape
-/// shared sweeps exist for. Dense R gets a join index; "Rrep" is R with its
-/// last row's key repeating the row before's, outside every window below
-/// R's last two keys, so it gets none: its queries run the per-query build
-/// with R's results.
+/// window selects a contiguous chunk band. Dense R gets a join index;
+/// "Rrep" is R with its last row's key repeating the row before's, outside
+/// every window below R's last two keys, so it gets none: its queries run
+/// the per-query build with R's results.
 struct ServerData {
   AlignedBuffer<uint32_t> r_keys, r_attrs, s_fks, s_vals, rep_keys;
   size_t n_r, n_s;
@@ -521,112 +518,6 @@ TEST(ServerSchedulerTest, AdmissionRejectPolicyRefusesOverload) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared scans
-// ---------------------------------------------------------------------------
-
-TEST(ServerSharedScanTest, SharedSweepByteIdenticalToSolo) {
-  constexpr int kClients = 8;
-  ServerData d(4096, 131072, /*sequential_vals=*/true);
-  ExecConfig cfg;
-  cfg.threads = 4;
-
-  // Disjoint contiguous windows over the sequential val column. The gather
-  // mixes members served by R's join index (even) with members that build
-  // on Rrep per query (odd).
-  auto spec_for = [&](int i) {
-    QuerySpec spec = SpecFor(i, d.n_r);
-    if (i % 2 == 1) spec.build_table = "Rrep";
-    const uint32_t w = static_cast<uint32_t>(d.n_s / kClients);
-    spec.s_lo = static_cast<uint32_t>(i) * w;
-    spec.s_hi = spec.s_lo + w - 1;
-    return spec;
-  };
-  ASSERT_TRUE(BorrowsIndex(d.catalog, spec_for(0)));
-  ASSERT_FALSE(BorrowsIndex(d.catalog, spec_for(1)));
-  ASSERT_TRUE(BuildsDirectTable(d.catalog, spec_for(1)));
-
-  std::vector<QueryResult> want;
-  for (int i = 0; i < kClients; ++i) {
-    want.push_back(PerQueryBuild(d.catalog, spec_for(i), cfg));
-  }
-
-  SchedulerOptions opts;
-  opts.shared_scans = true;
-  opts.shared_gather_hint = kClients;
-  opts.shared_gather_timeout_ns = 1'000'000'000;  // hint closes the group
-  QueryScheduler sched(&d.catalog, opts);
-  std::vector<ResultSet> got(kClients);
-  std::vector<std::thread> workers;
-  for (int i = 0; i < kClients; ++i) {
-    workers.emplace_back([&, i] {
-      QuerySession session(&d.catalog, &sched);
-      got[i] = session.Execute(spec_for(i), cfg);
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  for (int i = 0; i < kClients; ++i) {
-    const std::string ctx = "shared q=" + std::to_string(i);
-    ASSERT_TRUE(got[i].ok) << ctx << ": " << got[i].error;
-    EXPECT_TRUE(got[i].stats.shared_scan) << ctx;
-    EXPECT_GE(got[i].stats.morsels_drained, 1u) << ctx;
-    ExpectSameResult(got[i].result, want[i], ctx);
-  }
-}
-
-TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
-  constexpr int kClients = 8;
-  ServerData d(4096, 131072, /*sequential_vals=*/true);
-  ExecConfig cfg;
-  cfg.threads = 4;
-  auto spec_for = [&](int i) {
-    QuerySpec spec;
-    spec.build_table = "R";
-    spec.probe_table = "S";
-    spec.r_lo = 1;
-    spec.r_hi = static_cast<uint32_t>(d.n_r);
-    const uint32_t w = static_cast<uint32_t>(d.n_s / kClients);
-    spec.s_lo = static_cast<uint32_t>(i) * w;
-    spec.s_hi = spec.s_lo + w - 1;
-    return spec;
-  };
-
-  ScopedMetrics metrics;
-  for (int i = 0; i < kClients; ++i) {
-    ScanJoinAggregatePlan plan;
-    std::string error;
-    ASSERT_TRUE(server::BindQuery(d.catalog, spec_for(i), &plan, &error));
-    exec::RunScanJoinAggregate(plan, cfg);
-  }
-  const uint64_t solo_pushed = Metric("chunks_pushed");
-
-  SchedulerOptions opts;
-  opts.shared_scans = true;
-  opts.shared_gather_hint = kClients;
-  opts.shared_gather_timeout_ns = 1'000'000'000;
-  QueryScheduler sched(&d.catalog, opts);
-  std::vector<std::thread> workers;
-  std::vector<ResultSet> got(kClients);
-  for (int i = 0; i < kClients; ++i) {
-    workers.emplace_back([&, i] {
-      QuerySession session(&d.catalog, &sched);
-      got[i] = session.Execute(spec_for(i), cfg);
-    });
-  }
-  for (auto& w : workers) w.join();
-  for (const ResultSet& rs : got) ASSERT_TRUE(rs.ok) << rs.error;
-
-  const uint64_t shared_pushed = Metric("chunks_pushed") - solo_pushed;
-  EXPECT_EQ(Metric("shared_sweeps"), 1u);  // one sweep fed all members
-  EXPECT_EQ(Metric("shared_members"), static_cast<uint64_t>(kClients));
-  // R's join index serves every build either way; the group dispatches one
-  // probe grid where the solo runs dispatched N, so it pushes well under
-  // half their chunks.
-  EXPECT_LT(shared_pushed, solo_pushed / 2)
-      << "shared=" << shared_pushed << " solo=" << solo_pushed;
-}
-
-// ---------------------------------------------------------------------------
 // Join index
 // ---------------------------------------------------------------------------
 
@@ -639,8 +530,8 @@ std::vector<std::pair<uint32_t, uint32_t>> ServedWindows(size_t n_r) {
 }
 
 TEST(ServerJoinIndexTest, ServedWindowsMatchThePerQueryBuild) {
-  // Every window, ISA and thread count, raw and packed storage, solo and
-  // (raw) gathered into one shared sweep: the index-served result equals
+  // Every window, ISA and thread count, raw and packed storage, with the
+  // windows' sessions running concurrently: the index-served result equals
   // the per-query build of the same bound plan, rows_build included.
   ServerData d(8192, 65536, /*sequential_vals=*/true, /*compress=*/true);
   const auto windows = ServedWindows(d.n_r);
@@ -662,35 +553,26 @@ TEST(ServerJoinIndexTest, ServedWindowsMatchThePerQueryBuild) {
       cfg.isa = isa;
       cfg.threads = threads;
       for (bool packed : {false, true}) {
-        for (bool shared : {false, true}) {
-          SchedulerOptions opts;
-          opts.shared_scans = shared;
-          opts.shared_gather_hint = windows.size();
-          opts.shared_gather_timeout_ns = 1'000'000'000;
-          QueryScheduler sched(&d.catalog, opts);
-          std::vector<ResultSet> got(windows.size());
-          std::vector<std::thread> workers;
-          for (size_t w = 0; w < windows.size(); ++w) {
-            workers.emplace_back([&, w] {
-              QuerySession session(&d.catalog, &sched);
-              got[w] = session.Execute(spec_for(w, packed), cfg);
-            });
-          }
-          for (auto& t : workers) t.join();
-          for (size_t w = 0; w < windows.size(); ++w) {
-            const std::string ctx =
-                std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
-                (packed ? " packed" : " raw") +
-                (shared ? " shared" : " solo") + " r=[" +
-                std::to_string(windows[w].first) + "," +
-                std::to_string(windows[w].second) + "]";
-            ASSERT_TRUE(got[w].ok) << ctx << ": " << got[w].error;
-            // Packed probe tables never gather.
-            EXPECT_EQ(got[w].stats.shared_scan, shared && !packed) << ctx;
-            ExpectSameResult(got[w].result,
-                             PerQueryBuild(d.catalog, spec_for(w, packed), cfg),
-                             ctx);
-          }
+        QueryScheduler sched(&d.catalog);
+        std::vector<ResultSet> got(windows.size());
+        std::vector<std::thread> workers;
+        for (size_t w = 0; w < windows.size(); ++w) {
+          workers.emplace_back([&, w] {
+            QuerySession session(&d.catalog, &sched);
+            got[w] = session.Execute(spec_for(w, packed), cfg);
+          });
+        }
+        for (auto& t : workers) t.join();
+        for (size_t w = 0; w < windows.size(); ++w) {
+          const std::string ctx =
+              std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
+              (packed ? " packed" : " raw") + " r=[" +
+              std::to_string(windows[w].first) + "," +
+              std::to_string(windows[w].second) + "]";
+          ASSERT_TRUE(got[w].ok) << ctx << ": " << got[w].error;
+          ExpectSameResult(got[w].result,
+                           PerQueryBuild(d.catalog, spec_for(w, packed), cfg),
+                           ctx);
         }
       }
     }
@@ -806,50 +688,6 @@ TEST(ServerSchedulerTest, DuplicateBuildKeysFailQueryAndKeepServing) {
   }
 }
 
-TEST(ServerSharedScanTest, DuplicateBuildKeysFailEveryGatherMember) {
-  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
-    constexpr int kClients = 4;
-    RepeatedKeyServerData d(stride);
-    EXPECT_EQ(BuildsDirectTable(d.catalog, DupSpec(1)), stride == kDenseKeys);
-    SchedulerOptions opts;
-    opts.shared_scans = true;
-    opts.shared_gather_hint = kClients;
-    opts.shared_gather_timeout_ns = 1'000'000'000;  // hint closes the group
-    QueryScheduler sched(&d.catalog, opts);
-    ExecConfig cfg;
-    cfg.threads = 2;
-      // Runs one gather of kClients members; member i's r= window starts at
-    // r_lo(i).
-    auto run_gather = [&](auto r_lo) {
-      std::vector<ResultSet> got(kClients);
-      std::vector<std::thread> workers;
-      for (int i = 0; i < kClients; ++i) {
-        workers.emplace_back([&, i] {
-          QuerySession session(&d.catalog, &sched);
-          got[i] = session.Execute(DupSpec(r_lo(i)), cfg);
-        });
-      }
-      for (auto& w : workers) w.join();
-      return got;
-    };
-    // Only member 0's window holds the repeats; the whole group fails, and
-    // no member is left waiting.
-    const std::vector<ResultSet> bad =
-        run_gather([](int i) { return i == 0 ? 1u : 9u; });
-    for (int i = 0; i < kClients; ++i) {
-      EXPECT_FALSE(bad[i].ok) << "member " << i;
-      EXPECT_NE(bad[i].error.find("duplicate build keys (key 1 repeats)"),
-                std::string::npos)
-          << "member " << i << ": " << bad[i].error;
-    }
-    // The scheduler keeps serving gathers.
-    for (const ResultSet& rs : run_gather([](int) { return 9u; })) {
-      EXPECT_TRUE(rs.ok) << rs.error;
-      EXPECT_TRUE(rs.stats.shared_scan);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The reserved value 0xFFFFFFFF in base tables
 // ---------------------------------------------------------------------------
@@ -931,66 +769,14 @@ TEST(ServerSchedulerTest, ReservedValueBuildFailsQueryAndKeepsServing) {
   }
 }
 
-TEST(ServerSharedScanTest, ReservedValueBuildFailsEveryGatherMember) {
-  for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
-    constexpr int kClients = 4;
-    ReservedValueServerData d(stride);
-    EXPECT_EQ(BuildsDirectTable(d.catalog,
-                                ReservedSpec("Rattr", "S", d.clean_r_hi)),
-              stride == kDenseKeys);
-    SchedulerOptions opts;
-    opts.shared_scans = true;
-    opts.shared_gather_hint = kClients;
-    opts.shared_gather_timeout_ns = 1'000'000'000;  // hint closes the group
-    QueryScheduler sched(&d.catalog, opts);
-    ExecConfig cfg;
-    cfg.threads = 2;
-      // Runs one gather of kClients members; member i queries spec(i).
-    auto run_gather = [&](auto spec) {
-      std::vector<ResultSet> got(kClients);
-      std::vector<std::thread> workers;
-      for (int i = 0; i < kClients; ++i) {
-        workers.emplace_back([&, i] {
-          QuerySession session(&d.catalog, &sched);
-          got[i] = session.Execute(spec(i), cfg);
-        });
-      }
-      for (auto& w : workers) w.join();
-      return got;
-    };
-    // Only member 0's window holds the reserved attrs; the whole group fails.
-    const std::vector<ResultSet> bad = run_gather([&](int i) {
-      return ReservedSpec("Rattr", "S", i == 0 ? 0xFFFFFFFFu : d.clean_r_hi);
-    });
-    for (int i = 0; i < kClients; ++i) {
-      EXPECT_FALSE(bad[i].ok) << "member " << i;
-      EXPECT_NE(bad[i].error.find("reserved value 4294967295 in the build "
-                                  "group attributes"),
-                std::string::npos)
-          << "member " << i << ": " << bad[i].error;
-    }
-    // The scheduler keeps serving gathers.
-    for (const ResultSet& rs : run_gather([&](int) {
-           return ReservedSpec("Rattr", "S", d.clean_r_hi);
-         })) {
-      EXPECT_TRUE(rs.ok) << rs.error;
-      EXPECT_TRUE(rs.stats.shared_scan);
-    }
-  }
-}
-
-TEST(ServerSharedScanTest, ReservedValueProbeKeysJoinNothingInAGather) {
+TEST(ServerSchedulerTest, ReservedValueProbeKeysJoinNothing) {
   for (uint32_t stride : {kDenseKeys, kSparseKeys}) {
     // Every other S row of "Sres" probes with fk 0xFFFFFFFF, which R lacks;
     // the other rows keep their fk, an R key, so each of them joins.
     constexpr int kClients = 4;
     ReservedValueServerData d(stride);
-    SchedulerOptions opts;
-    opts.shared_scans = true;
-    opts.shared_gather_hint = kClients;
-    opts.shared_gather_timeout_ns = 1'000'000'000;
-    QueryScheduler sched(&d.catalog, opts);
-    const uint32_t w = 250'000;  // member i filters val in [i*w, (i+1)*w)
+    QueryScheduler sched(&d.catalog);
+    const uint32_t w = 250'000;  // session i filters val in [i*w, (i+1)*w)
     auto spec_for = [&](int i) {
       QuerySpec spec = ReservedSpec("R", "Sres", 0xFFFFFFFFu);
       spec.s_lo = static_cast<uint32_t>(i) * w;
@@ -1004,7 +790,7 @@ TEST(ServerSharedScanTest, ReservedValueProbeKeysJoinNothingInAGather) {
         ExecConfig cfg;
         cfg.isa = isa;
         cfg.threads = threads;
-              std::vector<ResultSet> got(kClients);
+        std::vector<ResultSet> got(kClients);
         std::vector<std::thread> workers;
         for (int i = 0; i < kClients; ++i) {
           workers.emplace_back([&, i] {
@@ -1016,9 +802,8 @@ TEST(ServerSharedScanTest, ReservedValueProbeKeysJoinNothingInAGather) {
         for (int i = 0; i < kClients; ++i) {
           const std::string ctx = std::string(IsaName(isa)) +
                                   " threads=" + std::to_string(threads) +
-                                  " member " + std::to_string(i);
+                                  " session " + std::to_string(i);
           ASSERT_TRUE(got[i].ok) << ctx << ": " << got[i].error;
-          EXPECT_TRUE(got[i].stats.shared_scan) << ctx;
           const QuerySpec spec = spec_for(i);
           uint64_t want = 0;
           for (size_t r = 1; r < d.n_s; r += 2) {
@@ -1028,16 +813,6 @@ TEST(ServerSharedScanTest, ReservedValueProbeKeysJoinNothingInAGather) {
           for (uint32_t c : got[i].result.counts) joined += c;
           EXPECT_EQ(got[i].result.rows_joined, want) << ctx;
           EXPECT_EQ(joined, want) << ctx;
-          // And the shared sweep answers exactly what a solo run answers.
-          QueryScheduler solo_sched(&d.catalog);
-          QuerySession solo(&d.catalog, &solo_sched);
-          const ResultSet alone = solo.Execute(spec, cfg);
-          ASSERT_TRUE(alone.ok) << ctx;
-          EXPECT_EQ(got[i].result.group_keys, alone.result.group_keys) << ctx;
-          EXPECT_EQ(got[i].result.sums, alone.result.sums) << ctx;
-          EXPECT_EQ(got[i].result.counts, alone.result.counts) << ctx;
-          EXPECT_EQ(got[i].result.mins, alone.result.mins) << ctx;
-          EXPECT_EQ(got[i].result.maxs, alone.result.maxs) << ctx;
         }
       }
     }

@@ -14,7 +14,7 @@
 //                   case: name, label-encoded k=v fields (variant/isa/
 //                   threads/...), throughput in tuples per second, and —
 //                   when metrics are on — every obs counter/timer delta
-//                   (steals, morsels, barrier_wait_ns, *_ns phases).
+//                   (steals, morsels, *_ns phases).
 //   --metrics       obs::EnableMetrics(true) for the whole run.
 //   --trace <path>  capture phase timings and write a chrome://tracing
 //                   JSON file at exit (implies --metrics).

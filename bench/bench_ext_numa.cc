@@ -1,14 +1,12 @@
-// Extension benchmark: NUMA placement and steal-scope sweep. One buffered
-// partition pass (1M tuples, fanout 256 — the radixsort/join inner loop)
-// under the two memory placements of numa/placement.h:
+// Extension benchmark: NUMA placement sweep. One buffered partition pass
+// (1M tuples, fanout 256 — the radixsort/join inner loop) under the two
+// memory placements of numa/placement.h, both with the pool's hierarchical
+// stealing (a dry lane crosses nodes only once its own node is dry):
 //
-//   interleaved -> pages round-robin across nodes, hierarchical stealing
-//                  (the neutral baseline: uniform bandwidth, remote steals
-//                  allowed once a node runs dry).
+//   interleaved -> pages round-robin across nodes (the neutral baseline:
+//                  uniform bandwidth).
 //   node_local  -> output pages first-touched by the lane block that writes
-//                  them, StealScope::kNodeStrict (morsels never cross
-//                  nodes, so every access the pass makes stays node-local
-//                  and steals_remote must be exactly 0).
+//                  them.
 //
 // Rows carry the obs counters (steals_local / steals_remote /
 // pages_first_touched) via --metrics, which scripts/check_bench_ranges.py
@@ -28,7 +26,6 @@
 #include "partition/parallel_partition.h"
 #include "partition/partition_fn.h"
 #include "partition/shuffle.h"
-#include "util/task_pool.h"
 
 namespace simddb::bench {
 namespace {
@@ -60,9 +57,6 @@ void BM_NumaPartition(benchmark::State& state) {
                     kTuples * sizeof(uint32_t), threads, placement);
   numa::PlaceBuffer(const_cast<uint32_t*>(cols.pays.data()),
                     kTuples * sizeof(uint32_t), threads, placement);
-  const StealScope prev_scope = GetStealScope();
-  SetStealScope(node_local ? StealScope::kNodeStrict
-                           : StealScope::kHierarchical);
   ParallelPartitionResources res;
   for (auto _ : state) {
     ParallelPartitionPass(fn, cols.keys.data(), cols.pays.data(), kTuples,
@@ -70,7 +64,6 @@ void BM_NumaPartition(benchmark::State& state) {
                           nullptr);
     benchmark::DoNotOptimize(out_k.data());
   }
-  SetStealScope(prev_scope);
   SetTuplesPerSecond(state, static_cast<double>(kTuples));
   state.SetLabel(std::string(node_local ? "numa_node_local"
                                         : "numa_interleaved") +

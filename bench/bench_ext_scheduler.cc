@@ -1,8 +1,7 @@
 // Extension benchmark: scheduler substrate. The paper's multi-core results
 // (Fig. 16) assume the execution layer itself is free; this binary measures
-// it. Repeated 1M-tuple partition passes at 8 workers compare the
-// process-lifetime TaskPool (amortized spawn, work-stealing morsels) against
-// the spawn-per-call statically-chunked ThreadTeam baseline it replaced, on
+// it. Repeated 1M-tuple partition passes at 1, 2 and 8 workers run on the
+// process-lifetime TaskPool (amortized spawn, work-stealing morsels), on
 // uniform and on Zipf-clustered (sorted) inputs where per-morsel shuffle
 // cost is heavily skewed by conflict serialization.
 
@@ -10,7 +9,7 @@
 #include <memory>
 
 #include "bench/bench_common.h"
-#include "bench/bench_static_partition.h"
+#include "partition/parallel_partition.h"
 
 namespace simddb::bench {
 namespace {
@@ -20,7 +19,7 @@ constexpr uint32_t kFanout = 256;
 
 // clustered=true sorts Zipf-distributed keys so the hot keys pack into a few
 // morsels (maximal vector-lane conflicts there, none elsewhere) — the
-// positional cost skew that static chunking is worst at.
+// positional cost skew that work stealing rebalances.
 const AlignedBuffer<uint32_t>& SchedKeys(bool clustered) {
   static auto* cache =
       new std::map<bool, std::unique_ptr<AlignedBuffer<uint32_t>>>();
@@ -38,7 +37,8 @@ const AlignedBuffer<uint32_t>& SchedKeys(bool clustered) {
   return *it->second;
 }
 
-void RunPartitionCase(benchmark::State& state, bool pool) {
+// Process-lifetime pool, work-stealing morsels.
+void BM_PartitionPool(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const bool clustered = state.range(1) != 0;
   // Scheduler overhead is the subject, not the kernel: run the best
@@ -52,42 +52,19 @@ void RunPartitionCase(benchmark::State& state, bool pool) {
   AlignedBuffer<uint32_t> out_k(kTuples + 16), out_p(kTuples + 16);
   ParallelPartitionResources res;
   for (auto _ : state) {
-    if (pool) {
-      ParallelPartitionPass(fn, keys.data(), pays.data(), kTuples,
-                            out_k.data(), out_p.data(), isa, threads, &res,
-                            nullptr);
-    } else {
-      StaticChunkPartitionPass(fn, keys.data(), pays.data(), kTuples,
-                               out_k.data(), out_p.data(), isa, threads,
-                               &res);
-    }
+    ParallelPartitionPass(fn, keys.data(), pays.data(), kTuples, out_k.data(),
+                          out_p.data(), isa, threads, &res, nullptr);
     benchmark::DoNotOptimize(out_k.data());
   }
   SetTuplesPerSecond(state, static_cast<double>(kTuples));
-  state.SetLabel(std::string("sched=") + (pool ? "pool" : "spawn_static") +
-                 " threads=" + std::to_string(threads) +
+  state.SetLabel(std::string("sched=pool threads=") + std::to_string(threads) +
                  " input=" + (clustered ? "zipf_clustered" : "uniform") +
                  " isa=" + IsaName(isa));
-}
-
-// Process-lifetime pool, work-stealing morsels.
-void BM_PartitionPool(benchmark::State& state) {
-  RunPartitionCase(state, true);
-}
-
-// Fresh std::threads per call, static contiguous chunks.
-void BM_PartitionSpawn(benchmark::State& state) {
-  RunPartitionCase(state, false);
 }
 
 // {threads, clustered}: 1000 iterations = the repeated-invocation microbench
 // (1000 x 1M-tuple passes); wall-clock timed since the work is multi-thread.
 BENCHMARK(BM_PartitionPool)
-    ->ArgsProduct({{1, 2, 8}, {0, 1}})
-    ->Iterations(1000)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PartitionSpawn)
     ->ArgsProduct({{1, 2, 8}, {0, 1}})
     ->Iterations(1000)
     ->UseRealTime()

@@ -1,6 +1,6 @@
 // Extension benchmark: sustained concurrent serving through src/server/.
-// N client threads each own a QuerySession against one process-wide Catalog
-// and QueryScheduler; every iteration is one wave — each client submits one
+// N client threads call QueryScheduler::Run on one process-wide Catalog and
+// QueryScheduler; every iteration is one wave — each client submits one
 // Q3-shaped query (its own disjoint value window over the shared fact
 // table) and blocks for the ResultSet. The axes:
 //
@@ -15,7 +15,7 @@
 //
 //   qps                queries completed per second of wall time
 //   p50_ns / p99_ns    per-query latency percentiles over the whole run
-//                      (Execute call, admission wait included)
+//                      (Run call, admission wait included)
 //   min_query_morsels  MIN over queries of stats.morsels_drained — the
 //                      no-starvation observable the baseline gate holds
 //                      >= 1
@@ -39,7 +39,6 @@
 #include "net/server.h"
 #include "server/catalog.h"
 #include "server/scheduler.h"
-#include "server/session.h"
 
 namespace simddb::bench {
 namespace {
@@ -103,12 +102,11 @@ void BM_Serve(benchmark::State& state) {
     workers.reserve(clients);
     for (int i = 0; i < clients; ++i) {
       workers.emplace_back([&, i] {
-        server::QuerySession session(&catalog, &sched);
         const server::QuerySpec spec = ClientSpec(i, clients);
         ready.fetch_add(1);
         while (ready.load() < clients) std::this_thread::yield();
         const uint64_t t0 = obs::NowNs();
-        results[i] = session.Execute(spec, cfg);
+        results[i] = sched.Run(spec, cfg);
         wave_ns[i] = obs::NowNs() - t0;
       });
     }
@@ -193,14 +191,13 @@ void BM_ServeWeighted(benchmark::State& state) {
     workers.reserve(clients);
     for (int i = 0; i < clients; ++i) {
       workers.emplace_back([&, i] {
-        server::QuerySession session(&catalog, &sched);
         const server::QuerySpec spec = ClientSpec(i, clients);
         const uint64_t weight = (i % 2 == 0) ? 1 : 4;
         ready.fetch_add(1);
         while (ready.load() < clients) std::this_thread::yield();
         const uint64_t deadline = obs::NowNs() + kWindowNs;
         while (obs::NowNs() < deadline) {
-          const server::ResultSet rs = session.Execute(spec, cfg, weight);
+          const server::ResultSet rs = sched.Run(spec, cfg, weight);
           if (!rs.ok) return;  // surfaces below as a missing completion
           ++done[i];
         }
@@ -212,6 +209,9 @@ void BM_ServeWeighted(benchmark::State& state) {
     }
   }
 
+  // The row reports no tuple rate, so it exports its own registry deltas;
+  // on the error path too, or they would land on the next row.
+  ExportMetricsCounters(state);
   if (w1_completed == 0 || w4_completed == 0) {
     state.SkipWithError("a weight class finished zero queries");
     return;

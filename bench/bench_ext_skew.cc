@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "bench/bench_static_partition.h"
 #include "join/hash_join.h"
 #include "partition/histogram.h"
+#include "partition/parallel_partition.h"
 #include "partition/shuffle.h"
 
 namespace simddb::bench {
@@ -111,12 +111,10 @@ void BM_SkewJoinProbe(benchmark::State& state) {
   state.SetLabel("zipf_theta_x100=" + std::to_string(theta_x100));
 }
 
-// Full parallel partition pass at 8 workers on the skewed keys: TaskPool
-// work-stealing vs the static contiguous chunking of the spawn-per-call
-// baseline it replaced. Stealing must be >= static at every skew level.
+// Full parallel partition pass at 8 workers on the skewed keys, with
+// TaskPool work stealing rebalancing the per-morsel cost skew.
 void BM_SkewParallelPartition(benchmark::State& state) {
   const int theta_x100 = static_cast<int>(state.range(0));
-  const bool stealing = state.range(1) != 0;
   const int threads = 8;
   if (!RequireIsa(state, Isa::kAvx512)) return;
   const auto& keys = SkewedKeys(theta_x100);
@@ -125,21 +123,13 @@ void BM_SkewParallelPartition(benchmark::State& state) {
   AlignedBuffer<uint32_t> out_k(kTuples + 16), out_p(kTuples + 16);
   ParallelPartitionResources res;
   for (auto _ : state) {
-    if (stealing) {
-      ParallelPartitionPass(fn, keys.data(), pays.data(), kTuples,
-                            out_k.data(), out_p.data(), Isa::kAvx512, threads,
-                            &res, nullptr);
-    } else {
-      StaticChunkPartitionPass(fn, keys.data(), pays.data(), kTuples,
-                               out_k.data(), out_p.data(), Isa::kAvx512,
-                               threads, &res);
-    }
+    ParallelPartitionPass(fn, keys.data(), pays.data(), kTuples, out_k.data(),
+                          out_p.data(), Isa::kAvx512, threads, &res, nullptr);
     benchmark::DoNotOptimize(out_k.data());
   }
   SetTuplesPerSecond(state, static_cast<double>(kTuples));
   state.SetLabel("zipf_theta_x100=" + std::to_string(theta_x100) +
-                 " sched=" + (stealing ? "stealing" : "static") +
-                 " threads=" + std::to_string(threads));
+                 " sched=stealing threads=" + std::to_string(threads));
 }
 
 BENCHMARK(BM_SkewHistogram)
@@ -152,7 +142,7 @@ BENCHMARK(BM_SkewJoinProbe)
     ->Arg(0)->Arg(50)->Arg(75)->Arg(99)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SkewParallelPartition)
-    ->ArgsProduct({{0, 50, 75, 99}, {0, 1}})
+    ->Arg(0)->Arg(50)->Arg(75)->Arg(99)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -228,7 +228,7 @@ void HashBuildOp::Finish() {
                       numa::Placement::kInterleaved);
     unique = direct_->Build(mat_keys_.data(), mat_pays_.data(), n_build_);
   } else {
-    table_ = std::make_unique<LinearProbingTable>(buckets, cfg_.seed);
+    table_ = std::make_unique<LinearProbingTable>(buckets);
     numa::PlaceBuffer(const_cast<uint32_t*>(table_->bucket_keys()),
                       buckets * sizeof(uint32_t), cfg_.threads,
                       numa::Placement::kInterleaved);
@@ -301,7 +301,7 @@ void GroupByState::Open(const ExecConfig& cfg, int lanes, uint32_t key_min,
   }
   hashed_.resize(static_cast<size_t>(lanes));
   for (auto& p : hashed_) {
-    p = std::make_unique<GroupByAggregator>(kInitialHashGroups, cfg.seed);
+    p = std::make_unique<GroupByAggregator>(kInitialHashGroups);
   }
 }
 

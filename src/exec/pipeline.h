@@ -61,7 +61,6 @@ struct ExecConfig {
   int threads = 1;
   /// Tuples per chunk (any value >= 1; tests sweep odd sizes).
   size_t chunk_tuples = kDefaultChunkTuples;
-  uint64_t seed = 42;
 };
 
 /// The scan variant an ISA maps to in the executor (store-direct family:

@@ -134,58 +134,84 @@ size_t HashJoinNoPartition(const JoinRelation& r, const JoinRelation& s,
   AlignedBuffer<uint32_t> tk(nb), tp(nb);
   std::memset(tk.data(), 0xFF, nb * sizeof(uint32_t));
 
-  // One pool dispatch for both phases: every lane claims build morsels from
-  // a shared cursor, the reusable phase barrier separates build from probe
-  // (probe lanes must see the complete table), then lanes claim probe
-  // morsels. Build uses atomic compare-and-swap claims on the key slot;
-  // scatters cannot be atomic, so that phase is scalar by necessity.
+  // One pool dispatch per phase, over the R and then the S morsel grid; the
+  // join between the calls separates build from probe (probe lanes must see
+  // the complete table). The vectorized probe emits a match when its lane
+  // reaches it, so the output order follows the table layout, and every
+  // lane count must leave the layout a serial build in R order leaves. One
+  // lane runs that serial build. Several lanes claim slots by atomic
+  // compare-and-swap with R row ids, earlier rows first: a row that meets a
+  // later row's claim takes the slot and carries the later row on, which
+  // ends in the serial layout whatever the interleaving (Shun and
+  // Blelloch's phase-concurrent linear probing); a pass over the slots then
+  // swaps each id for its key and payload. Scatters cannot be atomic, so
+  // the build is scalar by necessity.
+  TaskPool& pool = TaskPool::Get();
   Timer timer;
   const MorselGrid r_grid(r.n);
+  const bool serial = TaskPool::LaneCount(r_grid.count(), t_count) == 1;
+  pool.ParallelFor(r_grid.count(), t_count, [&](int, size_t m) {
+    const size_t b = r_grid.begin(m);
+    if (serial) {
+      BuildFlatScalar(tk.data(), tp.data(), nb, factor, r.keys + b,
+                      r.pays + b, r_grid.size(m));
+      return;
+    }
+    const size_t e = r_grid.end(m);
+    for (size_t i = b; i < e; ++i) {
+      // The serial build writes the reserved key as an empty slot; a claim
+      // for it would read as empty mid-cluster and hide the rows past it.
+      if (r.keys[i] == kEmptyKey) continue;
+      uint32_t h = scalar::MultHash(r.keys[i], factor, nb);
+      // Every row id sorts before kEmptyKey, so an empty slot is claimed
+      // like a later row's.
+      uint32_t row = static_cast<uint32_t>(i);
+      for (;;) {
+        std::atomic_ref<uint32_t> slot(tk[h]);
+        uint32_t held = slot.load(std::memory_order_relaxed);
+        while (row < held &&
+               !slot.compare_exchange_weak(held, row,
+                                           std::memory_order_relaxed)) {
+        }
+        if (row < held) {  // claimed; `held` is the claim it displaced
+          if (held == kEmptyKey) break;
+          row = held;
+        }
+        if (++h == nb) h = 0;
+      }
+    }
+  });
+  if (!serial) {
+    const MorselGrid slot_grid(nb);
+    pool.ParallelFor(slot_grid.count(), t_count, [&](int, size_t m) {
+      const size_t e = slot_grid.end(m);
+      for (size_t h = slot_grid.begin(m); h < e; ++h) {
+        const uint32_t row = tk[h];
+        if (row != kEmptyKey) {
+          tk[h] = r.keys[row];
+          tp[h] = r.pays[row];
+        }
+      }
+    });
+  }
+  const double build_s = timer.Seconds();
+
+  // Read-only probe: no synchronization needed; vectorized. Output
+  // segments are per-morsel, so the layout is worker-independent.
+  timer.Reset();
   const MorselGrid s_grid(s.n);
   const size_t s_morsels = s_grid.count();
   const uint32_t base0 = 0;
   std::vector<uint64_t> seg_begin(s_morsels), seg_count(s_morsels);
-  std::atomic<size_t> build_cursor{0};
-  std::atomic<size_t> probe_cursor{0};
-  double build_s = 0;
-  TaskPool::Get().ParallelPhases(
-      t_count, [&](int lane, int, PhaseBarrier& barrier) {
-        for (;;) {
-          size_t m = build_cursor.fetch_add(1, std::memory_order_relaxed);
-          if (m >= r_grid.count()) break;
-          const size_t e = r_grid.end(m);
-          for (size_t i = r_grid.begin(m); i < e; ++i) {
-            uint32_t k = r.keys[i];
-            uint32_t h = scalar::MultHash(k, factor, nb);
-            for (;;) {
-              uint32_t expected = kEmptyKey;
-              std::atomic_ref<uint32_t> slot(tk[h]);
-              if (slot.load(std::memory_order_relaxed) == kEmptyKey &&
-                  slot.compare_exchange_strong(expected, k,
-                                               std::memory_order_acq_rel)) {
-                tp[h] = r.pays[i];
-                break;
-              }
-              if (++h == nb) h = 0;
-            }
-          }
-        }
-        barrier.Wait();
-        if (lane == 0) build_s = timer.Seconds();
-        // Read-only probe: no synchronization needed; vectorized. Output
-        // segments are per-morsel, so the layout is worker-independent.
-        for (;;) {
-          size_t m = probe_cursor.fetch_add(1, std::memory_order_relaxed);
-          if (m >= s_morsels) break;
-          const size_t b = s_grid.begin(m);
-          seg_begin[m] = b;
-          seg_count[m] = ProbeDispatch(vec, tk.data(), tp.data(), &base0, &nb,
-                                       factor, 1, 1, s.keys + b, s.pays + b,
-                                       s_grid.size(m), out_keys + b,
-                                       out_spays + b, out_rpays + b);
-        }
-      });
-  const double probe_s = timer.Seconds() - build_s;
+  pool.ParallelFor(s_morsels, t_count, [&](int, size_t m) {
+    const size_t b = s_grid.begin(m);
+    seg_begin[m] = b;
+    seg_count[m] = ProbeDispatch(vec, tk.data(), tp.data(), &base0, &nb,
+                                 factor, 1, 1, s.keys + b, s.pays + b,
+                                 s_grid.size(m), out_keys + b, out_spays + b,
+                                 out_rpays + b);
+  });
+  const double probe_s = timer.Seconds();
   g_join_build_ns.Record(SecondsToNs(build_s));
   g_join_probe_ns.Record(SecondsToNs(probe_s));
   if (timings != nullptr) {

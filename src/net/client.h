@@ -4,8 +4,8 @@
 // Blocking client of the wire protocol (net/protocol.h): connect over TCP
 // or a Unix-domain socket, send request lines, and iterate decoded
 // response frames. One Client is one connection and is single-threaded —
-// concurrency comes from many clients, exactly like QuerySession on the
-// in-process side.
+// concurrency comes from many clients, exactly like client threads calling
+// server::QueryScheduler::Run on the in-process side.
 //
 //   net::Client c;
 //   std::string err;

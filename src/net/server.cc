@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "server/session.h"
 
 namespace simddb::net {
 namespace {
@@ -50,11 +49,6 @@ struct Server::Conn {
   bool closing = false;    ///< close once wbuf drains (QUIT / drain / EOF)
   bool eof = false;        ///< peer half-closed; serve buffered lines, then close
   bool discard = false;    ///< resyncing: drop bytes until the next '\n'
-
-  // Per-connection tallies of the same events the net_* registry counters
-  // accumulate globally.
-  uint64_t bytes_in = 0, bytes_out = 0;
-  uint64_t queries = 0, parse_errors = 0, rejected = 0;
 };
 
 /// One QUERY dispatched to the handler pool.
@@ -200,7 +194,6 @@ ServerStats Server::stats() const {
 }
 
 void Server::HandlerLoop() {
-  server::QuerySession session(catalog_, scheduler_.get());
   for (;;) {
     Job job;
     {
@@ -210,7 +203,7 @@ void Server::HandlerLoop() {
       job = std::move(jobs_.front());
       jobs_.pop_front();
     }
-    server::ResultSet rs = session.Execute(job.spec, job.cfg, job.weight);
+    server::ResultSet rs = scheduler_->Run(job.spec, job.cfg, job.weight);
     Completion done;
     done.conn_id = job.conn_id;
     done.ok = rs.ok;
@@ -242,7 +235,6 @@ void Server::HandleLine(Conn* c, std::string_view line) {
   ParseError perr;
   if (!ParseRequest(line, &req, &perr)) {
     AppendErr(&c->wbuf, "parse", FormatParseError(perr));
-    ++c->parse_errors;
     g_net_parse_errors.Add(1);
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.parse_errors;
@@ -282,7 +274,6 @@ void Server::HandleLine(Conn* c, std::string_view line) {
       if (req.query.has_isa) job.cfg.isa = req.query.isa;
       job.weight = req.query.weight;
       c->executing = true;
-      ++c->queries;
       g_net_queries_parsed.Add(1);
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
@@ -345,7 +336,6 @@ bool Server::ProcessBufferedLines(Conn* c) {
       if (c->rbuf.size() > kMaxLineBytes) {
         ParseError e{kMaxLineBytes, "line under 4096 bytes"};
         AppendErr(&c->wbuf, "parse", FormatParseError(e));
-        ++c->parse_errors;
         g_net_parse_errors.Add(1);
         {
           std::lock_guard<std::mutex> lock(stats_mu_);
@@ -359,7 +349,6 @@ bool Server::ProcessBufferedLines(Conn* c) {
     if (nl > kMaxLineBytes) {
       ParseError e{kMaxLineBytes, "line under 4096 bytes"};
       AppendErr(&c->wbuf, "parse", FormatParseError(e));
-      ++c->parse_errors;
       g_net_parse_errors.Add(1);
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
@@ -388,7 +377,6 @@ void Server::FlushWrites(Conn* c) {
                            c->wbuf.size() - c->woff, MSG_NOSIGNAL);
     if (n > 0) {
       c->woff += static_cast<size_t>(n);
-      c->bytes_out += static_cast<uint64_t>(n);
       g_net_bytes_out.Add(static_cast<uint64_t>(n));
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.bytes_out += static_cast<uint64_t>(n);
@@ -427,10 +415,7 @@ void Server::DeliverCompletions() {
     Conn* c = it->second.get();
     c->executing = false;
     c->wbuf.append(done.bytes);
-    if (done.rejected) {
-      ++c->rejected;
-      g_net_queries_rejected.Add(1);
-    }
+    if (done.rejected) g_net_queries_rejected.Add(1);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       if (done.ok) ++stats_.queries_ok;
@@ -558,7 +543,6 @@ void Server::PollLoop() {
         const ssize_t n = recv(c->fd, buf, sizeof(buf), 0);
         if (n > 0) {
           c->rbuf.append(buf, static_cast<size_t>(n));
-          c->bytes_in += static_cast<uint64_t>(n);
           g_net_bytes_in.Add(static_cast<uint64_t>(n));
           {
             std::lock_guard<std::mutex> lock(stats_mu_);

@@ -4,9 +4,9 @@
 // Socket front-end of the serving layer: a poll()-driven event loop
 // accepting TCP and/or Unix-domain connections, parsing the line protocol
 // (net/protocol.h), and dispatching each QUERY onto a small handler pool
-// of server::QuerySessions — so N connections share the one process-wide
-// QueryScheduler, its admission gate, and the TaskPool's weighted-fair
-// morsel scheduling.
+// that calls server::QueryScheduler::Run — so N connections share the one
+// process-wide QueryScheduler, its admission gate, and the TaskPool's
+// weighted-fair morsel scheduling.
 //
 // Architecture (one poll thread, H handler threads):
 //
@@ -17,8 +17,8 @@
 //                 not read from (backpressure: at most one in-flight
 //                 query and one read buffer per connection); pipelined
 //                 lines already buffered are served in order afterwards.
-//   handler pool  H threads, each owning a QuerySession. A handler binds
-//                 and executes the job (admission gate included — a
+//   handler pool  H threads. A handler binds and executes the job
+//                 through QueryScheduler::Run (admission gate included — a
 //                 kBlock scheduler queues the handler, kReject turns
 //                 into `ERR admission ...` on the wire), encodes the
 //                 full response off the poll thread, and posts it to the
@@ -31,10 +31,9 @@
 //
 // Observability: the obs registry carries the net_* counters
 // (net_bytes_in/out, net_queries_parsed, net_parse_errors,
-// net_queries_rejected, net_connections_opened/closed); per-connection
-// tallies of the same events live on the connection and feed the
-// always-on ServerStats totals that STATS reports even with metrics off,
-// beside the catalog's resident bytes (catalog_raw_bytes,
+// net_queries_rejected, net_connections_opened/closed); the same events
+// also feed the always-on ServerStats totals that STATS reports even with
+// metrics off, beside the catalog's resident bytes (catalog_raw_bytes,
 // catalog_packed_bytes, catalog_index_bytes; server::Catalog::bytes).
 
 #include <atomic>

@@ -1,9 +1,6 @@
 #include "numa/placement.h"
 
-#include <cassert>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
 #include "numa/topology.h"
 #include "obs/metrics.h"
@@ -18,14 +15,13 @@
 namespace simddb::numa {
 namespace {
 
-// Pages whose first touch these helpers performed (node-local blocks and
-// AllocOnNode faults). Per-node traffic shows up in bench JSONL rows.
+// Pages whose first touch PlaceBuffer performed (node-local blocks).
+// Per-node traffic shows up in bench JSONL rows.
 obs::Counter g_pages_first_touched("pages_first_touched");
 
 // Memory-policy modes from <linux/mempolicy.h>, defined locally because the
 // uapi header (and libnuma's numaif.h) may be absent from the sysroot; the
 // raw syscall ABI is stable.
-constexpr int kMpolPreferred = 1;
 constexpr int kMpolInterleave = 3;
 
 // Touch one byte per page, preserving contents: a plain read + write-back
@@ -68,24 +64,6 @@ bool MbindCoveredPages(void* p, size_t bytes, int mode,
 
 }  // namespace
 
-Placement DefaultPlacement() {
-  static const Placement placement = [] {
-    const char* env = std::getenv("SIMDDB_NUMA_PLACEMENT");
-    if (env != nullptr && std::strcmp(env, "interleaved") == 0) {
-      return Placement::kInterleaved;
-    }
-    return Placement::kNodeLocal;
-  }();
-  return placement;
-}
-
-void FirstTouchPages(void* p, size_t bytes) {
-  if (p == nullptr || bytes == 0) return;
-  const size_t page = PageBytes();
-  TouchPages(static_cast<unsigned char*>(p), 0, (bytes + page - 1) / page,
-             page);
-}
-
 void PlaceBuffer(void* p, size_t bytes, int threads, Placement placement) {
   if (p == nullptr || bytes == 0) return;
   const NumaTopology& topo = Topology();
@@ -94,55 +72,20 @@ void PlaceBuffer(void* p, size_t bytes, int threads, Placement placement) {
     if (RealMultiNode(topo)) TryInterleave(p, bytes);
     return;
   }
-  // kNodeLocal: lane l faults page block [l*P/L, (l+1)*P/L) — the same
-  // contiguous split the pool's dispatch uses for tasks, so on a pinned
-  // multi-node run each block lands on the node whose lanes process it.
-  // On fake topologies this still exercises the block layout and counters.
+  // kNodeLocal: task l faults page block [l*P/L, (l+1)*P/L) — the pool's
+  // initial split hands task l to lane l, so on a pinned multi-node run
+  // each block lands on the node whose lanes process it (unless a dry lane
+  // steals it first). On fake topologies this still exercises the block
+  // layout and counters.
   const size_t page = PageBytes();
   const size_t n_pages = (bytes + page - 1) / page;
+  const size_t blocks =
+      static_cast<size_t>(TaskPool::LaneCount(n_pages, threads));
   unsigned char* base = static_cast<unsigned char*>(p);
-  TaskPool::Get().ParallelPhases(
-      threads, [&](int lane, int n_lanes, PhaseBarrier&) {
-        const size_t pb = n_pages * static_cast<size_t>(lane) /
-                          static_cast<size_t>(n_lanes);
-        const size_t pe = n_pages * (static_cast<size_t>(lane) + 1) /
-                          static_cast<size_t>(n_lanes);
-        TouchPages(base, pb, pe, page);
-      });
-}
-
-void PlaceBuffer(void* p, size_t bytes, int threads) {
-  PlaceBuffer(p, bytes, threads, DefaultPlacement());
-}
-
-void* AllocOnNode(size_t bytes, int node) {
-  void* p = AlignedAlloc(bytes, kCacheLineBytes, HugePagesRequested());
-  if (p == nullptr) return nullptr;
-  const NumaTopology& topo = Topology();
-  if (RealMultiNode(topo)) TryBindToNode(p, bytes, node);
-  FirstTouchPages(p, bytes);
-  assert(TouchedOnNode(p, bytes, node));
-  return p;
-}
-
-bool TryBindToNode(void* p, size_t bytes, int node) {
-#if defined(__linux__) && defined(__NR_mbind)
-  const NumaTopology& topo = Topology();
-  if (!RealMultiNode(topo)) return false;
-  if (node < 0 || node >= topo.node_count()) return false;
-  const int sys_id = topo.nodes[node].id;
-  if (sys_id < 0 || sys_id >= static_cast<int>(8 * sizeof(unsigned long))) {
-    return false;
-  }
-  const unsigned long mask = 1UL << sys_id;
-  return MbindCoveredPages(p, bytes, kMpolPreferred, &mask,
-                           8 * sizeof(unsigned long));
-#else
-  (void)p;
-  (void)bytes;
-  (void)node;
-  return false;
-#endif
+  TaskPool::Get().ParallelFor(blocks, threads, [&](int, size_t block) {
+    TouchPages(base, n_pages * block / blocks, n_pages * (block + 1) / blocks,
+               page);
+  });
 }
 
 bool TryInterleave(void* p, size_t bytes) {
@@ -163,45 +106,6 @@ bool TryInterleave(void* p, size_t bytes) {
   (void)bytes;
   return false;
 #endif
-}
-
-int NodeOfAddress(const void* p) {
-#if defined(__linux__) && defined(__NR_move_pages)
-  const NumaTopology& topo = Topology();
-  if (!RealMultiNode(topo)) return -1;
-  void* page = reinterpret_cast<void*>(reinterpret_cast<uintptr_t>(p) &
-                                       ~(PageBytes() - 1));
-  int status = -1;
-  // count=1, nodes=nullptr: query mode — status receives the backing node.
-  if (syscall(__NR_move_pages, 0, 1UL, &page, nullptr, &status, 0) != 0) {
-    return -1;
-  }
-  if (status < 0) return -1;
-  for (int k = 0; k < topo.node_count(); ++k) {
-    if (topo.nodes[k].id == status) return k;
-  }
-  return -1;
-#else
-  (void)p;
-  return -1;
-#endif
-}
-
-bool TouchedOnNode(const void* p, size_t bytes, int node) {
-  const NumaTopology& topo = Topology();
-  if (!RealMultiNode(topo)) return true;  // nothing to verify
-  if (p == nullptr || bytes == 0) return true;
-  const size_t page = PageBytes();
-  const size_t n_pages = (bytes + page - 1) / page;
-  const size_t samples = n_pages < 64 ? n_pages : 64;
-  const unsigned char* base = static_cast<const unsigned char*>(p);
-  for (size_t s = 0; s < samples; ++s) {
-    const size_t g = n_pages * s / samples;
-    const int got = NodeOfAddress(base + g * page);
-    if (got < 0) return true;  // query unavailable: do not fail the assert
-    if (got != node) return false;
-  }
-  return true;
 }
 
 }  // namespace simddb::numa

@@ -14,7 +14,9 @@
 //                  to the node that will process that block (the pool's
 //                  lane->node mapping, numa/topology.h). Right for inputs,
 //                  per-morsel histogram rows, and refine-pass outputs,
-//                  whose access pattern is block-contiguous per lane.
+//                  whose access pattern is block-contiguous per lane. The
+//                  blocks are pool tasks, so a lane that runs dry may steal
+//                  one before its owner starts and fault it on its own node.
 //   kInterleaved — round-robin pages across nodes (mbind MPOL_INTERLEAVE
 //                  when available). Right for buffers every node reads or
 //                  writes uniformly (e.g. fanout-strided partition
@@ -24,7 +26,7 @@
 // Everything degrades gracefully: on a real single-node host every entry
 // point is a no-op beyond (at most) reading the topology, and fake
 // topologies (SIMDDB_NUMA_FAKE) exercise the touch loops and counters but
-// never issue mbind/move_pages. First touch is implemented as a
+// never issue mbind. First touch is implemented as a
 // read + write-back of one byte per page, so placing a buffer never
 // changes its contents — callers may place buffers that already hold data.
 
@@ -35,45 +37,18 @@ namespace simddb::numa {
 /// Placement policy for an operator buffer.
 enum class Placement { kInterleaved, kNodeLocal };
 
-/// Process default: SIMDDB_NUMA_PLACEMENT=interleaved selects kInterleaved;
-/// anything else (or unset) selects kNodeLocal.
-Placement DefaultPlacement();
-
-/// Touches one byte per page of [p, p+bytes) from the calling thread
-/// (value-preserving), counting obs `pages_first_touched`.
-void FirstTouchPages(void* p, size_t bytes);
-
-/// Applies `placement` to [p, p+bytes): kNodeLocal faults lane-blocks of
-/// pages via a pool dispatch with `threads` lanes (so blocks land on the
-/// node whose lanes will process them); kInterleaved asks the kernel to
-/// interleave (real multi-node topologies only). No-op on real single-node
-/// hosts. Contents are preserved.
+/// Applies `placement` to [p, p+bytes): kNodeLocal splits the pages into
+/// TaskPool::LaneCount(n_pages, threads) contiguous blocks and faults them
+/// through one ParallelFor, block = task (so each block lands on the node
+/// of the lane whose initial task range holds it); kInterleaved asks the
+/// kernel to interleave (real multi-node topologies only). No-op on real
+/// single-node hosts. Contents are preserved.
 void PlaceBuffer(void* p, size_t bytes, int threads, Placement placement);
-void PlaceBuffer(void* p, size_t bytes, int threads);  // DefaultPlacement()
 
-/// AlignedAlloc + preferred-node binding (real multi-node only) + first
-/// touch from the calling thread. Debug builds assert the pages actually
-/// landed on `node` (move_pages, sampled). Release with AlignedFree.
-void* AllocOnNode(size_t bytes, int node);
-
-/// mbind(MPOL_PREFERRED -> node) over the fully-covered pages of
+/// mbind(MPOL_INTERLEAVE over all nodes) over the fully-covered pages of
 /// [p, p+bytes). False when unavailable (non-Linux, fake or single-node
 /// topology, sub-page range) or the syscall failed.
-bool TryBindToNode(void* p, size_t bytes, int node);
-
-/// mbind(MPOL_INTERLEAVE over all nodes) over the fully-covered pages.
-/// Same availability rules as TryBindToNode.
 bool TryInterleave(void* p, size_t bytes);
-
-/// Node (topology index) currently backing the page of `p`, via
-/// move_pages; -1 when unknown or unavailable. The page must be resident
-/// (touch it first).
-int NodeOfAddress(const void* p);
-
-/// Debug assertion helper: true when every sampled page (<= 64, evenly
-/// spread) of [p, p+bytes) is resident on `node`. Trivially true whenever
-/// NodeOfAddress is unavailable (fake/single-node topologies, non-Linux).
-bool TouchedOnNode(const void* p, size_t bytes, int node);
 
 }  // namespace simddb::numa
 

@@ -14,11 +14,8 @@ const Table* Catalog::RegisterTable(const std::string& name,
   // load-time operation, but a slow compress must not block lookups from
   // sessions already serving other tables.
   auto table = std::unique_ptr<Table>(new Table());
-  table->schema_.name = name;
-  table->schema_.key_column = opts.key_column;
-  table->schema_.val_column = opts.val_column;
-  table->schema_.rows = rows;
-  table->schema_.compressed = opts.compress;
+  table->name_ = name;
+  table->rows_ = rows;
   table->keys_.Reset(rows + 16);  // scan kernels may overshoot one vector
   table->vals_.Reset(rows + 16);
   if (rows > 0) {
@@ -27,12 +24,12 @@ const Table* Catalog::RegisterTable(const std::string& name,
   }
   if (opts.compress) {
     table->keys_c_ = std::make_unique<compress::CompressedColumn>(
-        compress::CompressColumn(keys, rows, opts.threads, opts.placement));
+        compress::CompressColumn(keys, rows));
     table->vals_c_ = std::make_unique<compress::CompressedColumn>(
-        compress::CompressColumn(vals, rows, opts.threads, opts.placement));
+        compress::CompressColumn(vals, rows));
   }
-  table->index_ = exec::JoinIndex::Build(BestIsa(), table->keys(),
-                                         table->vals(), rows, opts.threads);
+  table->index_ =
+      exec::JoinIndex::Build(BestIsa(), table->keys(), table->vals(), rows, 1);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = tables_.emplace(name, std::move(table));

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "compress/column.h"
-#include "numa/placement.h"
 #include "util/aligned_buffer.h"
 
 namespace simddb::exec {
@@ -38,15 +37,6 @@ class JoinIndex;
 
 namespace simddb::server {
 
-/// Immutable schema of a registered table.
-struct TableSchema {
-  std::string name;
-  std::string key_column = "key";
-  std::string val_column = "val";
-  size_t rows = 0;
-  bool compressed = false;  ///< compressed twin columns are present
-};
-
 /// Bytes a table, or the whole catalog, holds in each representation.
 struct TableBytes {
   uint64_t raw = 0;     ///< both raw columns, scan slack included
@@ -54,16 +44,12 @@ struct TableBytes {
   uint64_t index = 0;   ///< the join index (exec::JoinIndex::bytes)
 };
 
-/// Registration-time options.
+/// Registration-time options. Registration runs on one thread and places
+/// the compressed twins node-locally.
 struct TableOptions {
-  std::string key_column = "key";
-  std::string val_column = "val";
   /// Also build compressed twins of both columns (plans may then bind
   /// either representation; results are byte-identical).
   bool compress = false;
-  /// Threads / placement for buffer placement and compression at load.
-  int threads = 1;
-  numa::Placement placement = numa::Placement::kNodeLocal;
 };
 
 /// A named, immutable two-column relation owned by the catalog.
@@ -71,9 +57,8 @@ class Table {
  public:
   ~Table();
 
-  const TableSchema& schema() const { return schema_; }
-  const std::string& name() const { return schema_.name; }
-  size_t rows() const { return schema_.rows; }
+  const std::string& name() const { return name_; }
+  size_t rows() const { return rows_; }
 
   const uint32_t* keys() const { return keys_.data(); }
   const uint32_t* vals() const { return vals_.data(); }
@@ -96,7 +81,8 @@ class Table {
   friend class Catalog;
   Table() = default;
 
-  TableSchema schema_;
+  std::string name_;
+  size_t rows_ = 0;
   AlignedBuffer<uint32_t> keys_, vals_;
   std::unique_ptr<compress::CompressedColumn> keys_c_, vals_c_;
   std::unique_ptr<exec::JoinIndex> index_;

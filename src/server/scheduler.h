@@ -3,8 +3,14 @@
 
 // Inter-query scheduling for the serving layer.
 //
-// QueryScheduler::Run is the one entry point every QuerySession funnels
-// through. Per query it:
+// QueryScheduler::Run is the in-process client API of the serving layer and
+// the one entry point every query funnels through: a client thread calls it
+// directly, and the network front-end's handler threads (net/server.h) call
+// it for every QUERY line, so a socket client and an in-process caller take
+// the identical execution path and get identical bytes. Run blocks the
+// calling thread until the result is ready (admission gate included);
+// concurrency comes from many client threads calling it at once. Per query
+// it:
 //
 //   1. binds the named-table QuerySpec against the Catalog into the
 //      executor's ScanJoinAggregatePlan;
@@ -69,7 +75,7 @@ struct QueryStats {
   std::map<std::string, uint64_t> metrics;
 };
 
-/// What a session gets back: canonical result rows plus accounting.
+/// What a caller of Run gets back: canonical result rows plus accounting.
 struct ResultSet {
   bool ok = false;
   std::string error;  ///< bind / admission / abort / executor reason if !ok
@@ -102,7 +108,7 @@ class QueryScheduler {
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
   /// Executes the spec end to end (see file comment). Thread-safe: many
-  /// session threads call concurrently. `weight` biases the fair gate
+  /// client threads call concurrently. `weight` biases the fair gate
   /// (weight 2 receives ~2x the morsel share of weight 1 under load);
   /// wire clients set it per query via the QUERY line's weight= clause.
   ResultSet Run(const QuerySpec& spec, const exec::ExecConfig& cfg,

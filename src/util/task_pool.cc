@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "numa/topology.h"
 #include "obs/metrics.h"
@@ -23,7 +22,6 @@ obs::Counter g_inline_runs("inline_runs");  // jobs run inline on the caller
 obs::Counter g_dispatches("dispatches");    // pooled job dispatches
 obs::Counter g_range_splits("range_splits");  // oversized-range sub-dispatches
 obs::Counter g_fair_quanta("fair_quanta");  // quanta granted by the fair gate
-obs::Counter g_barrier_wait_ns("barrier_wait_ns");
 
 // True while the current thread is executing inside a pool job (workers
 // always; the submitting thread while it runs its own lane). Nested parallel
@@ -38,7 +36,7 @@ struct InJobScope {
 
 // Query tag of the current (submitting) thread; 0 = untagged. Set by
 // TaskPool::QueryTagScope around a query's execution, read at every
-// ParallelFor/ParallelPhases entry to route through the fair gate.
+// ParallelFor entry to route through the fair gate.
 thread_local uint64_t tls_query_tag = 0;
 
 constexpr uint64_t PackRange(uint32_t begin, uint32_t end) {
@@ -49,43 +47,7 @@ constexpr uint32_t RangeBegin(uint64_t r) {
 }
 constexpr uint32_t RangeEnd(uint64_t r) { return static_cast<uint32_t>(r); }
 
-// Process steal scope. -1 = not yet initialized from SIMDDB_NUMA_STEAL.
-std::atomic<int> g_steal_scope{-1};
-
 }  // namespace
-
-StealScope GetStealScope() {
-  int v = g_steal_scope.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("SIMDDB_NUMA_STEAL");
-    v = (env != nullptr && std::strcmp(env, "strict") == 0)
-            ? static_cast<int>(StealScope::kNodeStrict)
-            : static_cast<int>(StealScope::kHierarchical);
-    g_steal_scope.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<StealScope>(v);
-}
-
-void SetStealScope(StealScope scope) {
-  g_steal_scope.store(static_cast<int>(scope), std::memory_order_relaxed);
-}
-
-void PhaseBarrier::Wait() {
-  const bool timed = obs::MetricsEnabled();
-  const uint64_t t0 = timed ? obs::NowNs() : 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    bool my_sense = sense_;
-    if (++waiting_ == parties_) {
-      waiting_ = 0;
-      sense_ = !sense_;
-      cv_.notify_all();
-    } else {
-      cv_.wait(lock, [&] { return sense_ != my_sense; });
-    }
-  }
-  if (timed) g_barrier_wait_ns.AddAlways(obs::NowNs() - t0);
-}
 
 TaskPool& TaskPool::Get() {
   static TaskPool pool;
@@ -316,8 +278,7 @@ int TaskPool::SpawnedWorkers() {
   return static_cast<int>(workers_.size());
 }
 
-bool TaskPool::PopOrSteal(int lane, int n_lanes, int n_nodes, bool strict,
-                          size_t* task) {
+bool TaskPool::PopOrSteal(int lane, int n_lanes, int n_nodes, size_t* task) {
   // Fast path: pop the front of the own deque — consecutive morsels, so a
   // lane that keeps its initial range streams through contiguous input.
   Lane& mine = lanes_[lane];
@@ -333,13 +294,13 @@ bool TaskPool::PopOrSteal(int lane, int n_lanes, int n_nodes, bool strict,
   // Own deque drained: steal the back half of the first non-empty victim.
   // The stolen tasks (minus the one returned) become the new own deque.
   // With a multi-node lane map the scan is hierarchical: pass 0 visits
-  // only same-node victims (the per-node steal ring), pass 1 — skipped
-  // under StealScope::kNodeStrict — crosses nodes once the whole local
-  // node is dry. Which lane executes a task never affects output (the
-  // morsel grid fixes the layout), so the scan order is pure policy.
+  // only same-node victims (the per-node steal ring), pass 1 crosses nodes
+  // once the whole local node is dry. Which lane executes a task never
+  // affects output (the morsel grid fixes the layout), so the scan order
+  // is pure policy.
   const int my_node =
       n_nodes > 1 ? numa::NodeOfLane(lane, n_lanes, n_nodes) : 0;
-  const int n_passes = n_nodes > 1 ? (strict ? 1 : 2) : 1;
+  const int n_passes = n_nodes > 1 ? 2 : 1;
   for (int pass = 0; pass < n_passes; ++pass) {
     const bool want_local = pass == 0;
     for (int i = 1; i < n_lanes; ++i) {
@@ -376,11 +337,11 @@ bool TaskPool::PopOrSteal(int lane, int n_lanes, int n_nodes, bool strict,
   return false;
 }
 
-void TaskPool::RunLane(int lane, int n_lanes, int n_nodes, bool strict,
+void TaskPool::RunLane(int lane, int n_lanes, int n_nodes,
                        const std::function<void(int, size_t)>& fn) {
   size_t task;
   uint64_t executed = 0;
-  while (PopOrSteal(lane, n_lanes, n_nodes, strict, &task)) {
+  while (PopOrSteal(lane, n_lanes, n_nodes, &task)) {
     fn(lane, task);
     ++executed;
   }
@@ -401,11 +362,8 @@ void TaskPool::WorkerLoop(int self) {
     if (lane >= job_lanes_) continue;
     const int n_lanes = job_lanes_;
     const int n_nodes = job_n_nodes_;
-    const bool strict = job_strict_;
     const bool pin = job_pin_;
     const auto* for_fn = for_fn_;
-    const auto* phase_fn = phase_fn_;
-    PhaseBarrier* barrier = barrier_;
     obs::QueryMetricSink* sink = job_sink_;
     lock.unlock();
     if (pin) {
@@ -424,11 +382,7 @@ void TaskPool::WorkerLoop(int self) {
       // to this worker lane for the duration of the job, so work executed
       // on a query's behalf is credited to that query wherever it runs.
       obs::ScopedMetricSink sink_scope(sink);
-      if (for_fn != nullptr) {
-        RunLane(lane, n_lanes, n_nodes, strict, *for_fn);
-      } else {
-        (*phase_fn)(lane, n_lanes, *barrier);
-      }
+      RunLane(lane, n_lanes, n_nodes, *for_fn);
     }
     lock.lock();
     if (--lanes_remaining_ == 0) done_cv_.notify_all();
@@ -501,8 +455,6 @@ void TaskPool::DispatchFor(size_t n_tasks, int max_workers,
   const numa::NumaTopology& topo = numa::Topology();
   int n_nodes = topo.node_count();
   if (n_nodes > lanes) n_nodes = lanes;
-  const bool strict =
-      n_nodes > 1 && GetStealScope() == StealScope::kNodeStrict;
   const bool pin = n_nodes > 1 && !topo.fake && numa::PinningEnabled();
 
   std::lock_guard<std::mutex> jobs_lock(jobs_mu_);
@@ -519,94 +471,23 @@ void TaskPool::DispatchFor(size_t n_tasks, int max_workers,
   {
     std::lock_guard<std::mutex> lock(mu_);
     for_fn_ = &fn;
-    phase_fn_ = nullptr;
-    barrier_ = nullptr;
     job_sink_ = obs::CurrentMetricSink();
     job_lanes_ = lanes;
     lanes_remaining_ = lanes;
     job_n_nodes_ = n_nodes;
-    job_strict_ = strict;
     job_pin_ = pin;
     ++epoch_;
   }
   work_cv_.notify_all();
   {
     InJobScope in_job;
-    RunLane(0, lanes, n_nodes, strict, fn);
+    RunLane(0, lanes, n_nodes, fn);
   }
   std::unique_lock<std::mutex> lock(mu_);
   if (--lanes_remaining_ > 0) {
     done_cv_.wait(lock, [&] { return lanes_remaining_ == 0; });
   }
   for_fn_ = nullptr;
-  job_sink_ = nullptr;
-  job_lanes_ = 0;
-}
-
-void TaskPool::ParallelPhases(
-    int max_workers,
-    const std::function<void(int, int, PhaseBarrier&)>& fn) {
-  int lanes = max_workers < MaxWorkers() ? max_workers : MaxWorkers();
-  if (lanes < 1) lanes = 1;
-  const uint64_t tag = tls_in_pool_job ? 0 : tls_query_tag;
-  if (lanes == 1 || tls_in_pool_job) {
-    if (tag != 0) ThrowIfTagAborted(tag);
-    g_inline_runs.Add(1);
-    PhaseBarrier barrier(1);
-    fn(0, 1, barrier);
-    if (tag != 0) CreditTag(tag, 1);
-    return;
-  }
-  if (tag != 0) {
-    // A phase job is indivisible (every lane runs the whole multi-phase
-    // body), so it passes the fair gate as one quantum of cost `lanes`.
-    AcquireQuantum(tag, static_cast<size_t>(lanes));
-    g_fair_quanta.Add(1);
-    DispatchPhases(lanes, fn);
-    ReleaseQuantum(tag, static_cast<size_t>(lanes));
-    return;
-  }
-  DispatchPhases(lanes, fn);
-}
-
-void TaskPool::DispatchPhases(
-    int lanes, const std::function<void(int, int, PhaseBarrier&)>& fn) {
-  g_dispatches.Add(1);
-
-  // Phase jobs have no steal rings, but lanes still map to nodes for
-  // worker pinning (first-touch blocks in numa::PlaceBuffer rely on it).
-  const numa::NumaTopology& topo = numa::Topology();
-  int n_nodes = topo.node_count();
-  if (n_nodes > lanes) n_nodes = lanes;
-  const bool pin = n_nodes > 1 && !topo.fake && numa::PinningEnabled();
-
-  std::lock_guard<std::mutex> jobs_lock(jobs_mu_);
-  EnsureWorkers(lanes - 1);
-  PhaseBarrier barrier(lanes);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for_fn_ = nullptr;
-    phase_fn_ = &fn;
-    barrier_ = &barrier;
-    job_sink_ = obs::CurrentMetricSink();
-    job_lanes_ = lanes;
-    lanes_remaining_ = lanes;
-    job_n_nodes_ = n_nodes;
-    job_strict_ = false;
-    job_pin_ = pin;
-    ++epoch_;
-  }
-  work_cv_.notify_all();
-  {
-    InJobScope in_job;
-    fn(0, lanes, barrier);
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  if (--lanes_remaining_ > 0) {
-    done_cv_.wait(lock, [&] { return lanes_remaining_ == 0; });
-  }
-  phase_fn_ = nullptr;
-  barrier_ = nullptr;
   job_sink_ = nullptr;
   job_lanes_ = 0;
 }

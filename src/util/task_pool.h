@@ -23,9 +23,12 @@
 //     for every worker count and every steal schedule (see
 //     partition/parallel_partition.h).
 //
-// Single-threaded fast path: ParallelFor/ParallelPhases with max_workers <= 1
-// (or a single task, or a nested call from inside a worker) run inline on the
-// caller with no locking, so cfg.threads = 1 costs the same as a plain loop.
+// Single-threaded fast path: ParallelFor with max_workers <= 1 (or a single
+// task, or a nested call from inside a worker) runs inline on the caller with
+// no locking, so cfg.threads = 1 costs the same as a plain loop. ParallelFor
+// is the only way work leaves the calling thread: multi-phase operators
+// (build -> probe) issue one ParallelFor per phase, and the join between
+// calls is their barrier.
 //
 // SIMDDB_THREADS (environment) caps how many workers the pool will ever
 // spawn. Requests beyond the cap are clamped; requests beyond the hardware
@@ -37,17 +40,17 @@
 // contiguous initial task split so each node's lanes own a contiguous
 // morsel range. Stealing is hierarchical — a dry lane scans its own node's
 // victims first and crosses the node boundary only when the whole local
-// node is dry (StealScope::kNodeStrict forbids even that). On real
-// multi-node topologies workers additionally pin themselves to their
-// node's cpuset per job (SIMDDB_NUMA_PIN=0 disables; the submitting thread
-// — lane 0 — is never pinned). Single-node and fake topologies skip
+// node is dry. On real multi-node topologies workers additionally pin
+// themselves to their node's cpuset per job (SIMDDB_NUMA_PIN=0 disables;
+// the submitting thread — lane 0 — is never pinned). Single-node and fake
+// topologies skip
 // pinning, so behaviour there is unchanged from the pre-NUMA pool apart
 // from the victim scan order, which never affects results: output layout
 // depends only on the morsel grid, not the steal schedule.
 
 // Inter-query scheduling (src/server/): a query registers a *tag*
 // (RegisterQueryTag) and scopes its submitting thread with QueryTagScope;
-// every ParallelFor/ParallelPhases submitted under the scope then passes a
+// every ParallelFor submitted under the scope then passes a
 // weighted-fair gate. Tagged ranges are sliced into kFairQuantumTasks-sized
 // quanta whenever more than one query is in flight, and the gate admits the
 // waiting tag with the smallest weighted virtual time first — so a burst of
@@ -78,7 +81,7 @@ namespace obs {
 class QueryMetricSink;
 }  // namespace obs
 
-/// Thrown from a tagged ParallelFor/ParallelPhases when the tag was aborted
+/// Thrown from a tagged ParallelFor when the tag was aborted
 /// (admission-rejected, failed, or cancelled query): the remaining quanta
 /// are never dispatched and the submitting thread unwinds here.
 struct QueryAborted {
@@ -104,42 +107,6 @@ inline size_t BoundedMorselSize(size_t n, size_t max_morsels = kMaxMorselsPerPas
   }
   return morsel;
 }
-
-/// Cross-node work-stealing policy. kHierarchical (default): a dry lane
-/// steals within its node first and crosses nodes only when every local
-/// victim is dry. kNodeStrict: morsels never migrate across nodes — idle
-/// nodes finish early instead of generating remote traffic; used by
-/// placement-sensitive passes and the NUMA bench to guarantee zero remote
-/// steals. Irrelevant (single ring) on single-node topologies.
-enum class StealScope { kHierarchical, kNodeStrict };
-
-/// Process steal scope: SIMDDB_NUMA_STEAL=strict selects kNodeStrict,
-/// anything else (or unset) kHierarchical. Settable at runtime (benches,
-/// tests); takes effect at the next dispatch.
-StealScope GetStealScope();
-void SetStealScope(StealScope scope);
-
-/// Reusable sense-reversing barrier for multi-phase parallel operators
-/// (histogram -> prefix sum -> shuffle, build -> probe). Safe to reuse for
-/// any number of phases by the same set of `parties` threads.
-class PhaseBarrier {
- public:
-  explicit PhaseBarrier(int parties)
-      : parties_(parties), waiting_(0), sense_(false) {}
-
-  /// Blocks until all `parties` threads have arrived. Time spent blocked is
-  /// accumulated into the `barrier_wait_ns` metric when metrics are on.
-  void Wait();
-
-  int parties() const { return parties_; }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int parties_;
-  int waiting_;
-  bool sense_;
-};
 
 /// Fixed decomposition of [0, n) into kMorselTuples-sized morsels. The grid
 /// depends only on n, never on the worker count, which is what makes
@@ -199,17 +166,6 @@ class TaskPool {
   void ParallelForChunked(
       size_t n_tasks, size_t max_tasks_per_dispatch, int max_workers,
       const std::function<void(int worker, size_t task)>& fn);
-
-  /// Runs fn(lane, n_lanes, barrier) once per lane with n_lanes =
-  /// min(max_workers, MaxWorkers()) lanes running *concurrently* (the
-  /// barrier is sized to n_lanes, so every lane must call barrier.Wait()
-  /// the same number of times). Use for operators whose phases share state
-  /// produced by all lanes (e.g. build -> probe). Runs inline with
-  /// n_lanes = 1 when max_workers <= 1 or when nested inside a worker.
-  void ParallelPhases(
-      int max_workers,
-      const std::function<void(int lane, int n_lanes, PhaseBarrier& barrier)>&
-          fn);
 
   /// Number of lanes ParallelFor(n_tasks, max_workers) will actually use
   /// (after clamping to the task count and the worker cap). Operators use
@@ -278,10 +234,6 @@ class TaskPool {
   void EnsureWorkers(int needed);  // callers hold jobs_mu_
   void DispatchFor(size_t n_tasks, int max_workers,
                    const std::function<void(int worker, size_t task)>& fn);
-  void DispatchPhases(
-      int lanes,
-      const std::function<void(int lane, int n_lanes, PhaseBarrier& barrier)>&
-          fn);
   void WorkerLoop(int self);
 
   // Fair-gate internals (fair_mu_). AcquireQuantum blocks until the tag is
@@ -295,12 +247,11 @@ class TaskPool {
   void CreditTag(uint64_t tag, size_t tasks);  // inline-path accounting
   void ThrowIfTagAborted(uint64_t tag);
   uint64_t BestWaitingTag() const;  // callers hold fair_mu_
-  // n_nodes/strict are the job's topology snapshot (clamped to n_lanes);
-  // passed by value so lanes never re-read shared job state mid-run.
-  void RunLane(int lane, int n_lanes, int n_nodes, bool strict,
+  // n_nodes is the job's topology snapshot (clamped to n_lanes); passed by
+  // value so lanes never re-read shared job state mid-run.
+  void RunLane(int lane, int n_lanes, int n_nodes,
                const std::function<void(int, size_t)>& fn);
-  bool PopOrSteal(int lane, int n_lanes, int n_nodes, bool strict,
-                  size_t* task);
+  bool PopOrSteal(int lane, int n_lanes, int n_nodes, size_t* task);
 
   // Serializes job submission: one parallel job at a time owns the workers.
   std::mutex jobs_mu_;
@@ -313,14 +264,11 @@ class TaskPool {
   int job_lanes_ = 0;          // lanes participating in the current job
   int lanes_remaining_ = 0;    // participating lanes not yet finished
   int job_n_nodes_ = 1;        // topology nodes mapped onto this job's lanes
-  bool job_strict_ = false;    // StealScope::kNodeStrict for this job
   bool job_pin_ = false;       // pin workers to their lane's node cpuset
   bool shutdown_ = false;
 
   // Current job payload (set before epoch_ bump, read by participants).
   const std::function<void(int, size_t)>* for_fn_ = nullptr;
-  const std::function<void(int, int, PhaseBarrier&)>* phase_fn_ = nullptr;
-  PhaseBarrier* barrier_ = nullptr;
   // Submitting thread's per-query attribution sink, extended to the worker
   // lanes of this job (obs::ScopedMetricSink in WorkerLoop).
   obs::QueryMetricSink* job_sink_ = nullptr;

@@ -3,8 +3,8 @@
 // executor — the scan -> join -> group-by plan, run as its two fused
 // pipelines, produces byte-identical canonical results across ISAs, thread
 // counts {1, 8}, chunk sizes (including non-chunk-multiple and degenerate
-// inputs n in {0, 1, 1023}), hash seeds, both join-table layouts, both
-// group-by paths and raw and compressed storage, and matches a std::map
+// inputs n in {0, 1, 1023}), both join-table layouts, both group-by
+// paths and raw and compressed storage, and matches a std::map
 // reference and a hand-composed serial operator sequence over the same
 // kernels. The chunk-grid test pins the `chunks_pushed` count exactly:
 // each pipeline run counts its grid once.
@@ -571,11 +571,11 @@ TEST(ExecFusedTest, PipelineModesRunTheirPipelines) {
 }
 
 TEST(ExecQueryTest, EdgeShapesAndSeedsMatchReferenceAcrossMatrix) {
-  // Edge input sizes n_s in {0, 1, 1023, 4097} x hash seed {1, 42} x ISA x
-  // threads {1, 8} x chunk {257, 1024} x group-by path x join-table
-  // layout. The seed feeds the hash join table's and the hash group-by's
-  // hashes. Every result row and every reported cardinality must match
-  // the reference, for the plan and for a plan with another S window.
+  // Edge input sizes n_s in {0, 1, 1023, 4097} x ISA x threads {1, 8} x
+  // chunk {257, 1024} x group-by path x join-table layout. The hash join
+  // table and the hash group-by hash with the executor's fixed seed (42).
+  // Every result row and every reported cardinality must match the
+  // reference, for the plan and for a plan with another S window.
   const std::pair<size_t, size_t> shapes[] = {
       {256, 0}, {256, 1}, {256, 1023}, {1024, 4097}};
   for (auto [stride, attr_hi] : kLayoutAxes) {
@@ -600,26 +600,22 @@ TEST(ExecQueryTest, EdgeShapesAndSeedsMatchReferenceAcrossMatrix) {
       for (Isa isa : SupportedIsas()) {
         for (int threads : {1, 8}) {
           for (size_t chunk : {size_t{257}, size_t{1024}}) {
-            for (uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
-              ExecConfig cfg;
-              cfg.isa = isa;
-              cfg.threads = threads;
-              cfg.chunk_tuples = chunk;
-              cfg.seed = seed;
-              const std::string label =
-                  "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
-                  " " + IsaName(isa) + " t=" + std::to_string(threads) +
-                  " c=" + std::to_string(chunk) +
-                  " seed=" + std::to_string(seed) +
-                  " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
-              const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-              ExpectMatchesReference(got, want, label);
-              EXPECT_EQ(got.rows_build, want_build) << label;
-              EXPECT_EQ(got.rows_scanned, want_scanned) << label;
-              EXPECT_EQ(got.rows_joined, want_joined) << label;
-              ExpectMatchesReference(exec::RunScanJoinAggregate(other, cfg),
-                                     want_other, label + " other window");
-            }
+            ExecConfig cfg;
+            cfg.isa = isa;
+            cfg.threads = threads;
+            cfg.chunk_tuples = chunk;
+            const std::string label =
+                "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
+                " " + IsaName(isa) + " t=" + std::to_string(threads) +
+                " c=" + std::to_string(chunk) +
+                " attrs=" + std::to_string(attr_hi) + StrideLabel(stride);
+            const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+            ExpectMatchesReference(got, want, label);
+            EXPECT_EQ(got.rows_build, want_build) << label;
+            EXPECT_EQ(got.rows_scanned, want_scanned) << label;
+            EXPECT_EQ(got.rows_joined, want_joined) << label;
+            ExpectMatchesReference(exec::RunScanJoinAggregate(other, cfg),
+                                   want_other, label + " other window");
           }
         }
       }

@@ -5,7 +5,7 @@
 // structured parse error), encode/decode round-trips, and the socket
 // acceptance bar: a client-issued QUERY over a real loopback socket
 // (Unix-domain and TCP) returns rows byte-identical to the same
-// QuerySpec run in-process through QuerySession::Execute, under
+// QuerySpec run in-process through QueryScheduler::Run, under
 // concurrent clients x executor threads {1, 8}, with admission rejects
 // and parse errors reported on the wire and graceful drain delivering
 // every in-flight response before the sockets close.
@@ -30,7 +30,6 @@
 #include "obs/metrics.h"
 #include "server/catalog.h"
 #include "server/scheduler.h"
-#include "server/session.h"
 #include "util/aligned_buffer.h"
 #include "util/data_gen.h"
 #include "util/rng.h"
@@ -52,7 +51,6 @@ using net::WireTable;
 using server::AdmissionPolicy;
 using server::Catalog;
 using server::QueryScheduler;
-using server::QuerySession;
 using server::QuerySpec;
 using server::ResultSet;
 
@@ -505,8 +503,7 @@ TEST(NetServer, LoopbackByteIdentityAcrossThreadsAndModes) {
     ASSERT_TRUE(client.ConnectUnix(opts.unix_path, &error)) << error;
     ASSERT_TRUE(client.Ping());
 
-    QueryScheduler local_sched(&data.catalog);
-    QuerySession local(&data.catalog, &local_sched);
+    QueryScheduler local(&data.catalog);
 
     struct Case {
       const char* wire;
@@ -540,7 +537,7 @@ TEST(NetServer, LoopbackByteIdentityAcrossThreadsAndModes) {
       spec.prefer_compressed = c.packed;
       ExecConfig cfg;
       cfg.threads = threads;
-      const ResultSet rs = local.Execute(spec, cfg);
+      const ResultSet rs = local.Run(spec, cfg);
       ExpectWireEqualsLocal(wire, rs);
       EXPECT_GE(wire.morsels, 1u) << c.wire;  // the no-starvation observable
     }
@@ -559,7 +556,7 @@ TEST(NetServer, LoopbackByteIdentityAcrossThreadsAndModes) {
       spec.s_hi = 8000;
       ExecConfig cfg;
       cfg.threads = threads;
-      const ResultSet rs = local.Execute(spec, cfg);
+      const ResultSet rs = local.Run(spec, cfg);
       ExpectWireEqualsLocal(wire, rs);
     }
 
@@ -676,14 +673,13 @@ TEST(NetServer, TcpLoopback) {
       << error;
   ASSERT_TRUE(client.Ping());
   const WireResult wire = client.Query("QUERY build=R probe=S s=[10,900]");
-  QueryScheduler local_sched(&data.catalog);
-  QuerySession local(&data.catalog, &local_sched);
+  QueryScheduler local(&data.catalog);
   QuerySpec spec;
   spec.build_table = "R";
   spec.probe_table = "S";
   spec.s_lo = 10;
   spec.s_hi = 900;
-  ExpectWireEqualsLocal(wire, local.Execute(spec, ExecConfig{}));
+  ExpectWireEqualsLocal(wire, local.Run(spec, ExecConfig{}));
   client.Quit();
   server.Stop();
 }
@@ -994,8 +990,7 @@ TEST(NetServer, ConcurrentClientsByteIdenticalAcrossThreads) {
     // Reference results computed in-process, one per client window.
     constexpr int kClients = 8;
     constexpr int kQueriesEach = 4;
-    QueryScheduler local_sched(&data.catalog);
-    QuerySession local(&data.catalog, &local_sched);
+    QueryScheduler local(&data.catalog);
     std::vector<ResultSet> reference(kClients);
     for (int i = 0; i < kClients; ++i) {
       QuerySpec spec;
@@ -1005,7 +1000,7 @@ TEST(NetServer, ConcurrentClientsByteIdenticalAcrossThreads) {
       spec.s_hi = static_cast<uint32_t>(i * 5000 + 4999);
       ExecConfig cfg;
       cfg.threads = threads;
-      reference[i] = local.Execute(spec, cfg);
+      reference[i] = local.Run(spec, cfg);
       ASSERT_TRUE(reference[i].ok);
     }
 

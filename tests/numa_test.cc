@@ -1,9 +1,9 @@
 // NUMA subsystem tests: sysfs parsing (cpulist, fake specs, fabricated
-// topology trees), the lane->node block map, hierarchical vs node-strict
-// stealing on fake multi-node topologies, placement content preservation,
+// topology trees), the lane->node block map, hierarchical stealing on fake
+// multi-node topologies, placement content preservation and page counts,
 // and the acceptance bar — partition / radixsort / join outputs stay
-// byte-identical across every topology shape, steal scope, and thread
-// count (layout depends only on the morsel grid; NUMA is pure policy).
+// byte-identical across every topology shape and thread count (layout
+// depends only on the morsel grid; NUMA is pure policy).
 
 #include <gtest/gtest.h>
 
@@ -54,21 +54,16 @@ struct ScopedMetrics {
   ~ScopedMetrics() { obs::EnableMetrics(false); }
 };
 
-/// Installs a fake topology + steal scope for one scope, restoring the
-/// process defaults on destruction. The topology object outlives every
-/// dispatch issued inside the scope (member, destroyed after the reset).
+/// Installs a fake topology for one scope, restoring the process default on
+/// destruction. The topology object outlives every dispatch issued inside
+/// the scope (member, destroyed after the reset).
 struct ScopedTopology {
-  ScopedTopology(int nodes, int cpus, StealScope scope)
-      : topo(numa::MakeFakeTopology(nodes, cpus)), prev(GetStealScope()) {
+  ScopedTopology(int nodes, int cpus)
+      : topo(numa::MakeFakeTopology(nodes, cpus)) {
     numa::SetTopologyForTesting(&topo);
-    SetStealScope(scope);
   }
-  ~ScopedTopology() {
-    SetStealScope(prev);
-    numa::SetTopologyForTesting(nullptr);
-  }
+  ~ScopedTopology() { numa::SetTopologyForTesting(nullptr); }
   numa::NumaTopology topo;
-  StealScope prev;
 };
 
 TEST(NumaTopologyTest, ParseCpuListForms) {
@@ -210,8 +205,7 @@ TEST(NumaTopologyTest, TopologyOverrideRoundTrip) {
 }
 
 // Skewed workload on a fake 2-node topology: node 0's lanes own the slow
-// tasks, so node 1's lanes run dry and must cross the node boundary under
-// hierarchical stealing — and must NOT under kNodeStrict.
+// tasks, so node 1's lanes run dry and must cross the node boundary.
 void RunSkewedTwoNodeJob() {
   constexpr size_t kTasks = 32;  // 8 lanes x 4 tasks; node 0 owns 0..15
   TaskPool::Get().ParallelFor(kTasks, 8, [&](int, size_t task) {
@@ -222,7 +216,7 @@ void RunSkewedTwoNodeJob() {
 }
 
 TEST(NumaStealTest, HierarchicalStealsCrossNodesWhenLocalNodeDry) {
-  ScopedTopology numa_env(2, 4, StealScope::kHierarchical);
+  ScopedTopology numa_env(2, 4);
   ScopedMetrics metrics;
   RunSkewedTwoNodeJob();
   EXPECT_EQ(Metric("morsels"), 32u);
@@ -231,18 +225,8 @@ TEST(NumaStealTest, HierarchicalStealsCrossNodesWhenLocalNodeDry) {
             Metric("steals"));
 }
 
-TEST(NumaStealTest, StrictScopeNeverStealsAcrossNodes) {
-  ScopedTopology numa_env(2, 4, StealScope::kNodeStrict);
-  ScopedMetrics metrics;
-  RunSkewedTwoNodeJob();
-  // Every task still runs (owners drain their own deques) but no morsel
-  // migrated across the node boundary.
-  EXPECT_EQ(Metric("morsels"), 32u);
-  EXPECT_EQ(Metric("steals_remote"), 0u);
-}
-
 TEST(NumaPlacementTest, PlaceBufferPreservesContentsOnFakeTopology) {
-  ScopedTopology numa_env(2, 4, StealScope::kHierarchical);
+  ScopedTopology numa_env(2, 4);
   const size_t n = (size_t{1} << 16) + 37;
   AlignedBuffer<uint32_t> buf(n);
   FillUniform(buf.data(), n, 51, 0, 0xFFFFFFFFu);
@@ -256,13 +240,16 @@ TEST(NumaPlacementTest, PlaceBufferPreservesContentsOnFakeTopology) {
 }
 
 TEST(NumaPlacementTest, PlaceBufferCountsFirstTouchedPages) {
-  ScopedTopology numa_env(2, 4, StealScope::kHierarchical);
-  ScopedMetrics metrics;
+  ScopedTopology numa_env(2, 4);
   const size_t bytes = 64 * PageBytes();
   AlignedBuffer<uint32_t> buf(bytes / sizeof(uint32_t));
-  numa::PlaceBuffer(buf.data(), bytes, 8, numa::Placement::kNodeLocal);
-  // The buffer spans >= 64 pages; every one is touched exactly once.
-  EXPECT_GE(Metric("pages_first_touched"), 64u);
+  for (int threads : {1, 2, 8}) {
+    ScopedMetrics metrics;
+    numa::PlaceBuffer(buf.data(), bytes, threads,
+                      numa::Placement::kNodeLocal);
+    // The page blocks tile the 64 pages: every one is touched exactly once.
+    EXPECT_EQ(Metric("pages_first_touched"), 64u) << "t=" << threads;
+  }
 }
 
 TEST(NumaPlacementTest, PlaceBufferIsNoOpOnRealSingleNode) {
@@ -280,9 +267,8 @@ TEST(NumaPlacementTest, PlaceBufferIsNoOpOnRealSingleNode) {
 }
 
 // The acceptance bar: one partition pass produces byte-identical output
-// for every topology shape x steal scope x thread count, because layout
-// depends only on the morsel grid. The reference runs with the host's
-// real topology and default scope.
+// for every topology shape x thread count, because layout depends only on
+// the morsel grid. The reference runs with the host's real topology.
 TEST(NumaDeterminismTest, PartitionByteIdenticalAcrossTopologiesAndScopes) {
   const size_t n = (size_t{1} << 17) + 345;  // 9 morsels
   const uint32_t fanout = 256;
@@ -302,25 +288,20 @@ TEST(NumaDeterminismTest, PartitionByteIdenticalAcrossTopologiesAndScopes) {
     }
     const std::pair<int, int> shapes[] = {{1, 8}, {2, 4}, {4, 2}};
     for (const std::pair<int, int>& shape : shapes) {
-      for (StealScope scope :
-           {StealScope::kHierarchical, StealScope::kNodeStrict}) {
-        for (int threads : {1, 8}) {
-          ScopedTopology numa_env(shape.first, shape.second, scope);
-          AlignedBuffer<uint32_t> k(cap), p(cap);
-          std::vector<uint32_t> starts(fanout + 1);
-          ParallelPartitionResources res;
-          ParallelPartitionPass(fn, keys.data(), pays.data(), n, k.data(),
-                                p.data(), isa, threads, &res, starts.data());
-          const std::string what =
-              std::string(IsaName(isa)) + " topo=" +
-              std::to_string(shape.first) + "x" +
-              std::to_string(shape.second) + " strict=" +
-              (scope == StealScope::kNodeStrict ? "1" : "0") +
-              " t=" + std::to_string(threads);
-          ASSERT_EQ(starts, ref_starts) << what;
-          ASSERT_EQ(std::memcmp(k.data(), ref_k.data(), n * 4), 0) << what;
-          ASSERT_EQ(std::memcmp(p.data(), ref_p.data(), n * 4), 0) << what;
-        }
+      for (int threads : {1, 8}) {
+        ScopedTopology numa_env(shape.first, shape.second);
+        AlignedBuffer<uint32_t> k(cap), p(cap);
+        std::vector<uint32_t> starts(fanout + 1);
+        ParallelPartitionResources res;
+        ParallelPartitionPass(fn, keys.data(), pays.data(), n, k.data(),
+                              p.data(), isa, threads, &res, starts.data());
+        const std::string what =
+            std::string(IsaName(isa)) + " topo=" +
+            std::to_string(shape.first) + "x" +
+            std::to_string(shape.second) + " t=" + std::to_string(threads);
+        ASSERT_EQ(starts, ref_starts) << what;
+        ASSERT_EQ(std::memcmp(k.data(), ref_k.data(), n * 4), 0) << what;
+        ASSERT_EQ(std::memcmp(p.data(), ref_p.data(), n * 4), 0) << what;
       }
     }
   }
@@ -344,20 +325,19 @@ TEST(NumaDeterminismTest, RadixSortByteIdenticalAcrossTopologies) {
     ref_p.assign(p.data(), p.data() + n);
     for (size_t i = 1; i < n; ++i) ASSERT_LE(ref_k[i - 1], ref_k[i]);
   }
-  for (StealScope scope :
-       {StealScope::kHierarchical, StealScope::kNodeStrict}) {
-    ScopedTopology numa_env(2, 4, scope);
-    AlignedBuffer<uint32_t> k(n + 16), p(n + 16), sk(n + 16), sp(n + 16);
-    std::memcpy(k.data(), base_k.data(), n * 4);
-    std::memcpy(p.data(), base_p.data(), n * 4);
-    RadixSortPairs(k.data(), p.data(), sk.data(), sp.data(), n, cfg);
-    ASSERT_EQ(std::memcmp(k.data(), ref_k.data(), n * 4), 0)
-        << "strict=" << (scope == StealScope::kNodeStrict);
-    ASSERT_EQ(std::memcmp(p.data(), ref_p.data(), n * 4), 0)
-        << "strict=" << (scope == StealScope::kNodeStrict);
-  }
+  ScopedTopology numa_env(2, 4);
+  AlignedBuffer<uint32_t> k(n + 16), p(n + 16), sk(n + 16), sp(n + 16);
+  std::memcpy(k.data(), base_k.data(), n * 4);
+  std::memcpy(p.data(), base_p.data(), n * 4);
+  RadixSortPairs(k.data(), p.data(), sk.data(), sp.data(), n, cfg);
+  ASSERT_EQ(std::memcmp(k.data(), ref_k.data(), n * 4), 0);
+  ASSERT_EQ(std::memcmp(p.data(), ref_p.data(), n * 4), 0);
 }
 
+// The max-partition join (partition passes) and the no-partition join (a
+// build ParallelFor over R's morsels, then a probe ParallelFor over S's):
+// unsorted output on a fake 2x4 topology at threads {1, 2, 8} matches the
+// host-topology run at 8 threads byte for byte.
 TEST(NumaDeterminismTest, MaxPartitionJoinByteIdenticalAcrossTopologies) {
   const size_t rn = size_t{1} << 14;
   const size_t sn = (size_t{1} << 15) + 111;
@@ -368,32 +348,42 @@ TEST(NumaDeterminismTest, MaxPartitionJoinByteIdenticalAcrossTopologies) {
   FillSequential(sp.data(), sn, 0);
   JoinRelation r{rk.data(), rp.data(), rn};
   JoinRelation s{sk.data(), sp.data(), sn};
-  JoinConfig cfg;
-  cfg.isa = Isa::kScalar;
-  cfg.threads = 8;
-  std::vector<uint32_t> ref_k, ref_rp, ref_sp;
-  size_t ref_matches = 0;
-  {
-    AlignedBuffer<uint32_t> ok(sn + 16), orp(sn + 16), osp(sn + 16);
-    ref_matches =
-        HashJoinMaxPartition(r, s, cfg, ok.data(), orp.data(), osp.data());
-    ASSERT_GT(ref_matches, 0u);
-    ref_k.assign(ok.data(), ok.data() + ref_matches);
-    ref_rp.assign(orp.data(), orp.data() + ref_matches);
-    ref_sp.assign(osp.data(), osp.data() + ref_matches);
-  }
-  for (StealScope scope :
-       {StealScope::kHierarchical, StealScope::kNodeStrict}) {
-    ScopedTopology numa_env(2, 4, scope);
-    AlignedBuffer<uint32_t> ok(sn + 16), orp(sn + 16), osp(sn + 16);
-    const size_t matches =
-        HashJoinMaxPartition(r, s, cfg, ok.data(), orp.data(), osp.data());
-    const std::string what =
-        std::string("strict=") + (scope == StealScope::kNodeStrict ? "1" : "0");
-    ASSERT_EQ(matches, ref_matches) << what;
-    ASSERT_EQ(std::memcmp(ok.data(), ref_k.data(), matches * 4), 0) << what;
-    ASSERT_EQ(std::memcmp(orp.data(), ref_rp.data(), matches * 4), 0) << what;
-    ASSERT_EQ(std::memcmp(osp.data(), ref_sp.data(), matches * 4), 0) << what;
+  using JoinFn = size_t (*)(const JoinRelation&, const JoinRelation&,
+                            const JoinConfig&, uint32_t*, uint32_t*,
+                            uint32_t*, JoinTimings*);
+  const std::pair<const char*, JoinFn> joins[] = {
+      {"max_partition", HashJoinMaxPartition},
+      {"no_partition", HashJoinNoPartition}};
+  for (const auto& [name, join] : joins) {
+    JoinConfig cfg;
+    cfg.isa = Isa::kScalar;
+    cfg.threads = 8;
+    std::vector<uint32_t> ref_k, ref_rp, ref_sp;
+    size_t ref_matches = 0;
+    {
+      AlignedBuffer<uint32_t> ok(sn + 16), orp(sn + 16), osp(sn + 16);
+      ref_matches =
+          join(r, s, cfg, ok.data(), orp.data(), osp.data(), nullptr);
+      ASSERT_GT(ref_matches, 0u) << name;
+      ref_k.assign(ok.data(), ok.data() + ref_matches);
+      ref_rp.assign(orp.data(), orp.data() + ref_matches);
+      ref_sp.assign(osp.data(), osp.data() + ref_matches);
+    }
+    for (int threads : {1, 2, 8}) {
+      ScopedTopology numa_env(2, 4);
+      cfg.threads = threads;
+      AlignedBuffer<uint32_t> ok(sn + 16), orp(sn + 16), osp(sn + 16);
+      const size_t matches =
+          join(r, s, cfg, ok.data(), orp.data(), osp.data(), nullptr);
+      const std::string what =
+          std::string(name) + " t=" + std::to_string(threads);
+      ASSERT_EQ(matches, ref_matches) << what;
+      ASSERT_EQ(std::memcmp(ok.data(), ref_k.data(), matches * 4), 0) << what;
+      ASSERT_EQ(std::memcmp(orp.data(), ref_rp.data(), matches * 4), 0)
+          << what;
+      ASSERT_EQ(std::memcmp(osp.data(), ref_sp.data(), matches * 4), 0)
+          << what;
+    }
   }
 }
 

@@ -329,13 +329,13 @@ TEST(JsonlTest, BenchRowMetricsAppended) {
   row.time_unit = "ms";
   row.metrics.emplace_back("steals", 12);
   row.metrics.emplace_back("morsels", 4096);
-  row.metrics.emplace_back("barrier_wait_ns", 1.5e6);
+  row.metrics.emplace_back("part_shuffle_ns", 1.5e6);
   const std::string line = BuildBenchJsonLine(row);
   EXPECT_TRUE(IsValidJson(std::string_view(line.data(), line.size() - 1)))
       << line;
   EXPECT_EQ(RawField(line, "steals"), "12");
   EXPECT_EQ(RawField(line, "morsels"), "4096");
-  EXPECT_EQ(RawField(line, "barrier_wait_ns"), "1500000");
+  EXPECT_EQ(RawField(line, "part_shuffle_ns"), "1500000");
 }
 
 // ---------------------------------------------------------------------------
@@ -425,7 +425,7 @@ TEST(MetricsTest, RegistrySnapshotContainsInstrumentsAndResetsAll) {
   }
   EXPECT_TRUE(snap.count("steals"));
   EXPECT_TRUE(snap.count("morsels"));
-  EXPECT_TRUE(snap.count("barrier_wait_ns"));
+  EXPECT_TRUE(snap.count("dispatches"));
   MetricsRegistry::Get().ResetAll();
   EXPECT_EQ(counter.Value(), 0u);
   EXPECT_EQ(timer.TotalNs(), 0u);

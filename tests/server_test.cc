@@ -1,8 +1,9 @@
 // Serving-layer tests (src/server/): catalog registration/lookup and
 // immutability, QuerySpec binding against catalog columns, and the
-// acceptance bar for concurrent serving — 8..32 concurrent QuerySessions
-// on the shared TaskPool return results byte-identical to serial execution
-// of the same plans at threads {1, 8}, every query's morsels drain
+// acceptance bar for concurrent serving — 8..32 client threads calling
+// QueryScheduler::Run on the shared TaskPool get results byte-identical to
+// serial execution of the same plans at threads {1, 8}, every query's
+// morsels drain
 // (no-starvation), the admission gate bounds in-flight queries under both
 // policies, and per-query metric sinks attribute work with no cross-query
 // bleed.
@@ -21,7 +22,6 @@
 #include "obs/metrics.h"
 #include "server/catalog.h"
 #include "server/scheduler.h"
-#include "server/session.h"
 #include "util/aligned_buffer.h"
 #include "util/data_gen.h"
 
@@ -34,7 +34,6 @@ using exec::ScanJoinAggregatePlan;
 using server::AdmissionPolicy;
 using server::Catalog;
 using server::QueryScheduler;
-using server::QuerySession;
 using server::QuerySpec;
 using server::ResultSet;
 using server::SchedulerOptions;
@@ -186,7 +185,7 @@ TEST(ServerCatalogTest, RegisterFindAndImmutability) {
       catalog.RegisterTable("orders", keys.data(), vals.data(), keys.size());
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->rows(), 3u);
-  EXPECT_EQ(t->schema().name, "orders");
+  EXPECT_EQ(t->name(), "orders");
   EXPECT_EQ(std::memcmp(t->keys(), keys.data(), 3 * sizeof(uint32_t)), 0);
   EXPECT_EQ(std::memcmp(t->vals(), vals.data(), 3 * sizeof(uint32_t)), 0);
 
@@ -221,7 +220,6 @@ TEST(ServerCatalogTest, CompressedTwinsRegisteredOnRequest) {
   const server::Table* t =
       catalog.RegisterTable("c", keys.data(), vals.data(), keys.size(), opts);
   ASSERT_NE(t, nullptr);
-  EXPECT_TRUE(t->schema().compressed);
   ASSERT_NE(t->keys_compressed(), nullptr);
   ASSERT_NE(t->vals_compressed(), nullptr);
   EXPECT_EQ(t->keys_compressed()->size(), keys.size());
@@ -294,12 +292,11 @@ TEST(ServerCatalogTest, JoinIndexAndBytesPerTable) {
 TEST(ServerSessionTest, BindResolvesCatalogColumns) {
   ServerData d(1024, 4096);
   QueryScheduler sched(&d.catalog);
-  QuerySession session(&d.catalog, &sched);
 
   QuerySpec spec = SpecFor(0, d.n_r);
   ScanJoinAggregatePlan plan;
   std::string error;
-  ASSERT_TRUE(session.Bind(spec, &plan, &error)) << error;
+  ASSERT_TRUE(server::BindQuery(d.catalog, spec, &plan, &error)) << error;
   EXPECT_EQ(plan.r_keys, d.catalog.Find("R")->keys());
   EXPECT_EQ(plan.r_attrs, d.catalog.Find("R")->vals());
   EXPECT_EQ(plan.n_r, d.n_r);
@@ -310,31 +307,30 @@ TEST(ServerSessionTest, BindResolvesCatalogColumns) {
   ASSERT_NE(d.catalog.Find("R")->join_index(), nullptr);
   EXPECT_EQ(plan.r_index, d.catalog.Find("R")->join_index());
   spec.build_table = "Rrep";
-  ASSERT_TRUE(session.Bind(spec, &plan, &error)) << error;
+  ASSERT_TRUE(server::BindQuery(d.catalog, spec, &plan, &error)) << error;
   EXPECT_EQ(plan.r_index, nullptr);
   spec.build_table = "R";
 
   spec.probe_table = "missing";
-  EXPECT_FALSE(session.Bind(spec, &plan, &error));
+  EXPECT_FALSE(server::BindQuery(d.catalog, spec, &plan, &error));
   EXPECT_NE(error.find("missing"), std::string::npos);
 
   spec.probe_table = "S";
   spec.prefer_compressed = true;  // tables registered without twins
-  EXPECT_FALSE(session.Bind(spec, &plan, &error));
+  EXPECT_FALSE(server::BindQuery(d.catalog, spec, &plan, &error));
 }
 
 TEST(ServerSessionTest, CompressedExecutionMatchesRaw) {
   ServerData d(2048, 16384, /*sequential_vals=*/false, /*compress=*/true);
   QueryScheduler sched(&d.catalog);
-  QuerySession session(&d.catalog, &sched);
   ExecConfig cfg;
   cfg.threads = 4;
 
   QuerySpec spec = SpecFor(1, d.n_r);
-  ResultSet raw = session.Execute(spec, cfg);
+  ResultSet raw = sched.Run(spec, cfg);
   ASSERT_TRUE(raw.ok) << raw.error;
   spec.prefer_compressed = true;
-  ResultSet comp = session.Execute(spec, cfg);
+  ResultSet comp = sched.Run(spec, cfg);
   ASSERT_TRUE(comp.ok) << comp.error;
   ExpectSameResult(comp.result, raw.result, "compressed vs raw");
 }
@@ -372,8 +368,7 @@ TEST(ServerSchedulerTest, ConcurrentSessionsByteIdenticalVsSerial) {
       std::vector<std::thread> workers;
       for (int i = 0; i < clients; ++i) {
         workers.emplace_back([&, i] {
-          QuerySession session(&d.catalog, &sched);
-          got[i] = session.Execute(spec_for(i), cfg);
+          got[i] = sched.Run(spec_for(i), cfg);
         });
       }
       for (auto& w : workers) w.join();
@@ -431,10 +426,9 @@ TEST(ServerSchedulerTest, PartitionedBuildsUnderConcurrencyMatchThreadsOne) {
     std::vector<std::thread> workers;
     for (int i = 0; i < kClients; ++i) {
       workers.emplace_back([&, i] {
-        QuerySession session(&d.catalog, &sched);
         QuerySpec spec = spec_for(i);
         spec.prefer_compressed = i % 2 == 1;
-        got[i] = session.Execute(spec, cfg);
+        got[i] = sched.Run(spec, cfg);
       });
     }
     for (auto& w : workers) w.join();
@@ -463,8 +457,7 @@ TEST(ServerSchedulerTest, AdmissionBlocksAtMaxInflight) {
   std::vector<std::thread> workers;
   for (int i = 0; i < kClients; ++i) {
     workers.emplace_back([&, i] {
-      QuerySession session(&d.catalog, &sched);
-      got[i] = session.Execute(SpecFor(i, d.n_r), cfg);
+      got[i] = sched.Run(SpecFor(i, d.n_r), cfg);
     });
   }
   for (auto& w : workers) w.join();
@@ -491,10 +484,9 @@ TEST(ServerSchedulerTest, AdmissionRejectPolicyRefusesOverload) {
   std::vector<std::thread> workers;
   for (int i = 0; i < kClients; ++i) {
     workers.emplace_back([&, i] {
-      QuerySession session(&d.catalog, &sched);
       ready.fetch_add(1);
       while (ready.load() < kClients) std::this_thread::yield();
-      got[i] = session.Execute(SpecFor(i, d.n_r), cfg);
+      got[i] = sched.Run(SpecFor(i, d.n_r), cfg);
     });
   }
   for (auto& w : workers) w.join();
@@ -558,8 +550,7 @@ TEST(ServerJoinIndexTest, ServedWindowsMatchThePerQueryBuild) {
         std::vector<std::thread> workers;
         for (size_t w = 0; w < windows.size(); ++w) {
           workers.emplace_back([&, w] {
-            QuerySession session(&d.catalog, &sched);
-            got[w] = session.Execute(spec_for(w, packed), cfg);
+            got[w] = sched.Run(spec_for(w, packed), cfg);
           });
         }
         for (auto& t : workers) t.join();
@@ -609,15 +600,15 @@ TEST(ServerJoinIndexTest, ConcurrentSessionsReadOneIndex) {
   std::vector<std::thread> workers;
   for (int s = 0; s < kSessions; ++s) {
     workers.emplace_back([&, s] {
-      QuerySession session(&d.catalog, &sched);
       for (int q = 0; q < kQueries; ++q) {
         const QuerySpec& spec = specs[s * kQueries + q];
         ScanJoinAggregatePlan plan;
         std::string error;
-        if (!session.Bind(spec, &plan, &error) || plan.r_index != index) {
+        if (!server::BindQuery(d.catalog, spec, &plan, &error) ||
+            plan.r_index != index) {
           ++other_index;
         }
-        got[s * kQueries + q] = session.Execute(spec, cfg);
+        got[s * kQueries + q] = sched.Run(spec, cfg);
       }
     });
   }
@@ -667,20 +658,19 @@ TEST(ServerSchedulerTest, DuplicateBuildKeysFailQueryAndKeepServing) {
     EXPECT_EQ(BuildsDirectTable(d.catalog, DupSpec(1)), stride == kDenseKeys);
     EXPECT_EQ(BuildsDirectTable(d.catalog, DupSpec(9)), stride == kDenseKeys);
     QueryScheduler sched(&d.catalog);
-    QuerySession session(&d.catalog, &sched);
     for (int threads : {1, 2, 8}) {
       ExecConfig cfg;
       cfg.threads = threads;
       const std::string ctx = "stride=" + std::to_string(stride) +
                               " threads=" + std::to_string(threads);
-      const ResultSet bad = session.Execute(DupSpec(1), cfg);
+      const ResultSet bad = sched.Run(DupSpec(1), cfg);
       EXPECT_FALSE(bad.ok) << ctx;
       EXPECT_FALSE(bad.stats.aborted) << ctx;
       EXPECT_NE(bad.error.find("duplicate build keys (key 1 repeats)"),
                 std::string::npos)
           << ctx << ": " << bad.error;
       // The repeats lie outside r=[9, ...]: that query runs.
-      const ResultSet good = session.Execute(DupSpec(9), cfg);
+      const ResultSet good = sched.Run(DupSpec(9), cfg);
       ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
       EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
     }
@@ -739,7 +729,6 @@ TEST(ServerSchedulerTest, ReservedValueBuildFailsQueryAndKeepsServing) {
                                 ReservedSpec("Rkey", "S", d.clean_r_hi)),
               stride == kDenseKeys);
     QueryScheduler sched(&d.catalog);
-    QuerySession session(&d.catalog, &sched);
     struct Case {
       const char* table;
       const char* error;
@@ -754,13 +743,13 @@ TEST(ServerSchedulerTest, ReservedValueBuildFailsQueryAndKeepsServing) {
         const std::string ctx =
             std::string(c.table) + " threads=" + std::to_string(threads);
         const ResultSet bad =
-            session.Execute(ReservedSpec(c.table, "S", 0xFFFFFFFFu), cfg);
+            sched.Run(ReservedSpec(c.table, "S", 0xFFFFFFFFu), cfg);
         EXPECT_FALSE(bad.ok) << ctx;
         EXPECT_FALSE(bad.stats.aborted) << ctx;
         EXPECT_NE(bad.error.find(c.error), std::string::npos)
             << ctx << ": " << bad.error;
         const ResultSet good =
-            session.Execute(ReservedSpec(c.table, "S", d.clean_r_hi), cfg);
+            sched.Run(ReservedSpec(c.table, "S", d.clean_r_hi), cfg);
         ASSERT_TRUE(good.ok) << ctx << ": " << good.error;
         EXPECT_FALSE(good.result.group_keys.empty()) << ctx;
       }
@@ -794,8 +783,7 @@ TEST(ServerSchedulerTest, ReservedValueProbeKeysJoinNothing) {
         std::vector<std::thread> workers;
         for (int i = 0; i < kClients; ++i) {
           workers.emplace_back([&, i] {
-            QuerySession session(&d.catalog, &sched);
-            got[i] = session.Execute(spec_for(i), cfg);
+            got[i] = sched.Run(spec_for(i), cfg);
           });
         }
         for (auto& t : workers) t.join();
@@ -842,12 +830,10 @@ TEST(ServerSchedulerTest, PerQueryMetricsDoNotBleedAcrossConcurrentQueries) {
 
   ResultSet big_rs, small_rs;
   std::thread tb([&] {
-    QuerySession session(&big.catalog, &sched);
-    big_rs = session.Execute(big_spec, cfg);
+    big_rs = sched.Run(big_spec, cfg);
   });
   std::thread ts([&] {
-    QuerySession session(&big.catalog, &sched);
-    small_rs = session.Execute(small_spec, cfg);
+    small_rs = sched.Run(small_spec, cfg);
   });
   tb.join();
   ts.join();

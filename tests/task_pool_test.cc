@@ -1,9 +1,9 @@
 // Scheduler tests: TaskPool work distribution (every task exactly once,
 // stealing under skewed morsel costs, oversubscription beyond the hardware
-// thread count), PhaseBarrier reuse across many phases, sub-morsel inputs,
-// the parallel wrappers of the single-threaded operators, and the
-// determinism guarantee — parallel radixsort and the max-partition join
-// produce byte-identical output for every thread count and run.
+// thread count), sub-morsel inputs, the parallel wrappers of the
+// single-threaded operators, and the determinism guarantee — parallel
+// radixsort and the max- and no-partition joins produce byte-identical
+// output for every thread count and run.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -20,6 +21,7 @@
 
 #include "agg/group_by.h"
 #include "bloom/bloom_filter.h"
+#include "hash/hash_table.h"
 #include "join/hash_join.h"
 #include "obs/metrics.h"
 #include "scan/selection_scan.h"
@@ -121,31 +123,6 @@ TEST(TaskPoolTest, StealingRebalancesSkewedTaskCosts) {
   EXPECT_GT(stolen, 0);
 }
 
-TEST(TaskPoolTest, PhaseBarrierReusedAcrossManyPhases) {
-  constexpr int kPhases = 10;
-  const int workers = 8;
-  std::atomic<int> counter{0};
-  std::atomic<bool> ok{true};
-  TaskPool::Get().ParallelPhases(
-      workers, [&](int lane, int n_lanes, PhaseBarrier& barrier) {
-        EXPECT_EQ(barrier.parties(), n_lanes);
-        EXPECT_GE(lane, 0);
-        EXPECT_LT(lane, n_lanes);
-        for (int phase = 0; phase < kPhases; ++phase) {
-          counter.fetch_add(1, std::memory_order_relaxed);
-          barrier.Wait();
-          // After the barrier every lane of this phase has incremented.
-          if (counter.load(std::memory_order_relaxed) <
-              n_lanes * (phase + 1)) {
-            ok.store(false);
-          }
-          barrier.Wait();  // keep phases separated for the next increment
-        }
-      });
-  EXPECT_TRUE(ok.load());
-  EXPECT_EQ(counter.load(), 8 * kPhases);
-}
-
 TEST(TaskPoolTest, NestedParallelForRunsInline) {
   std::atomic<size_t> total{0};
   TaskPool::Get().ParallelFor(8, 4, [&](int, size_t) {
@@ -230,19 +207,6 @@ TEST(TaskPoolMetricsTest, CountsStealsUnderSkewedTaskCosts) {
   EXPECT_EQ(Metric("dispatches"), 1u);
   EXPECT_GT(Metric("steals"), 0u);
   EXPECT_GT(Metric("stolen_tasks"), 0u);
-}
-
-TEST(TaskPoolMetricsTest, AccumulatesBarrierWaitTime) {
-  ScopedMetrics metrics;
-  TaskPool::Get().ParallelPhases(
-      4, [](int lane, int, PhaseBarrier& barrier) {
-        if (lane == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        }
-        barrier.Wait();
-      });
-  // Every lane but the sleeper blocked ~50 ms at the barrier.
-  EXPECT_GT(Metric("barrier_wait_ns"), 0u);
 }
 
 TEST(TaskPoolMetricsTest, DisabledMetricsStayZero) {
@@ -519,6 +483,17 @@ TEST(DeterminismTest, RadixSortMultiColumnByteIdenticalAcrossThreads) {
   }
 }
 
+// The max-partition join (partition passes over morsel grids) and the
+// no-partition join (one shared table: a build ParallelFor over R's morsels,
+// then a probe ParallelFor over S's) both emit byte-identical, unsorted
+// output for every thread count and run.
+using JoinFn = size_t (*)(const JoinRelation&, const JoinRelation&,
+                          const JoinConfig&, uint32_t*, uint32_t*, uint32_t*,
+                          JoinTimings*);
+constexpr std::pair<const char*, JoinFn> kSharedStateJoins[] = {
+    {"max_partition", HashJoinMaxPartition},
+    {"no_partition", HashJoinNoPartition}};
+
 TEST(DeterminismTest, MaxPartitionJoinByteIdenticalAcrossThreadsAndRuns) {
   const size_t rn = size_t{1} << 16;
   const size_t sn = (size_t{1} << 18) + 513;
@@ -527,35 +502,49 @@ TEST(DeterminismTest, MaxPartitionJoinByteIdenticalAcrossThreadsAndRuns) {
   FillSequential(rp.data(), rn, 0);
   FillProbeKeys(sk.data(), sn, rk.data(), rn, 0.9, 37);
   FillSequential(sp.data(), sn, 0);
-  JoinRelation r{rk.data(), rp.data(), rn};
-  JoinRelation s{sk.data(), sp.data(), sn};
-  for (Isa isa : {Isa::kScalar, Isa::kAvx512}) {
-    if (!IsaSupported(isa)) continue;
-    std::vector<uint32_t> ref_k, ref_rp, ref_sp;
-    size_t ref_matches = 0;
-    for (int threads : {1, 2, 8}) {
-      for (int run = 0; run < (threads == 8 ? 3 : 1); ++run) {
-        AlignedBuffer<uint32_t> ok(sn + 16), orp(sn + 16), osp(sn + 16);
-        JoinConfig cfg;
-        cfg.isa = isa;
-        cfg.threads = threads;
-        const size_t matches = HashJoinMaxPartition(r, s, cfg, ok.data(),
-                                                    orp.data(), osp.data());
-        if (ref_k.empty()) {
-          ref_matches = matches;
-          ASSERT_GT(matches, 0u);
-          ref_k.assign(ok.data(), ok.data() + matches);
-          ref_rp.assign(orp.data(), orp.data() + matches);
-          ref_sp.assign(osp.data(), osp.data() + matches);
-        } else {
-          ASSERT_EQ(matches, ref_matches)
-              << IsaName(isa) << " t=" << threads << " run=" << run;
-          ASSERT_EQ(std::memcmp(ok.data(), ref_k.data(), matches * 4), 0)
-              << IsaName(isa) << " t=" << threads << " run=" << run;
-          ASSERT_EQ(std::memcmp(orp.data(), ref_rp.data(), matches * 4), 0)
-              << IsaName(isa) << " t=" << threads << " run=" << run;
-          ASSERT_EQ(std::memcmp(osp.data(), ref_sp.data(), matches * 4), 0)
-              << IsaName(isa) << " t=" << threads << " run=" << run;
+  // A second R with every 97th key replaced by the reserved kEmptyKey after
+  // S was drawn: those rows join nothing and must hide no other row.
+  AlignedBuffer<uint32_t> rk_reserved(rn + 16);
+  std::memcpy(rk_reserved.data(), rk.data(), rn * 4);
+  for (size_t i = 0; i < rn; i += 97) rk_reserved[i] = kEmptyKey;
+  const JoinRelation s{sk.data(), sp.data(), sn};
+  for (const uint32_t* r_keys : {rk.data(), rk_reserved.data()}) {
+    const JoinRelation r{r_keys, rp.data(), rn};
+    for (const auto& [name, join] : kSharedStateJoins) {
+      for (Isa isa : {Isa::kScalar, Isa::kAvx512}) {
+        if (!IsaSupported(isa)) continue;
+        std::vector<uint32_t> ref_k, ref_rp, ref_sp;
+        size_t ref_matches = 0;
+        for (int threads : {1, 2, 8}) {
+          for (int run = 0; run < (threads == 8 ? 3 : 1); ++run) {
+            AlignedBuffer<uint32_t> ok(sn + 16), orp(sn + 16), osp(sn + 16);
+            JoinConfig cfg;
+            cfg.isa = isa;
+            cfg.threads = threads;
+            const size_t matches = join(r, s, cfg, ok.data(), orp.data(),
+                                        osp.data(), nullptr);
+            const std::string what =
+                std::string(name) + " " + IsaName(isa) +
+                (r_keys == rk.data() ? "" : " reserved") +
+                " t=" + std::to_string(threads) + " run=" + std::to_string(run);
+            if (ref_k.empty()) {
+              ref_matches = matches;
+              ASSERT_GT(matches, 0u) << what;
+              ref_k.assign(ok.data(), ok.data() + matches);
+              ref_rp.assign(orp.data(), orp.data() + matches);
+              ref_sp.assign(osp.data(), osp.data() + matches);
+            } else {
+              ASSERT_EQ(matches, ref_matches) << what;
+              ASSERT_EQ(std::memcmp(ok.data(), ref_k.data(), matches * 4), 0)
+                  << what;
+              ASSERT_EQ(
+                  std::memcmp(orp.data(), ref_rp.data(), matches * 4), 0)
+                  << what;
+              ASSERT_EQ(
+                  std::memcmp(osp.data(), ref_sp.data(), matches * 4), 0)
+                  << what;
+            }
+          }
         }
       }
     }
@@ -581,6 +570,48 @@ TEST(TaskPoolQueryTagTest, TaggedRunCountsMorselsPerTag) {
   EXPECT_EQ(pool.QueryTagMorsels(tag), 300u);
   pool.UnregisterQueryTag(tag);
   EXPECT_EQ(pool.QueryTagMorsels(tag), 0u);
+
+  // The no-partition join under a tag while a second tag is live: its build
+  // ParallelFor calls (3 R morsels, then 8 blocks of the 131,072-slot
+  // table) and its probe ParallelFor (41 S morsels, more than one quantum)
+  // all pass the fair gate, and the output matches an untagged serial run
+  // byte for byte.
+  const size_t rn = 2 * kMorselTuples + 5;
+  const size_t sn = 40 * kMorselTuples + 77;
+  AlignedBuffer<uint32_t> rk(rn + 16), rp(rn + 16), sk(sn + 16), sp(sn + 16);
+  FillUniqueShuffled(rk.data(), rn, 41, 1);
+  FillSequential(rp.data(), rn, 0);
+  FillProbeKeys(sk.data(), sn, rk.data(), rn, 0.9, 43);
+  FillSequential(sp.data(), sn, 0);
+  const JoinRelation r{rk.data(), rp.data(), rn};
+  const JoinRelation s{sk.data(), sp.data(), sn};
+  JoinConfig cfg;
+  cfg.isa = BestIsa();
+  AlignedBuffer<uint32_t> want_k(sn + 16), want_rp(sn + 16), want_sp(sn + 16);
+  const size_t want = HashJoinNoPartition(r, s, cfg, want_k.data(),
+                                          want_rp.data(), want_sp.data());
+  ASSERT_GT(want, 0u);
+
+  ScopedMetrics metrics;
+  const uint64_t join_tag = pool.RegisterQueryTag();
+  const uint64_t other = pool.RegisterQueryTag();
+  cfg.threads = 4;
+  AlignedBuffer<uint32_t> ok(sn + 16), orp(sn + 16), osp(sn + 16);
+  size_t got = 0;
+  {
+    TaskPool::QueryTagScope scope(join_tag);
+    got = HashJoinNoPartition(r, s, cfg, ok.data(), orp.data(), osp.data());
+  }
+  EXPECT_EQ(pool.QueryTagMorsels(join_tag), 3u + 8u + 41u);
+  EXPECT_EQ(pool.QueryTagMorsels(other), 0u);
+  // One quantum per build call, two (32 + 9 morsels) for the probe.
+  EXPECT_EQ(Metric("fair_quanta"), 4u);
+  ASSERT_EQ(got, want);
+  EXPECT_EQ(std::memcmp(ok.data(), want_k.data(), got * 4), 0);
+  EXPECT_EQ(std::memcmp(orp.data(), want_rp.data(), got * 4), 0);
+  EXPECT_EQ(std::memcmp(osp.data(), want_sp.data(), got * 4), 0);
+  pool.UnregisterQueryTag(join_tag);
+  pool.UnregisterQueryTag(other);
 }
 
 TEST(TaskPoolQueryTagTest, InlineSingleLanePathStillCreditsTag) {
@@ -593,15 +624,8 @@ TEST(TaskPoolQueryTagTest, InlineSingleLanePathStillCreditsTag) {
     size_t ran = 0;
     pool.ParallelFor(17, 1, [&](int, size_t) { ++ran; });
     EXPECT_EQ(ran, 17u);
-    PhaseBarrier* seen = nullptr;
-    pool.ParallelPhases(1, [&](int lane, int n_lanes, PhaseBarrier& b) {
-      EXPECT_EQ(lane, 0);
-      EXPECT_EQ(n_lanes, 1);
-      seen = &b;
-    });
-    EXPECT_NE(seen, nullptr);
   }
-  EXPECT_EQ(pool.QueryTagMorsels(tag), 18u);  // 17 tasks + 1 phase job
+  EXPECT_EQ(pool.QueryTagMorsels(tag), 17u);
   pool.UnregisterQueryTag(tag);
 }
 
@@ -616,9 +640,6 @@ TEST(TaskPoolQueryTagTest, AbortBeforeStartThrowsWithoutRunningTasks) {
         pool.ParallelFor(100, 4, [&](int, size_t) { ran.fetch_add(1); }),
         QueryAborted);
     EXPECT_THROW(pool.ParallelFor(100, 1, [&](int, size_t) { ran.fetch_add(1); }),
-                 QueryAborted);
-    EXPECT_THROW(pool.ParallelPhases(
-                     4, [&](int, int, PhaseBarrier&) { ran.fetch_add(1); }),
                  QueryAborted);
   }
   EXPECT_EQ(ran.load(), 0u);

@@ -1,10 +1,9 @@
 // Unit tests for the util substrate: buffers, RNG, data generation,
-// prefix sums, thread team, CPU introspection.
+// prefix sums, CPU introspection.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -16,7 +15,6 @@
 #include "util/data_gen.h"
 #include "util/prefix_sum.h"
 #include "util/rng.h"
-#include "util/thread_team.h"
 
 namespace simddb {
 namespace {
@@ -194,49 +192,6 @@ TEST(PrefixSum, InterleavedAcrossThreads) {
   EXPECT_EQ(h[4], 7u);
   EXPECT_EQ(h[2], 12u);
   EXPECT_EQ(h[5], 15u);
-}
-
-TEST(ThreadTeam, RunsEveryTid) {
-  std::vector<std::atomic<int>> hits(8);
-  ThreadTeam::Run(8, [&](int tid) { hits[tid].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadTeam, SingleThreadRunsInline) {
-  int hits = 0;
-  ThreadTeam::Run(1, [&](int tid) {
-    EXPECT_EQ(tid, 0);
-    ++hits;
-  });
-  EXPECT_EQ(hits, 1);
-}
-
-TEST(ThreadTeam, ChunksCoverRange) {
-  const size_t n = 1003;
-  const int t_count = 7;
-  size_t covered = 0;
-  for (int t = 0; t < t_count; ++t) {
-    size_t b = ThreadTeam::ChunkBegin(n, t_count, t);
-    size_t e = ThreadTeam::ChunkBegin(n, t_count, t + 1);
-    EXPECT_LE(b, e);
-    covered += e - b;
-  }
-  EXPECT_EQ(covered, n);
-  EXPECT_EQ(ThreadTeam::ChunkBegin(n, t_count, t_count), n);
-}
-
-TEST(BarrierTest, SynchronizesPhases) {
-  constexpr int kThreads = 4;
-  Barrier barrier(kThreads);
-  std::atomic<int> phase0{0};
-  std::atomic<bool> ok{true};
-  ThreadTeam::Run(kThreads, [&](int) {
-    phase0.fetch_add(1);
-    barrier.Wait();
-    if (phase0.load() != kThreads) ok = false;
-    barrier.Wait();  // reusable
-  });
-  EXPECT_TRUE(ok.load());
 }
 
 TEST(CpuInfoTest, SaneValues) {

@@ -41,7 +41,7 @@ void BM_JoinVariant(benchmark::State& state) {
   JoinRelation s{w.s_keys.data(), w.s_pays.data(), kS};
   JoinConfig cfg;
   cfg.isa = vec ? Isa::kAvx512 : Isa::kScalar;
-  // Min-partition's point is thread-private tables: the partitioned
+  // Min-partition's point is thread-private bucket ranges: the partitioned
   // variants run on 4 threads, one per vCPU of the 4-vCPU host.
   cfg.threads = variant == kNoPartition ? 1 : 4;
   AlignedBuffer<uint32_t> ok(kS + 16), orp(kS + 16), osp(kS + 16);

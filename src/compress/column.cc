@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "numa/placement.h"
+
 namespace simddb::compress {
 namespace {
 
@@ -39,8 +41,7 @@ void CompressedColumn::DecodeBlock(Isa isa, size_t b, uint32_t* out,
   g_bytes_unpacked.Add(PackedWords(rows, m.bits) * sizeof(uint32_t));
 }
 
-CompressedColumn CompressColumn(const uint32_t* in, size_t n, int threads,
-                                numa::Placement placement) {
+CompressedColumn CompressColumn(const uint32_t* in, size_t n) {
   CompressedColumn col;
   col.n_ = n;
   const size_t n_blocks = (n + kBlockTuples - 1) / kBlockTuples;
@@ -88,7 +89,7 @@ CompressedColumn CompressColumn(const uint32_t* in, size_t n, int threads,
   col.words_.Reset(words + kPackedPadWords);
   col.words_.Clear();  // pad words must be readable AND deterministic
   numa::PlaceBuffer(col.words_.data(), col.words_.size() * sizeof(uint32_t),
-                    threads, placement);
+                    1, numa::Placement::kNodeLocal);
 
   // Pass 2: pack every block's payload.
   std::vector<uint32_t> deltas(kBlockTuples);

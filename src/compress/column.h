@@ -40,7 +40,6 @@
 
 #include "compress/pack.h"
 #include "core/isa.h"
-#include "numa/placement.h"
 #include "obs/metrics.h"
 #include "util/aligned_buffer.h"
 
@@ -116,9 +115,7 @@ class CompressedColumn {
   const uint32_t* words() const { return words_.data(); }
 
  private:
-  friend CompressedColumn CompressColumn(const uint32_t* in, size_t n,
-                                         int threads,
-                                         numa::Placement placement);
+  friend CompressedColumn CompressColumn(const uint32_t* in, size_t n);
 
   size_t n_ = 0;
   size_t payload_words_ = 0;  ///< words in use, excluding the pad
@@ -127,11 +124,9 @@ class CompressedColumn {
 };
 
 /// Compresses in[0, n) into FOR/delta bit-packed blocks. The payload
-/// buffer is allocated via util/alloc.h (AlignedBuffer) and placed with
-/// numa::PlaceBuffer for `threads` readers, like breaker intermediates.
-CompressedColumn CompressColumn(const uint32_t* in, size_t n, int threads = 1,
-                                numa::Placement placement =
-                                    numa::Placement::kNodeLocal);
+/// buffer is allocated via util/alloc.h (AlignedBuffer) and placed
+/// node-locally for one thread (numa::PlaceBuffer).
+CompressedColumn CompressColumn(const uint32_t* in, size_t n);
 
 }  // namespace simddb::compress
 

@@ -91,8 +91,7 @@ ColumnRange ColumnMinMaxScalar(const uint32_t* vals, size_t n) {
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<JoinIndex> JoinIndex::Build(Isa isa, const uint32_t* keys,
-                                            const uint32_t* attrs, size_t n,
-                                            int threads) {
+                                            const uint32_t* attrs, size_t n) {
   if (n == 0) return nullptr;
   const ColumnRange k = ColumnMinMax(isa, keys, n);
   if (k.max == kEmptyKey) return nullptr;
@@ -105,7 +104,7 @@ std::unique_ptr<JoinIndex> JoinIndex::Build(Isa isa, const uint32_t* keys,
   if (ColumnMinMax(isa, attrs, n).max == kEmptyKey) return nullptr;
   DirectJoinTable table(k.min, static_cast<size_t>(width));
   numa::PlaceBuffer(const_cast<uint32_t*>(table.slots()),
-                    table.width() * sizeof(uint32_t), threads,
+                    table.width() * sizeof(uint32_t), 1,
                     numa::Placement::kInterleaved);
   if (!table.Build(keys, attrs, n)) return nullptr;
   std::unique_ptr<JoinIndex> index(new JoinIndex(std::move(table)));

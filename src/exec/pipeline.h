@@ -113,10 +113,9 @@ class JoinIndex {
   /// for the hash table n rows would get, so the array (4 B per key-range
   /// slot) never outgrows the rows' own two columns. More rows than
   /// key-range values must repeat a key: such tables are refused before
-  /// any allocation. isa runs the range scans; threads places the array.
+  /// any allocation. isa runs the range scans; the array is interleaved.
   static std::unique_ptr<JoinIndex> Build(Isa isa, const uint32_t* keys,
-                                          const uint32_t* attrs, size_t n,
-                                          int threads);
+                                          const uint32_t* attrs, size_t n);
 
   uint32_t key_min() const { return table_.key_min(); }
   uint32_t key_max() const {

@@ -1,5 +1,6 @@
 #include "hash/linear_probing.h"
 
+#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "partition/partition_fn.h"
 #include "partition/shuffle.h"
 #include "util/task_pool.h"
+#include "util/timer.h"
 
 namespace simddb {
 
@@ -69,8 +71,10 @@ void LinearProbingTable::BuildScalar(const uint32_t* keys,
 
 size_t LinearProbingTable::BuildPartitioned(Isa isa, const uint32_t* keys,
                                             const uint32_t* pays, size_t n,
-                                            int threads, uint32_t partitions) {
+                                            int threads, uint32_t partitions,
+                                            double* partition_s) {
   assert(partitions >= 1 && (partitions & (partitions - 1)) == 0);
+  if (partition_s != nullptr) *partition_s = 0;
   if (partitions == 1) {
     BuildScalar(keys, pays, n);
     return 0;
@@ -81,6 +85,7 @@ size_t LinearProbingTable::BuildPartitioned(Isa isa, const uint32_t* keys,
   // of the home bucket MultHash(k, f, nb): partition j is home range j.
   const PartitionFn fn = PartitionFn::Hash(partitions, seed_);
   assert(fn.factor == factor_);
+  const Timer timer;
   AlignedBuffer<uint32_t> part_keys(ShuffleCapacity(n)),
       part_pays(ShuffleCapacity(n));
   numa::PlaceBuffer(part_keys.data(), part_keys.size() * sizeof(uint32_t),
@@ -91,6 +96,7 @@ size_t LinearProbingTable::BuildPartitioned(Isa isa, const uint32_t* keys,
   ParallelPartitionResources res;
   ParallelPartitionPass(fn, keys, pays, n, part_keys.data(), part_pays.data(),
                         isa, threads, &res, starts.data());
+  if (partition_s != nullptr) *partition_s = timer.Seconds();
 
   // Task j reads and writes only buckets of range j, so the tasks share no
   // bucket. A walk that reaches the range end would continue into range
@@ -151,6 +157,58 @@ uint32_t LinearProbingTable::BuildPartitions(size_t num_buckets, int lanes) {
   }
   while (p > 1 && num_buckets / p < 16) p >>= 1;
   return static_cast<uint32_t>(p);
+}
+
+void LinearProbingTable::BuildShared(const uint32_t* keys,
+                                     const uint32_t* pays, size_t n,
+                                     int threads) {
+  assert(count_ == 0 && n < n_buckets_);
+  TaskPool& pool = TaskPool::Get();
+  const MorselGrid grid(n);
+  if (TaskPool::LaneCount(grid.count(), threads) <= 1) {
+    BuildScalar(keys, pays, n);
+    return;
+  }
+  const uint32_t nb = static_cast<uint32_t>(n_buckets_);
+  pool.ParallelFor(grid.count(), threads, [&](int, size_t m) {
+    const size_t e = grid.end(m);
+    for (size_t i = grid.begin(m); i < e; ++i) {
+      // The serial build writes the reserved key as an empty bucket; a
+      // claim for it would read as empty mid-cluster and hide the rows past
+      // it.
+      if (keys[i] == kEmptyKey) continue;
+      uint32_t h = scalar::MultHash(keys[i], factor_, nb);
+      // Every row id sorts before kEmptyKey, so an empty bucket is claimed
+      // like a later row's.
+      uint32_t row = static_cast<uint32_t>(i);
+      for (;;) {
+        std::atomic_ref<uint32_t> slot(keys_[h]);
+        uint32_t held = slot.load(std::memory_order_relaxed);
+        while (row < held &&
+               !slot.compare_exchange_weak(held, row,
+                                           std::memory_order_relaxed)) {
+        }
+        if (row < held) {  // claimed; `held` is the claim it displaced
+          if (held == kEmptyKey) break;
+          row = held;
+        }
+        if (++h == nb) h = 0;
+      }
+    }
+  });
+  const MorselGrid bucket_grid(nb);
+  pool.ParallelFor(bucket_grid.count(), threads, [&](int, size_t m) {
+    const size_t e = bucket_grid.end(m);
+    for (size_t h = bucket_grid.begin(m); h < e; ++h) {
+      const uint32_t row = keys_[h];
+      if (row != kEmptyKey) {
+        keys_[h] = keys[row];
+        pays_[h] = pays[row];
+      }
+    }
+  });
+  count_ += n;
+  SyncWrapPad();
 }
 
 // Alg. 4: probe every input key, emitting all matches (the only one when

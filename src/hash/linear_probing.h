@@ -12,11 +12,13 @@
 //                one vector comparison (the prior state of the art [30];
 //                see also bucketized.h for the bucket-aligned variant).
 //
-// BuildPartitioned is the multi-core build the executor uses (§7's
-// partitioning feeding the per-thread builds of §9's partitioned joins):
-// hash-partitioning the input with the table's own hash factor into P
-// ranges of home buckets lets P tasks insert with the scalar walk, each
-// into a bucket range no other task touches, so no atomics are needed.
+// Two multi-core builds serve §9's joins. BuildPartitioned, the executor's
+// and the min-partition join's (§7's partitioning feeding per-thread
+// builds): hash-partitioning the input with the table's own hash factor
+// into P ranges of home buckets lets P tasks insert with the scalar walk,
+// each into a bucket range no other task touches, so no atomics are
+// needed. BuildShared, the no-partition join's: every lane inserts
+// anywhere, claiming buckets by atomic compare-and-swap.
 //
 // Duplicate keys are allowed; Probe* returns every match. Every build
 // checks whether the key it inserts is already present (unique_keys()).
@@ -67,9 +69,27 @@ class LinearProbingTable {
   /// inserts the set-aside keys with the wrap-around walk. Equal keys share
   /// a home bucket, hence a task, so a repeat still meets its earlier copy
   /// in some walk and clears unique_keys(). The layout depends on the input
-  /// and P, never on `threads`. Returns the number of set-aside keys.
+  /// and P, never on `threads`. Returns the number of set-aside keys. If
+  /// `partition_s` is non-null it receives the partition pass's wall
+  /// seconds (0 for P == 1).
   size_t BuildPartitioned(Isa isa, const uint32_t* keys, const uint32_t* pays,
-                          size_t n, int threads, uint32_t partitions);
+                          size_t n, int threads, uint32_t partitions,
+                          double* partition_s = nullptr);
+
+  /// Inserts n tuples into an empty table on up to `threads` TaskPool
+  /// lanes and leaves the layout BuildScalar leaves, at every lane count.
+  /// The keys are trusted to be unique, as BuildAvx512(..., true) trusts
+  /// them: several lanes check nothing. One lane runs BuildScalar. Several
+  /// lanes claim buckets by atomic compare-and-swap with row ids, earlier
+  /// rows first: a row that meets a later row's claim takes the bucket and
+  /// carries the later row on, which ends in the serial layout whatever the
+  /// interleaving (Shun and Blelloch's phase-concurrent linear probing); a
+  /// pass over the buckets then swaps each id for its key and payload. A
+  /// key equal to kEmptyKey claims no bucket (BuildScalar writes it as an
+  /// empty one). Several lanes run two ParallelFor calls, over n's morsel
+  /// grid and then over the buckets'.
+  void BuildShared(const uint32_t* keys, const uint32_t* pays, size_t n,
+                   int threads);
 
   /// The executor's P for BuildPartitioned on `lanes` lanes: 1 on one lane;
   /// otherwise the smallest power of two giving at least two partitions per

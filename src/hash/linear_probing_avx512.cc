@@ -143,11 +143,17 @@ void LinearProbingTable::BuildAvx512(const uint32_t* keys,
     __mmask16 advance;  // lanes that move on to the next bucket
     if (assume_unique_keys) {
       // Scatter the keys themselves and gather back: the surviving lane of
-      // each bucket reads its own (unique) key.
-      v::MaskScatter(keys_.data(), at_empty, h, key);
-      __m512i back = v::MaskGather(key, at_empty, keys_.data(), h);
-      win = _mm512_mask_cmpeq_epi32_mask(at_empty, back, key);
+      // each bucket reads its own (unique) key. A surviving kEmptyKey would
+      // leave its bucket empty and send the lanes it beat past it, so that
+      // key claims nothing and retires at once (BuildScalar, too, leaves
+      // its bucket empty).
+      const __mmask16 reserved = _mm512_cmpeq_epi32_mask(key, empty);
+      const __mmask16 claim = at_empty & static_cast<__mmask16>(~reserved);
+      v::MaskScatter(keys_.data(), claim, h, key);
+      __m512i back = v::MaskGather(key, claim, keys_.data(), h);
+      win = _mm512_mask_cmpeq_epi32_mask(claim, back, key);
       v::MaskScatter(pays_.data(), win, h, pay);
+      win |= reserved;
       advance = static_cast<__mmask16>(~win);
     } else {
       repeat |= _mm512_cmpeq_epi32_mask(table_key, key);

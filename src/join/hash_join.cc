@@ -1,11 +1,10 @@
 #include "join/hash_join.h"
 
-#include <atomic>
-#include <cassert>
 #include <cstring>
+#include <memory>
 #include <vector>
 
-#include "hash/hash_table.h"
+#include "hash/linear_probing.h"
 #include "numa/placement.h"
 #include "obs/metrics.h"
 #include "partition/parallel_partition.h"
@@ -13,69 +12,11 @@
 #include "partition/plan.h"
 #include "util/aligned_buffer.h"
 #include "util/bits.h"
-#include "util/prefix_sum.h"
 #include "util/task_pool.h"
 #include "util/timer.h"
 
 namespace simddb {
-namespace detail {
-
-// Declared here, defined in hash_join_avx512.cc.
-void BuildFlatAvx512(uint32_t* table_keys, uint32_t* table_pays, uint32_t nb,
-                     uint32_t hash_factor, const uint32_t* keys,
-                     const uint32_t* pays, size_t n);
-
-// Scalar LP build into a flat (pre-cleared) table region of nb buckets.
-void BuildFlatScalar(uint32_t* table_keys, uint32_t* table_pays, uint32_t nb,
-                     uint32_t hash_factor, const uint32_t* keys,
-                     const uint32_t* pays, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t k = keys[i];
-    uint32_t h = scalar::MultHash(k, hash_factor, nb);
-    while (table_keys[h] != kEmptyKey) {
-      if (++h == nb) h = 0;
-    }
-    table_keys[h] = k;
-    table_pays[h] = pays[i];
-  }
-}
-
-size_t ProbeTableBankScalar(const uint32_t* table_keys,
-                            const uint32_t* table_pays, const uint32_t* base,
-                            const uint32_t* size, uint32_t hash_factor,
-                            uint32_t part_factor, uint32_t part_count,
-                            const uint32_t* keys, const uint32_t* pays,
-                            size_t n, uint32_t* out_keys, uint32_t* out_spays,
-                            uint32_t* out_rpays) {
-  size_t j = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t k = keys[i];
-    uint32_t part =
-        part_count == 1 ? 0 : scalar::MultHash(k, part_factor, part_count);
-    uint32_t nb = size[part];
-    uint32_t b = base[part];
-    uint32_t h = scalar::MultHash(k, hash_factor, nb);
-    while (table_keys[b + h] != kEmptyKey) {
-      if (table_keys[b + h] == k) {
-        out_rpays[j] = table_pays[b + h];
-        out_spays[j] = pays[i];
-        out_keys[j] = k;
-        ++j;
-      }
-      if (++h == nb) h = 0;
-    }
-  }
-  return j;
-}
-
-}  // namespace detail
-
 namespace {
-
-using detail::BuildFlatAvx512;
-using detail::BuildFlatScalar;
-using detail::ProbeTableBankAvx512;
-using detail::ProbeTableBankScalar;
 
 // Join phase timers fed from the same Timer measurements as JoinTimings,
 // so JSONL rows and the paper-figure CSVs agree on the split.
@@ -85,6 +26,14 @@ obs::PhaseTimer g_join_probe_ns("join_probe_ns");
 
 uint64_t SecondsToNs(double s) {
   return s <= 0 ? 0 : static_cast<uint64_t>(s * 1e9);
+}
+
+// Buckets of the table for n build tuples: load factor below one half.
+size_t TableBuckets(size_t n) { return NextPowerOfTwo(n * 2 + 32); }
+
+// The vector probe runs on AVX-512 only; an AVX2 config probes scalar.
+Isa ProbeIsa(const JoinConfig& cfg) {
+  return cfg.isa == Isa::kAvx512 ? Isa::kAvx512 : Isa::kScalar;
 }
 
 // Compacts per-thread (or per-part) output segments written at seg_begin[i]
@@ -106,18 +55,23 @@ size_t CompactSegments(size_t n_segs, const uint64_t* seg_begin,
   return cursor;
 }
 
-size_t ProbeDispatch(bool vec, const uint32_t* tk, const uint32_t* tp,
-                     const uint32_t* base, const uint32_t* size,
-                     uint32_t hash_factor, uint32_t part_factor,
-                     uint32_t part_count, const uint32_t* keys,
-                     const uint32_t* pays, size_t n, uint32_t* ok,
-                     uint32_t* os, uint32_t* orp) {
-  if (vec) {
-    return ProbeTableBankAvx512(tk, tp, base, size, hash_factor, part_factor,
-                                part_count, keys, pays, n, ok, os, orp);
-  }
-  return ProbeTableBankScalar(tk, tp, base, size, hash_factor, part_factor,
-                              part_count, keys, pays, n, ok, os, orp);
+// Read-only probe of one table by S, morsel-wise with work stealing;
+// per-morsel output segments keep the result layout independent of the
+// worker schedule. Returns the match count.
+size_t ProbeMorsels(const LinearProbingTable& table, const JoinRelation& s,
+                    const JoinConfig& cfg, int threads, uint32_t* out_keys,
+                    uint32_t* out_rpays, uint32_t* out_spays) {
+  const Isa isa = ProbeIsa(cfg);
+  const MorselGrid grid(s.n);
+  std::vector<uint64_t> seg_begin(grid.count()), seg_count(grid.count());
+  TaskPool::Get().ParallelFor(grid.count(), threads, [&](int, size_t m) {
+    const size_t b = grid.begin(m);
+    seg_begin[m] = b;
+    seg_count[m] = table.Probe(isa, s.keys + b, s.pays + b, grid.size(m),
+                               out_keys + b, out_spays + b, out_rpays + b);
+  });
+  return CompactSegments(grid.count(), seg_begin.data(), seg_count.data(),
+                         out_keys, out_rpays, out_spays);
 }
 
 }  // namespace
@@ -127,90 +81,20 @@ size_t HashJoinNoPartition(const JoinRelation& r, const JoinRelation& s,
                            uint32_t* out_rpays, uint32_t* out_spays,
                            JoinTimings* timings) {
   const int t_count = cfg.threads < 1 ? 1 : cfg.threads;
-  const bool vec = cfg.isa == Isa::kAvx512 && IsaSupported(Isa::kAvx512);
-  const uint32_t nb =
-      static_cast<uint32_t>(NextPowerOfTwo(r.n * 2 + 32));
-  const uint32_t factor = HashFactor(cfg.seed, 0);
-  AlignedBuffer<uint32_t> tk(nb), tp(nb);
-  std::memset(tk.data(), 0xFF, nb * sizeof(uint32_t));
+  LinearProbingTable table(TableBuckets(r.n), cfg.seed);
 
-  // One pool dispatch per phase, over the R and then the S morsel grid; the
-  // join between the calls separates build from probe (probe lanes must see
-  // the complete table). The vectorized probe emits a match when its lane
-  // reaches it, so the output order follows the table layout, and every
-  // lane count must leave the layout a serial build in R order leaves. One
-  // lane runs that serial build. Several lanes claim slots by atomic
-  // compare-and-swap with R row ids, earlier rows first: a row that meets a
-  // later row's claim takes the slot and carries the later row on, which
-  // ends in the serial layout whatever the interleaving (Shun and
-  // Blelloch's phase-concurrent linear probing); a pass over the slots then
-  // swaps each id for its key and payload. Scatters cannot be atomic, so
-  // the build is scalar by necessity.
-  TaskPool& pool = TaskPool::Get();
+  // One shared table: the build's pool dispatches return before the probe's
+  // starts, so probe lanes see the complete table. The vectorized probe
+  // emits a match when its lane reaches it, so the output order follows the
+  // table layout, which BuildShared keeps equal to the serial build's at
+  // every lane count.
   Timer timer;
-  const MorselGrid r_grid(r.n);
-  const bool serial = TaskPool::LaneCount(r_grid.count(), t_count) == 1;
-  pool.ParallelFor(r_grid.count(), t_count, [&](int, size_t m) {
-    const size_t b = r_grid.begin(m);
-    if (serial) {
-      BuildFlatScalar(tk.data(), tp.data(), nb, factor, r.keys + b,
-                      r.pays + b, r_grid.size(m));
-      return;
-    }
-    const size_t e = r_grid.end(m);
-    for (size_t i = b; i < e; ++i) {
-      // The serial build writes the reserved key as an empty slot; a claim
-      // for it would read as empty mid-cluster and hide the rows past it.
-      if (r.keys[i] == kEmptyKey) continue;
-      uint32_t h = scalar::MultHash(r.keys[i], factor, nb);
-      // Every row id sorts before kEmptyKey, so an empty slot is claimed
-      // like a later row's.
-      uint32_t row = static_cast<uint32_t>(i);
-      for (;;) {
-        std::atomic_ref<uint32_t> slot(tk[h]);
-        uint32_t held = slot.load(std::memory_order_relaxed);
-        while (row < held &&
-               !slot.compare_exchange_weak(held, row,
-                                           std::memory_order_relaxed)) {
-        }
-        if (row < held) {  // claimed; `held` is the claim it displaced
-          if (held == kEmptyKey) break;
-          row = held;
-        }
-        if (++h == nb) h = 0;
-      }
-    }
-  });
-  if (!serial) {
-    const MorselGrid slot_grid(nb);
-    pool.ParallelFor(slot_grid.count(), t_count, [&](int, size_t m) {
-      const size_t e = slot_grid.end(m);
-      for (size_t h = slot_grid.begin(m); h < e; ++h) {
-        const uint32_t row = tk[h];
-        if (row != kEmptyKey) {
-          tk[h] = r.keys[row];
-          tp[h] = r.pays[row];
-        }
-      }
-    });
-  }
+  table.BuildShared(r.keys, r.pays, r.n, t_count);
   const double build_s = timer.Seconds();
 
-  // Read-only probe: no synchronization needed; vectorized. Output
-  // segments are per-morsel, so the layout is worker-independent.
   timer.Reset();
-  const MorselGrid s_grid(s.n);
-  const size_t s_morsels = s_grid.count();
-  const uint32_t base0 = 0;
-  std::vector<uint64_t> seg_begin(s_morsels), seg_count(s_morsels);
-  pool.ParallelFor(s_morsels, t_count, [&](int, size_t m) {
-    const size_t b = s_grid.begin(m);
-    seg_begin[m] = b;
-    seg_count[m] = ProbeDispatch(vec, tk.data(), tp.data(), &base0, &nb,
-                                 factor, 1, 1, s.keys + b, s.pays + b,
-                                 s_grid.size(m), out_keys + b, out_spays + b,
-                                 out_rpays + b);
-  });
+  const size_t total =
+      ProbeMorsels(table, s, cfg, t_count, out_keys, out_rpays, out_spays);
   const double probe_s = timer.Seconds();
   g_join_build_ns.Record(SecondsToNs(build_s));
   g_join_probe_ns.Record(SecondsToNs(probe_s));
@@ -218,9 +102,6 @@ size_t HashJoinNoPartition(const JoinRelation& r, const JoinRelation& s,
     timings->build_s = build_s;
     timings->probe_s = probe_s;
   }
-  size_t total = CompactSegments(s_morsels, seg_begin.data(),
-                                 seg_count.data(), out_keys, out_rpays,
-                                 out_spays);
   return total;
 }
 
@@ -229,90 +110,29 @@ size_t HashJoinMinPartition(const JoinRelation& r, const JoinRelation& s,
                             uint32_t* out_rpays, uint32_t* out_spays,
                             JoinTimings* timings) {
   const int t_count = cfg.threads < 1 ? 1 : cfg.threads;
-  const bool vec = cfg.isa == Isa::kAvx512 && IsaSupported(Isa::kAvx512);
-  const uint32_t parts = static_cast<uint32_t>(t_count);
-  PartitionFn part_fn = PartitionFn::Hash(parts, cfg.seed + 1);
-  const uint32_t table_factor = HashFactor(cfg.seed, 0);
 
-  // Phase 1: hash-partition R so each thread owns one part (no atomics).
+  // Partition R into the table's home-bucket ranges, then fill every range
+  // on its own lane without atomics: the executor's build, which on one
+  // lane is one range and the serial walk.
   Timer timer;
-  AlignedBuffer<uint32_t> rp_keys(ShuffleCapacity(r.n)),
-      rp_pays(ShuffleCapacity(r.n));
-  // Partition output is fanout-strided (every morsel writes into every
-  // part) and each part is then rebuilt into the flat bank by an arbitrary
-  // lane, so interleaving spreads the traffic instead of hot-spotting one
-  // node. No-op on single-node hosts.
-  numa::PlaceBuffer(rp_keys.data(), rp_keys.size() * sizeof(uint32_t),
-                    t_count, numa::Placement::kInterleaved);
-  numa::PlaceBuffer(rp_pays.data(), rp_pays.size() * sizeof(uint32_t),
-                    t_count, numa::Placement::kInterleaved);
-  std::vector<uint32_t> r_starts(parts + 1);
-  ParallelPartitionResources res;
-  ParallelPartitionPass(part_fn, r.keys, r.pays, r.n, rp_keys.data(),
-                        rp_pays.data(), cfg.isa, t_count, &res,
-                        r_starts.data());
-  const double partition_s = timer.Seconds();
+  const size_t nb = TableBuckets(r.n);
+  LinearProbingTable table(nb, cfg.seed);
+  const uint32_t parts = LinearProbingTable::BuildPartitions(
+      nb, TaskPool::LaneCount(r.n, t_count));
+  double partition_s = 0;
+  table.BuildPartitioned(cfg.isa, r.keys, r.pays, r.n, t_count, parts,
+                         &partition_s);
+  const double build_s = timer.Seconds() - partition_s;
   g_join_partition_ns.Record(SecondsToNs(partition_s));
-  if (timings != nullptr) timings->partition_s = partition_s;
-
-  // Phase 2: per-part table builds, laid out in one flat bank so the
-  // vectorized probe can address any part's buckets.
-  timer.Reset();
-  std::vector<uint32_t> bank_base(parts), bank_size(parts);
-  uint64_t bank_total = 0;
-  for (uint32_t p = 0; p < parts; ++p) {
-    uint32_t part_n = r_starts[p + 1] - r_starts[p];
-    bank_size[p] =
-        static_cast<uint32_t>(NextPowerOfTwo(part_n * 2 + 32));
-    bank_base[p] = static_cast<uint32_t>(bank_total);
-    bank_total += bank_size[p];
-  }
-  AlignedBuffer<uint32_t> tk(bank_total), tp(bank_total);
-  // The probe phase addresses the whole bank hash-randomly from every
-  // node, so interleave it rather than letting the memset below first-touch
-  // it all onto the submitting thread's node.
-  numa::PlaceBuffer(tk.data(), bank_total * sizeof(uint32_t), t_count,
-                    numa::Placement::kInterleaved);
-  numa::PlaceBuffer(tp.data(), bank_total * sizeof(uint32_t), t_count,
-                    numa::Placement::kInterleaved);
-  std::memset(tk.data(), 0xFF, bank_total * sizeof(uint32_t));
-  TaskPool::Get().ParallelFor(parts, t_count, [&](int, size_t task) {
-    uint32_t p = static_cast<uint32_t>(task);
-    uint32_t b = r_starts[p];
-    uint32_t n_part = r_starts[p + 1] - b;
-    if (vec) {
-      BuildFlatAvx512(tk.data() + bank_base[p], tp.data() + bank_base[p],
-                      bank_size[p], table_factor, rp_keys.data() + b,
-                      rp_pays.data() + b, n_part);
-    } else {
-      BuildFlatScalar(tk.data() + bank_base[p], tp.data() + bank_base[p],
-                      bank_size[p], table_factor, rp_keys.data() + b,
-                      rp_pays.data() + b, n_part);
-    }
-  });
-  const double build_s = timer.Seconds();
   g_join_build_ns.Record(SecondsToNs(build_s));
-  if (timings != nullptr) timings->build_s = build_s;
+  if (timings != nullptr) {
+    timings->partition_s = partition_s;
+    timings->build_s = build_s;
+  }
 
-  // Phase 3: probe across the bank (part chosen per key by the hash),
-  // morsel-wise with work stealing; per-morsel output segments keep the
-  // result layout independent of the worker schedule.
   timer.Reset();
-  const MorselGrid s_grid(s.n);
-  const size_t s_morsels = s_grid.count();
-  std::vector<uint64_t> seg_begin(s_morsels), seg_count(s_morsels);
-  TaskPool::Get().ParallelFor(s_morsels, t_count, [&](int, size_t m) {
-    size_t b = s_grid.begin(m);
-    seg_begin[m] = b;
-    seg_count[m] =
-        ProbeDispatch(vec, tk.data(), tp.data(), bank_base.data(),
-                      bank_size.data(), table_factor, part_fn.factor, parts,
-                      s.keys + b, s.pays + b, s_grid.size(m), out_keys + b,
-                      out_spays + b, out_rpays + b);
-  });
-  size_t total = CompactSegments(s_morsels, seg_begin.data(),
-                                 seg_count.data(), out_keys, out_rpays,
-                                 out_spays);
+  const size_t total =
+      ProbeMorsels(table, s, cfg, t_count, out_keys, out_rpays, out_spays);
   const double probe_s = timer.Seconds();
   g_join_probe_ns.Record(SecondsToNs(probe_s));
   if (timings != nullptr) timings->probe_s = probe_s;
@@ -331,7 +151,6 @@ size_t HashJoinMaxPartition(const JoinRelation& r, const JoinRelation& s,
       NextPowerOfTwo(r.n / target + 1));
   if (p_total > (1u << 16)) p_total = 1u << 16;
   const uint32_t total_bits = Log2Floor(p_total);
-  const uint32_t table_factor = HashFactor(cfg.seed, 0);
 
   Timer timer;
   AlignedBuffer<uint32_t> r_keys_a(ShuffleCapacity(r.n)),
@@ -417,21 +236,15 @@ size_t HashJoinMaxPartition(const JoinRelation& r, const JoinRelation& s,
     uint32_t c = r_bounds[q + 1] - r_bounds[q];
     if (c > max_part) max_part = c;
   }
-  const uint32_t nb_max =
-      static_cast<uint32_t>(NextPowerOfTwo(max_part * 2 + 32));
   std::vector<uint64_t> seg_begin(p_total), seg_count(p_total);
   const int lanes = TaskPool::LaneCount(p_total, t_count);
-  // Lane-private cache-resident tables, reused across every part that lane
-  // ends up claiming (including stolen ones — skewed parts rebalance).
-  std::vector<AlignedBuffer<uint32_t>> lane_tk(lanes), lane_tp(lanes);
+  // One cache-resident table per lane, sized for the largest part and
+  // cleared for every part that lane ends up claiming (including stolen
+  // ones — skewed parts rebalance).
+  std::vector<std::unique_ptr<LinearProbingTable>> tables(lanes);
+  const Isa probe_isa = ProbeIsa(cfg);
   TaskPool::Get().ParallelFor(p_total, t_count, [&](int worker, size_t task) {
     uint32_t q = static_cast<uint32_t>(task);
-    AlignedBuffer<uint32_t>& tk = lane_tk[worker];
-    AlignedBuffer<uint32_t>& tp = lane_tp[worker];
-    if (tk.size() < nb_max) {
-      tk.Reset(nb_max);
-      tp.Reset(nb_max);
-    }
     uint32_t rb = r_bounds[q];
     uint32_t rn = r_bounds[q + 1] - rb;
     uint32_t sb = s_bounds[q];
@@ -441,20 +254,20 @@ size_t HashJoinMaxPartition(const JoinRelation& r, const JoinRelation& s,
       seg_count[q] = 0;
       return;
     }
-    uint32_t nb = static_cast<uint32_t>(NextPowerOfTwo(rn * 2 + 32));
-    std::memset(tk.data(), 0xFF, nb * sizeof(uint32_t));
-    if (vec) {
-      BuildFlatAvx512(tk.data(), tp.data(), nb, table_factor, rk + rb,
-                      rp + rb, rn);
+    std::unique_ptr<LinearProbingTable>& table = tables[worker];
+    if (table == nullptr) {
+      table = std::make_unique<LinearProbingTable>(TableBuckets(max_part),
+                                                   cfg.seed);
     } else {
-      BuildFlatScalar(tk.data(), tp.data(), nb, table_factor, rk + rb,
-                      rp + rb, rn);
+      table->Clear();
     }
-    const uint32_t base0 = 0;
-    seg_count[q] = ProbeDispatch(
-        vec, tk.data(), tp.data(), &base0, &nb, table_factor, 1, 1,
-        sk + sb, sp + sb, sn, out_keys + sb, out_spays + sb,
-        out_rpays + sb);
+    if (vec) {
+      table->BuildAvx512(rk + rb, rp + rb, rn, /*assume_unique_keys=*/true);
+    } else {
+      table->BuildScalar(rk + rb, rp + rb, rn);
+    }
+    seg_count[q] = table->Probe(probe_isa, sk + sb, sp + sb, sn,
+                                out_keys + sb, out_spays + sb, out_rpays + sb);
   });
   size_t total = CompactSegments(p_total, seg_begin.data(), seg_count.data(),
                                  out_keys, out_rpays, out_spays);

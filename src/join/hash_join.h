@@ -1,25 +1,30 @@
 #ifndef SIMDDB_JOIN_HASH_JOIN_H_
 #define SIMDDB_JOIN_HASH_JOIN_H_
 
-// Hash join variants with different degrees of partitioning (§9, Fig. 15):
+// Hash join variants with different degrees of partitioning (§9, Fig. 15),
+// each a way to build and probe one LinearProbingTable (§5.1):
 //
-//   No partition   one shared linear-probing table built with atomic CAS
-//                  (SIMD has no atomics, so the build stays scalar — the
-//                  paper's point); the read-only probe is fully vectorized.
-//   Min partition  the inner relation is hash-partitioned T ways (T =
-//                  threads) so each thread builds a private table without
-//                  atomics; probing selects table by the partition hash.
-//                  Fully vectorizable.
+//   No partition   one shared table, built with atomic compare-and-swap
+//                  (BuildShared; SIMD has no atomics, so the build stays
+//                  scalar — the paper's point); the read-only probe is
+//                  fully vectorized.
+//   Min partition  the inner relation is hash-partitioned into home-bucket
+//                  ranges of one table, so each thread fills its own
+//                  ranges without atomics (BuildPartitioned, the executor's
+//                  build); a morsel-parallel probe reads the whole table.
 //   Max partition  both relations are hash-partitioned (buffered, possibly
 //                  two passes) until each inner part fits an L1-resident
 //                  table; per-part build+probe runs entirely in cache.
 //                  Fully vectorized and the paper's overall winner.
 //
-// All variants emit (key, R payload, S payload) per match and return the
-// match count. R keys must be unique (key/foreign-key join, as in the
-// paper's evaluation) — this bounds every thread's match count by its probe
-// chunk and lets outputs be compacted deterministically. Payloads are
-// arbitrary 32-bit values (row ids for late materialization, §10.5.3).
+// Every probe is LinearProbingTable::Probe, on AVX-512 when cfg.isa asks
+// for it and scalar otherwise. All variants emit (key, R payload, S
+// payload) per match and return the match count. R keys must be unique
+// (key/foreign-key join, as in the paper's evaluation) — this bounds every
+// thread's match count by its probe chunk and lets outputs be compacted
+// deterministically. Keys equal to kEmptyKey join nothing on either side.
+// Payloads are arbitrary 32-bit values (row ids for late materialization,
+// §10.5.3).
 //
 // Output buffers need capacity s.n + 16.
 
@@ -67,27 +72,6 @@ size_t HashJoinMaxPartition(const JoinRelation& r, const JoinRelation& s,
                             const JoinConfig& cfg, uint32_t* out_keys,
                             uint32_t* out_rpays, uint32_t* out_spays,
                             JoinTimings* timings = nullptr);
-
-namespace detail {
-/// Vertical vectorized probe of a bank of linear-probing tables laid out in
-/// one flat (keys, pays) area: probe key k goes to table part_fn(k), whose
-/// buckets live at [base[part], base[part] + size[part]). With one part this
-/// degenerates to a plain LP probe. Returns matches written.
-size_t ProbeTableBankAvx512(const uint32_t* table_keys,
-                            const uint32_t* table_pays, const uint32_t* base,
-                            const uint32_t* size, uint32_t hash_factor,
-                            uint32_t part_factor, uint32_t part_count,
-                            const uint32_t* keys, const uint32_t* pays,
-                            size_t n, uint32_t* out_keys, uint32_t* out_spays,
-                            uint32_t* out_rpays);
-size_t ProbeTableBankScalar(const uint32_t* table_keys,
-                            const uint32_t* table_pays, const uint32_t* base,
-                            const uint32_t* size, uint32_t hash_factor,
-                            uint32_t part_factor, uint32_t part_count,
-                            const uint32_t* keys, const uint32_t* pays,
-                            size_t n, uint32_t* out_keys, uint32_t* out_spays,
-                            uint32_t* out_rpays);
-}  // namespace detail
 
 }  // namespace simddb
 

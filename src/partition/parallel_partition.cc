@@ -37,18 +37,10 @@ void ParallelPartitionPass(const PartitionFn& fn, const uint32_t* keys,
   (void)out_capacity;
   const int t_count = threads < 1 ? 1 : threads;
   const uint32_t p_count = fn.fanout;
-  const PartitionBudget budget = PartitionBudget::Default();
   const bool vec = isa == Isa::kAvx512 && IsaSupported(Isa::kAvx512);
-  if (variant == ShuffleVariant::kAuto) {
-    variant = ChooseShuffleVariant(p_count, budget);
-  }
-  const bool swwc = variant == ShuffleVariant::kSwwc;
-  // Histograms stay vectorized at every fanout; the buffered-16 *shuffle*
-  // fill is fanout-aware (the gather/scatter conflict cost grows with the
-  // partition count — scalar wins past budget.b16_vector_max_fanout).
-  const bool vec_shuffle = !swwc && UseVectorBuffered16(isa, p_count, budget);
-  const internal::SwwcFill fill =
-      internal::ChooseSwwcFill(isa, p_count, budget);
+  const internal::ShuffleKernel kernel = internal::ChooseShuffleKernel(
+      variant, isa, p_count, pays != nullptr, PartitionBudget::Default());
+  const bool swwc = kernel.swwc;
   // SWWC passes run at fanouts where a 16K morsel averages only a few
   // tuples per partition — staged lines would never fill and every tuple
   // would fall to the cleanup copy. Grow the morsel so a morsel averages a
@@ -114,35 +106,11 @@ void ParallelPartitionPass(const PartitionFn& fn, const uint32_t* keys,
   {
     obs::ScopedPhase phase(g_part_shuffle_ns);
     pool.ParallelFor(m_count, t_count, [&](int, size_t m) {
-      uint32_t* offsets = hists + m * p_count;
       const size_t b = grid.begin(m);
-      if (pays != nullptr) {
-        if (swwc) {
-          internal::SwwcPairMain(fill, fn, keys + b, pays + b, grid.size(m),
-                                 offsets, out_keys, out_pays,
-                                 &res->wc_bufs[m]);
-        } else if (vec_shuffle) {
-          ShuffleVectorBufferedMainAvx512(fn, keys + b, pays + b, grid.size(m),
-                                          offsets, out_keys, out_pays,
-                                          &res->bufs[m]);
-        } else {
-          ShuffleScalarBufferedMain(fn, keys + b, pays + b, grid.size(m),
-                                    offsets, out_keys, out_pays,
-                                    &res->bufs[m]);
-        }
-      } else {
-        if (swwc) {
-          internal::SwwcKeysMain(fill, fn, keys + b, grid.size(m), offsets,
-                                 out_keys, &res->wc_bufs[m]);
-        } else if (vec_shuffle) {
-          ShuffleKeysVectorBufferedMainAvx512(fn, keys + b, grid.size(m),
-                                              offsets, out_keys,
-                                              &res->bufs[m]);
-        } else {
-          ShuffleKeysScalarBufferedMain(fn, keys + b, grid.size(m), offsets,
-                                        out_keys, &res->bufs[m]);
-        }
-      }
+      internal::ShuffleMain(kernel, fn, keys + b,
+                            pays == nullptr ? nullptr : pays + b, grid.size(m),
+                            hists + m * p_count, out_keys, out_pays, res->bufs,
+                            res->wc_bufs, m);
     });
   }
 
@@ -150,22 +118,8 @@ void ParallelPartitionPass(const PartitionFn& fn, const uint32_t* keys,
   // the 16-aligned flush overshoot by writing every morsel's buffered tails.
   obs::ScopedPhase cleanup_phase(g_part_cleanup_ns);
   pool.ParallelFor(m_count, t_count, [&](int, size_t m) {
-    uint32_t* offsets = hists + m * p_count;
-    if (pays != nullptr) {
-      if (swwc) {
-        ShuffleSwwcCleanup(p_count, offsets, res->wc_bufs[m], out_keys,
-                           out_pays);
-      } else {
-        ShuffleBufferedCleanup(p_count, offsets, res->bufs[m], out_keys,
-                               out_pays);
-      }
-    } else {
-      if (swwc) {
-        ShuffleKeysSwwcCleanup(p_count, offsets, res->wc_bufs[m], out_keys);
-      } else {
-        ShuffleKeysBufferedCleanup(p_count, offsets, res->bufs[m], out_keys);
-      }
-    }
+    internal::ShuffleCleanup(kernel, p_count, hists + m * p_count, res->bufs,
+                             res->wc_bufs, m, out_keys, out_pays);
   });
 }
 

@@ -62,7 +62,7 @@ struct ParallelPartitionResources {
 /// keeps buffered-16 for every fanout within the default TLB/L1 budget.
 /// `out_capacity`, when nonzero, is asserted to satisfy the
 /// ShuffleCapacity(n) contract at entry. Within the buffered-16 family the
-/// AVX-512 fill is used only up to budget.b16_vector_max_fanout
+/// AVX-512 fill is used only up to kB16VectorMaxFanout
 /// (UseVectorBuffered16; the scalar fill wins beyond — byte-identical
 /// either way). On multi-node topologies the per-morsel histogram rows are
 /// first-touched node-locally (numa/placement.h) when (re)allocated;

@@ -63,8 +63,6 @@ PartitionBudget PartitionBudget::Default() {
     b.l2_staging_bytes =
         EnvU32("SIMDDB_L2_STAGING_BYTES", b.l2_staging_bytes);
     b.tlb_partitions = EnvU32("SIMDDB_TLB_PARTITIONS", b.tlb_partitions);
-    b.b16_vector_max_fanout =
-        EnvU32("SIMDDB_B16_VECTOR_MAX_FANOUT", b.b16_vector_max_fanout);
     return b;
   }();
   return kDefault;
@@ -93,10 +91,9 @@ ShuffleVariant ChooseShuffleVariant(uint32_t fanout,
                                                 : ShuffleVariant::kSwwc;
 }
 
-bool UseVectorBuffered16(Isa isa, uint32_t fanout,
-                         const PartitionBudget& budget) {
+bool UseVectorBuffered16(Isa isa, uint32_t fanout) {
   if (isa != Isa::kAvx512 || !IsaSupported(Isa::kAvx512)) return false;
-  return fanout <= budget.b16_vector_max_fanout;
+  return fanout <= kB16VectorMaxFanout;
 }
 
 PartitionPlan PlanRadixPasses(uint32_t total_bits,
@@ -142,16 +139,10 @@ void RefinePartitionsPass(const PartitionFn& fn2, uint32_t prev_count,
                           int threads, ShuffleVariant variant) {
   const int t_count = threads < 1 ? 1 : threads;
   const uint32_t p2 = fn2.fanout;
-  const PartitionBudget budget = PartitionBudget::Default();
-  if (variant == ShuffleVariant::kAuto) {
-    variant = ChooseShuffleVariant(p2, budget);
-  }
-  const bool swwc = variant == ShuffleVariant::kSwwc;
   const bool vec512 = isa == Isa::kAvx512 && IsaSupported(Isa::kAvx512);
-  // Shuffle fill choice is fanout-aware (scalar wins past the vector cap);
-  // the histogram below stays vectorized regardless.
-  const bool vec_shuffle = !swwc && UseVectorBuffered16(isa, p2, budget);
-  const internal::SwwcFill fill = internal::ChooseSwwcFill(isa, p2, budget);
+  const internal::ShuffleKernel kernel = internal::ChooseShuffleKernel(
+      variant, isa, p2, in_pays != nullptr, PartitionBudget::Default());
+  const bool swwc = kernel.swwc;
 
   std::vector<ShuffleBuffers> bufs(swwc ? 0 : prev_count);
   std::vector<SwwcBuffers> wc_bufs(swwc ? prev_count : 0);
@@ -177,47 +168,14 @@ void RefinePartitionsPass(const PartitionFn& fn2, uint32_t prev_count,
       bounds_out[static_cast<size_t>(p) * p2 + q] = sum;
       sum += c;
     }
-    if (in_pays != nullptr) {
-      if (swwc) {
-        internal::SwwcPairMain(fill, fn2, in_keys + b, in_pays + b, n_part,
-                               offsets, out_keys, out_pays, &wc_bufs[p]);
-      } else if (vec_shuffle) {
-        ShuffleVectorBufferedMainAvx512(fn2, in_keys + b, in_pays + b, n_part,
-                                        offsets, out_keys, out_pays,
-                                        &bufs[p]);
-      } else {
-        ShuffleScalarBufferedMain(fn2, in_keys + b, in_pays + b, n_part,
-                                  offsets, out_keys, out_pays, &bufs[p]);
-      }
-    } else {
-      if (swwc) {
-        internal::SwwcKeysMain(fill, fn2, in_keys + b, n_part, offsets,
-                               out_keys, &wc_bufs[p]);
-      } else if (vec_shuffle) {
-        ShuffleKeysVectorBufferedMainAvx512(fn2, in_keys + b, n_part, offsets,
-                                            out_keys, &bufs[p]);
-      } else {
-        ShuffleKeysScalarBufferedMain(fn2, in_keys + b, n_part, offsets,
-                                      out_keys, &bufs[p]);
-      }
-    }
+    internal::ShuffleMain(kernel, fn2, in_keys + b,
+                          in_pays == nullptr ? nullptr : in_pays + b, n_part,
+                          offsets, out_keys, out_pays, bufs, wc_bufs, p);
   });
   // All Main calls joined; now repair the staged/buffered tails.
   pool.ParallelFor(prev_count, t_count, [&](int, size_t p) {
-    uint32_t* offsets = all_offsets.data() + p * p2;
-    if (in_pays != nullptr) {
-      if (swwc) {
-        ShuffleSwwcCleanup(p2, offsets, wc_bufs[p], out_keys, out_pays);
-      } else {
-        ShuffleBufferedCleanup(p2, offsets, bufs[p], out_keys, out_pays);
-      }
-    } else {
-      if (swwc) {
-        ShuffleKeysSwwcCleanup(p2, offsets, wc_bufs[p], out_keys);
-      } else {
-        ShuffleKeysBufferedCleanup(p2, offsets, bufs[p], out_keys);
-      }
-    }
+    internal::ShuffleCleanup(kernel, p2, all_offsets.data() + p * p2, bufs,
+                             wc_bufs, p, out_keys, out_pays);
   });
 }
 

@@ -20,8 +20,7 @@
 // contemporary x86 server core (32 KB L1D heavily shared with the input
 // stream, 512 KB+ L2, ~1K-partition TLB reach) when the host reports
 // nothing usable. Environment variables always take precedence:
-// SIMDDB_L1_STAGING_BYTES, SIMDDB_L2_STAGING_BYTES, SIMDDB_TLB_PARTITIONS,
-// SIMDDB_B16_VECTOR_MAX_FANOUT.
+// SIMDDB_L1_STAGING_BYTES, SIMDDB_L2_STAGING_BYTES, SIMDDB_TLB_PARTITIONS.
 //
 // MultiPassPartition executes a plan end-to-end: pass 1 is a full
 // ParallelPartitionPass, later passes refine every existing partition
@@ -54,12 +53,6 @@ struct PartitionBudget {
   uint32_t l2_staging_bytes = 512u << 10;  ///< SWWC staging budget
   uint32_t tlb_partitions = 512;           ///< open-page cap for buffered-16
 
-  /// Largest fanout at which the AVX-512 buffered-16 fill still beats the
-  /// scalar one (the gather/scatter conflict-detect cost grows with
-  /// fanout; scalar wins past 2^10 on the bench host — see
-  /// UseVectorBuffered16).
-  uint32_t b16_vector_max_fanout = 1u << 10;
-
   /// Host-calibrated defaults (cpu_info cache/TLB introspection, bounded
   /// by plausibility floors/caps) with environment overrides applied on
   /// top (parsed once per process).
@@ -84,15 +77,19 @@ struct PartitionBudget {
 ShuffleVariant ChooseShuffleVariant(uint32_t fanout,
                                     const PartitionBudget& budget);
 
+/// Largest fanout at which the AVX-512 buffered-16 fill still beats the
+/// scalar one: the gather/scatter conflict-detect cost grows with fanout,
+/// and scalar wins past 2^10 on the bench host.
+inline constexpr uint32_t kB16VectorMaxFanout = 1u << 10;
+
 /// Fill choice *inside* the buffered-16 family: true when the AVX-512
 /// gather/scatter fill (the paper's Alg. 15) should run, i.e. the ISA is
-/// available and the fanout is at most budget.b16_vector_max_fanout;
-/// beyond that the scalar fill wins (measured crossover 2^10) and the
-/// vector dispatch sites fall back to it. Histogram kernels are not
-/// affected — they stay vectorized at every fanout. Both fills are
-/// byte-identical, so this is pure performance policy.
-bool UseVectorBuffered16(Isa isa, uint32_t fanout,
-                         const PartitionBudget& budget);
+/// available and the fanout is at most kB16VectorMaxFanout; beyond that
+/// the scalar fill wins and the vector dispatch sites fall back to it.
+/// Histogram kernels are not affected — they stay vectorized at every
+/// fanout. Both fills are byte-identical, so this is pure performance
+/// policy.
+bool UseVectorBuffered16(Isa isa, uint32_t fanout);
 
 struct PartitionPassPlan {
   uint32_t bits;           ///< radix width of this pass (fanout = 1 << bits)

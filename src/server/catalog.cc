@@ -29,7 +29,7 @@ const Table* Catalog::RegisterTable(const std::string& name,
         compress::CompressColumn(vals, rows));
   }
   table->index_ =
-      exec::JoinIndex::Build(BestIsa(), table->keys(), table->vals(), rows, 1);
+      exec::JoinIndex::Build(BestIsa(), table->keys(), table->vals(), rows);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = tables_.emplace(name, std::move(table));

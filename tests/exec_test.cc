@@ -481,7 +481,7 @@ TEST(ExecPipelineTest, ChunksPushedCountsEachGridOnce) {
   const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
   const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
   const auto index = exec::JoinIndex::Build(
-      BestIsa(), d.r_keys.data(), d.r_attrs.data(), d.n_r, 1);
+      BestIsa(), d.r_keys.data(), d.r_attrs.data(), d.n_r);
   ASSERT_NE(index, nullptr);
   for (bool indexed : {false, true}) {
     for (bool packed : {false, true}) {
@@ -681,7 +681,7 @@ TEST(ExecQueryTest, JoinLayoutFollowsKeyRangeAtItsBoundaries) {
     // Every case's R but the wide ones qualifies for a join index, which
     // must answer the same probes.
     const auto index = exec::JoinIndex::Build(
-        BestIsa(), d.r_keys.data(), d.r_attrs.data(), d.n_r, 1);
+        BestIsa(), d.r_keys.data(), d.r_attrs.data(), d.n_r);
     ScanJoinAggregatePlan indexed = plan;
     indexed.r_index = index.get();
     for (Isa isa : SupportedIsas()) {
@@ -1055,7 +1055,7 @@ TEST(JoinIndex, BuiltOnlyForUniqueKeysOverANarrowRange) {
     for (Isa isa : SupportedIsas()) {
       const std::string label = std::string(c.name) + " " + IsaName(isa);
       const auto index = exec::JoinIndex::Build(isa, c.keys.data(),
-                                                attrs.data(), c.keys.size(), 2);
+                                                attrs.data(), c.keys.size());
       ASSERT_EQ(index != nullptr, c.indexed) << label;
       if (index == nullptr) continue;
       const uint32_t lo = *std::min_element(c.keys.begin(), c.keys.end());
@@ -1111,7 +1111,7 @@ TEST(JoinIndex, WindowsMatchThePerQueryBuildAcrossMatrix) {
     IndexedQueryData d(attr_hi);
     const uint32_t kmax = IndexedQueryData::SkipKey(d.n_r - 1);
     const auto index = exec::JoinIndex::Build(
-        BestIsa(), d.r_keys.data(), d.r_attrs.data(), d.n_r, 1);
+        BestIsa(), d.r_keys.data(), d.r_attrs.data(), d.n_r);
     ASSERT_NE(index, nullptr);
     ASSERT_EQ(index->key_max(), kmax);
     const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
@@ -1173,7 +1173,7 @@ TEST(JoinIndex, BorrowReportsWhatTheBuildPipelineComputes) {
   for (const IndexedQueryData* d : {&narrow, &wide}) {
     const bool is_wide = d == &wide;
     const auto index = exec::JoinIndex::Build(
-        BestIsa(), d->r_keys.data(), d->r_attrs.data(), d->n_r, 1);
+        BestIsa(), d->r_keys.data(), d->r_attrs.data(), d->n_r);
     ASSERT_NE(index, nullptr);
     auto windows = IndexWindows(kmax);
     windows.push_back({2000, 2499});  // 500 keys

@@ -11,8 +11,9 @@
 #include <vector>
 
 #include "core/isa.h"
-#include "partition/histogram.h"
+#include "hash/hash_table.h"
 #include "join/hash_join.h"
+#include "partition/histogram.h"
 #include "util/aligned_buffer.h"
 #include "util/data_gen.h"
 
@@ -54,44 +55,51 @@ TEST_P(HashJoinTest, MatchesReferenceJoin) {
   FillProbeKeys(s_keys.data(), s_n, r_keys.data(), r_n, hit_rate, 5);
   FillSequential(s_pays.data(), s_n, 2'000'000);
 
-  // Reference.
+  // The second S is the same draw with every 7th key set to the reserved
+  // kEmptyKey, the tables' empty marker: those keys join nothing.
+  std::vector<uint32_t> s_keys_reserved(s_keys);
+  for (size_t i = 0; i < s_n; i += 7) s_keys_reserved[i] = kEmptyKey;
+
   std::unordered_map<uint32_t, uint32_t> map;
   for (size_t i = 0; i < r_n; ++i) map[r_keys[i]] = r_pays[i];
-  std::vector<JoinRow> want;
-  for (size_t i = 0; i < s_n; ++i) {
-    auto it = map.find(s_keys[i]);
-    if (it != map.end()) want.push_back({s_keys[i], it->second, s_pays[i]});
-  }
-  std::sort(want.begin(), want.end());
-
   JoinRelation r{r_keys.data(), r_pays.data(), r_n};
-  JoinRelation s{s_keys.data(), s_pays.data(), s_n};
   JoinConfig cfg;
   cfg.isa = isa;
   cfg.threads = threads;
-  AlignedBuffer<uint32_t> ok(s_n + 16), orp(s_n + 16), osp(s_n + 16);
-  JoinTimings t;
-  size_t got = 0;
-  switch (variant) {
-    case Variant::kNoPartition:
-      got = HashJoinNoPartition(r, s, cfg, ok.data(), orp.data(), osp.data(),
-                                &t);
-      break;
-    case Variant::kMinPartition:
-      got = HashJoinMinPartition(r, s, cfg, ok.data(), orp.data(),
-                                 osp.data(), &t);
-      break;
-    case Variant::kMaxPartition:
-      got = HashJoinMaxPartition(r, s, cfg, ok.data(), orp.data(),
-                                 osp.data(), &t);
-      break;
+  for (const std::vector<uint32_t>* keys : {&s_keys, &s_keys_reserved}) {
+    const bool reserved = keys == &s_keys_reserved;
+    std::vector<JoinRow> want;
+    for (size_t i = 0; i < s_n; ++i) {
+      auto it = map.find((*keys)[i]);
+      if (it != map.end()) want.push_back({(*keys)[i], it->second, s_pays[i]});
+    }
+    std::sort(want.begin(), want.end());
+
+    JoinRelation s{keys->data(), s_pays.data(), s_n};
+    AlignedBuffer<uint32_t> ok(s_n + 16), orp(s_n + 16), osp(s_n + 16);
+    JoinTimings t;
+    size_t got = 0;
+    switch (variant) {
+      case Variant::kNoPartition:
+        got = HashJoinNoPartition(r, s, cfg, ok.data(), orp.data(),
+                                  osp.data(), &t);
+        break;
+      case Variant::kMinPartition:
+        got = HashJoinMinPartition(r, s, cfg, ok.data(), orp.data(),
+                                   osp.data(), &t);
+        break;
+      case Variant::kMaxPartition:
+        got = HashJoinMaxPartition(r, s, cfg, ok.data(), orp.data(),
+                                   osp.data(), &t);
+        break;
+    }
+    ASSERT_EQ(got, want.size()) << (reserved ? "reserved S" : "S");
+    std::vector<JoinRow> rows(got);
+    for (size_t i = 0; i < got; ++i) rows[i] = {ok[i], orp[i], osp[i]};
+    std::sort(rows.begin(), rows.end());
+    EXPECT_EQ(rows, want) << (reserved ? "reserved S" : "S");
+    EXPECT_GE(t.Total(), 0.0);
   }
-  ASSERT_EQ(got, want.size());
-  std::vector<JoinRow> rows(got);
-  for (size_t i = 0; i < got; ++i) rows[i] = {ok[i], orp[i], osp[i]};
-  std::sort(rows.begin(), rows.end());
-  EXPECT_EQ(rows, want);
-  EXPECT_GE(t.Total(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -639,6 +639,19 @@ TEST(LinearProbingPartitioned, MatchesReferenceAcrossPartitionsSizesThreads) {
           }
         }
       }
+      if (!distinct) continue;
+      // The no-partition join's shared build: the serial layout on every
+      // lane count (100,003 keys make seven morsels, so 2 and 8 threads run
+      // the compare-and-swap claims).
+      for (int threads : {1, 2, 8}) {
+        const std::string label =
+            "shared n=" + std::to_string(n) + " t=" + std::to_string(threads);
+        LinearProbingTable t(nb);
+        t.BuildShared(keys.data(), pays.data(), n, threads);
+        EXPECT_EQ(t.size(), n) << label;
+        EXPECT_TRUE(t.unique_keys()) << label;
+        EXPECT_EQ(Layout(t), Layout(serial)) << label;
+      }
     }
   }
 }
@@ -751,6 +764,46 @@ TEST(LinearProbingPartitioned, PartitionCountFollowsLanesAndTableSize) {
   // At least 16 buckets per range.
   EXPECT_EQ(LinearProbingTable::BuildPartitions(64, 8), 4u);
   EXPECT_EQ(LinearProbingTable::BuildPartitions(16, 2), 1u);
+}
+
+TEST(LinearProbing, ReservedValueBuildKeyHidesNoOtherKey) {
+  // Every 7th build key is kEmptyKey. Every build must leave such a key's
+  // bucket empty, so every other key stays on an unbroken walk from its
+  // home bucket. The hazard is the vector build that trusts keys to be
+  // unique: a reserved lane that wins a bucket from another lane leaves it
+  // empty and must not send the loser past it, out of its probes' reach.
+  for (size_t n : {size_t{1000}, size_t{40'000}}) {
+    std::vector<uint32_t> keys = DistinctKeys(n, n + 5);
+    const std::vector<uint32_t> pays = RowIds(n);
+    std::vector<uint32_t> kept_keys, kept_pays;
+    for (size_t i = 0; i < n; ++i) {
+      if (i % 7 == 0) {
+        keys[i] = kEmptyKey;
+      } else {
+        kept_keys.push_back(keys[i]);
+        kept_pays.push_back(pays[i]);
+      }
+    }
+    const ReferenceProbes ref(kept_keys, kept_pays);
+    const size_t nb = JoinTableBuckets(n);
+    const std::string size = " n=" + std::to_string(n);
+    for (LpBuild b :
+         {LpBuild::kScalar, LpBuild::kVector, LpBuild::kVectorUnique}) {
+      if (!LpBuildSupported(b)) continue;
+      LinearProbingTable t(nb);
+      LpBuildInto(t, b, keys.data(), pays.data(), n);
+      ExpectJoinsLikeReference(t, ref, LpBuildName(b) + size);
+    }
+    for (int threads : {1, 2, 8}) {
+      const std::string lanes = size + " t=" + std::to_string(threads);
+      LinearProbingTable partitioned(nb), shared(nb);
+      partitioned.BuildPartitioned(Isa::kScalar, keys.data(), pays.data(), n,
+                                   threads, 4);
+      ExpectJoinsLikeReference(partitioned, ref, "partitioned" + lanes);
+      shared.BuildShared(keys.data(), pays.data(), n, threads);
+      ExpectJoinsLikeReference(shared, ref, "shared" + lanes);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -19,11 +19,16 @@
 // executor's observability instruments: chunks_pushed (the build grid plus
 // the probe grid per query), pipelines_fused (two per query) and the phase
 // timers exec_build_ns and exec_fused_ns.
+//
+// BM_DecodeBlock times the compressed scan's decode kernels alone, per ISA,
+// width and encoding (FOR unpack, or delta unpack plus prefix sum).
 
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "compress/column.h"
+#include "compress/pack.h"
 #include "exec/query.h"
 #include "util/rng.h"
 
@@ -359,6 +364,62 @@ BENCHMARK(BM_ExecQueryCompressed)
     ->ArgsProduct({{0, 2}, {77}, {8}, {0, 1}})
     ->Iterations(40)
     ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Decode kernels: each iteration decodes 1,024 packed 1,024-value blocks,
+// one after another, into one chunk-sized output buffer that stays in L1,
+// through the entries CompressedColumn::DecodeBlock calls: UnpackBlock for
+// FOR blocks, UnpackDeltaBlock (unpack plus prefix sum) for delta blocks.
+// Every block holds random bits-wide values. Args {isa, bits, encoding
+// 0=FOR/1=delta}.
+constexpr size_t kDecodeBlocks = 1024;
+
+void BM_DecodeBlock(benchmark::State& state) {
+  const Isa isa = static_cast<Isa>(state.range(0));
+  const unsigned bits = static_cast<unsigned>(state.range(1));
+  const bool delta = state.range(2) != 0;
+  if (!RequireIsa(state, isa)) return;
+
+  const size_t words = compress::PackedWords(compress::kBlockTuples, bits);
+  AlignedBuffer<uint32_t> packed(
+      compress::PackedWordsCapacity(kDecodeBlocks * compress::kBlockTuples,
+                                    bits));
+  packed.Clear();
+  const uint32_t mask =
+      bits == 32 ? 0xFFFFFFFFu : ((uint32_t{1} << bits) - 1);
+  Pcg32 rng(bits);
+  std::vector<uint32_t> vals(compress::kBlockTuples);
+  for (size_t b = 0; b < kDecodeBlocks; ++b) {
+    for (uint32_t& v : vals) v = rng.Next() & mask;
+    compress::PackBlock(vals.data(), vals.size(), 0, bits,
+                        packed.data() + b * words);
+  }
+  AlignedBuffer<uint32_t> out(compress::PackedCapacity(compress::kBlockTuples));
+
+  for (auto _ : state) {
+    for (size_t b = 0; b < kDecodeBlocks; ++b) {
+      const uint32_t* src = packed.data() + b * words;
+      if (delta) {
+        compress::UnpackDeltaBlock(isa, src, compress::kBlockTuples, 7, bits,
+                                   out.data(), out.size());
+      } else {
+        compress::UnpackBlock(isa, src, compress::kBlockTuples, 7, bits,
+                              out.data(), out.size());
+      }
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  SetTuplesPerSecond(state,
+                     static_cast<double>(kDecodeBlocks * compress::kBlockTuples));
+  state.SetLabel(std::string("decode_block isa=") + IsaName(isa) +
+                 " bits=" + std::to_string(bits) +
+                 " enc=" + (delta ? "delta" : "for"));
+}
+
+BENCHMARK(BM_DecodeBlock)
+    ->ArgsProduct({{0, 1, 2}, {1, 10, 16, 20, 32}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

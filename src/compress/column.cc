@@ -24,19 +24,14 @@ void CompressedColumn::DecodeBlock(Isa isa, size_t b, uint32_t* out,
   const size_t rows = block_rows(b);
   assert(out_capacity >= PackedCapacity(rows) &&
          "decode output violates the PackedCapacity slack contract");
-  UnpackBlock(isa, words_.data() + m.word_offset, rows,
-              m.encoding == BlockEncoding::kFor ? m.reference : 0, m.bits,
-              out, out_capacity);
-  if (m.encoding == BlockEncoding::kDeltaFor) {
-    // The packed values are consecutive differences (first one 0); the
-    // running sum from the block's first value reconstructs the run. The
-    // dependency chain is why delta is reserved for blocks where it buys
-    // real width — the unpack itself stays SIMD either way.
-    uint32_t acc = m.reference;
-    for (size_t i = 0; i < rows; ++i) {
-      acc += out[i];
-      out[i] = acc;
-    }
+  const uint32_t* words = words_.data() + m.word_offset;
+  if (m.encoding == BlockEncoding::kFor) {
+    UnpackBlock(isa, words, rows, m.reference, m.bits, out, out_capacity);
+  } else {
+    // Consecutive differences (the first one 0), summed from the block's
+    // first value.
+    UnpackDeltaBlock(isa, words, rows, m.reference, m.bits, out,
+                     out_capacity);
   }
   g_bytes_unpacked.Add(PackedWords(rows, m.bits) * sizeof(uint32_t));
 }
@@ -69,8 +64,8 @@ CompressedColumn CompressColumn(const uint32_t* in, size_t n) {
     BlockMeta& m = col.meta_[b];
     m.min = mn;
     m.max = mx;
-    // Delta only when strictly narrower: ties keep FOR, whose decode has
-    // no serial reconstruction pass.
+    // Delta only when strictly narrower: ties keep FOR, whose decode needs
+    // no prefix sum.
     if (sorted && delta_bits < for_bits) {
       m.encoding = BlockEncoding::kDeltaFor;
       m.reference = v[0];

@@ -16,13 +16,17 @@
 // The unpack kernels are the scan-over-compressed hot path, so they follow
 // the per-ISA TU pattern of scan/selection_scan_*: a scalar baseline
 // (pack.cc) plus AVX2 / AVX-512 backends (pack_avx2.cc / pack_avx512.cc)
-// compiled under their own ISA flags. Both vector backends turn the per-value
-// read-shift-mask into 64-bit gathers (vpgatherqd's 32-bit-granular cousin
-// vpgatherdq) + per-lane variable shifts (vpsrlvq), which makes one
-// generic kernel cover every width 1..32 at full vector width — there is
-// no per-width specialization to fall out of date. Packing is a one-time
-// cold path (load/compress, never per query), so it stays scalar on every
-// backend.
+// compiled under their own ISA flags. The AVX2 backend turns the per-value
+// read-shift-mask into 64-bit gathers (vpgatherdq) + per-lane variable
+// shifts (vpsrlvq). The AVX-512 backend gathers nothing: 32 values at width
+// b fill exactly b words, so it loads a 32-value group's words with masked
+// loads and moves each lane's two words into place with two-source
+// permutes (vpermt2d). Either way one generic kernel covers every width
+// 1..32 at full vector width — there is no per-width specialization to
+// fall out of date. Delta-coded blocks (UnpackDeltaBlock) add a running sum
+// to the unpack: in registers on AVX-512, a serial pass after the unpack
+// elsewhere. Packing is a one-time cold path (load/compress, never per
+// query), so it stays scalar on every backend.
 //
 // Capacity contracts (centralized, mirroring ChunkCapacity /
 // SelectionScanCapacity):
@@ -30,10 +34,10 @@
 //     vector kernels store full 8/16-lane vectors, overshooting n by up to
 //     kPackSlackValues - 1 values. Asserted at every unpack entry.
 //   - The PACKED buffer must hold PackedWordsCapacity(n, bits) words: the
-//     overshooting lanes of the last vector gather up to kPackedPadWords
-//     words past the payload, and every 64-bit read may straddle one word
-//     boundary. CompressColumn allocates to this contract; kernels assume
-//     it.
+//     overshooting lanes of the last AVX2 vector gather up to
+//     kPackedPadWords words past the payload, and every 64-bit read may
+//     straddle one word boundary. CompressColumn allocates to this
+//     contract; kernels assume it.
 
 #include <cassert>
 #include <cstddef>
@@ -95,6 +99,8 @@ void UnpackAvx2(const uint32_t* packed, size_t n, uint32_t ref, unsigned bits,
                 uint32_t* out);
 void UnpackAvx512(const uint32_t* packed, size_t n, uint32_t ref,
                   unsigned bits, uint32_t* out);
+void UnpackDeltaAvx512(const uint32_t* packed, size_t n, uint32_t ref,
+                       unsigned bits, uint32_t* out);
 
 }  // namespace detail
 
@@ -129,6 +135,30 @@ inline void UnpackBlock(Isa isa, const uint32_t* packed, size_t n,
     return detail::UnpackAvx2(packed, n, ref, bits, out);
   }
   return detail::UnpackScalar(packed, n, ref, bits, out);
+}
+
+/// Decodes n delta-coded values: out[i] = ref + the sum of bits-wide values
+/// 0..i of `packed` (modulo 2^32). CompressColumn's kDeltaFor blocks store
+/// the first value as `ref` and a 0 as value 0, so out[0] == ref. Same
+/// output contract as UnpackBlock. AVX-512 runs the prefix sum in registers
+/// inside its unpack; the other backends unpack, then add a serial running
+/// sum.
+inline void UnpackDeltaBlock(Isa isa, const uint32_t* packed, size_t n,
+                             uint32_t ref, unsigned bits, uint32_t* out,
+                             size_t out_capacity) {
+  assert(bits <= 32);
+  assert(out_capacity >= PackedCapacity(n) &&
+         "unpack output violates the PackedCapacity slack contract");
+  if (n == 0) return;
+  if (bits != 0 && isa == Isa::kAvx512 && IsaSupported(Isa::kAvx512)) {
+    return detail::UnpackDeltaAvx512(packed, n, ref, bits, out);
+  }
+  UnpackBlock(isa, packed, n, 0, bits, out, out_capacity);
+  uint32_t acc = ref;
+  for (size_t i = 0; i < n; ++i) {
+    acc += out[i];
+    out[i] = acc;
+  }
 }
 
 }  // namespace simddb::compress

@@ -20,11 +20,13 @@
 //   probe:  FusedScan[Compressed] on S.val -> FusedJoinProbe -> FusedGroupBy.
 //
 // Determinism contract: every pipeline runs the deterministic grid
-// (ceil(n / chunk_tuples) chunks, ParallelFor over chunk ordinals). The
-// build stages rows by chunk ordinal (FusedBatch::seq), never by lane, and
-// the probe ends in GroupByState's per-lane partials with their canonical
-// ascending-key extraction, so a QueryResult is byte-identical for every
-// ISA, thread count, chunk size, storage and steal schedule.
+// (ceil(n / chunk_tuples) chunks over its source's n rows, ParallelFor over
+// chunk ordinals; a compressed source's rows are those of the blocks its
+// zone map keeps). The build stages rows by chunk ordinal (FusedBatch::seq),
+// never by lane, and the probe ends in GroupByState's per-lane partials
+// with their canonical ascending-key extraction, so a QueryResult is
+// byte-identical for every ISA, thread count, chunk size, storage and
+// steal schedule.
 //
 // One rule for empty batches: a stage hands on a batch only when it holds
 // rows, so a chunk the predicate empties costs its source and nothing
@@ -161,29 +163,46 @@ class FusedScan {
 };
 
 /// Fused source over compressed base columns (compress/column.h): emits
-/// the same batches FusedScan would for the decompressed columns, so a
-/// compressed plan is byte-identical to its raw twin by construction. Per
-/// chunk it walks the overlapped 1024-value blocks and classifies each
-/// against the predicate via the predicate column's FOR-domain zone map
-/// (compress::ClassifyBlock): skipped blocks contribute nothing without
-/// their packed bytes being read, all-pass blocks decode straight into the
-/// batch columns with no per-value predicate evaluation, and mixed blocks
-/// decode into per-lane scratch (cached by block id, so sub-block chunk
-/// grids do not re-decode) and run SelectionScan on the just-unpacked
-/// values.
+/// the rows FusedScan would for the decompressed columns, in the same
+/// order, so a compressed plan is byte-identical to its raw twin by
+/// construction. The constructor (which runs on the submitting thread,
+/// before RunPipeline sizes the grid) classifies every block of the
+/// predicate column once against the predicate via its FOR-domain zone map
+/// (compress::ClassifyBlock) and keeps the blocks that are not skipped,
+/// with their all-pass or mixed verdict. The chunk grid covers only the
+/// kept blocks' rows: kept block k starts at surviving row k * kBlockTuples
+/// (only a column's last block can be short), so a skipped block costs
+/// neither a chunk nor a read of its packed bytes. All-pass blocks decode
+/// straight into the batch columns with no per-value predicate evaluation;
+/// mixed blocks decode into per-lane scratch (cached by block id, so
+/// sub-block chunk grids do not re-decode) and run SelectionScan on the
+/// just-unpacked values.
 template <Isa kIsa>
 class FusedScanCompressed {
  public:
   FusedScanCompressed(const compress::CompressedColumn* a,
                       const compress::CompressedColumn* b, int pred_col,
                       uint32_t lo, uint32_t hi)
-      : cols_{a, b}, n_(a->size()), pred_col_(pred_col), lo_(lo), hi_(hi) {
+      : cols_{a, b}, pred_col_(pred_col), lo_(lo), hi_(hi) {
     assert(a->size() == b->size());
     assert(pred_col == 0 || pred_col == 1);
+    const compress::CompressedColumn* pred = cols_[pred_col];
+    for (size_t blk = 0; blk < pred->num_blocks(); ++blk) {
+      const compress::BlockClass cls =
+          compress::ClassifyBlock(pred->block_meta(blk), lo, hi);
+      if (cls == compress::BlockClass::kSkip) {
+        ++skipped_;
+        continue;
+      }
+      const bool all_pass = cls == compress::BlockClass::kAllPass;
+      all_pass_ += all_pass;
+      kept_.push_back(KeptBlock{static_cast<uint32_t>(blk), all_pass});
+      kept_rows_ += pred->block_rows(blk);
+    }
   }
 
   size_t Chunks(const ExecConfig& cfg) const {
-    return detail::GridChunks(n_, cfg);
+    return detail::GridChunks(kept_rows_, cfg);
   }
 
   void Open(const ExecConfig& cfg, int lanes, size_t n_chunks) {
@@ -198,34 +217,30 @@ class FusedScanCompressed {
       }
     }
     rows_.Open(lanes);
+    compress::BlocksSkipped().Add(skipped_);
+    compress::BlocksAllPass().Add(all_pass_);
   }
 
   template <typename Next>
   void Produce(size_t chunk, int lane, Next&& next) {
     Lane& l = lanes_[static_cast<size_t>(lane)];
     const int p = pred_col_;
-    const compress::CompressedColumn* pred = cols_[p];
     const size_t begin = chunk * chunk_tuples_;
-    const size_t end = begin + std::min(chunk_tuples_, n_ - begin);
+    const size_t end = begin + std::min(chunk_tuples_, kept_rows_ - begin);
     const size_t cap = l.col[0].size();
     size_t cnt = 0;
     for (size_t pos = begin; pos < end;) {
-      const size_t b = pos / compress::kBlockTuples;
-      const size_t block_base = b * compress::kBlockTuples;
-      const size_t off = pos - block_base;
-      const size_t take =
-          std::min(end, block_base + pred->block_rows(b)) - pos;
-      const compress::BlockClass cls =
-          compress::ClassifyBlock(pred->block_meta(b), lo_, hi_);
-      if (cls == compress::BlockClass::kSkip) {
-        compress::BlocksSkipped().Add(1);
-      } else if (cls == compress::BlockClass::kAllPass) {
-        compress::BlocksAllPass().Add(1);
+      const size_t k = pos / compress::kBlockTuples;
+      const size_t b = kept_[k].block;
+      const size_t off = pos - k * compress::kBlockTuples;
+      const size_t rows = cols_[p]->block_rows(b);
+      const size_t take = std::min(end - pos, rows - off);
+      if (kept_[k].all_pass) {
         for (int c = 0; c < 2; ++c) {
           // A whole in-chunk block decodes straight into the batch column
           // (its overshoot lands in the ChunkCapacity slack); partial
           // overlaps go through the block cache.
-          if (take == pred->block_rows(b)) {
+          if (take == rows) {
             cols_[c]->DecodeBlock(kIsa, b, l.col[c].data() + cnt, cap - cnt);
           } else {
             std::memcpy(l.col[c].data() + cnt, Decoded(l, c, b) + off,
@@ -256,6 +271,10 @@ class FusedScanCompressed {
   uint64_t rows_out() const { return rows_.Total(); }
 
  private:
+  struct KeptBlock {
+    uint32_t block;
+    bool all_pass;
+  };
   struct Lane {
     AlignedBuffer<uint32_t> col[2];        // batch columns
     AlignedBuffer<uint32_t> block_buf[2];  // decoded-block cache
@@ -273,9 +292,11 @@ class FusedScanCompressed {
   }
 
   const compress::CompressedColumn* cols_[2];
-  size_t n_;
   int pred_col_;
   uint32_t lo_, hi_;
+  std::vector<KeptBlock> kept_;  ///< blocks not skipped, in column order
+  size_t kept_rows_ = 0;         ///< rows of the kept blocks
+  uint64_t skipped_ = 0, all_pass_ = 0;
   size_t chunk_tuples_ = kDefaultChunkTuples;
   std::vector<Lane> lanes_;
   detail::LaneRows rows_;

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <string>
 
+#include "compress/column.h"
 #include "numa/placement.h"
 #include "util/task_pool.h"
 
@@ -90,10 +91,20 @@ ColumnRange ColumnMinMaxScalar(const uint32_t* vals, size_t n) {
 // JoinIndex
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<JoinIndex> JoinIndex::Build(Isa isa, const uint32_t* keys,
-                                            const uint32_t* attrs, size_t n) {
+std::unique_ptr<JoinIndex> JoinIndex::Build(
+    Isa isa, const uint32_t* keys, const uint32_t* attrs, size_t n,
+    const compress::CompressedColumn* keys_c) {
   if (n == 0) return nullptr;
-  const ColumnRange k = ColumnMinMax(isa, keys, n);
+  ColumnRange k;
+  if (keys_c != nullptr) {
+    assert(keys_c->size() == n);
+    for (size_t b = 0; b < keys_c->num_blocks(); ++b) {
+      k.min = std::min(k.min, keys_c->block_meta(b).min);
+      k.max = std::max(k.max, keys_c->block_meta(b).max);
+    }
+  } else {
+    k = ColumnMinMax(isa, keys, n);
+  }
   if (k.max == kEmptyKey) return nullptr;
   const uint64_t width = uint64_t{k.max} - k.min + 1;
   // Fewer key-range values than rows: some key repeats.

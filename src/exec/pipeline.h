@@ -5,13 +5,15 @@
 // contracts every pipeline stage shares.
 //
 // A query runs two pipelines over deterministic chunk grids (ceil(n /
-// chunk_tuples) chunks, dispatched morsel-parallel onto the shared TaskPool,
-// util/task_pool.h). The build pipeline ends in HashBuildOp, the breaker: it
-// stages the build relation by chunk ordinal (the SelectionScanParallel
-// compaction idiom: rows land by ordinal, not by lane, so the staged side is
-// byte-identical for every thread count and steal schedule) and builds the
-// join table in Finish, on the submitting thread. The probe pipeline ends in
-// a GroupByState: per-lane partials merged into canonical result rows.
+// chunk_tuples) chunks over the n rows a source can emit, which for a
+// compressed source are those of the blocks its zone map keeps),
+// dispatched morsel-parallel onto the shared TaskPool (util/task_pool.h).
+// The build pipeline ends in HashBuildOp, the breaker: it stages the build
+// relation by chunk ordinal (the SelectionScanParallel compaction idiom:
+// rows land by ordinal, not by lane, so the staged side is byte-identical
+// for every thread count and steal schedule) and builds the join table in
+// Finish, on the submitting thread. The probe pipeline ends in a
+// GroupByState: per-lane partials merged into canonical result rows.
 // Intermediates are placed via numa/placement.h.
 
 #include <cassert>
@@ -28,6 +30,10 @@
 #include "hash/linear_probing.h"
 #include "scan/selection_scan.h"
 #include "util/aligned_buffer.h"
+
+namespace simddb::compress {
+class CompressedColumn;
+}  // namespace simddb::compress
 
 namespace simddb::exec {
 
@@ -114,8 +120,12 @@ class JoinIndex {
   /// slot) never outgrows the rows' own two columns. More rows than
   /// key-range values must repeat a key: such tables are refused before
   /// any allocation. isa runs the range scans; the array is interleaved.
-  static std::unique_ptr<JoinIndex> Build(Isa isa, const uint32_t* keys,
-                                          const uint32_t* attrs, size_t n);
+  /// keys_c, when given, is the compressed twin of keys: the key range then
+  /// comes from its block zone maps, one fold over the block metadata in
+  /// place of a pass over the keys.
+  static std::unique_ptr<JoinIndex> Build(
+      Isa isa, const uint32_t* keys, const uint32_t* attrs, size_t n,
+      const compress::CompressedColumn* keys_c = nullptr);
 
   uint32_t key_min() const { return table_.key_min(); }
   uint32_t key_max() const {

@@ -28,8 +28,9 @@ const Table* Catalog::RegisterTable(const std::string& name,
     table->vals_c_ = std::make_unique<compress::CompressedColumn>(
         compress::CompressColumn(vals, rows));
   }
-  table->index_ =
-      exec::JoinIndex::Build(BestIsa(), table->keys(), table->vals(), rows);
+  table->index_ = exec::JoinIndex::Build(BestIsa(), table->keys(),
+                                         table->vals(), rows,
+                                         table->keys_compressed());
 
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = tables_.emplace(name, std::move(table));

@@ -97,7 +97,8 @@ class Catalog {
 
   /// Copies the columns into catalog-owned aligned buffers (with the +16
   /// slack the scan kernels may overshoot into), builds the join index when
-  /// the table qualifies, and registers the table.
+  /// the table qualifies (a compressed table's key range comes from its
+  /// keys' zone maps), and registers the table.
   /// Returns the registered table, or nullptr if the name is taken —
   /// tables are immutable during serving, so re-registration is an error,
   /// never a replace.

@@ -135,6 +135,14 @@ TEST_P(CompressPackIsaTest, MatchesScalarUnpack) {
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], want[i]) << "bits=" << bits << " @" << i;
     }
+    // The delta decode, whose running sum wraps modulo 2^32 at wide widths.
+    compress::UnpackDeltaBlock(Isa::kScalar, packed.data(), n, 77, bits,
+                               want.data(), want.size());
+    compress::UnpackDeltaBlock(isa, packed.data(), n, 77, bits, got.data(),
+                               got.size());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], want[i]) << "delta bits=" << bits << " @" << i;
+    }
   }
 }
 
@@ -182,6 +190,48 @@ TEST(CompressColumnTest, SortedDataUsesDeltaAndRoundTrips) {
   }
   EXPECT_GE(col.raw_bytes(), 16 * col.packed_bytes())
       << "ramp should pack ~32x";
+
+  // Every delta width 1..31, at lengths that leave a full or short last
+  // block (10,000 = 9 blocks + 784; 3 blocks + 1, 17 or 33 rows): each
+  // decode crosses 16-lane vectors (the running-sum carry) and ends in a
+  // partial 32-value group (the masked tail loads). Each block is
+  // non-decreasing from its own base — no column of several blocks could
+  // climb by 2^30 in each — with one delta of 2^w - 1 and the others
+  // below 2^min(w, 20), so the range needs more than w bits and delta
+  // coding wins at exactly w bits. A one-row block has no delta and stays
+  // FOR at width 0.
+  for (size_t len : {size_t{10'000}, size_t{3 * 1024 + 1},
+                     size_t{3 * 1024 + 17}, size_t{3 * 1024 + 33}}) {
+    for (unsigned w = 1; w <= 31; ++w) {
+      Pcg32 rng(1000 * len + w);
+      std::vector<uint32_t> v(len);
+      for (size_t base = 0; base < len; base += kBlockTuples) {
+        const size_t rows = std::min(kBlockTuples, len - base);
+        const size_t wide = 1 + rng.NextBounded(
+                                    static_cast<uint32_t>(rows > 1 ? rows - 1
+                                                                   : 1));
+        v[base] = rng.NextBounded(1000);
+        for (size_t i = 1; i < rows; ++i) {
+          const uint32_t delta =
+              i == wide ? static_cast<uint32_t>((uint64_t{1} << w) - 1)
+                        : rng.NextBounded(uint32_t{1} << std::min(w, 20u));
+          v[base + i] = v[base + i - 1] + delta;
+        }
+      }
+      const std::string label =
+          "len=" + std::to_string(len) + " w=" + std::to_string(w);
+      const CompressedColumn sorted = CompressColumn(v.data(), len);
+      for (size_t b = 0; b < sorted.num_blocks(); ++b) {
+        const bool one_row = sorted.block_rows(b) == 1;
+        ASSERT_EQ(sorted.block_meta(b).encoding,
+                  one_row ? BlockEncoding::kFor : BlockEncoding::kDeltaFor)
+            << label << " block " << b;
+        ASSERT_EQ(sorted.block_meta(b).bits, one_row ? 0u : w)
+            << label << " block " << b;
+      }
+      ExpectColumnRoundTrips(v.data(), len, sorted, label);
+    }
+  }
 }
 
 TEST(CompressColumnTest, ClusteredDataReachesFourXFootprint) {
@@ -320,16 +370,21 @@ TEST(CompressScanTest, CompressedPlanIdenticalToRaw) {
     const ScanJoinAggregatePlan comp = d.CompressedPlan();
     for (Isa isa : SupportedIsas()) {
       for (int threads : {1, 8}) {
-        ExecConfig cfg;
-        cfg.isa = isa;
-        cfg.threads = threads;
-        cfg.chunk_tuples = 257;  // sub-block grid: exercises the cache
-        const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
-        const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
-        ExpectIdentical(
-            got, want,
-            std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
-                (clustered ? " clustered" : " uniform"));
+        // Sub-block grids exercise the decoded-block cache and chunks that
+        // span kept blocks far apart; 1024 puts one kept block per chunk.
+        for (size_t chunk : {size_t{1}, size_t{257}, size_t{1024}}) {
+          ExecConfig cfg;
+          cfg.isa = isa;
+          cfg.threads = threads;
+          cfg.chunk_tuples = chunk;
+          const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
+          const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
+          ExpectIdentical(
+              got, want,
+              std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
+                  " c=" + std::to_string(chunk) +
+                  (clustered ? " clustered" : " uniform"));
+        }
       }
     }
   }

@@ -470,36 +470,83 @@ TEST(ExecQueryTest, CompressedStorageEdgeSizes) {
   }
 }
 
+/// Rows of the blocks of `col` that the zone map keeps for [lo, hi]: the
+/// rows a compressed source's chunk grid covers.
+size_t KeptRows(const compress::CompressedColumn& col, uint32_t lo,
+                uint32_t hi) {
+  size_t rows = 0;
+  for (size_t b = 0; b < col.num_blocks(); ++b) {
+    if (compress::ClassifyBlock(col.block_meta(b), lo, hi) !=
+        compress::BlockClass::kSkip) {
+      rows += col.block_rows(b);
+    }
+  }
+  return rows;
+}
+
 TEST(ExecPipelineTest, ChunksPushedCountsEachGridOnce) {
   // Every pipeline run counts its chunk grid once, by size: a query pushes
   // its build grid plus its probe grid, whatever the predicates keep (at
-  // chunk size 1 most probe chunks hold no qualifying row). A plan served
-  // by a join index runs no build pipeline at all.
+  // chunk size 1 most probe chunks hold no qualifying row). A compressed
+  // source's grid covers only the rows of the blocks its zone map keeps:
+  // uniform S values keep every block, while the clustered S (values ramp
+  // with the row) keeps the first of its ten. The classification behind it
+  // runs once per pipeline, so `blocks_skipped` counts each skipped block
+  // once at every chunk size. A plan served by a join index runs no build
+  // pipeline at all.
   QueryData d(1024, 10'000);
-  const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
-  const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
-  const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
-  const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
+  QueryData clustered(1024, 10'000);
+  for (size_t i = 0; i < clustered.n_s; ++i) {
+    clustered.s_vals[i] = static_cast<uint32_t>(100 * i);
+  }
   const auto index = exec::JoinIndex::Build(
       BestIsa(), d.r_keys.data(), d.r_attrs.data(), d.n_r);
   ASSERT_NE(index, nullptr);
-  for (bool indexed : {false, true}) {
-    for (bool packed : {false, true}) {
-      ScanJoinAggregatePlan plan = d.Plan();
-      if (packed) {
-        plan.r_keys_c = &r_keys_c;
-        plan.r_attrs_c = &r_attrs_c;
-        plan.s_fks_c = &s_fks_c;
-        plan.s_vals_c = &s_vals_c;
-      }
+  enum class Storage { kRaw, kPacked, kPackedClustered };
+  const char* const storage_names[] = {"raw", "packed", "packed clustered"};
+  for (Storage storage :
+       {Storage::kRaw, Storage::kPacked, Storage::kPackedClustered}) {
+    const QueryData& q = storage == Storage::kPackedClustered ? clustered : d;
+    const auto r_keys_c = compress::CompressColumn(q.r_keys.data(), q.n_r);
+    const auto r_attrs_c = compress::CompressColumn(q.r_attrs.data(), q.n_r);
+    const auto s_fks_c = compress::CompressColumn(q.s_fks.data(), q.n_s);
+    const auto s_vals_c = compress::CompressColumn(q.s_vals.data(), q.n_s);
+    const bool packed = storage != Storage::kRaw;
+    ScanJoinAggregatePlan base = q.Plan();
+    if (packed) {
+      base.r_keys_c = &r_keys_c;
+      base.r_attrs_c = &r_attrs_c;
+      base.s_fks_c = &s_fks_c;
+      base.s_vals_c = &s_vals_c;
+    }
+    const size_t build_rows =
+        packed ? KeptRows(r_keys_c, base.r_lo, base.r_hi) : q.n_r;
+    const size_t probe_rows =
+        packed ? KeptRows(s_vals_c, base.s_lo, base.s_hi) : q.n_s;
+    if (storage == Storage::kPackedClustered) {
+      ASSERT_EQ(probe_rows, compress::kBlockTuples);
+    }
+    for (bool indexed : {false, true}) {
+      ScanJoinAggregatePlan plan = base;
       if (indexed) plan.r_index = index.get();
       for (size_t chunk : {size_t{1}, size_t{257}, size_t{1024}}) {
-        const uint64_t build_grid = indexed ? 0 : (d.n_r + chunk - 1) / chunk;
+        const uint64_t build_grid =
+            indexed ? 0 : (build_rows + chunk - 1) / chunk;
         const uint64_t builds = indexed ? 0 : 1;
-        const uint64_t probe_grid = (d.n_s + chunk - 1) / chunk;
-        const std::string label = std::string(packed ? "packed" : "raw") +
-                                  (indexed ? " indexed" : "") +
-                                  " c=" + std::to_string(chunk);
+        const uint64_t probe_grid = (probe_rows + chunk - 1) / chunk;
+        // Only a column's last block can be short, so the kept rows fill
+        // ceil(rows / kBlockTuples) blocks.
+        auto skipped = [](const compress::CompressedColumn& col, size_t rows) {
+          return col.num_blocks() - (rows + compress::kBlockTuples - 1) /
+                                        compress::kBlockTuples;
+        };
+        const uint64_t skipped_blocks =
+            !packed ? 0
+                    : (indexed ? 0 : skipped(r_keys_c, build_rows)) +
+                          skipped(s_vals_c, probe_rows);
+        const std::string label =
+            std::string(storage_names[static_cast<int>(storage)]) +
+            (indexed ? " indexed" : "") + " c=" + std::to_string(chunk);
         ExecConfig cfg;
         cfg.threads = 4;
         cfg.chunk_tuples = chunk;
@@ -509,15 +556,16 @@ TEST(ExecPipelineTest, ChunksPushedCountsEachGridOnce) {
           ASSERT_FALSE(got.group_keys.empty()) << label;
           EXPECT_EQ(Metric("chunks_pushed"), build_grid + probe_grid)
               << label;
+          EXPECT_EQ(Metric("blocks_skipped"), skipped_blocks) << label;
           EXPECT_EQ(Metric("pipelines_fused"), builds + 1) << label;
           EXPECT_GT(Metric("exec_build_ns"), 0u) << label;
           EXPECT_GT(Metric("exec_fused_ns"), 0u) << label;
         }
         {
           ScopedMetrics metrics;
-          exec::Query q;
-          exec::AddBuildPipeline(q, plan);
-          q.Run(cfg);
+          exec::Query qry;
+          exec::AddBuildPipeline(qry, plan);
+          qry.Run(cfg);
           EXPECT_EQ(Metric("chunks_pushed"), build_grid) << label << " build";
           EXPECT_EQ(Metric("pipelines_fused"), builds) << label << " build";
         }
@@ -1052,12 +1100,21 @@ TEST(JoinIndex, BuiltOnlyForUniqueKeysOverANarrowRange) {
     if (c.reserved_attr_row != UINT32_MAX) {
       attrs[c.reserved_attr_row] = 0xFFFFFFFFu;
     }
+    // A compressed twin's zone maps give the same key range as a pass over
+    // the keys, so the same tables qualify either way.
+    const compress::CompressedColumn keys_c =
+        compress::CompressColumn(c.keys.data(), c.keys.size());
     for (Isa isa : SupportedIsas()) {
       const std::string label = std::string(c.name) + " " + IsaName(isa);
       const auto index = exec::JoinIndex::Build(isa, c.keys.data(),
                                                 attrs.data(), c.keys.size());
       ASSERT_EQ(index != nullptr, c.indexed) << label;
+      const auto twin_index = exec::JoinIndex::Build(
+          isa, c.keys.data(), attrs.data(), c.keys.size(), &keys_c);
+      ASSERT_EQ(twin_index != nullptr, c.indexed) << label << " twin";
       if (index == nullptr) continue;
+      EXPECT_EQ(twin_index->key_min(), index->key_min()) << label;
+      EXPECT_EQ(twin_index->key_max(), index->key_max()) << label;
       const uint32_t lo = *std::min_element(c.keys.begin(), c.keys.end());
       const uint32_t hi = *std::max_element(c.keys.begin(), c.keys.end());
       EXPECT_EQ(index->key_min(), lo) << label;

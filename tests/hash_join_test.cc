@@ -1,5 +1,6 @@
-// Hash join tests (§9): all three variants, scalar and vectorized, single-
-// and multi-threaded, must produce exactly the reference join result.
+// Hash join tests (§9): all three variants on every ISA, single- and
+// multi-threaded, must produce exactly the reference join result, also
+// when either side holds the reserved key kEmptyKey.
 
 #include <gtest/gtest.h>
 
@@ -56,26 +57,43 @@ TEST_P(HashJoinTest, MatchesReferenceJoin) {
   FillSequential(s_pays.data(), s_n, 2'000'000);
 
   // The second S is the same draw with every 7th key set to the reserved
-  // kEmptyKey, the tables' empty marker: those keys join nothing.
+  // kEmptyKey, the tables' empty marker, and the second R the same keys
+  // with every 11th one reserved: reserved keys join nothing, on either
+  // side.
   std::vector<uint32_t> s_keys_reserved(s_keys);
   for (size_t i = 0; i < s_n; i += 7) s_keys_reserved[i] = kEmptyKey;
+  std::vector<uint32_t> r_keys_reserved(r_keys);
+  for (size_t i = 0; i < r_n; i += 11) r_keys_reserved[i] = kEmptyKey;
 
-  std::unordered_map<uint32_t, uint32_t> map;
-  for (size_t i = 0; i < r_n; ++i) map[r_keys[i]] = r_pays[i];
-  JoinRelation r{r_keys.data(), r_pays.data(), r_n};
   JoinConfig cfg;
   cfg.isa = isa;
   cfg.threads = threads;
-  for (const std::vector<uint32_t>* keys : {&s_keys, &s_keys_reserved}) {
-    const bool reserved = keys == &s_keys_reserved;
+  struct Sides {
+    const std::vector<uint32_t>* r_keys;
+    const std::vector<uint32_t>* s_keys;
+    const char* label;
+  };
+  const Sides sides[] = {{&r_keys, &s_keys, "R, S"},
+                         {&r_keys, &s_keys_reserved, "R, reserved S"},
+                         {&r_keys_reserved, &s_keys, "reserved R, S"},
+                         {&r_keys_reserved, &s_keys_reserved,
+                          "reserved R, reserved S"}};
+  for (const Sides& side : sides) {
+    const std::vector<uint32_t>& rk = *side.r_keys;
+    const std::vector<uint32_t>& sk = *side.s_keys;
+    std::unordered_map<uint32_t, uint32_t> map;
+    for (size_t i = 0; i < r_n; ++i) {
+      if (rk[i] != kEmptyKey) map[rk[i]] = r_pays[i];
+    }
     std::vector<JoinRow> want;
     for (size_t i = 0; i < s_n; ++i) {
-      auto it = map.find((*keys)[i]);
-      if (it != map.end()) want.push_back({(*keys)[i], it->second, s_pays[i]});
+      auto it = map.find(sk[i]);
+      if (it != map.end()) want.push_back({sk[i], it->second, s_pays[i]});
     }
     std::sort(want.begin(), want.end());
 
-    JoinRelation s{keys->data(), s_pays.data(), s_n};
+    JoinRelation r{rk.data(), r_pays.data(), r_n};
+    JoinRelation s{sk.data(), s_pays.data(), s_n};
     AlignedBuffer<uint32_t> ok(s_n + 16), orp(s_n + 16), osp(s_n + 16);
     JoinTimings t;
     size_t got = 0;
@@ -93,11 +111,11 @@ TEST_P(HashJoinTest, MatchesReferenceJoin) {
                                    osp.data(), &t);
         break;
     }
-    ASSERT_EQ(got, want.size()) << (reserved ? "reserved S" : "S");
+    ASSERT_EQ(got, want.size()) << side.label;
     std::vector<JoinRow> rows(got);
     for (size_t i = 0; i < got; ++i) rows[i] = {ok[i], orp[i], osp[i]};
     std::sort(rows.begin(), rows.end());
-    EXPECT_EQ(rows, want) << (reserved ? "reserved S" : "S");
+    EXPECT_EQ(rows, want) << side.label;
     EXPECT_GE(t.Total(), 0.0);
   }
 }
@@ -107,7 +125,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Variant::kNoPartition,
                                          Variant::kMinPartition,
                                          Variant::kMaxPartition),
-                       ::testing::Values(Isa::kScalar, Isa::kAvx512),
+                       ::testing::Values(Isa::kScalar, Isa::kAvx2,
+                                         Isa::kAvx512),
                        ::testing::Values(1, 4),
                        ::testing::Values(1.0, 0.4)),
     [](const auto& info) {

@@ -234,10 +234,13 @@ TEST(ServerCatalogTest, CompressedTwinsRegisteredOnRequest) {
 TEST(ServerCatalogTest, JoinIndexAndBytesPerTable) {
   // Each table's raw, packed-twin and join-index bytes, and their sums. A
   // join index goes to the tables with unique keys over a narrow range
-  // and no reserved value (exec::JoinIndex::Build).
-  std::vector<uint32_t> keys(5000), vals(5000);
+  // and no reserved value (exec::JoinIndex::Build); a compressed table's
+  // key range comes from its twin's zone maps. "probe_packed" is shaped
+  // like a probe table: foreign keys over 512 values, refused.
+  std::vector<uint32_t> keys(5000), vals(5000), probe(5000);
   FillSequential(keys.data(), keys.size(), 1);
   FillUniform(vals.data(), vals.size(), 11, 0, 4095);
+  FillUniform(probe.data(), probe.size(), 12, 1, 512);
   std::vector<uint32_t> repeat = keys, sparse = keys, reserved = keys;
   repeat[4999] = repeat[0];
   for (uint32_t& k : sparse) k *= 16;
@@ -254,6 +257,8 @@ TEST(ServerCatalogTest, JoinIndexAndBytesPerTable) {
                         {"dense_packed", &keys, true, true},
                         {"repeat", &repeat, false, false},
                         {"sparse", &sparse, false, false},
+                        {"sparse_packed", &sparse, true, false},
+                        {"probe_packed", &probe, true, false},
                         {"reserved", &reserved, true, false}};
   server::TableBytes sum;
   for (const Case& c : cases) {

@@ -43,6 +43,7 @@
 #include "obs/trace.h"
 #include "util/aligned_buffer.h"
 #include "util/data_gen.h"
+#include "util/task_pool.h"
 
 namespace simddb::bench {
 
@@ -219,6 +220,10 @@ inline int BenchMain(int argc, char** argv) {
   benchmark::Initialize(&n_args, args.data());
   if (benchmark::ReportUnrecognizedArguments(n_args, args.data())) return 1;
   if (metrics_flag) obs::EnableMetrics(true);
+  // Naming the pool links its scheduler counters into every binary, so
+  // every --json row carries steals and morsels (zero where the kernels
+  // never dispatch to the pool, as in the single-threaded scans).
+  (void)TaskPool::MaxWorkers();
   if (!trace_path.empty()) obs::StartTrace();  // also enables metrics
   if (json_path.empty()) {
     benchmark::RunSpecifiedBenchmarks();

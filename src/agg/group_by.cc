@@ -3,28 +3,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "hash/hash_table.h"
-#include "obs/metrics.h"
 #include "util/bits.h"
-#include "util/task_pool.h"
 
 namespace simddb {
-namespace {
-
-obs::PhaseTimer g_agg_partial_ns("agg_partial_ns");  // parallel partial folds
-obs::PhaseTimer g_agg_merge_ns("agg_merge_ns");      // serial partial merge
-
-}  // namespace
 
 GroupByAggregator::GroupByAggregator(size_t max_groups, uint64_t seed)
     : n_buckets_(NextPowerOfTwo(max_groups * 2 + 32)),
-      factor_(HashFactor(seed, 0)),
-      max_groups_(max_groups),
-      seed_(seed) {
+      factor_(HashFactor(seed, 0)) {
   gkeys_.Reset(n_buckets_);
   sums_.Reset(n_buckets_);
   counts_.Reset(n_buckets_);
@@ -115,31 +103,6 @@ void GroupByAggregator::FoldMerge(uint32_t key, uint64_t sum, uint32_t count,
   counts_[h] += count;
   if (min < mins_[h]) mins_[h] = min;
   if (max > maxs_[h]) maxs_[h] = max;
-}
-
-void GroupByAggregator::AccumulateParallel(Isa isa, const uint32_t* keys,
-                                           const uint32_t* vals, size_t n,
-                                           int threads) {
-  const MorselGrid grid(n);
-  const size_t m_count = grid.count();
-  const int lanes = TaskPool::LaneCount(m_count, threads);
-  if (lanes <= 1 || m_count <= 1) {
-    Accumulate(isa, keys, vals, n);
-    return;
-  }
-  std::vector<std::unique_ptr<GroupByAggregator>> partials(lanes);
-  for (int l = 0; l < lanes; ++l) {
-    partials[l] = std::make_unique<GroupByAggregator>(max_groups_, seed_);
-  }
-  {
-    obs::ScopedPhase phase(g_agg_partial_ns);
-    TaskPool::Get().ParallelFor(m_count, threads, [&](int worker, size_t m) {
-      const size_t b = grid.begin(m);
-      partials[worker]->Accumulate(isa, keys + b, vals + b, grid.size(m));
-    });
-  }
-  obs::ScopedPhase phase(g_agg_merge_ns);
-  for (int l = 0; l < lanes; ++l) MergeFrom(*partials[l]);
 }
 
 void GroupByAggregator::MergeFrom(const GroupByAggregator& other) {

@@ -45,21 +45,10 @@ class GroupByAggregator {
   void AccumulateScalar(const uint32_t* keys, const uint32_t* vals, size_t n);
   void AccumulateAvx512(const uint32_t* keys, const uint32_t* vals, size_t n);
 
-  /// Morsel-parallel Accumulate on the shared TaskPool: each worker lane
-  /// folds its morsels into a private partial table (same capacity and hash
-  /// seed as this one), and the partials are merged serially into this
-  /// table afterwards. The aggregate values per group are identical to the
-  /// serial fold for every thread count (SUM/COUNT/MIN/MAX are commutative
-  /// and exact in 64/32 bits); only the Extract bucket order may differ,
-  /// since it follows table insertion order. threads <= 1 falls back to
-  /// Accumulate.
-  void AccumulateParallel(Isa isa, const uint32_t* keys, const uint32_t* vals,
-                          size_t n, int threads);
-
-  /// Folds every group of `other` into this table (the partial-merge step of
-  /// AccumulateParallel, exposed for executor sinks that keep one partial
-  /// per worker lane). Aggregates are commutative and exact, so any merge
-  /// order yields the same per-group values.
+  /// Folds every group of `other` into this table (the merge step of
+  /// executor sinks that keep one partial per worker lane). Aggregates are
+  /// commutative and exact, so any merge order yields the same per-group
+  /// values.
   void MergeFrom(const GroupByAggregator& other);
 
   /// Number of distinct groups accumulated so far.
@@ -106,8 +95,6 @@ class GroupByAggregator {
   size_t n_buckets_;
   size_t n_groups_ = 0;
   uint32_t factor_;
-  size_t max_groups_;  // constructor args, kept so AccumulateParallel can
-  uint64_t seed_;      // build identically-shaped partial tables
 };
 
 /// Direct-indexed group-by over a narrow key domain [lo, lo + width): the

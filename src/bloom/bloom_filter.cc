@@ -1,21 +1,11 @@
 #include "bloom/bloom_filter.h"
 
 #include <cassert>
-#include <cstring>
-#include <vector>
 
 #include "hash/hash_table.h"
-#include "obs/metrics.h"
 #include "util/bits.h"
-#include "util/task_pool.h"
 
 namespace simddb {
-namespace {
-
-obs::PhaseTimer g_bloom_probe_ns("bloom_probe_parallel_ns");
-obs::PhaseTimer g_bloom_compact_ns("bloom_compact_ns");
-
-}  // namespace
 
 BloomFilter::BloomFilter(size_t n_bits, int k, uint64_t seed)
     : n_bits_(NextPowerOfTwo(n_bits < 512 ? 512 : n_bits)), k_(k) {
@@ -77,46 +67,6 @@ size_t BloomFilter::Probe(Isa isa, const uint32_t* keys, const uint32_t* pays,
       break;
   }
   return ProbeScalar(keys, pays, n, out_keys, out_pays);
-}
-
-size_t BloomFilter::ProbeParallelCapacity(size_t n) {
-  return n + 16 * MorselGrid(n).count() + 16;
-}
-
-size_t BloomFilter::ProbeParallel(Isa isa, const uint32_t* keys,
-                                  const uint32_t* pays, size_t n,
-                                  uint32_t* out_keys, uint32_t* out_pays,
-                                  int threads) const {
-  const MorselGrid grid(n);
-  const size_t m_count = grid.count();
-  if (threads <= 1 || m_count <= 1) {
-    return Probe(isa, keys, pays, n, out_keys, out_pays);
-  }
-  // Staging slots with 16*m slack + sequential in-order compaction; same
-  // scheme (and same overlap argument) as SelectionScanParallel.
-  std::vector<size_t> cnt(m_count);
-  {
-    obs::ScopedPhase phase(g_bloom_probe_ns);
-    TaskPool::Get().ParallelFor(m_count, threads, [&](int, size_t m) {
-      const size_t b = grid.begin(m);
-      const size_t ob = b + 16 * m;
-      cnt[m] = Probe(isa, keys + b, pays + b, grid.size(m), out_keys + ob,
-                     out_pays + ob);
-    });
-  }
-  obs::ScopedPhase phase(g_bloom_compact_ns);
-  size_t cursor = 0;
-  for (size_t m = 0; m < m_count; ++m) {
-    const size_t src = grid.begin(m) + 16 * m;
-    if (cnt[m] > 0 && src != cursor) {
-      std::memmove(out_keys + cursor, out_keys + src,
-                   cnt[m] * sizeof(uint32_t));
-      std::memmove(out_pays + cursor, out_pays + src,
-                   cnt[m] * sizeof(uint32_t));
-    }
-    cursor += cnt[m];
-  }
-  return cursor;
 }
 
 }  // namespace simddb

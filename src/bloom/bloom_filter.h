@@ -46,19 +46,6 @@ class BloomFilter {
   /// qualifiers out of input order.
   size_t Probe(Isa isa, const uint32_t* keys, const uint32_t* pays, size_t n,
                uint32_t* out_keys, uint32_t* out_pays) const;
-
-  /// Output capacity (in elements) each output buffer needs for
-  /// ProbeParallel on an n-tuple input (per-morsel overshoot slack).
-  static size_t ProbeParallelCapacity(size_t n);
-
-  /// Morsel-parallel Probe on the shared TaskPool: the filter is read-only,
-  /// so morsels probe concurrently and the qualifying segments are
-  /// compacted in morsel order (within a morsel the vector variants emit
-  /// out of input order, as in Probe). Output buffers need
-  /// ProbeParallelCapacity(n) elements. threads <= 1 falls back to Probe.
-  size_t ProbeParallel(Isa isa, const uint32_t* keys, const uint32_t* pays,
-                       size_t n, uint32_t* out_keys, uint32_t* out_pays,
-                       int threads) const;
   size_t ProbeScalar(const uint32_t* keys, const uint32_t* pays, size_t n,
                      uint32_t* out_keys, uint32_t* out_pays) const;
   size_t ProbeAvx512(const uint32_t* keys, const uint32_t* pays, size_t n,

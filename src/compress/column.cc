@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "numa/placement.h"
-
 namespace simddb::compress {
 namespace {
 
@@ -83,8 +81,6 @@ CompressedColumn CompressColumn(const uint32_t* in, size_t n) {
 
   col.words_.Reset(words + kPackedPadWords);
   col.words_.Clear();  // pad words must be readable AND deterministic
-  numa::PlaceBuffer(col.words_.data(), col.words_.size() * sizeof(uint32_t),
-                    1, numa::Placement::kNodeLocal);
 
   // Pass 2: pack every block's payload.
   std::vector<uint32_t> deltas(kBlockTuples);

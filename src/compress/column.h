@@ -30,8 +30,7 @@
 // Payload words of all blocks live in one contiguous AlignedBuffer (each
 // block starting word-aligned at meta.word_offset) with kPackedPadWords of
 // zeroed tail pad — the pack.h overshoot contract for the vector unpack
-// kernels. Placement follows util/alloc.h + numa::PlaceBuffer like every
-// other operator buffer.
+// kernels.
 
 #include <cassert>
 #include <cstddef>
@@ -124,8 +123,7 @@ class CompressedColumn {
 };
 
 /// Compresses in[0, n) into FOR/delta bit-packed blocks. The payload
-/// buffer is allocated via util/alloc.h (AlignedBuffer) and placed
-/// node-locally for one thread (numa::PlaceBuffer).
+/// buffer is allocated via util/alloc.h (AlignedBuffer).
 CompressedColumn CompressColumn(const uint32_t* in, size_t n);
 
 }  // namespace simddb::compress

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "compress/column.h"
-#include "numa/placement.h"
 #include "util/task_pool.h"
 
 namespace simddb::exec {
@@ -114,9 +113,6 @@ std::unique_ptr<JoinIndex> JoinIndex::Build(
   }
   if (ColumnMinMax(isa, attrs, n).max == kEmptyKey) return nullptr;
   DirectJoinTable table(k.min, static_cast<size_t>(width));
-  numa::PlaceBuffer(const_cast<uint32_t*>(table.slots()),
-                    table.width() * sizeof(uint32_t), 1,
-                    numa::Placement::kInterleaved);
   if (!table.Build(keys, attrs, n)) return nullptr;
   std::unique_ptr<JoinIndex> index(new JoinIndex(std::move(table)));
   const uint32_t* slots = index->table_.slots();
@@ -172,10 +168,6 @@ void HashBuildOp::Open(const ExecConfig& cfg, int lanes, size_t n_chunks) {
   const size_t total = ChunkCapacity(n_chunks * slot_cap_);
   mat_keys_.Reset(total);
   mat_pays_.Reset(total);
-  numa::PlaceBuffer(mat_keys_.data(), total * sizeof(uint32_t), cfg.threads,
-                    numa::Placement::kNodeLocal);
-  numa::PlaceBuffer(mat_pays_.data(), total * sizeof(uint32_t), cfg.threads,
-                    numa::Placement::kNodeLocal);
   slots_.assign(n_chunks, Slot{});
   n_build_ = 0;
   pay_min_ = 0xFFFFFFFFu;
@@ -233,18 +225,9 @@ void HashBuildOp::Finish() {
     // count: a split into slot ranges costs each task a scan of every key.
     const size_t width = size_t{key_max} - key_min + 1;
     direct_ = std::make_unique<DirectJoinTable>(key_min, width);
-    numa::PlaceBuffer(const_cast<uint32_t*>(direct_->slots()),
-                      width * sizeof(uint32_t), cfg_.threads,
-                      numa::Placement::kInterleaved);
     unique = direct_->Build(mat_keys_.data(), mat_pays_.data(), n_build_);
   } else {
     table_ = std::make_unique<LinearProbingTable>(buckets);
-    numa::PlaceBuffer(const_cast<uint32_t*>(table_->bucket_keys()),
-                      buckets * sizeof(uint32_t), cfg_.threads,
-                      numa::Placement::kInterleaved);
-    numa::PlaceBuffer(const_cast<uint32_t*>(table_->bucket_pays()),
-                      buckets * sizeof(uint32_t), cfg_.threads,
-                      numa::Placement::kInterleaved);
     // The scalar walk on every ISA (Alg. 7's vector build is slower at both
     // executor table sizes), split into home-bucket ranges when more than
     // one lane can work on it.

@@ -9,12 +9,11 @@
 // compressed source are those of the blocks its zone map keeps),
 // dispatched morsel-parallel onto the shared TaskPool (util/task_pool.h).
 // The build pipeline ends in HashBuildOp, the breaker: it stages the build
-// relation by chunk ordinal (the SelectionScanParallel compaction idiom:
-// rows land by ordinal, not by lane, so the staged side is byte-identical
-// for every thread count and steal schedule) and builds the join table in
-// Finish, on the submitting thread. The probe pipeline ends in a
-// GroupByState: per-lane partials merged into canonical result rows.
-// Intermediates are placed via numa/placement.h.
+// relation by chunk ordinal (rows land by ordinal, not by lane, so the
+// staged side is byte-identical for every thread count and steal schedule)
+// and builds the join table in Finish, on the submitting thread. The probe
+// pipeline ends in a GroupByState: per-lane partials merged into canonical
+// result rows.
 
 #include <cassert>
 #include <cstddef>
@@ -102,10 +101,10 @@ struct FusedBatch {
 };
 
 /// A join index over one immutable build table: the DirectJoinTable of
-/// its attrs at key - min (interleaved placement), built once, plus a
-/// summary of every kBlockSlots-slot block (present keys, attr range) from
-/// which any key window's row count and payload domain follow without a
-/// pass over its rows. server::Catalog builds one at registration for each
+/// its attrs at key - min, built once, plus a summary of every
+/// kBlockSlots-slot block (present keys, attr range) from which any key
+/// window's row count and payload domain follow without a pass over its
+/// rows. server::Catalog builds one at registration for each
 /// table that qualifies; a plan whose r_index points at it
 /// (ScanJoinAggregatePlan) serves its build side from it
 /// (HashBuildOp::Borrow) instead of running the build pipeline.
@@ -119,7 +118,7 @@ class JoinIndex {
   /// for the hash table n rows would get, so the array (4 B per key-range
   /// slot) never outgrows the rows' own two columns. More rows than
   /// key-range values must repeat a key: such tables are refused before
-  /// any allocation. isa runs the range scans; the array is interleaved.
+  /// any allocation. isa runs the range scans.
   /// keys_c, when given, is the compressed twin of keys: the key range then
   /// comes from its block zone maps, one fold over the block metadata in
   /// place of a pass over the keys.
@@ -157,8 +156,7 @@ class JoinIndex {
 };
 
 /// Breaker: the terminal stage of the build pipeline. Consume stages each
-/// (key, payload) batch at its chunk ordinal; Finish builds the join table
-/// (interleaved placement — every probe lane reads it).
+/// (key, payload) batch at its chunk ordinal; Finish builds the join table.
 ///
 /// Consume records each chunk's key and payload ranges (ColumnMinMax).
 /// Finish reduces them into the key range and the payload domain

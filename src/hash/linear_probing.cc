@@ -5,7 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include "numa/placement.h"
 #include "partition/parallel_partition.h"
 #include "partition/partition_fn.h"
 #include "partition/shuffle.h"
@@ -88,10 +87,6 @@ size_t LinearProbingTable::BuildPartitioned(Isa isa, const uint32_t* keys,
   const Timer timer;
   AlignedBuffer<uint32_t> part_keys(ShuffleCapacity(n)),
       part_pays(ShuffleCapacity(n));
-  numa::PlaceBuffer(part_keys.data(), part_keys.size() * sizeof(uint32_t),
-                    threads, numa::Placement::kInterleaved);
-  numa::PlaceBuffer(part_pays.data(), part_pays.size() * sizeof(uint32_t),
-                    threads, numa::Placement::kInterleaved);
   std::vector<uint32_t> starts(partitions + 1);
   ParallelPartitionResources res;
   ParallelPartitionPass(fn, keys, pays, n, part_keys.data(), part_pays.data(),

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "hash/linear_probing.h"
-#include "numa/placement.h"
 #include "obs/metrics.h"
 #include "partition/parallel_partition.h"
 #include "partition/partition_fn.h"
@@ -157,17 +156,6 @@ size_t HashJoinMaxPartition(const JoinRelation& r, const JoinRelation& s,
       r_pays_a(ShuffleCapacity(r.n));
   AlignedBuffer<uint32_t> s_keys_a(ShuffleCapacity(s.n)),
       s_pays_a(ShuffleCapacity(s.n));
-  // The refine pass writes part-major ranges and the per-part build/probe
-  // tasks map to contiguous lane blocks, so lane-block first touch keeps
-  // each part's tuples on the node that builds and probes it.
-  numa::PlaceBuffer(r_keys_a.data(), r_keys_a.size() * sizeof(uint32_t),
-                    t_count, numa::Placement::kNodeLocal);
-  numa::PlaceBuffer(r_pays_a.data(), r_pays_a.size() * sizeof(uint32_t),
-                    t_count, numa::Placement::kNodeLocal);
-  numa::PlaceBuffer(s_keys_a.data(), s_keys_a.size() * sizeof(uint32_t),
-                    t_count, numa::Placement::kNodeLocal);
-  numa::PlaceBuffer(s_pays_a.data(), s_pays_a.size() * sizeof(uint32_t),
-                    t_count, numa::Placement::kNodeLocal);
   std::vector<uint32_t> r_bounds(p_total + 1), s_bounds(p_total + 1);
   ParallelPartitionResources res;
 
@@ -205,12 +193,6 @@ size_t HashJoinMaxPartition(const JoinRelation& r, const JoinRelation& s,
     if (PlanRadixPasses(total_bits, budget).passes.size() > 1) {
       mid_keys.Reset(ShuffleCapacity(std::max(r.n, s.n)));
       mid_pays.Reset(ShuffleCapacity(std::max(r.n, s.n)));
-      numa::PlaceBuffer(mid_keys.data(),
-                        mid_keys.size() * sizeof(uint32_t), t_count,
-                        numa::Placement::kNodeLocal);
-      numa::PlaceBuffer(mid_pays.data(),
-                        mid_pays.size() * sizeof(uint32_t), t_count,
-                        numa::Placement::kNodeLocal);
       mk = mid_keys.data();
       mp = mid_pays.data();
     }

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "numa/placement.h"
-#include "numa/topology.h"
 #include "obs/metrics.h"
 #include "partition/shuffle_dispatch.h"
 #include "util/prefix_sum.h"
@@ -59,23 +57,12 @@ void ParallelPartitionPass(const PartitionFn& fn, const uint32_t* keys,
     }
     return;
   }
-  const bool hists_grown = res->hists.size() < m_count * p_count;
   if (swwc) {
     res->ReserveSwwc(m_count, t_count, p_count);
   } else {
     res->Reserve(m_count, t_count, p_count);
   }
   uint32_t* hists = res->hists.data();
-  if (hists_grown && numa::Topology().node_count() > 1) {
-    // Node-partitioned histogram rows: the rows are morsel-major and each
-    // node's lanes own a contiguous morsel block, so lane-block first touch
-    // puts every row on the node that writes it in phase 1 and re-reads it
-    // in phase 2. The interleaved prefix sum below is unchanged — layout
-    // and results are placement-independent.
-    numa::PlaceBuffer(res->hists.data(),
-                      m_count * p_count * sizeof(uint32_t), t_count,
-                      numa::Placement::kNodeLocal);
-  }
   TaskPool& pool = TaskPool::Get();
 
   // Phase 1: one histogram row per morsel. The serial cross-morsel prefix

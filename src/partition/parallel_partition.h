@@ -64,10 +64,7 @@ struct ParallelPartitionResources {
 /// ShuffleCapacity(n) contract at entry. Within the buffered-16 family the
 /// AVX-512 fill is used only up to kB16VectorMaxFanout
 /// (UseVectorBuffered16; the scalar fill wins beyond — byte-identical
-/// either way). On multi-node topologies the per-morsel histogram rows are
-/// first-touched node-locally (numa/placement.h) when (re)allocated;
-/// output buffers belong to the caller, which is expected to place them
-/// (the radixsort/join drivers do).
+/// either way). Output buffers belong to the caller.
 void ParallelPartitionPass(const PartitionFn& fn, const uint32_t* keys,
                            const uint32_t* pays, size_t n, uint32_t* out_keys,
                            uint32_t* out_pays, Isa isa, int threads,

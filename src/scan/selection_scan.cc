@@ -1,23 +1,10 @@
 #include "scan/selection_scan.h"
 
 #include <cassert>
-#include <cstring>
-#include <vector>
 
 #include "core/isa.h"
-#include "obs/metrics.h"
-#include "util/task_pool.h"
 
 namespace simddb {
-namespace {
-
-// Phase timers for the parallel scan (obs/metrics.h): the morsel fan-out vs
-// the serial in-order compaction, so bench rows can show how much of the
-// wall time the sequential tail costs.
-obs::PhaseTimer g_scan_parallel_ns("scan_parallel_ns");
-obs::PhaseTimer g_scan_compact_ns("scan_compact_ns");
-
-}  // namespace
 
 const char* ScanVariantName(ScanVariant v) {
   switch (v) {
@@ -75,56 +62,6 @@ size_t SelectionScan(ScanVariant variant, const uint32_t* keys,
       return detail::SelectAvx512(variant, keys, pays, n, k_lo, k_hi,
                                   out_keys, out_pays);
   }
-}
-
-size_t SelectionScanParallelCapacity(size_t n) {
-  return n + 16 * MorselGrid(n).count() + kSelectionScanPad;
-}
-
-size_t SelectionScanParallel(ScanVariant variant, const uint32_t* keys,
-                             const uint32_t* pays, size_t n, uint32_t k_lo,
-                             uint32_t k_hi, uint32_t* out_keys,
-                             uint32_t* out_pays, int threads,
-                             size_t out_capacity) {
-  assert(out_capacity == 0 ||
-         out_capacity >= SelectionScanParallelCapacity(n));
-  (void)out_capacity;
-  const MorselGrid grid(n);
-  const size_t m_count = grid.count();
-  if (threads <= 1 || m_count <= 1) {
-    return SelectionScan(variant, keys, pays, n, k_lo, k_hi, out_keys,
-                         out_pays);
-  }
-  // Each morsel scans into the staging slot starting at its input offset
-  // plus 16*m of slack, so a vector kernel's <= 16-element overshoot past
-  // its returned count can never clobber a neighbour morsel's segment.
-  std::vector<size_t> cnt(m_count);
-  {
-    obs::ScopedPhase phase(g_scan_parallel_ns);
-    TaskPool::Get().ParallelFor(m_count, threads, [&](int, size_t m) {
-      const size_t b = grid.begin(m);
-      const size_t ob = b + 16 * m;
-      cnt[m] = SelectionScan(variant, keys + b, pays + b, grid.size(m), k_lo,
-                             k_hi, out_keys + ob, out_pays + ob);
-    });
-  }
-  // In-order forward compaction. Sequential on purpose: a morsel's target
-  // range can overlap an earlier neighbour's still-unread source, so the
-  // moves must retire in morsel order (each move's target ends before every
-  // later morsel's source starts).
-  obs::ScopedPhase phase(g_scan_compact_ns);
-  size_t cursor = 0;
-  for (size_t m = 0; m < m_count; ++m) {
-    const size_t src = grid.begin(m) + 16 * m;
-    if (cnt[m] > 0 && src != cursor) {
-      std::memmove(out_keys + cursor, out_keys + src,
-                   cnt[m] * sizeof(uint32_t));
-      std::memmove(out_pays + cursor, out_pays + src,
-                   cnt[m] * sizeof(uint32_t));
-    }
-    cursor += cnt[m];
-  }
-  return cursor;
 }
 
 namespace detail {

@@ -67,25 +67,6 @@ size_t SelectionScan(ScanVariant variant, const uint32_t* keys,
                      uint32_t k_hi, uint32_t* out_keys, uint32_t* out_pays,
                      size_t out_capacity = 0);
 
-/// Output capacity (in elements) each output buffer needs for
-/// SelectionScanParallel on an n-tuple input: every 16K-tuple morsel scans
-/// into a staging slot with 16 elements of overshoot slack before the
-/// in-order compaction.
-size_t SelectionScanParallelCapacity(size_t n);
-
-/// Morsel-parallel SelectionScan on the shared TaskPool: morsels are scanned
-/// concurrently (work-stealing rebalances selectivity skew) and compacted in
-/// morsel order, so the output is identical to the serial scan for every
-/// thread count. Output buffers need SelectionScanParallelCapacity(n)
-/// elements. threads <= 1 falls back to the serial scan.
-/// `out_capacity`, when nonzero, is asserted against
-/// SelectionScanParallelCapacity(n) at entry, like SelectionScan.
-size_t SelectionScanParallel(ScanVariant variant, const uint32_t* keys,
-                             const uint32_t* pays, size_t n, uint32_t k_lo,
-                             uint32_t k_hi, uint32_t* out_keys,
-                             uint32_t* out_pays, int threads,
-                             size_t out_capacity = 0);
-
 namespace detail {
 size_t SelectScalarBranching(const uint32_t* keys, const uint32_t* pays,
                              size_t n, uint32_t k_lo, uint32_t k_hi,

@@ -44,8 +44,7 @@ struct TableBytes {
   uint64_t index = 0;   ///< the join index (exec::JoinIndex::bytes)
 };
 
-/// Registration-time options. Registration runs on one thread and places
-/// the compressed twins node-locally.
+/// Registration-time options. Registration runs on one thread.
 struct TableOptions {
   /// Also build compressed twins of both columns (plans may then bind
   /// either representation; results are byte-identical).

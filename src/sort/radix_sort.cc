@@ -3,7 +3,6 @@
 #include <cstring>
 #include <vector>
 
-#include "numa/placement.h"
 #include "obs/metrics.h"
 #include "partition/histogram.h"
 #include "partition/parallel_partition.h"
@@ -91,13 +90,6 @@ void RadixSortMultiColumn(uint32_t* keys, uint32_t* scratch_keys, size_t n,
   const int lanes = TaskPool::LaneCount(m_count, t_count);
   AlignedBuffer<uint32_t> hists(m_count << max_bits);
   AlignedBuffer<uint32_t> dest(ShuffleCapacity(n));
-  // Histogram rows and the per-tuple destination array are morsel-major, so
-  // lane-block first touch places each block on the node whose lanes write
-  // and re-read it. No-ops on single-node hosts.
-  numa::PlaceBuffer(hists.data(), hists.size() * sizeof(uint32_t), t_count,
-                    numa::Placement::kNodeLocal);
-  numa::PlaceBuffer(dest.data(), dest.size() * sizeof(uint32_t), t_count,
-                    numa::Placement::kNodeLocal);
   std::vector<HistogramWorkspace> ws(lanes);
   uint32_t* in_k = keys;
   uint32_t* out_k = scratch_keys;

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "numa/placement.h"
 #include "partition/range.h"
 #include "partition/shuffle.h"
 #include "sort/radix_sort.h"
@@ -38,11 +37,6 @@ void RangeSortPairs(uint32_t* keys, uint32_t* pays, uint32_t* scratch_keys,
   // 2. Map every key to its range partition with the SIMD tree index.
   RangeIndex index(splitters, 16);
   AlignedBuffer<uint32_t> part(n + 16);
-  // The sort runs on the calling thread, so its scratch is first-touched
-  // node-locally (numa/placement.h) — placement only, value-preserving:
-  // results are byte-identical on every (fake or real) topology.
-  numa::PlaceBuffer(part.data(), part.size() * sizeof(uint32_t), 1,
-                    numa::Placement::kNodeLocal);
   if (vec) {
     index.LookupAvx512(keys, n, part.data());
   } else {
@@ -63,8 +57,6 @@ void RangeSortPairs(uint32_t* keys, uint32_t* pays, uint32_t* scratch_keys,
   }
   starts[fanout] = static_cast<uint32_t>(n);
   AlignedBuffer<uint32_t> dest(n + 16);
-  numa::PlaceBuffer(dest.data(), dest.size() * sizeof(uint32_t), 1,
-                    numa::Placement::kNodeLocal);
   // Identity on part ids: a radix function whose mask covers [0, fanout).
   PartitionFn id_fn = PartitionFn::Radix(Log2Ceil(fanout), 0);
   if (vec) {
@@ -91,10 +83,6 @@ void RangeSortPairs(uint32_t* keys, uint32_t* pays, uint32_t* scratch_keys,
     max_part = std::max(max_part, starts[p + 1] - starts[p]);
   }
   AlignedBuffer<uint32_t> tmp_k(max_part + 16), tmp_p(max_part + 16);
-  numa::PlaceBuffer(tmp_k.data(), tmp_k.size() * sizeof(uint32_t), 1,
-                    numa::Placement::kNodeLocal);
-  numa::PlaceBuffer(tmp_p.data(), tmp_p.size() * sizeof(uint32_t), 1,
-                    numa::Placement::kNodeLocal);
   for (uint32_t p = 0; p < fanout; ++p) {
     uint32_t b = starts[p];
     uint32_t e = starts[p + 1];

@@ -16,9 +16,7 @@ namespace simddb {
 /// buffers; this type is the canonical owner. Memory comes from
 /// util/alloc.h: aligned to 64 bytes (one cache line, and the width of one
 /// 512-bit vector) and padded to a multiple of 64 bytes so vector loops may
-/// safely read one partial trailing vector. With SIMDDB_HUGEPAGES=1 in the
-/// environment, buffers of at least 2 MB are additionally huge-page-advised
-/// (see util/alloc.h).
+/// safely read one partial trailing vector.
 template <typename T>
 class AlignedBuffer {
  public:
@@ -48,8 +46,7 @@ class AlignedBuffer {
     Free();
     size_ = n;
     if (n == 0) return;
-    data_ = static_cast<T*>(
-        AlignedAlloc(n * sizeof(T), kAlignment, HugePagesRequested()));
+    data_ = static_cast<T*>(AlignedAlloc(n * sizeof(T), kAlignment));
   }
 
   /// Zero-fills the buffer.

@@ -5,13 +5,8 @@
 //
 // Every output array a kernel streams into must start on a 64-byte boundary
 // for the non-temporal store path to engage at full width; this header is
-// the single place that guarantees it. On Linux, callers can additionally
-// opt into transparent huge pages (SIMDDB_HUGEPAGES=1 in the environment,
-// or `try_huge = true` at the call site): allocations of at least one huge
-// page are then 2 MB-aligned, rounded up to a 2 MB multiple, and advised
-// with MADV_HUGEPAGE — the form the kernel's `madvise` THP mode requires
-// before it will back a range with huge pages. Smaller allocations and
-// non-Linux builds silently keep the plain 64-byte-aligned path.
+// the single place that guarantees it. A fresh page is faulted by the first
+// thread that writes it (the kernel's default first-touch policy).
 //
 // Memory from AlignedAlloc is released with AlignedFree (plain free today;
 // the pair keeps call sites correct if the implementation ever moves to
@@ -19,62 +14,15 @@
 
 #include <cstddef>
 #include <cstdlib>
-#include <cstring>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 namespace simddb {
 
 inline constexpr size_t kCacheLineBytes = 64;
-inline constexpr size_t kHugePageBytes = size_t{2} << 20;
-
-/// Host base-page size (cached after the first call). The NUMA placement
-/// helpers (numa/placement.h) fault and bind memory at this granularity —
-/// first touch decides a page's node, so it is the placement quantum.
-inline size_t PageBytes() {
-  static const size_t page = [] {
-#if defined(__linux__)
-    long v = sysconf(_SC_PAGESIZE);
-    if (v > 0) return static_cast<size_t>(v);
-#endif
-    return size_t{4096};
-  }();
-  return page;
-}
-
-/// True when SIMDDB_HUGEPAGES=1 (or any non-"0" value) is set: AlignedBuffer
-/// and other default call sites then request huge-page backing for large
-/// allocations.
-inline bool HugePagesRequested() {
-  static const bool on = [] {
-    const char* env = std::getenv("SIMDDB_HUGEPAGES");
-    return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-  }();
-  return on;
-}
 
 /// Allocates `bytes` rounded up to a multiple of `alignment` (which must be
-/// a power of two >= 64). With try_huge, allocations of at least one huge
-/// page are 2 MB-aligned and advised MADV_HUGEPAGE on Linux.
-inline void* AlignedAlloc(size_t bytes, size_t alignment = kCacheLineBytes,
-                          bool try_huge = false) {
+/// a power of two >= 64).
+inline void* AlignedAlloc(size_t bytes, size_t alignment = kCacheLineBytes) {
   if (bytes == 0) return nullptr;
-#if defined(__linux__)
-  if (try_huge && bytes >= kHugePageBytes) {
-    size_t rounded = (bytes + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
-    void* p = std::aligned_alloc(kHugePageBytes, rounded);
-    if (p != nullptr) {
-      madvise(p, rounded, MADV_HUGEPAGE);
-      return p;
-    }
-    // Fall through to the plain path on failure.
-  }
-#else
-  (void)try_huge;
-#endif
   size_t rounded = (bytes + alignment - 1) & ~(alignment - 1);
   return std::aligned_alloc(alignment, rounded);
 }

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "numa/topology.h"
 #include "obs/metrics.h"
 
 namespace simddb {
@@ -14,8 +13,6 @@ namespace {
 // metrics are disabled beyond one relaxed load per event, and every event
 // amortizes over >= one morsel of work.
 obs::Counter g_steals("steals");            // successful back-half steals
-obs::Counter g_steals_local("steals_local");    // victim on the same node
-obs::Counter g_steals_remote("steals_remote");  // victim on another node
 obs::Counter g_stolen_tasks("stolen_tasks");  // tasks migrated by steals
 obs::Counter g_morsels("morsels");          // tasks executed via ParallelFor
 obs::Counter g_inline_runs("inline_runs");  // jobs run inline on the caller
@@ -278,7 +275,7 @@ int TaskPool::SpawnedWorkers() {
   return static_cast<int>(workers_.size());
 }
 
-bool TaskPool::PopOrSteal(int lane, int n_lanes, int n_nodes, size_t* task) {
+bool TaskPool::PopOrSteal(int lane, int n_lanes, size_t* task) {
   // Fast path: pop the front of the own deque — consecutive morsels, so a
   // lane that keeps its initial range streams through contiguous input.
   Lane& mine = lanes_[lane];
@@ -291,57 +288,43 @@ bool TaskPool::PopOrSteal(int lane, int n_lanes, int n_nodes, size_t* task) {
       return true;
     }
   }
-  // Own deque drained: steal the back half of the first non-empty victim.
-  // The stolen tasks (minus the one returned) become the new own deque.
-  // With a multi-node lane map the scan is hierarchical: pass 0 visits
-  // only same-node victims (the per-node steal ring), pass 1 crosses nodes
-  // once the whole local node is dry. Which lane executes a task never
-  // affects output (the morsel grid fixes the layout), so the scan order
-  // is pure policy.
-  const int my_node =
-      n_nodes > 1 ? numa::NodeOfLane(lane, n_lanes, n_nodes) : 0;
-  const int n_passes = n_nodes > 1 ? 2 : 1;
-  for (int pass = 0; pass < n_passes; ++pass) {
-    const bool want_local = pass == 0;
-    for (int i = 1; i < n_lanes; ++i) {
-      const int v = (lane + i) % n_lanes;
-      if (n_nodes > 1 &&
-          (numa::NodeOfLane(v, n_lanes, n_nodes) == my_node) != want_local) {
-        continue;
-      }
-      Lane& victim = lanes_[v];
-      uint64_t vr = victim.range.load(std::memory_order_acquire);
-      while (RangeBegin(vr) < RangeEnd(vr)) {
-        uint32_t vb = RangeBegin(vr);
-        uint32_t ve = RangeEnd(vr);
-        uint32_t take = (ve - vb + 1) / 2;
-        uint32_t split = ve - take;
-        if (victim.range.compare_exchange_weak(vr, PackRange(vb, split),
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_relaxed)) {
-          if (take > 1) {
-            mine.range.store(PackRange(split + 1, ve),
-                             std::memory_order_release);
-          }
-          if (obs::MetricsEnabled()) {
-            g_steals.AddAlways(1);
-            g_stolen_tasks.AddAlways(take);
-            (want_local ? g_steals_local : g_steals_remote).AddAlways(1);
-          }
-          *task = split;
-          return true;
+  // Own deque drained: steal the back half of the first non-empty victim in
+  // the ring (lane + i) % n_lanes. The stolen tasks (minus the one returned)
+  // become the new own deque. Which lane executes a task never affects
+  // output (the morsel grid fixes the layout), so the scan order is pure
+  // policy.
+  for (int i = 1; i < n_lanes; ++i) {
+    Lane& victim = lanes_[(lane + i) % n_lanes];
+    uint64_t vr = victim.range.load(std::memory_order_acquire);
+    while (RangeBegin(vr) < RangeEnd(vr)) {
+      uint32_t vb = RangeBegin(vr);
+      uint32_t ve = RangeEnd(vr);
+      uint32_t take = (ve - vb + 1) / 2;
+      uint32_t split = ve - take;
+      if (victim.range.compare_exchange_weak(vr, PackRange(vb, split),
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_relaxed)) {
+        if (take > 1) {
+          mine.range.store(PackRange(split + 1, ve),
+                           std::memory_order_release);
         }
+        if (obs::MetricsEnabled()) {
+          g_steals.AddAlways(1);
+          g_stolen_tasks.AddAlways(take);
+        }
+        *task = split;
+        return true;
       }
     }
   }
   return false;
 }
 
-void TaskPool::RunLane(int lane, int n_lanes, int n_nodes,
+void TaskPool::RunLane(int lane, int n_lanes,
                        const std::function<void(int, size_t)>& fn) {
   size_t task;
   uint64_t executed = 0;
-  while (PopOrSteal(lane, n_lanes, n_nodes, &task)) {
+  while (PopOrSteal(lane, n_lanes, &task)) {
     fn(lane, task);
     ++executed;
   }
@@ -351,7 +334,6 @@ void TaskPool::RunLane(int lane, int n_lanes, int n_nodes,
 void TaskPool::WorkerLoop(int self) {
   InJobScope in_job;  // workers never start nested pool jobs
   uint64_t seen_epoch = 0;
-  int pinned_node = -1;  // last node this thread pinned itself to
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock,
@@ -361,28 +343,15 @@ void TaskPool::WorkerLoop(int self) {
     const int lane = self + 1;  // lane 0 is the submitting thread
     if (lane >= job_lanes_) continue;
     const int n_lanes = job_lanes_;
-    const int n_nodes = job_n_nodes_;
-    const bool pin = job_pin_;
     const auto* for_fn = for_fn_;
     obs::QueryMetricSink* sink = job_sink_;
     lock.unlock();
-    if (pin) {
-      // The lane -> node map depends on this job's lane count, so the
-      // desired node can change between jobs; re-pin only on change. The
-      // submitting thread (lane 0) is never pinned — its affinity belongs
-      // to the caller.
-      const int want = numa::NodeOfLane(lane, n_lanes, n_nodes);
-      if (want != pinned_node &&
-          numa::PinThreadToNode(numa::Topology(), want)) {
-        pinned_node = want;
-      }
-    }
     {
       // Extend the submitting thread's per-query attribution sink (if any)
       // to this worker lane for the duration of the job, so work executed
       // on a query's behalf is credited to that query wherever it runs.
       obs::ScopedMetricSink sink_scope(sink);
-      RunLane(lane, n_lanes, n_nodes, *for_fn);
+      RunLane(lane, n_lanes, *for_fn);
     }
     lock.lock();
     if (--lanes_remaining_ == 0) done_cv_.notify_all();
@@ -449,14 +418,6 @@ void TaskPool::DispatchFor(size_t n_tasks, int max_workers,
   }
   g_dispatches.Add(1);
 
-  // Topology snapshot for this job: at most one node per lane. The lane ->
-  // node map (numa::NodeOfLane) and the contiguous initial split below
-  // together give every node's lanes a contiguous task block.
-  const numa::NumaTopology& topo = numa::Topology();
-  int n_nodes = topo.node_count();
-  if (n_nodes > lanes) n_nodes = lanes;
-  const bool pin = n_nodes > 1 && !topo.fake && numa::PinningEnabled();
-
   std::lock_guard<std::mutex> jobs_lock(jobs_mu_);
   EnsureWorkers(lanes - 1);
   // Initial split: lane l owns the contiguous index block
@@ -474,14 +435,12 @@ void TaskPool::DispatchFor(size_t n_tasks, int max_workers,
     job_sink_ = obs::CurrentMetricSink();
     job_lanes_ = lanes;
     lanes_remaining_ = lanes;
-    job_n_nodes_ = n_nodes;
-    job_pin_ = pin;
     ++epoch_;
   }
   work_cv_.notify_all();
   {
     InJobScope in_job;
-    RunLane(0, lanes, n_nodes, fn);
+    RunLane(0, lanes, fn);
   }
   std::unique_lock<std::mutex> lock(mu_);
   if (--lanes_remaining_ > 0) {

@@ -16,7 +16,9 @@
 //     shuffle.h holds at every morsel boundary);
 //   - each participating lane owns a deque of morsel indices (represented as
 //     a packed atomic [begin,end) range); owners pop from the front (cache
-//     locality: consecutive morsels), thieves steal half from the back;
+//     locality: consecutive morsels), thieves scan the other lanes in one
+//     ring, (lane + i) % n_lanes, and steal half from the back of the first
+//     non-empty deque;
 //   - the morsel *layout* — not the lane that happens to execute a morsel —
 //     determines where output lands, so operators that interleave per-morsel
 //     histogram rows with InterleavedPrefixSum produce byte-identical output
@@ -34,19 +36,6 @@
 // spawn. Requests beyond the cap are clamped; requests beyond the hardware
 // thread count are honoured up to the cap (deliberate oversubscription — the
 // Fig. 16 reproduction sweeps 1..8 threads on any host, see DESIGN.md).
-//
-// NUMA (numa/topology.h): every dispatch snapshots the topology and maps
-// lanes to nodes in contiguous blocks (lane l -> node l*N/L), matching the
-// contiguous initial task split so each node's lanes own a contiguous
-// morsel range. Stealing is hierarchical — a dry lane scans its own node's
-// victims first and crosses the node boundary only when the whole local
-// node is dry. On real multi-node topologies workers additionally pin
-// themselves to their node's cpuset per job (SIMDDB_NUMA_PIN=0 disables;
-// the submitting thread — lane 0 — is never pinned). Single-node and fake
-// topologies skip
-// pinning, so behaviour there is unchanged from the pre-NUMA pool apart
-// from the victim scan order, which never affects results: output layout
-// depends only on the morsel grid, not the steal schedule.
 
 // Inter-query scheduling (src/server/): a query registers a *tag*
 // (RegisterQueryTag) and scopes its submitting thread with QueryTagScope;
@@ -247,11 +236,9 @@ class TaskPool {
   void CreditTag(uint64_t tag, size_t tasks);  // inline-path accounting
   void ThrowIfTagAborted(uint64_t tag);
   uint64_t BestWaitingTag() const;  // callers hold fair_mu_
-  // n_nodes is the job's topology snapshot (clamped to n_lanes); passed by
-  // value so lanes never re-read shared job state mid-run.
-  void RunLane(int lane, int n_lanes, int n_nodes,
+  void RunLane(int lane, int n_lanes,
                const std::function<void(int, size_t)>& fn);
-  bool PopOrSteal(int lane, int n_lanes, int n_nodes, size_t* task);
+  bool PopOrSteal(int lane, int n_lanes, size_t* task);
 
   // Serializes job submission: one parallel job at a time owns the workers.
   std::mutex jobs_mu_;
@@ -263,8 +250,6 @@ class TaskPool {
   uint64_t epoch_ = 0;
   int job_lanes_ = 0;          // lanes participating in the current job
   int lanes_remaining_ = 0;    // participating lanes not yet finished
-  int job_n_nodes_ = 1;        // topology nodes mapped onto this job's lanes
-  bool job_pin_ = false;       // pin workers to their lane's node cpuset
   bool shutdown_ = false;
 
   // Current job payload (set before epoch_ bump, read by participants).

@@ -148,7 +148,7 @@ TEST(GroupBy, AcceptsOneGroupPastSizingHint) {
 
 TEST(GroupBy, GrowsRepeatedlyFarPastSizingHint) {
   // ~64x the hint: forces several doubling + rehash rounds mid-accumulate,
-  // on the scalar, vectorized, and parallel-merge (FoldMerge) paths.
+  // on the scalar, vectorized, and partial-merge (FoldMerge) paths.
   const size_t hint = 64;
   const size_t n_groups = 4096;
   const size_t n = 50'000;
@@ -165,12 +165,20 @@ TEST(GroupBy, GrowsRepeatedlyFarPastSizingHint) {
     EXPECT_GT(agg.num_buckets(), buckets_before) << IsaName(isa);
     EXPECT_EQ(Collect(agg, isa), want) << IsaName(isa);
 
-    // Parallel: per-lane partials grow independently, and the serial
-    // FoldMerge into this undersized table grows it again.
-    GroupByAggregator par(hint);
-    par.AccumulateParallel(isa, keys.data(), vals.data(), n, 8);
-    EXPECT_EQ(par.num_groups(), want.size()) << IsaName(isa);
-    EXPECT_EQ(Collect(par, isa), want) << IsaName(isa);
+    // Per-lane partials (as exec::GroupByState keeps them) grow
+    // independently, and MergeFrom into this undersized table grows it
+    // again.
+    GroupByAggregator merged(hint);
+    const size_t parts = 8;
+    for (size_t p = 0; p < parts; ++p) {
+      const size_t b = n * p / parts;
+      const size_t e = n * (p + 1) / parts;
+      GroupByAggregator partial(hint);
+      partial.Accumulate(isa, keys.data() + b, vals.data() + b, e - b);
+      merged.MergeFrom(partial);
+    }
+    EXPECT_EQ(merged.num_groups(), want.size()) << IsaName(isa);
+    EXPECT_EQ(Collect(merged, isa), want) << IsaName(isa);
   }
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/isa.h"
-#include "numa/topology.h"
 #include "sort/range_sort.h"
 #include "util/aligned_buffer.h"
 #include "util/data_gen.h"
@@ -71,31 +70,6 @@ TEST(RangeSort, SkewedInputStillSorts) {
   std::sort(want.begin(), want.end());
   RangeSortPairs(keys.data(), pays.data(), sk.data(), sp.data(), n, cfg);
   for (size_t i = 0; i < n; ++i) ASSERT_EQ(keys[i], want[i]) << i;
-}
-
-// The merge scratch is placed node-locally (numa::PlaceBuffer); placement
-// is value-preserving, so the sorted output must be byte-identical on
-// every fake topology shape.
-TEST(RangeSort, ByteIdenticalAcrossFakeTopologies) {
-  const size_t n = 60'000;
-  RangeSortConfig cfg;
-  cfg.isa = IsaSupported(Isa::kAvx512) ? Isa::kAvx512 : Isa::kScalar;
-  auto run = [&](int nodes, int cpus) {
-    const numa::NumaTopology topo = numa::MakeFakeTopology(nodes, cpus);
-    numa::SetTopologyForTesting(&topo);
-    AlignedBuffer<uint32_t> keys(n + 16), pays(n + 16), sk(n + 16),
-        sp(n + 16);
-    FillUniform(keys.data(), n, 11, 0, 0xFFFFFFFFu);
-    FillSequential(pays.data(), n, 0);
-    RangeSortPairs(keys.data(), pays.data(), sk.data(), sp.data(), n, cfg);
-    numa::SetTopologyForTesting(nullptr);
-    std::vector<uint32_t> out(keys.data(), keys.data() + n);
-    out.insert(out.end(), pays.data(), pays.data() + n);
-    return out;
-  };
-  const std::vector<uint32_t> want = run(1, 8);
-  EXPECT_EQ(run(2, 4), want);
-  EXPECT_EQ(run(4, 2), want);
 }
 
 TEST(RangeSort, AllEqualKeys) {

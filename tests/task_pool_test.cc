@@ -1,9 +1,8 @@
 // Scheduler tests: TaskPool work distribution (every task exactly once,
 // stealing under skewed morsel costs, oversubscription beyond the hardware
-// thread count), sub-morsel inputs, the parallel wrappers of the
-// single-threaded operators, and the determinism guarantee — parallel
-// radixsort and the max- and no-partition joins produce byte-identical
-// output for every thread count and run.
+// thread count), sub-morsel inputs, and the determinism guarantee —
+// parallel radixsort and the max- and no-partition joins produce
+// byte-identical output for every thread count and run.
 
 #include <gtest/gtest.h>
 
@@ -11,20 +10,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <map>
-#include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "agg/group_by.h"
-#include "bloom/bloom_filter.h"
 #include "hash/hash_table.h"
 #include "join/hash_join.h"
 #include "obs/metrics.h"
-#include "scan/selection_scan.h"
 #include "sort/radix_sort.h"
 #include "util/aligned_buffer.h"
 #include "util/data_gen.h"
@@ -227,180 +220,6 @@ TEST(TaskPoolTest, BoundedMorselSizeStaysAlignedAndBounded) {
     EXPECT_EQ(morsel % 16, 0u) << n;
     EXPECT_GE(morsel, kMorselTuples) << n;
     EXPECT_LE(MorselGrid(n, morsel).count(), kMaxMorselsPerPass) << n;
-  }
-}
-
-TEST(ParallelOperatorsTest, SelectionScanParallelMatchesSerial) {
-  for (size_t n : {size_t{0}, size_t{100}, kMorselTuples - 5,
-                   size_t{5} * kMorselTuples + 123}) {
-    AlignedBuffer<uint32_t> keys(n + 16), pays(n + 16);
-    FillUniform(keys.data(), n, 7, 0, 1000);
-    FillSequential(pays.data(), n, 0);
-    AlignedBuffer<uint32_t> sk(SelectionScanCapacity(n)),
-        sp(SelectionScanCapacity(n));
-    const size_t cap = SelectionScanParallelCapacity(n);
-    AlignedBuffer<uint32_t> pk(cap), pp(cap);
-    for (ScanVariant v :
-         {ScanVariant::kScalarBranching, ScanVariant::kVectorStoreIndirect}) {
-      if (!ScanVariantSupported(v)) continue;
-      const size_t want =
-          SelectionScan(v, keys.data(), pays.data(), n, 100, 600, sk.data(),
-                        sp.data());
-      for (int threads : {1, 2, 8}) {
-        const size_t got =
-            SelectionScanParallel(v, keys.data(), pays.data(), n, 100, 600,
-                                  pk.data(), pp.data(), threads);
-        ASSERT_EQ(got, want) << ScanVariantName(v) << " t=" << threads;
-        EXPECT_EQ(std::memcmp(pk.data(), sk.data(), want * 4), 0);
-        EXPECT_EQ(std::memcmp(pp.data(), sp.data(), want * 4), 0);
-      }
-    }
-  }
-}
-
-// Adversarial sizes for the parallel wrappers: empty input, a single tuple,
-// exact morsel multiples (no tail), and 100% selectivity (every staging
-// segment full, so the in-order compaction moves the maximum volume).
-TEST(ParallelOperatorsTest, SelectionScanParallelAdversarialSizes) {
-  for (size_t n : {size_t{0}, size_t{1}, kMorselTuples,
-                   2 * kMorselTuples}) {
-    AlignedBuffer<uint32_t> keys(n + 16), pays(n + 16);
-    FillUniform(keys.data(), n, 41, 0, 1000);
-    FillSequential(pays.data(), n, 0);
-    AlignedBuffer<uint32_t> sk(SelectionScanCapacity(n)),
-        sp(SelectionScanCapacity(n));
-    const size_t cap = SelectionScanParallelCapacity(n);
-    AlignedBuffer<uint32_t> pk(cap), pp(cap);
-    for (ScanVariant v :
-         {ScanVariant::kScalarBranchless, ScanVariant::kVectorStoreDirect}) {
-      if (!ScanVariantSupported(v)) continue;
-      // 100% selectivity: the full key domain passes.
-      const size_t want = SelectionScan(v, keys.data(), pays.data(), n, 0,
-                                        0xFFFFFFFFu, sk.data(), sp.data());
-      ASSERT_EQ(want, n) << ScanVariantName(v);
-      for (int threads : {2, 8}) {
-        const size_t got =
-            SelectionScanParallel(v, keys.data(), pays.data(), n, 0,
-                                  0xFFFFFFFFu, pk.data(), pp.data(), threads);
-        ASSERT_EQ(got, want) << ScanVariantName(v) << " n=" << n
-                             << " t=" << threads;
-        EXPECT_EQ(std::memcmp(pk.data(), sk.data(), want * 4), 0);
-        EXPECT_EQ(std::memcmp(pp.data(), sp.data(), want * 4), 0);
-      }
-    }
-  }
-}
-
-TEST(ParallelOperatorsTest, BloomProbeParallelAdversarialSizes) {
-  const size_t max_n = 2 * kMorselTuples;
-  AlignedBuffer<uint32_t> keys(max_n + 16), pays(max_n + 16);
-  FillUniform(keys.data(), max_n, 43, 1, 1u << 16);
-  FillSequential(pays.data(), max_n, 0);
-  // Add every probe key: 100% of tuples pass the filter.
-  BloomFilter bf = BloomFilter::ForItems(max_n, 10, 4);
-  bf.Add(keys.data(), max_n);
-  for (size_t n : {size_t{0}, size_t{1}, kMorselTuples, max_n}) {
-    AlignedBuffer<uint32_t> sk(n + 16), sp(n + 16);
-    const size_t cap = BloomFilter::ProbeParallelCapacity(n);
-    AlignedBuffer<uint32_t> pk(cap), pp(cap);
-    for (Isa isa : {Isa::kScalar, Isa::kAvx512}) {
-      if (!IsaSupported(isa)) continue;
-      const size_t want =
-          bf.Probe(isa, keys.data(), pays.data(), n, sk.data(), sp.data());
-      ASSERT_EQ(want, n) << IsaName(isa) << " n=" << n;
-      for (int threads : {2, 8}) {
-        const size_t got = bf.ProbeParallel(isa, keys.data(), pays.data(), n,
-                                            pk.data(), pp.data(), threads);
-        ASSERT_EQ(got, want) << IsaName(isa) << " n=" << n
-                             << " t=" << threads;
-        std::multiset<std::pair<uint32_t, uint32_t>> a, b;
-        for (size_t i = 0; i < want; ++i) {
-          a.emplace(sk[i], sp[i]);
-          b.emplace(pk[i], pp[i]);
-        }
-        EXPECT_EQ(a, b) << IsaName(isa) << " n=" << n << " t=" << threads;
-      }
-    }
-  }
-}
-
-TEST(ParallelOperatorsTest, BloomProbeParallelMatchesSerial) {
-  const size_t n = 3 * kMorselTuples + 777;
-  AlignedBuffer<uint32_t> keys(n + 16), pays(n + 16);
-  FillUniform(keys.data(), n, 11, 1, 1u << 20);
-  FillSequential(pays.data(), n, 0);
-  BloomFilter bf = BloomFilter::ForItems(10000, 10, 4);
-  AlignedBuffer<uint32_t> members(10000);
-  FillUniform(members.data(), 10000, 13, 1, 1u << 20);
-  bf.Add(members.data(), 10000);
-  AlignedBuffer<uint32_t> sk(n + 16), sp(n + 16);
-  const size_t cap = BloomFilter::ProbeParallelCapacity(n);
-  AlignedBuffer<uint32_t> pk(cap), pp(cap);
-  for (Isa isa : {Isa::kScalar, Isa::kAvx512}) {
-    if (!IsaSupported(isa)) continue;
-    const size_t want =
-        bf.Probe(isa, keys.data(), pays.data(), n, sk.data(), sp.data());
-    for (int threads : {1, 2, 8}) {
-      const size_t got = bf.ProbeParallel(isa, keys.data(), pays.data(), n,
-                                          pk.data(), pp.data(), threads);
-      ASSERT_EQ(got, want) << IsaName(isa) << " t=" << threads;
-      if (isa == Isa::kScalar) {
-        // Scalar probes preserve input order, so the parallel morsel-order
-        // compaction reproduces the serial output exactly.
-        EXPECT_EQ(std::memcmp(pk.data(), sk.data(), want * 4), 0);
-        EXPECT_EQ(std::memcmp(pp.data(), sp.data(), want * 4), 0);
-      } else {
-        // Vector probes emit out of order; compare as multisets of pairs.
-        std::multiset<std::pair<uint32_t, uint32_t>> a, b;
-        for (size_t i = 0; i < want; ++i) {
-          a.emplace(sk[i], sp[i]);
-          b.emplace(pk[i], pp[i]);
-        }
-        EXPECT_EQ(a, b);
-      }
-    }
-  }
-}
-
-TEST(ParallelOperatorsTest, GroupByAccumulateParallelMatchesSerial) {
-  const size_t n = 4 * kMorselTuples + 99;
-  const size_t n_groups = 1000;
-  AlignedBuffer<uint32_t> keys(n), vals(n);
-  FillUniform(keys.data(), n, 17, 1, static_cast<uint32_t>(n_groups));
-  FillUniform(vals.data(), n, 19, 0, 10000);
-  for (Isa isa : {Isa::kScalar, Isa::kAvx512}) {
-    if (!IsaSupported(isa)) continue;
-    GroupByAggregator serial(n_groups);
-    serial.Accumulate(isa, keys.data(), vals.data(), n);
-    std::vector<uint32_t> sg(serial.num_groups()), sc(serial.num_groups()),
-        smin(serial.num_groups()), smax(serial.num_groups());
-    std::vector<uint64_t> ss(serial.num_groups());
-    serial.Extract(Isa::kScalar, sg.data(), ss.data(), sc.data(), smin.data(),
-                   smax.data());
-    std::map<uint32_t, std::tuple<uint64_t, uint32_t, uint32_t, uint32_t>>
-        want;
-    for (size_t i = 0; i < sg.size(); ++i) {
-      want[sg[i]] = {ss[i], sc[i], smin[i], smax[i]};
-    }
-    for (int threads : {2, 8}) {
-      GroupByAggregator par(n_groups);
-      par.AccumulateParallel(isa, keys.data(), vals.data(), n, threads);
-      ASSERT_EQ(par.num_groups(), serial.num_groups())
-          << IsaName(isa) << " t=" << threads;
-      std::vector<uint32_t> pg(par.num_groups()), pc(par.num_groups()),
-          pmin(par.num_groups()), pmax(par.num_groups());
-      std::vector<uint64_t> ps(par.num_groups());
-      par.Extract(Isa::kScalar, pg.data(), ps.data(), pc.data(), pmin.data(),
-                  pmax.data());
-      for (size_t i = 0; i < pg.size(); ++i) {
-        auto it = want.find(pg[i]);
-        ASSERT_NE(it, want.end()) << "unexpected group " << pg[i];
-        EXPECT_EQ(std::get<0>(it->second), ps[i]) << "sum of " << pg[i];
-        EXPECT_EQ(std::get<1>(it->second), pc[i]) << "count of " << pg[i];
-        EXPECT_EQ(std::get<2>(it->second), pmin[i]) << "min of " << pg[i];
-        EXPECT_EQ(std::get<3>(it->second), pmax[i]) << "max of " << pg[i];
-      }
-    }
   }
 }
 
